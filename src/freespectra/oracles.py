@@ -2,7 +2,7 @@
 
 Three cross-checks that share no code with the solver path: finite-size
 Monte-Carlo sampling of the Jacobian Gram spectrum, an all-roots polynomial
-baseline (simultaneous Aberth iteration plus Newton polish), and a
+baseline (companion-matrix eigenvalues plus Newton polish), and a
 Kolmogorov-Smirnov distance that accounts for the point mass at zero.
 """
 
@@ -33,13 +33,6 @@ _STREAM_BIAS = 2
 _STREAM_INPUT = 3
 
 _ZERO_SNAP = 1e-9
-_ABERTH_MAX_SWEEPS = 200
-_ABERTH_TOL = 1e-14
-# Near-coincident roots (z close to a support edge) make the steps plateau at
-# amplified rounding noise; accept the plateau once it is already tiny and let
-# the per-root polish and the residual gate finish the job.
-_ABERTH_PLATEAU = 1e-6
-_ABERTH_STALL_SWEEPS = 8
 _POLISH_MAX_ITERS = 50
 _RESIDUAL_TOL = 1e-10
 
@@ -128,59 +121,34 @@ def monte_carlo_spectrum(
     return EmpiricalSpectrum(values=values, n0=n0, seed=seed)
 
 
-def _aberth(poly: ComplexPolynomial) -> np.ndarray:
-    n = poly.degree
-    coeffs = poly.coeffs
-    lead = coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
-    angles = 2.0 * math.pi * np.arange(n) / n + 0.4
-    roots = radius * np.exp(1j * angles)
-    best = math.inf
-    stall = 0
-    for _ in range(_ABERTH_MAX_SWEEPS):
-        max_move = 0.0
-        for i in range(n):
-            value, deriv = poly.eval_with_derivative(roots[i])
-            if value == 0:
-                continue
-            if deriv == 0:
-                roots[i] *= 1.0 + 1e-8
-                max_move = math.inf
-                continue
-            w = value / deriv
-            repulsion = sum(1.0 / (roots[i] - roots[j]) for j in range(n) if j != i)
-            denom = 1.0 - w * repulsion
-            step = w if denom == 0 else w / denom
-            roots[i] -= step
-            max_move = max(max_move, abs(step) / (1.0 + abs(roots[i])))
-        if max_move < _ABERTH_TOL:
-            return roots
-        if max_move < 0.7 * best:
-            best = max_move
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _ABERTH_STALL_SWEEPS and max_move < _ABERTH_PLATEAU:
-                return roots
-    raise RuntimeError(f"all-roots iteration did not settle within {_ABERTH_MAX_SWEEPS} sweeps")
+def _residual(meq: RationalMasterEq, poly: ComplexPolynomial, z: complex, m: complex):
+    """(f, f') for f(m) = P(m) - z Q(m); in product form when the equation has factors."""
+    if meq.roots is None:
+        return poly.eval_with_derivative(m)
+    p = complex(meq.scale)
+    dp = 0j
+    for r in meq.roots:
+        dp = dp * (m - r) + p
+        p = p * (m - r)
+    return p - z * m, dp - z
 
 
-def _polish(poly: ComplexPolynomial, root: complex) -> complex:
-    prev = math.inf
+def _polish(meq: RationalMasterEq, poly: ComplexPolynomial, z: complex, root: complex) -> complex:
+    """Newton steps from root, each kept only if it lowers |f|."""
+    value, deriv = _residual(meq, poly, z, root)
     for _ in range(_POLISH_MAX_ITERS):
-        value, deriv = poly.eval_with_derivative(root)
         if value == 0 or deriv == 0:
             break
-        step = value / deriv
-        if abs(step) >= prev:
+        trial = root - value / deriv
+        trial_value, trial_deriv = _residual(meq, poly, z, trial)
+        if not abs(trial_value) < abs(value):
             break
-        root -= step
-        prev = abs(step)
+        root, value, deriv = trial, trial_value, trial_deriv
     return root
 
 
 def all_roots(meq: RationalMasterEq, z: complex) -> RootSet:
-    """Every root of P(m) - z Q(m), each polished until the Newton step stagnates.
+    """Every root of P(m) - z Q(m): companion-matrix eigenvalues, each polished.
 
     Residuals are checked relative to sum_k |c_k| max(1, |root|)^k, the natural
     attainable scale for coefficients spanning many orders of magnitude.
@@ -199,7 +167,8 @@ def all_roots(meq: RationalMasterEq, z: complex) -> RootSet:
     if poly.degree == 1:
         c0, c1 = poly.coeffs
         return RootSet(roots=(-c0 / c1,))
-    roots = [_polish(poly, r) for r in _aberth(poly)]
+    eigen = np.roots(poly.coeffs[::-1])
+    roots = [_polish(meq, poly, z, complex(r)) for r in eigen]
     for root in roots:
         scale = poly.eval_abs(max(1.0, abs(root)))
         if abs(poly(root)) > _RESIDUAL_TOL * scale:

@@ -2,9 +2,10 @@
 
 A start is accepted only with a Kantorovich certificate (h = delta*kappa*lambda < 1/2),
 which guarantees Newton converges to the unique root within t* of the start.  The
-global strategy chains certified basins: double Im z upward until the cold start
-certifies, then walk back down to the requested z by certified half-steps, warm
-starting each solve from the previous solution.
+global strategy chains certified basins: from Im z = max(|Im z|, |Re z|) double
+Im z upward until the cold start certifies, then walk back down to the requested
+z, warm starting each solve from the previous solution.  Each step of the walk
+tries at most twice the last accepted step and is halved until it certifies.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ def _require_off_axis(z: complex) -> None:
         raise ValueError(f"z must have nonzero imaginary part, got {z}")
 
 
-def _noise_floor(meq: RationalMasterEq, z: complex, m: complex) -> float:
-    # Double-precision evaluation noise of P(m)/z - Q(m); residuals below this
-    # are not representable whatever the iteration does.
-    r = abs(m)
-    return 4.0 * _ULP * (meq.P.eval_abs(r) / abs(z) + meq.Q.eval_abs(r))
+def _noise_floor(meq: RationalMasterEq, m: complex, value: complex) -> float:
+    # Double-precision noise of phi = P(m)/z - m with P evaluated as a product of
+    # d factors, where value + m = P(m)/z; residuals below this are not
+    # representable whatever the iteration does.
+    return 4.0 * _ULP * (len(meq.roots) * abs(value + m) + abs(m))
 
 
 def is_in_basin(
@@ -135,15 +136,19 @@ def newton_raphson(
     """Newton iteration on phi_z from m0; the residual test runs before each step,
     so an exact root is returned unchanged.
 
-    Stops when |phi_z(m)| < epsilon, or when the residual falls below its own
-    floating-point evaluation floor (converged to working precision).
+    Stops when |phi_z(m)| < epsilon and the next step |phi/phi'| is at most
+    epsilon * (1 + |m|), or when the residual falls below its own floating-point
+    evaluation floor (converged to working precision).
     """
     _require_off_axis(z)
     m = m0
     for iteration in range(config.max_newton_iters + 1):
         value, deriv = eval_phi(meq, z, m)
         resid = abs(value)
-        if resid < config.epsilon or resid < _noise_floor(meq, z, m):
+        # Near a spectral edge |phi'| is tiny, so a small residual alone can
+        # leave m far from the root; the step test keeps that from stopping.
+        small = resid < config.epsilon and resid <= config.epsilon * abs(deriv) * (1.0 + abs(m))
+        if small or resid < _noise_floor(meq, m, value):
             if stats is not None:
                 stats.newton_iterations += iteration
             return m
@@ -170,17 +175,23 @@ def newton_lilypads(
 ) -> complex:
     """Solve phi_{z_objective}(m) = 0 on the decaying branch (m -> 0 as z -> infinity).
 
-    Without a proxy, start at m=0 and double Im z until certified; with a proxy
-    (z, m) from a neighboring solve, skip straight to the descent.  The descent
-    halves the step toward z_objective until the current solution certifies at
-    the shifted point, then advances and re-solves.
+    Without a proxy, start at m=0 and Im z = max(|Im z|, |Re z|) (the sign of
+    Im z kept) and double Im z until certified; with a proxy (z, m) from a
+    neighboring solve, skip straight to the descent.  The descent tries at most
+    twice its last accepted step toward z_objective and halves it until the
+    current solution certifies at the shifted point, then advances and re-solves.
     """
     _require_off_axis(z_objective)
     if stats is None:
         stats = SolveStats()
 
     if proxy is None:
-        z = z_objective
+        # From a tiny Im z at large Re z the climb can outrun max_doublings
+        # (1e-6 doubled 60 times is only 1.2e12); from |Re z| it takes a few.
+        z = complex(
+            z_objective.real,
+            math.copysign(max(abs(z_objective.imag), abs(z_objective.real)), z_objective.imag),
+        )
         m = 0j
         doublings = 0
         while is_in_basin(meq, z, m, config) is None:
@@ -221,9 +232,15 @@ def _descend(
         return m
     full_step = abs(z_objective - z)
     floor = config.min_step_fraction * full_step
+    step = full_step
     while True:
         dz = z_objective - z
-        target = z_objective
+        gap = abs(dz)
+        if gap <= 2.0 * step:
+            target = z_objective
+        else:
+            dz *= 2.0 * step / gap
+            target = z + dz
         while is_in_basin(meq, target, m, config) is None:
             dz *= 0.5
             target = z + dz
@@ -234,6 +251,13 @@ def _descend(
                     z=z_objective,
                     last_certified=(z, m),
                 )
+            if target == z:
+                raise SolverError(
+                    f"continuation stalled at z={z} (step {abs(dz):.3g} rounds to zero)",
+                    z=z_objective,
+                    last_certified=(z, m),
+                )
+        step = abs(dz)
         z = target
         m = newton_raphson(meq, z, m, config, stats)
         stats.basins += 1

@@ -13,6 +13,8 @@ from freespectra import (
     SolverConfig,
     SolverError,
     SolveStats,
+    default_grid,
+    density_grid,
     eval_phi,
     is_in_basin,
     master_from_spec,
@@ -100,6 +102,21 @@ def test_newton_golden_section_point():
     assert abs(m - 1j * (1 - math.sqrt(5)) / 2) < 1e-9
 
 
+def test_newton_stop_near_edge_waits_for_a_small_step():
+    # |phi'| is about 5e-6 here, so |phi| < epsilon alone stops Newton ~1e-8 off
+    # the root; the step test must carry it on to working precision
+    mpmath = pytest.importorskip("mpmath")
+    z = 4 + 1e-10j
+    with mpmath.workprec(200):
+        b = 2 - mpmath.mpc(z.real, z.imag)
+        disc = mpmath.sqrt(b * b - 4)
+        roots = [(-b + disc) / 2, (-b - disc) / 2]
+        for root in roots:
+            for offset in (1e-3, 1e-3j, 1e-4):
+                m = newton_raphson(mp_meq(), z, complex(root) + offset)
+                assert min(abs(mpmath.mpc(m.real, m.imag) - r) for r in roots) <= 1e-9
+
+
 def test_newton_iteration_cap_raises():
     config = SolverConfig(max_newton_iters=2)
     with pytest.raises(SolverError):
@@ -111,6 +128,20 @@ def test_lilypads_cold_start():
     m = newton_lilypads(mp_meq(), 2 + 1j, stats=stats)
     assert abs(m - 1j * (1 - math.sqrt(5)) / 2) < 1e-9
     assert stats.doublings >= 1 and stats.basins >= 1
+
+
+def test_lilypads_cold_start_climbs_from_re_z():
+    # Im z = 1e-6 doubled 60 times reaches only ~1.2e12, short of Re z here; the
+    # climb starts at Im z = |Re z| instead
+    spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.HARD_SINE, 1.5) for _ in range(64)))
+    meq = master_from_spec(spec)
+    z = 1.7e13 + 1e-6j
+    stats = SolveStats()
+    m = newton_lilypads(meq, z, stats=stats)
+    value, deriv = eval_phi(meq, z, m)
+    assert abs(value) <= 1e-12 * max(1.0, abs(deriv))
+    assert stats.doublings <= 5
+    assert -((m + 1) / z).imag >= 0
 
 
 def test_lilypads_far_field_leading_order():
@@ -176,6 +207,42 @@ def test_lilypads_stall_without_oracle_reports_last_certified(monkeypatch):
     z_last, m_last = err.last_certified
     assert z_last.imag > 0
     assert abs(eval_phi(mp_meq(), z_last, m_last)[0]) < 1e-9
+
+
+def test_descend_names_a_step_that_rounds_to_zero(monkeypatch):
+    # at m = z/2 - 1, phi' vanishes at the proxy z and is tiny nearby, so no
+    # shifted target certifies; halving must stop once z + dz rounds to z
+    def outage(meq, z):
+        raise RuntimeError("forced oracle outage")
+
+    monkeypatch.setattr("freespectra.oracles.all_roots", outage)
+    z_proxy = 1e6 + 1j
+    with pytest.raises(SolverError, match="rounds to zero") as info:
+        newton_lilypads(mp_meq(), 1e6 + 0.5j, proxy=(z_proxy, z_proxy / 2 - 1))
+    assert info.value.last_certified[0] == z_proxy
+
+
+def test_tiny_y_hard_sine_net_completes():
+    # this net once stopped Newton ~3e-7 off the root near an edge at y = 1e-9,
+    # after which no certificate passed and the descent spun on z + dz == z
+    spec = NetworkSpec(
+        layers=tuple(LayerSpec(Nonlinearity.HARD_SINE, 1.5, width_ratio=2.0) for _ in range(3))
+    )
+    curve = density_grid(spec, xs=default_grid(spec, points=400), y=1e-9)
+    assert curve.stats.basins <= 600
+    assert curve.stats.restarts == 0
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, gain, depth, y",
+    [(Nonlinearity.RELU, 2.0, 4, 1e-6), (Nonlinearity.LINEAR, 1.0, 16, 1e-6)],
+)
+def test_grid_basin_count(nonlinearity, gain, depth, y):
+    # the centred bound keeps basins wide as depth grows: about one per point
+    spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
+    curve = density_grid(spec, xs=default_grid(spec, points=400), y=y)
+    assert curve.stats.basins <= 500
+    assert curve.stats.restarts == 0
 
 
 def test_lilypads_survives_large_coefficients():

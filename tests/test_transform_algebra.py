@@ -10,6 +10,7 @@ from freespectra import (
     LayerSpec,
     NetworkSpec,
     Nonlinearity,
+    RationalMasterEq,
     compose_layers,
     eval_phi,
     layer_s_transforms,
@@ -251,10 +252,10 @@ def test_second_derivative_bound_mp1_constant():
 
 
 def test_second_derivative_bound_degree_one_is_zero():
-    meq = master_from_s_transform(
-        RationalSTransform(ComplexPolynomial([1.0]), ComplexPolynomial([1.0]), 1.0)
+    # P = 1+m, Q = m: phi'' vanishes identically; the bound reads the factored form
+    meq = RationalMasterEq(
+        P=ComplexPolynomial([1.0, 1.0]), Q=ComplexPolynomial([0.0, 1.0]), scale=1.0, roots=(-1.0,)
     )
-    # P = 1+m, Q = m: phi'' vanishes identically
     assert second_derivative_bound(meq, 1j, 0.5j, 3.0) == 0.0
 
 
@@ -276,3 +277,45 @@ def test_second_derivative_bound_monotone_in_radius():
         radii = np.sort(rng.uniform(0, 3, size=5))
         vals = [second_derivative_bound(meq, z, center, float(r)) for r in radii]
         assert all(a <= b + 1e-15 for a, b in zip(vals[:-1], vals[1:]))
+
+
+def test_second_derivative_bound_is_sound_against_mpmath():
+    # |phi''| at 120 bits on each disc's boundary (where its maximum lies) and
+    # at the point centre + radius, where the bound is attained for a real
+    # centre right of every root: the rounding allowance must keep it above
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(15)
+    nls = list(Nonlinearity)
+    worst = 0.0
+    for disc in range(150):
+        spec = NetworkSpec(
+            layers=tuple(
+                LayerSpec(
+                    nonlinearity=nls[rng.integers(0, len(nls))],
+                    sigma_w_sq=float(rng.uniform(0.5, 2.5)),
+                    width_ratio=float(rng.choice([0.5, 1.0, 2.0])),
+                )
+                for _ in range(int(rng.integers(1, 65)))
+            )
+        )
+        meq = master_from_spec(spec)
+        z = complex(rng.uniform(-3, 30), rng.choice([-1, 1]) * 10 ** rng.uniform(-9, 1))
+        if disc % 3 == 0:
+            center = complex(rng.uniform(0.0, 2.0), 0.0)
+        else:
+            center = complex(rng.uniform(-2.5, 1.0), rng.uniform(-1.5, 1.5))
+        radius = float(10 ** rng.uniform(-6, 0))
+        bound = second_derivative_bound(meq, z, center, radius)
+        angles = [0.0] + list(rng.uniform(0, 2 * math.pi, size=6))
+        with mpmath.workprec(120):
+            for angle in angles:
+                m = mpmath.mpc(center.real, center.imag) + radius * mpmath.expjpi(angle / math.pi)
+                v, d1, d2 = mpmath.mpf(meq.scale), mpmath.mpc(0), mpmath.mpc(0)
+                for r in meq.roots:
+                    t = m - r
+                    d2, d1, v = d2 * t + 2 * d1, d1 * t + v, v * t
+                exact = abs(d2) / abs(mpmath.mpc(z.real, z.imag))
+                assert exact <= bound
+                if bound > 0:
+                    worst = max(worst, float(exact / bound))
+    assert worst > 0.999  # the attained case was sampled, so the test can bite
