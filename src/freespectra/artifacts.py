@@ -29,7 +29,14 @@ __all__ = [
     "read_quantiles",
 ]
 
-_STAT_KEYS = ("newton_iterations", "basins", "doublings", "restarts")
+_STAT_KEYS = (
+    "newton_iterations",
+    "basins",
+    "doublings",
+    "restarts",
+    "certificate_tests",
+    "rejected_tests",
+)
 
 
 def write_text(text: str, path: Optional[str] = None) -> None:
@@ -62,8 +69,8 @@ def render_density(curve: DensityCurve, fmt: str = "csv") -> str:
             "total_mass": curve.total_mass,
             "atom_lower_bound": curve.atom_lower_bound,
             "stats": dict(_stat_items(curve.stats)) or None,
-            "x": [float(v) for v in curve.xs],
-            "rho": [float(v) for v in curve.rhos],
+            "x": curve.xs.tolist(),
+            "rho": curve.rhos.tolist(),
         }
         return json.dumps(doc, indent=2) + "\n"
     lines = [
@@ -73,7 +80,7 @@ def render_density(curve: DensityCurve, fmt: str = "csv") -> str:
     ]
     lines.extend(f"# {key}: {value!r}" for key, value in _stat_items(curve.stats))
     lines.append("x,rho")
-    lines.extend(f"{float(x)!r},{float(r)!r}" for x, r in zip(curve.xs, curve.rhos))
+    lines.extend(f"{x!r},{r!r}" for x, r in zip(curve.xs.tolist(), curve.rhos.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -126,9 +133,10 @@ def _split_artifact(text: str) -> tuple[dict, list]:
 
 
 def _stats_from_meta(meta: dict) -> Optional[SolveStats]:
-    if not all(key in meta for key in _STAT_KEYS):
-        return None
-    return SolveStats(**{key: int(meta[key]) for key in _STAT_KEYS})
+    # Headers written before the certificate counters existed lack them; those
+    # read as 0, as in the JSON form.
+    present = {key: int(meta[key]) for key in _STAT_KEYS if key in meta}
+    return SolveStats(**present) if present else None
 
 
 def read_density(path: str) -> DensityCurve:

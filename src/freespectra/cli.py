@@ -144,9 +144,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        # Building the parser costs about a millisecond; parse with one per process.
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

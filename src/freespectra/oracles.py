@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 # Per-(seed, layer) substreams; keeps every draw independent of matrix
-# assembly order and thread count.
+# assembly order.
 _STREAM_WEIGHT = 0
 _STREAM_GAIN = 1
 _STREAM_BIAS = 2

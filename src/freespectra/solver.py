@@ -6,13 +6,17 @@ global strategy chains certified basins: from Im z = max(|Im z|, |Re z|) double
 Im z upward until the cold start certifies, then walk back down to the requested
 z, warm starting each solve from the previous solution.  Each step of the walk
 tries at most twice the last accepted step and is halved until it certifies.
+The certificate carries phi and phi' at the start it certified, and Newton's
+first step reuses that evaluation.
 """
 
 from __future__ import annotations
 
 import math
+from cmath import isfinite as cisfinite
 from dataclasses import dataclass
-from typing import Optional
+from math import isfinite, sqrt
+from typing import NamedTuple, Optional
 
 from .transform_algebra import RationalMasterEq, eval_phi, second_derivative_bound
 
@@ -27,7 +31,8 @@ __all__ = [
     "newton_lilypads",
 ]
 
-_ULP = 2.0**-52
+# Four machine epsilons: the noise-floor factor of phi's product-form evaluation.
+_NOISE_SCALE = 4.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -51,31 +56,44 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True)
-class BasinCertificate:
-    """delta = |phi/phi'|, kappa = 1/|phi'|, lambda_bound >= sup |phi''|, h = delta*kappa*lambda."""
+class BasinCertificate(NamedTuple):
+    """delta = |phi/phi'|, kappa = 1/|phi'|, lambda_bound >= sup |phi''|, h = delta*kappa*lambda.
+
+    value and deriv are phi and phi' at the certified start, so Newton's first
+    step reuses them instead of evaluating phi there again.
+    """
 
     delta: float
     kappa: float
     lambda_bound: float
     h: float
     t_star: float
+    value: complex
+    deriv: complex
 
 
 @dataclass
 class SolveStats:
-    """Mutable counters accumulated across a solve or a whole grid."""
+    """Mutable counters accumulated across a solve or a whole grid.
+
+    certificate_tests counts Kantorovich tests in the cold start and the
+    descent, rejected_tests the ones that did not certify.
+    """
 
     newton_iterations: int = 0
     basins: int = 0
     doublings: int = 0
     restarts: int = 0
+    certificate_tests: int = 0
+    rejected_tests: int = 0
 
     def merge(self, other: "SolveStats") -> None:
         self.newton_iterations += other.newton_iterations
         self.basins += other.basins
         self.doublings += other.doublings
         self.restarts += other.restarts
+        self.certificate_tests += other.certificate_tests
+        self.rejected_tests += other.rejected_tests
 
 
 class SolverError(RuntimeError):
@@ -88,16 +106,8 @@ class SolverError(RuntimeError):
         self.last_certified = last_certified
 
 
-def _require_off_axis(z: complex) -> None:
-    if z.imag == 0.0:
-        raise ValueError(f"z must have nonzero imaginary part, got {z}")
-
-
-def _noise_floor(meq: RationalMasterEq, m: complex, value: complex) -> float:
-    # Double-precision noise of phi = P(m)/z - m with P evaluated as a product of
-    # d factors, where value + m = P(m)/z; residuals below this are not
-    # representable whatever the iteration does.
-    return 4.0 * _ULP * (len(meq.roots) * abs(value + m) + abs(m))
+def _off_axis_error(z: complex) -> ValueError:
+    return ValueError(f"z must have nonzero imaginary part, got {z}")
 
 
 def is_in_basin(
@@ -107,23 +117,24 @@ def is_in_basin(
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> Optional[BasinCertificate]:
     """Kantorovich test at m0; None means "not certified", never "divergent"."""
-    _require_off_axis(z)
+    if z.imag == 0.0:
+        raise _off_axis_error(z)
     value, deriv = eval_phi(meq, z, m0)
     denom = abs(deriv)
-    if denom == 0.0 or not math.isfinite(denom):
+    if denom == 0.0 or not isfinite(denom):
         return None
     delta = abs(value) / denom
     kappa = 1.0 / denom
-    if not (math.isfinite(delta) and math.isfinite(kappa)):
+    if not (isfinite(delta) and isfinite(kappa)):
         return None
     # The solution lies within t* < 2*delta of the start, so bounding phi''
     # on the radius-2*delta disc is sufficient and breaks the circularity.
     lam = second_derivative_bound(meq, z, m0, 2.0 * delta)
     h = delta * kappa * lam
-    if not (math.isfinite(h) and h < 0.5):
+    if not h < 0.5:  # also rejects NaN and inf
         return None
-    t_star = 2.0 * delta / (1.0 + math.sqrt(1.0 - 2.0 * h)) if delta > 0 else 0.0
-    return BasinCertificate(delta=delta, kappa=kappa, lambda_bound=lam, h=h, t_star=t_star)
+    t_star = 2.0 * delta / (1.0 + sqrt(1.0 - 2.0 * h)) if delta > 0 else 0.0
+    return BasinCertificate(delta, kappa, lam, h, t_star, value, deriv)
 
 
 def newton_raphson(
@@ -132,35 +143,50 @@ def newton_raphson(
     m0: complex,
     config: SolverConfig = DEFAULT_CONFIG,
     stats: Optional[SolveStats] = None,
+    certificate: Optional[BasinCertificate] = None,
 ) -> complex:
     """Newton iteration on phi_z from m0; the residual test runs before each step,
     so an exact root is returned unchanged.
 
+    A certificate from is_in_basin(meq, z, m0) supplies phi and phi' at m0, so
+    the first step costs no evaluation; the iterates are the same either way.
     Stops when |phi_z(m)| < epsilon and the next step |phi/phi'| is at most
     epsilon * (1 + |m|), or when the residual falls below its own floating-point
     evaluation floor (converged to working precision).
     """
-    _require_off_axis(z)
+    if z.imag == 0.0:
+        raise _off_axis_error(z)
+    if certificate is None:
+        value, deriv = eval_phi(meq, z, m0)
+    else:
+        value, deriv = certificate.value, certificate.deriv
+    epsilon = config.epsilon
+    max_iters = config.max_newton_iters
+    # phi = P(m)/z - m is evaluated as a product of d factors, with
+    # value + m = P(m)/z; residuals below 4 eps (d |P(m)/z| + |m|) are not
+    # representable whatever the iteration does.
+    degree = len(meq.roots)
     m = m0
-    for iteration in range(config.max_newton_iters + 1):
-        value, deriv = eval_phi(meq, z, m)
+    for iteration in range(max_iters + 1):
         resid = abs(value)
         # Near a spectral edge |phi'| is tiny, so a small residual alone can
         # leave m far from the root; the step test keeps that from stopping.
-        small = resid < config.epsilon and resid <= config.epsilon * abs(deriv) * (1.0 + abs(m))
-        if small or resid < _noise_floor(meq, m, value):
+        if (resid < epsilon and resid <= epsilon * abs(deriv) * (1.0 + abs(m))) or (
+            resid < _NOISE_SCALE * (degree * abs(value + m) + abs(m))
+        ):
             if stats is not None:
                 stats.newton_iterations += iteration
             return m
-        if iteration == config.max_newton_iters:
+        if iteration == max_iters:
             break
-        if deriv == 0 or not (math.isfinite(deriv.real) and math.isfinite(deriv.imag)):
+        if deriv == 0 or not cisfinite(deriv):
             raise SolverError(f"derivative underflow at m={m} (z={z})", z=z)
         m = m - value / deriv
-        if not (math.isfinite(m.real) and math.isfinite(m.imag)):
+        if not cisfinite(m):
             raise SolverError(f"iterate diverged to {m} (z={z})", z=z)
+        value, deriv = eval_phi(meq, z, m)
     raise SolverError(
-        f"no convergence within {config.max_newton_iters} iterations at z={z} "
+        f"no convergence within {max_iters} iterations at z={z} "
         f"(residual {resid:.3e})",
         z=z,
     )
@@ -180,8 +206,10 @@ def newton_lilypads(
     neighboring solve, skip straight to the descent.  The descent tries at most
     twice its last accepted step toward z_objective and halves it until the
     current solution certifies at the shifted point, then advances and re-solves.
+    Each Newton solve starts from the evaluation its certificate already made.
     """
-    _require_off_axis(z_objective)
+    if z_objective.imag == 0.0:
+        raise _off_axis_error(z_objective)
     if stats is None:
         stats = SolveStats()
 
@@ -194,7 +222,10 @@ def newton_lilypads(
         )
         m = 0j
         doublings = 0
-        while is_in_basin(meq, z, m, config) is None:
+        stats.certificate_tests += 1
+        cert = is_in_basin(meq, z, m, config)
+        while cert is None:
+            stats.rejected_tests += 1
             if doublings >= config.max_doublings:
                 raise SolverError(
                     f"no certified start after {doublings} doublings of Im z "
@@ -203,8 +234,10 @@ def newton_lilypads(
                 )
             z = complex(z.real, 2.0 * z.imag)
             doublings += 1
+            stats.certificate_tests += 1
+            cert = is_in_basin(meq, z, m, config)
         stats.doublings += doublings
-        m = newton_raphson(meq, z, m, config, stats)
+        m = newton_raphson(meq, z, m, config, stats, cert)
         stats.basins += 1
     else:
         z, m = proxy
@@ -241,7 +274,10 @@ def _descend(
         else:
             dz *= 2.0 * step / gap
             target = z + dz
-        while is_in_basin(meq, target, m, config) is None:
+        stats.certificate_tests += 1
+        cert = is_in_basin(meq, target, m, config)
+        while cert is None:
+            stats.rejected_tests += 1
             dz *= 0.5
             target = z + dz
             if abs(dz) < floor:
@@ -257,9 +293,11 @@ def _descend(
                     z=z_objective,
                     last_certified=(z, m),
                 )
+            stats.certificate_tests += 1
+            cert = is_in_basin(meq, target, m, config)
         step = abs(dz)
         z = target
-        m = newton_raphson(meq, z, m, config, stats)
+        m = newton_raphson(meq, z, m, config, stats, cert)
         stats.basins += 1
         if z == z_objective:
             return m

@@ -2,15 +2,13 @@
 
 The density at x is recovered from the decaying-branch solution m(x + iy) of the
 master equation through rho = -Im((m+1)/z)/pi, evaluated at a small smoothing
-offset y > 0.  Grids warm-start neighboring points from each other; chunks of the
-grid are independent, so they can run on separate threads.
+offset y > 0.  A grid is solved in one sequential walk that warm-starts each
+point from its neighbour.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -138,35 +136,18 @@ def default_grid(
     return np.linspace(x_min, x_max, points)
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    from_env = threads is None
-    if from_env:
-        raw = os.environ.get("FREESPECTRA_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"FREESPECTRA_THREADS must be a positive integer, got {raw!r}")
-    if threads < 1:
-        source = "FREESPECTRA_THREADS" if from_env else "thread count"
-        raise ValueError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
 def density_grid(
     spec: NetworkSpec,
     xs: Optional[Sequence[float]] = None,
     y: float = 1e-6,
     points: int = 200,
     solver_config: SolverConfig = DEFAULT_CONFIG,
-    threads: Optional[int] = None,
     reverse: bool = False,
 ) -> DensityCurve:
     """Solve the master equation at z = x + iy over the grid and return the curve.
 
-    The grid is split into contiguous chunks (one per thread); each chunk is
-    traversed from its largest x downward (smallest upward when reverse=True),
-    warm-starting every solve from the previous point.  Assembly is by grid
-    index, so the output does not depend on thread scheduling.
+    The grid is one sequential walk from its largest x downward (smallest
+    upward when reverse=True), each solve warm-started from the previous point.
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -176,53 +157,30 @@ def density_grid(
     if np.any(xs <= 0):
         raise ValueError("grid points must be positive (the atom at 0 is handled separately)")
     meq = master_from_spec(spec)
-    n_threads = _thread_count(threads)
-    n_chunks = max(1, min(n_threads, xs.size // 2)) if xs.size >= 2 else 1
-    chunks = np.array_split(np.arange(xs.size), n_chunks)
+    stats = SolveStats()
+    proxy = None
+    ms = []
+    for x in xs.tolist() if reverse else xs[::-1].tolist():
+        z = complex(x, y)
+        try:
+            m = newton_lilypads(meq, z, proxy, solver_config, stats)
+        except SolverError as err:
+            raise SolverError(
+                f"density solve failed at x={x!r}: {err}",
+                z=z,
+                last_certified=err.last_certified,
+            ) from err
+        proxy = (z, m)
+        ms.append(m)
+    if not reverse:
+        ms.reverse()
 
-    def solve_chunk(indices: np.ndarray):
-        order = indices if reverse else indices[::-1]
-        stats = SolveStats()
-        proxy = None
-        out = []
-        for i in order:
-            x = float(xs[i])
-            z = complex(x, y)
-            try:
-                m = newton_lilypads(meq, z, proxy=proxy, config=solver_config, stats=stats)
-            except SolverError as err:
-                raise SolverError(
-                    f"density solve failed at x={x!r}: {err}",
-                    z=z,
-                    last_certified=err.last_certified,
-                ) from err
-            proxy = (z, m)
-            out.append((int(i), m))
-        return out, stats
-
-    results: list = [None] * xs.size
-    total = SolveStats()
-    if n_chunks == 1:
-        pairs, stats = solve_chunk(chunks[0])
-        total.merge(stats)
-        for i, m in pairs:
-            results[i] = m
-    else:
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            for pairs, stats in pool.map(solve_chunk, chunks):
-                total.merge(stats)
-                for i, m in pairs:
-                    results[i] = m
-
-    rhos = np.empty(xs.size, dtype=float)
-    for i, m in enumerate(results):
-        z = complex(float(xs[i]), y)
-        rho = -((m + 1.0) / z).imag / math.pi
-        if rho < 0.0:
-            if rho < -_NEGATIVE_DENSITY_TOL:
-                raise SolverError(f"negative density {rho!r} at x={float(xs[i])!r}", z=z)
-            rho = 0.0
-        rhos[i] = rho
+    rhos = -((np.array(ms) + 1.0) / (xs + 1j * y)).imag / math.pi
+    bad = np.flatnonzero(rhos < -_NEGATIVE_DENSITY_TOL)
+    if bad.size:
+        x = float(xs[bad[0]])
+        raise SolverError(f"negative density {float(rhos[bad[0]])!r} at x={x!r}", z=complex(x, y))
+    rhos = np.where(rhos < 0.0, 0.0, rhos)
 
     mass = float(_trapz(rhos, xs))
     return DensityCurve(
@@ -231,7 +189,7 @@ def density_grid(
         y=y,
         total_mass=mass,
         atom_lower_bound=atom_lower_bound(spec),
-        stats=total,
+        stats=stats,
     )
 
 

@@ -27,7 +27,14 @@ def awkward_curve():
         y=1e-6,
         total_mass=0.30000000000000004,
         atom_lower_bound=0.5,
-        stats=SolveStats(newton_iterations=17, basins=4, doublings=2, restarts=1),
+        stats=SolveStats(
+            newton_iterations=17,
+            basins=4,
+            doublings=2,
+            restarts=1,
+            certificate_tests=9,
+            rejected_tests=3,
+        ),
     )
 
 
@@ -53,6 +60,17 @@ def test_density_json_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.rhos, curve.rhos)
     assert back.total_mass == curve.total_mass
     assert back.stats == curve.stats
+
+
+def test_density_csv_without_certificate_counters_keeps_its_stats(tmp_path):
+    # headers written before the certificate counters existed still read back
+    text = render_density(awkward_curve())
+    old = [line for line in text.splitlines() if "certificate_tests" not in line]
+    old = [line for line in old if "rejected_tests" not in line]
+    path = tmp_path / "old.csv"
+    path.write_text("\n".join(old) + "\n")
+    back = read_density(str(path))
+    assert back.stats == SolveStats(newton_iterations=17, basins=4, doublings=2, restarts=1)
 
 
 def test_quantiles_round_trip_and_zero_value_log(tmp_path):
@@ -85,6 +103,8 @@ def test_render_density_headers_cover_stats():
         "basins",
         "doublings",
         "restarts",
+        "certificate_tests",
+        "rejected_tests",
     }
 
 

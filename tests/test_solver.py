@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import freespectra.solver as solver_module
 from freespectra import (
     BasinCertificate,
     LayerSpec,
     NetworkSpec,
+    closed_form_moments,
     Nonlinearity,
     SolverConfig,
     SolverError,
@@ -59,6 +61,7 @@ def test_is_in_basin_mp1_example():
     assert cert.h == pytest.approx(cert.delta * cert.kappa * cert.lambda_bound, rel=1e-12)
     assert cert.t_star == pytest.approx(2 * cert.delta / (1 + math.sqrt(1 - 2 * cert.h)), rel=1e-12)
     assert 0 < cert.t_star < 2 * cert.delta
+    assert (cert.value, cert.deriv) == eval_phi(mp_meq(), 10j, 0j)
 
 
 def test_is_in_basin_near_edge_not_certified():
@@ -256,7 +259,108 @@ def test_lilypads_survives_large_coefficients():
 
 
 def test_stats_merge_accumulates():
-    a = SolveStats(newton_iterations=3, basins=1, doublings=2, restarts=0)
-    b = SolveStats(newton_iterations=5, basins=2, doublings=0, restarts=1)
+    a = SolveStats(
+        newton_iterations=3, basins=1, doublings=2, restarts=0, certificate_tests=4, rejected_tests=1
+    )
+    b = SolveStats(
+        newton_iterations=5, basins=2, doublings=0, restarts=1, certificate_tests=3, rejected_tests=0
+    )
     a.merge(b)
-    assert a == SolveStats(newton_iterations=8, basins=3, doublings=2, restarts=1)
+    assert a == SolveStats(
+        newton_iterations=8, basins=3, doublings=2, restarts=1, certificate_tests=7, rejected_tests=1
+    )
+
+
+def test_certificate_counters_match_is_in_basin_calls(monkeypatch):
+    # the counters must tally every Kantorovich test of the cold start (with
+    # doublings) and of the descent (with halvings), and every rejection
+    seen = {"calls": 0, "rejected": 0}
+    original = solver_module.is_in_basin
+
+    def counting(*args, **kwargs):
+        cert = original(*args, **kwargs)
+        seen["calls"] += 1
+        seen["rejected"] += cert is None
+        return cert
+
+    monkeypatch.setattr("freespectra.solver.is_in_basin", counting)
+    stats = SolveStats()
+    newton_lilypads(mp_meq(), 2 + 1j, stats=stats)
+    assert stats.doublings >= 1
+    spec = NetworkSpec(
+        layers=tuple(LayerSpec(Nonlinearity.HARD_SINE, 1.5, width_ratio=2.0) for _ in range(3))
+    )
+    curve = density_grid(spec, xs=default_grid(spec, points=400), y=1e-9)
+    stats.merge(curve.stats)
+    assert stats.rejected_tests > stats.doublings
+    assert stats.certificate_tests == seen["calls"]
+    assert stats.rejected_tests == seen["rejected"]
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins",
+    [
+        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 1810, 464, 1346, 432),
+        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 2146, 644, 1502, 520),
+        (Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 1634, 409, 1225, 405),
+    ],
+)
+def test_grid_evaluates_phi_once_per_test_and_step(
+    monkeypatch, nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins
+):
+    # Newton's first step reuses the certificate's evaluation, so phi is
+    # evaluated once per certificate test and once per Newton iteration
+    seen = {"evals": 0}
+    original = solver_module.eval_phi
+
+    def counting(*args):
+        seen["evals"] += 1
+        return original(*args)
+
+    monkeypatch.setattr("freespectra.solver.eval_phi", counting)
+    spec = NetworkSpec(
+        layers=tuple(LayerSpec(nonlinearity, gain, width_ratio=ratio) for _ in range(depth))
+    )
+    curve = density_grid(spec, xs=default_grid(spec, points=400), y=y)
+    stats = curve.stats
+    assert seen["evals"] == stats.certificate_tests + stats.newton_iterations
+    assert (seen["evals"], stats.certificate_tests, stats.newton_iterations, stats.basins) == (
+        evals,
+        tests,
+        iterations,
+        basins,
+    )
+
+
+def test_newton_from_certificate_matches_fresh_evaluation():
+    # the certificate's phi and phi' are those of the start, so Newton takes
+    # the same iterates and stops at the same m either way
+    rng = np.random.default_rng(31)
+    nls = list(Nonlinearity)
+    checked = 0
+    for _ in range(120):
+        spec = NetworkSpec(
+            layers=tuple(
+                LayerSpec(
+                    nonlinearity=nls[rng.integers(0, len(nls))],
+                    sigma_w_sq=float(rng.uniform(0.5, 2.5)),
+                    width_ratio=float(rng.choice([0.5, 1.0, 2.0])),
+                )
+                for _ in range(int(rng.integers(1, 17)))
+            )
+        )
+        meq = master_from_spec(spec)
+        m1 = closed_form_moments(spec).m1
+        z = complex(rng.uniform(0.01, 3.0) * m1, 10 ** rng.uniform(-9, -1) * m1)
+        z_near = z * (1.0 + 10 ** rng.uniform(-4, -1))
+        m0 = newton_lilypads(meq, z_near)
+        cert = is_in_basin(meq, z, m0)
+        if cert is None:
+            continue
+        fresh, reused = SolveStats(), SolveStats()
+        m_fresh = newton_raphson(meq, z, m0, stats=fresh)
+        m_reused = newton_raphson(meq, z, m0, stats=reused, certificate=cert)
+        assert (m_reused.real, m_reused.imag) == (m_fresh.real, m_fresh.imag)
+        assert reused.newton_iterations == fresh.newton_iterations
+        checked += 1
+    assert checked >= 100
