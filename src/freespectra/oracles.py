@@ -79,6 +79,15 @@ def monte_carlo_spectrum(
     independent of the weights.  "forward" mode instead differentiates an actual
     forward pass of a Gaussian input (sanity check only; for width ratios != 1
     its preactivation scale drifts from the infinite-width recurrence).
+
+    Only what can reach a nonzero singular value is assembled.  A zero
+    derivative zeroes its row of the product, so each layer multiplies just
+    its live rows and the previous layer's live columns.  When the product
+    has fewer rows than both its columns and the next layer's live units, it
+    is replaced by L from J = L Q (Q with orthonormal rows), which every later
+    product sees with the same singular values.  The eigenvalues come from
+    the smaller of J J^T and J^T J; the other n0 - min(rows, cols) are exact
+    zeros.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
@@ -92,7 +101,8 @@ def monte_carlo_spectrum(
             raise ValueError(f"layer {ell} width rounds to zero (n0={n0}, Lambda={s.Lambda})")
         widths.append(w)
 
-    jac = None
+    jac = None  # live rows of the Jacobian so far
+    live_prev = None
     signal = None
     if mode == "forward":
         rng = _generator(seed, 0, _STREAM_INPUT)
@@ -111,10 +121,23 @@ def monte_carlo_spectrum(
                 pre = pre + math.sqrt(layer.sigma_b_sq) * bias
             signal = activation(layer.nonlinearity, pre)
         diag = activation_derivative(layer.nonlinearity, pre)
-        jac = diag[:, None] * (weight if jac is None else weight @ jac)
+        live = np.flatnonzero(diag)
+        block = weight[live] if jac is None else weight[np.ix_(live, live_prev)]
+        del weight
+        if jac is not None:
+            if jac.shape[0] < min(jac.shape[1], live.size):
+                # Width bottleneck: J = L Q with orthonormal rows Q.
+                jac = np.linalg.qr(jac.T, mode="r").T
+            block = block @ jac
+        block *= diag[live, None]
+        jac = block
+        live_prev = live
 
-    gram = jac.T @ jac
-    values = np.linalg.eigvalsh(gram)
+    rows, cols = jac.shape
+    gram = jac @ jac.T if rows < cols else jac.T @ jac
+    del jac
+    values = np.zeros(n0)
+    values[: gram.shape[0]] = np.linalg.eigvalsh(gram)
     values = np.clip(values, 0.0, None)
     # Rank-deficiency eigenvalues come out as rounding noise; pin them to the atom.
     values[values < _ZERO_SNAP] = 0.0

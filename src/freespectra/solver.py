@@ -77,7 +77,9 @@ class SolveStats:
     """Mutable counters accumulated across a solve or a whole grid.
 
     certificate_tests counts Kantorovich tests in the cold start and the
-    descent, rejected_tests the ones that did not certify.
+    descent, rejected_tests the ones that did not certify.  restarts stays 0:
+    no solve falls back to the all-roots oracle; the field keeps the density
+    headers' keys.
     """
 
     newton_iterations: int = 0
@@ -202,11 +204,12 @@ def newton_lilypads(
     """Solve phi_{z_objective}(m) = 0 on the decaying branch (m -> 0 as z -> infinity).
 
     Without a proxy, start at m=0 and Im z = max(|Im z|, |Re z|) (the sign of
-    Im z kept) and double Im z until certified; with a proxy (z, m) from a
-    neighboring solve, skip straight to the descent.  The descent tries at most
-    twice its last accepted step toward z_objective and halves it until the
-    current solution certifies at the shifted point, then advances and re-solves.
-    Each Newton solve starts from the evaluation its certificate already made.
+    Im z kept) and double Im z until certified; when that start is z_objective
+    itself (|Re z| <= |Im z|, no doubling), its solve is the answer.  With a
+    proxy (z, m) from a neighboring solve, skip straight to the descent.  The
+    descent tries at most twice its last accepted step toward z_objective and
+    halves it until the current solution certifies at the shifted point, then
+    advances and re-solves.  Every Newton solve starts from a certificate and reuses its evaluation.
     """
     if z_objective.imag == 0.0:
         raise _off_axis_error(z_objective)
@@ -239,16 +242,12 @@ def newton_lilypads(
         stats.doublings += doublings
         m = newton_raphson(meq, z, m, config, stats, cert)
         stats.basins += 1
+        if z == z_objective:
+            return m
     else:
         z, m = proxy
 
-    try:
-        return _descend(meq, z, m, z_objective, config, stats)
-    except SolverError as err:
-        fallback = _restart_from_roots(meq, z_objective, config, stats)
-        if fallback is None:
-            raise err
-        return fallback
+    return _descend(meq, z, m, z_objective, config, stats)
 
 
 def _descend(
@@ -259,10 +258,6 @@ def _descend(
     config: SolverConfig,
     stats: SolveStats,
 ) -> complex:
-    if z == z_objective:
-        m = newton_raphson(meq, z_objective, m, config, stats)
-        stats.basins += 1
-        return m
     full_step = abs(z_objective - z)
     floor = config.min_step_fraction * full_step
     step = full_step
@@ -301,34 +296,3 @@ def _descend(
         stats.basins += 1
         if z == z_objective:
             return m
-        if abs(z_objective - z) <= 1e-15 * abs(z_objective):
-            # Remaining gap is at rounding scale; finish at the objective itself.
-            m = newton_raphson(meq, z_objective, m, config, stats)
-            stats.basins += 1
-            return m
-
-
-def _restart_from_roots(
-    meq: RationalMasterEq,
-    z_objective: complex,
-    config: SolverConfig,
-    stats: SolveStats,
-) -> Optional[complex]:
-    """One recovery attempt: seed Newton with the physical root of the full root set."""
-    from .oracles import all_roots  # local import; oracles depends on this module's types
-
-    try:
-        roots = all_roots(meq, z_objective).roots
-    except (RuntimeError, ValueError):
-        return None
-    if not roots:
-        return None
-    sign = 1.0 if z_objective.imag > 0 else -1.0
-    best = max(roots, key=lambda r: sign * (-((r + 1.0) / z_objective).imag))
-    try:
-        m = newton_raphson(meq, z_objective, best, config, stats)
-    except SolverError:
-        return None
-    stats.restarts += 1
-    stats.basins += 1
-    return m

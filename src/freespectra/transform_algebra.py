@@ -15,7 +15,7 @@ evaluation of phi and the bound on phi'' are taken from the factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .network_model import LayerSummary, NetworkSpec, summarize
@@ -25,8 +25,6 @@ __all__ = [
     "RationalSTransform",
     "RationalMasterEq",
     "identity_transform",
-    "d_squared_s_transform",
-    "weight_s_transform",
     "layer_s_transforms",
     "rect_convolve",
     "compose_layers",
@@ -146,7 +144,6 @@ class RationalMasterEq:
 
     P: ComplexPolynomial
     Q: ComplexPolynomial
-    spec: Optional[NetworkSpec] = None
     scale: Optional[float] = None
     roots: Optional[tuple] = None
 
@@ -167,24 +164,6 @@ class RationalMasterEq:
 def identity_transform() -> RationalSTransform:
     """Neutral element: S = 1, ratio 1 (the law of the identity factor)."""
     return RationalSTransform(ComplexPolynomial([1.0]), ComplexPolynomial([1.0]), 1.0)
-
-
-def d_squared_s_transform(c: float) -> RationalSTransform:
-    """S-transform of the Bernoulli(c) law of a squared activation-derivative diagonal."""
-    if not (0.0 < c <= 1.0):
-        raise ValueError(f"c must lie in (0, 1], got {c}")
-    return RationalSTransform(ComplexPolynomial([1.0, 1.0]), ComplexPolynomial([c, 1.0]), 1.0)
-
-
-def weight_s_transform(sigma_w_sq: float, lam: float) -> RationalSTransform:
-    """S-transform of the squared-singular law of one Gaussian weight factor."""
-    if sigma_w_sq <= 0 or lam <= 0:
-        raise ValueError("sigma_w_sq and lam must be positive")
-    return RationalSTransform(
-        ComplexPolynomial([1.0]),
-        ComplexPolynomial([sigma_w_sq, sigma_w_sq * lam]),
-        lam,
-    )
 
 
 def layer_s_transforms(layers: Sequence[LayerSummary]) -> list[RationalSTransform]:
@@ -248,7 +227,7 @@ def master_from_summary(layers: Sequence[LayerSummary]) -> RationalMasterEq:
 
 
 def master_from_spec(spec: NetworkSpec) -> RationalMasterEq:
-    return replace(master_from_summary(summarize(spec)), spec=spec)
+    return master_from_summary(summarize(spec))
 
 
 def master_from_s_transform(s: RationalSTransform) -> RationalMasterEq:

@@ -25,8 +25,15 @@ from freespectra import (
     uniform_density_curve,
 )
 from freespectra.network_model import Nonlinearity as NL
-from freespectra.network_model import activation_derivative
-from freespectra.oracles import _STREAM_GAIN, _generator
+from freespectra.network_model import activation, activation_derivative, summarize
+from freespectra.oracles import (
+    _STREAM_BIAS,
+    _STREAM_GAIN,
+    _STREAM_INPUT,
+    _STREAM_WEIGHT,
+    _ZERO_SNAP,
+    _generator,
+)
 
 
 def mp_spec():
@@ -169,6 +176,101 @@ def test_monte_carlo_hard_tanh_keeps_two_sided_band():
     predicted = 2.62 * keep * 0.81
     means = [monte_carlo_spectrum(spec, 800, seed=s).values.mean() for s in range(3)]
     assert np.mean(means) == pytest.approx(predicted, rel=0.05)
+
+
+
+def full_gram_spectrum(spec, n0, seed, mode="swapped"):
+    """Reference sampler: every row of every layer, eigenvalues of the n0 x n0 J^T J."""
+    summaries = summarize(spec)
+    widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
+    jac = None
+    signal = None
+    if mode == "forward":
+        rng = _generator(seed, 0, _STREAM_INPUT)
+        signal = math.sqrt(spec.input_mean_square) * rng.standard_normal(n0)
+    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
+        n_out, n_in = widths[ell], widths[ell - 1]
+        weight = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((n_out, n_in))
+        weight *= math.sqrt(layer.sigma_w_sq / n_out)
+        if mode == "swapped":
+            pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
+        else:
+            pre = weight @ signal
+            if layer.sigma_b_sq > 0.0:
+                bias = _generator(seed, ell, _STREAM_BIAS).standard_normal(n_out)
+                pre = pre + math.sqrt(layer.sigma_b_sq) * bias
+            signal = activation(layer.nonlinearity, pre)
+        diag = activation_derivative(layer.nonlinearity, pre)
+        jac = diag[:, None] * (weight if jac is None else weight @ jac)
+    values = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
+    values[values < _ZERO_SNAP] = 0.0
+    return np.sort(values)
+
+
+GAIN = {NL.LINEAR: 1.0, NL.RELU: 2.0, NL.HARD_TANH: 1.5, NL.HARD_SINE: 1.5}
+
+
+def ratio_spec(text, bias=0.0):
+    """"relu:0.5 relu:2" -> ReLU layers with width ratios 0.5 and 2 at their usual gains."""
+    layers = []
+    for token in text.split():
+        name, ratio = token.split(":")
+        nl = Nonlinearity(name)
+        layers.append(LayerSpec(nl, GAIN[nl], sigma_b_sq=bias, width_ratio=float(ratio)))
+    return NetworkSpec(layers=tuple(layers))
+
+
+VALIDATE_NETS = (
+    "linear:2",
+    "relu:0.5 relu:2",
+    "hard_sine:2 hard_sine:0.5",
+    "relu:2 linear:0.5 hard_sine:1",
+    "hard_tanh:0.5 hard_tanh:2",
+    "linear:0.5 relu:2",
+    "relu:0.5 relu:2 relu:0.5 relu:2",
+    "hard_sine:0.5 linear:2 relu:0.5",
+)
+
+
+@pytest.mark.parametrize(
+    "text, mode",
+    [(text, "swapped") for text in VALIDATE_NETS]
+    + [("relu:0.5 relu:2 relu:0.5 relu:2", "forward"), ("hard_tanh:0.5 hard_tanh:2", "forward")],
+)
+def test_live_assembly_matches_full_gram(text, mode):
+    # dropping dead rows, compressing bottlenecks and taking the smaller Gram
+    # must leave the spectrum of the full n0 x n0 J^T J, zeros included
+    spec = ratio_spec(text, bias=0.1 if mode == "forward" else 0.0)
+    for seed in (3, 4):
+        emp = monte_carlo_spectrum(spec, 300, seed=seed, mode=mode)
+        ref = full_gram_spectrum(spec, 300, seed, mode)
+        assert np.count_nonzero(emp.values == 0.0) == np.count_nonzero(ref == 0.0)
+        assert np.max(np.abs(emp.values - ref)) <= 1e-9 * ref[-1]
+
+
+def test_bottleneck_leaves_exactly_the_missing_rank_at_zero():
+    # widths n0 -> n0/2 -> n0: rank n0/2, every other eigenvalue an exact zero
+    spec = ratio_spec("hard_sine:2 hard_sine:0.5")
+    emp = monte_carlo_spectrum(spec, 300, seed=9)
+    assert np.count_nonzero(emp.values == 0.0) == 300 - 150
+    assert emp.values[150] > 1e-3
+
+
+@pytest.mark.parametrize("order", ["dead_first", "dead_last"])
+def test_all_dead_layer_gives_only_zeros(order):
+    # sigma_w^2 = 1e8 puts every hard_tanh preactivation far outside (-1, 1)
+    dead = LayerSpec(Nonlinearity.HARD_TANH, 1e8)
+    relu = LayerSpec(Nonlinearity.RELU, 2.0)
+    layers = (dead, relu) if order == "dead_first" else (relu, dead)
+    spec = NetworkSpec(layers=layers)
+    ell = layers.index(dead) + 1
+    seed = 3
+    q = summarize(spec)[ell - 1].q
+    pre = math.sqrt(q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(64)
+    assert not np.any(activation_derivative(NL.HARD_TANH, pre))
+    emp = monte_carlo_spectrum(spec, 64, seed=seed)
+    assert np.array_equal(emp.values, np.zeros(64))
+    assert np.array_equal(full_gram_spectrum(spec, 64, seed), np.zeros(64))
 
 
 # ------------------------------------------------------------------ all roots

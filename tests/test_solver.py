@@ -184,24 +184,8 @@ def test_lilypads_is_deterministic():
     assert s1 == s2
 
 
-def test_lilypads_stall_falls_back_to_roots():
-    # a coarse dichotomy floor forces a stall near the spectral edge; the
-    # all-roots restart must rescue the solve and say so in the stats
-    meq = mp_meq()
-    z = 3.9999 + 1e-13j
-    config = SolverConfig(min_step_fraction=0.5)
-    stats = SolveStats()
-    m = newton_lilypads(meq, z, config=config, stats=stats)
-    assert stats.restarts == 1
-    assert min(abs(m - r) for r in all_roots(meq, z).roots) < 1e-9
-    assert -((m + 1) / z).imag >= -1e-12
-
-
-def test_lilypads_stall_without_oracle_reports_last_certified(monkeypatch):
-    def outage(meq, z):
-        raise RuntimeError("forced oracle outage")
-
-    monkeypatch.setattr("freespectra.oracles.all_roots", outage)
+def test_lilypads_stall_reports_last_certified():
+    # a coarse dichotomy floor forces a stall near the spectral edge
     config = SolverConfig(min_step_fraction=0.5)
     with pytest.raises(SolverError) as info:
         newton_lilypads(mp_meq(), 3.9999 + 1e-13j, config=config)
@@ -212,13 +196,9 @@ def test_lilypads_stall_without_oracle_reports_last_certified(monkeypatch):
     assert abs(eval_phi(mp_meq(), z_last, m_last)[0]) < 1e-9
 
 
-def test_descend_names_a_step_that_rounds_to_zero(monkeypatch):
+def test_descend_names_a_step_that_rounds_to_zero():
     # at m = z/2 - 1, phi' vanishes at the proxy z and is tiny nearby, so no
     # shifted target certifies; halving must stop once z + dz rounds to z
-    def outage(meq, z):
-        raise RuntimeError("forced oracle outage")
-
-    monkeypatch.setattr("freespectra.oracles.all_roots", outage)
     z_proxy = 1e6 + 1j
     with pytest.raises(SolverError, match="rounds to zero") as info:
         newton_lilypads(mp_meq(), 1e6 + 0.5j, proxy=(z_proxy, z_proxy / 2 - 1))
@@ -295,6 +275,31 @@ def test_certificate_counters_match_is_in_basin_calls(monkeypatch):
     assert stats.rejected_tests > stats.doublings
     assert stats.certificate_tests == seen["calls"]
     assert stats.rejected_tests == seen["rejected"]
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, gain, depth, y",
+    [(Nonlinearity.RELU, 1.9780206096911102, 1, 1e-3), (Nonlinearity.HARD_TANH, 1.5, 64, 1e-6)],
+)
+def test_every_newton_solve_starts_from_a_certificate(monkeypatch, nonlinearity, gain, depth, y):
+    # on the ReLU grid one descent step lands within rounding of its
+    # objective; on the hard_tanh grid every x <= y, so the cold start
+    # already sits at the objective and its solve is the answer
+    uncertified = {"calls": 0}
+    original = solver_module.newton_raphson
+
+    def counting(meq, z, m0, config=DEFAULT_CONFIG, stats=None, certificate=None):
+        uncertified["calls"] += certificate is None
+        return original(meq, z, m0, config, stats, certificate)
+
+    monkeypatch.setattr("freespectra.solver.newton_raphson", counting)
+    spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
+    xs = default_grid(spec, points=400)
+    curve = density_grid(spec, xs=xs, y=y)
+    assert uncertified["calls"] == 0
+    if nonlinearity is Nonlinearity.HARD_TANH:
+        assert np.all(xs <= y)
+        assert curve.stats.basins == xs.size
 
 
 @pytest.mark.parametrize(
