@@ -8,6 +8,11 @@ z, warm starting each solve from the previous solution.  Each step of the walk
 tries at most twice the last accepted step and is halved until it certifies.
 The certificate carries phi and phi' at the start it certified, and Newton's
 first step reuses that evaluation.
+
+For many points at once, basin_certificates runs the same Kantorovich test on
+numpy arrays and newton_lockstep iterates every certified point together
+under newton_raphson's stop rule, iteration cap and errors; a density grid uses
+them for the points it can reach in one certified step from a solved point.
 """
 
 from __future__ import annotations
@@ -18,16 +23,28 @@ from dataclasses import dataclass
 from math import isfinite, sqrt
 from typing import NamedTuple, Optional
 
-from .transform_algebra import RationalMasterEq, eval_phi, second_derivative_bound
+import numpy as np
+
+from .transform_algebra import (
+    RationalMasterEq,
+    _modulus,
+    eval_phi,
+    eval_phi_array,
+    second_derivative_bound,
+    second_derivative_bound_array,
+)
 
 __all__ = [
     "SolverConfig",
     "DEFAULT_CONFIG",
     "BasinCertificate",
+    "BasinCertificates",
     "SolveStats",
     "SolverError",
     "is_in_basin",
+    "basin_certificates",
     "newton_raphson",
+    "newton_lockstep",
     "newton_lilypads",
 ]
 
@@ -56,6 +73,25 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
+def _converged(value, deriv, m, degree: int, epsilon: float, modulus=abs):
+    """Newton's stop rule, for scalars (modulus=abs) or arrays (modulus=_modulus).
+
+    Stop when |phi| < epsilon and the next step |phi/phi'| is at most
+    epsilon * (1 + |m|): near a spectral edge |phi'| is tiny, so a small
+    residual alone can leave m far from the root.  Or stop at phi's own
+    floating-point floor: phi = P(m)/z - m is a product of d factors with
+    value + m = P(m)/z, which rounds to 4 eps (d |P(m)/z| + |m|); m itself is
+    rounded too, which next to a root r_j of P moves the factor m - r_j by a
+    relative u |m|/|m - r_j|, so phi by up to about 4 eps |phi'| |m|.
+    """
+    resid = modulus(value)
+    slope = modulus(deriv)
+    size = modulus(m)
+    return ((resid < epsilon) & (resid <= epsilon * slope * (1.0 + size))) | (
+        resid < _NOISE_SCALE * (degree * modulus(value + m) + size + slope * size)
+    )
+
+
 class BasinCertificate(NamedTuple):
     """delta = |phi/phi'|, kappa = 1/|phi'|, lambda_bound >= sup |phi''|, h = delta*kappa*lambda.
 
@@ -72,14 +108,28 @@ class BasinCertificate(NamedTuple):
     deriv: complex
 
 
+class BasinCertificates(NamedTuple):
+    """basin_certificates' verdicts, one element per point.
+
+    certified[i] is True exactly when is_in_basin would return a certificate;
+    h is delta*kappa*lambda, NaN where phi' is zero or delta or kappa is not
+    finite; value and deriv are phi and phi' at the starts.
+    """
+
+    certified: np.ndarray
+    h: np.ndarray
+    value: np.ndarray
+    deriv: np.ndarray
+
+
 @dataclass
 class SolveStats:
     """Mutable counters accumulated across a solve or a whole grid.
 
-    certificate_tests counts Kantorovich tests in the cold start and the
-    descent, rejected_tests the ones that did not certify.  restarts stays 0:
-    no solve falls back to the all-roots oracle; the field keeps the density
-    headers' keys.
+    certificate_tests counts Kantorovich tests in the cold start, the descent
+    and a grid's coarse and batched passes, rejected_tests the ones that did
+    not certify.  restarts stays 0: no solve falls back to the all-roots
+    oracle; the field keeps the density headers' keys.
     """
 
     newton_iterations: int = 0
@@ -139,6 +189,34 @@ def is_in_basin(
     return BasinCertificate(delta, kappa, lam, h, t_star, value, deriv)
 
 
+def basin_certificates(
+    meq: RationalMasterEq,
+    z: np.ndarray,
+    m0: np.ndarray,
+    config: SolverConfig = DEFAULT_CONFIG,
+) -> BasinCertificates:
+    """is_in_basin elementwise over arrays of objectives z and starts m0.
+
+    Every rejection of the scalar test is kept: phi' zero or not finite, delta
+    or kappa not finite, and h not below 1/2.  The moduli are hypot, as in
+    Python's abs of a complex, and the lambda bound is bit-identical to the
+    scalar one.
+    """
+    z = np.asarray(z, dtype=complex)
+    m0 = np.asarray(m0, dtype=complex)
+    if np.any(z.imag == 0.0):
+        raise _off_axis_error(complex(z[z.imag == 0.0][0]))
+    value, deriv = eval_phi_array(meq, z, m0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = _modulus(deriv)
+        delta = _modulus(value) / denom
+        kappa = 1.0 / denom
+        usable = (denom != 0.0) & np.isfinite(denom) & np.isfinite(delta) & np.isfinite(kappa)
+        lam = second_derivative_bound_array(meq, z, m0, 2.0 * delta)
+        h = np.where(usable, delta * kappa * lam, np.nan)
+    return BasinCertificates(usable & (h < 0.5), h, value, deriv)
+
+
 def newton_raphson(
     meq: RationalMasterEq,
     z: complex,
@@ -152,9 +230,9 @@ def newton_raphson(
 
     A certificate from is_in_basin(meq, z, m0) supplies phi and phi' at m0, so
     the first step costs no evaluation; the iterates are the same either way.
-    Stops when |phi_z(m)| < epsilon and the next step |phi/phi'| is at most
-    epsilon * (1 + |m|), or when the residual falls below its own floating-point
-    evaluation floor (converged to working precision).
+    Stops by _converged: when |phi_z(m)| < epsilon and the next step
+    |phi/phi'| is at most epsilon * (1 + |m|), or when the residual falls below
+    its own floating-point evaluation floor (converged to working precision).
     """
     if z.imag == 0.0:
         raise _off_axis_error(z)
@@ -164,18 +242,10 @@ def newton_raphson(
         value, deriv = certificate.value, certificate.deriv
     epsilon = config.epsilon
     max_iters = config.max_newton_iters
-    # phi = P(m)/z - m is evaluated as a product of d factors, with
-    # value + m = P(m)/z; residuals below 4 eps (d |P(m)/z| + |m|) are not
-    # representable whatever the iteration does.
     degree = len(meq.roots)
     m = m0
     for iteration in range(max_iters + 1):
-        resid = abs(value)
-        # Near a spectral edge |phi'| is tiny, so a small residual alone can
-        # leave m far from the root; the step test keeps that from stopping.
-        if (resid < epsilon and resid <= epsilon * abs(deriv) * (1.0 + abs(m))) or (
-            resid < _NOISE_SCALE * (degree * abs(value + m) + abs(m))
-        ):
+        if _converged(value, deriv, m, degree, epsilon):
             if stats is not None:
                 stats.newton_iterations += iteration
             return m
@@ -189,8 +259,68 @@ def newton_raphson(
         value, deriv = eval_phi(meq, z, m)
     raise SolverError(
         f"no convergence within {max_iters} iterations at z={z} "
-        f"(residual {resid:.3e})",
+        f"(residual {abs(value):.3e})",
         z=z,
+    )
+
+
+def newton_lockstep(
+    meq: RationalMasterEq,
+    z: np.ndarray,
+    m0: np.ndarray,
+    value: np.ndarray,
+    deriv: np.ndarray,
+    config: SolverConfig = DEFAULT_CONFIG,
+    stats: Optional[SolveStats] = None,
+) -> np.ndarray:
+    """newton_raphson on every point at once, from starts that all certified.
+
+    value and deriv are phi and phi' at m0 from basin_certificates(meq, z, m0),
+    taken only where it certified; they make the first step.  Each point stops
+    by the scalar stop rule and leaves the batch; stats.newton_iterations gains
+    each point's step count.  The first point, in array order, to hit one of
+    newton_raphson's errors raises it, naming that point's z.
+    """
+    z = np.asarray(z, dtype=complex)
+    m = np.broadcast_to(np.asarray(m0, dtype=complex), z.shape).copy()
+    epsilon = config.epsilon
+    max_iters = config.max_newton_iters
+    degree = len(meq.roots)
+    out = m.copy()
+    live = np.arange(z.size)
+    steps = 0
+    for iteration in range(max_iters + 1):
+        done = _converged(value, deriv, m, degree, epsilon, _modulus)
+        if done.any():
+            out[live[done]] = m[done]
+            steps += iteration * int(np.count_nonzero(done))
+            going = ~done
+            live, z, m, value, deriv = live[going], z[going], m[going], value[going], deriv[going]
+        if live.size == 0:
+            if stats is not None:
+                stats.newton_iterations += steps
+            return out
+        if iteration == max_iters:
+            break
+        flat = (deriv == 0) | ~np.isfinite(deriv)
+        if flat.any():
+            i = int(np.argmax(flat))
+            raise SolverError(
+                f"derivative underflow at m={complex(m[i])} (z={complex(z[i])})", z=complex(z[i])
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = m - value / deriv
+            lost = ~np.isfinite(m)
+            if lost.any():
+                i = int(np.argmax(lost))
+                raise SolverError(
+                    f"iterate diverged to {complex(m[i])} (z={complex(z[i])})", z=complex(z[i])
+                )
+            value, deriv = eval_phi_array(meq, z, m)
+    raise SolverError(
+        f"no convergence within {max_iters} iterations at z={complex(z[0])} "
+        f"(residual {abs(complex(value[0])):.3e})",
+        z=complex(z[0]),
     )
 
 

@@ -2,8 +2,9 @@
 
 The density at x is recovered from the decaying-branch solution m(x + iy) of the
 master equation through rho = -Im((m+1)/z)/pi, evaluated at a small smoothing
-offset y > 0.  A grid is solved in one sequential walk that warm-starts each
-point from its neighbour.
+offset y > 0.  A grid is solved in two passes: a sequential walk over every
+16th point, then one batched certificate test and a lockstep Newton solve for
+the points in between (see _walk_roots).
 """
 
 from __future__ import annotations
@@ -15,8 +16,17 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .network_model import NetworkSpec, summarize
-from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, SolveStats, newton_lilypads
-from .transform_algebra import master_from_spec
+from . import solver
+from .solver import (
+    DEFAULT_CONFIG,
+    SolverConfig,
+    SolverError,
+    SolveStats,
+    basin_certificates,
+    newton_lilypads,
+    newton_lockstep,
+)
+from .transform_algebra import RationalMasterEq, master_from_spec
 
 __all__ = [
     "DensityCurve",
@@ -43,6 +53,9 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 _RENORM_BAND = 0.005
 
 _NEGATIVE_DENSITY_TOL = 1e-10
+
+# The coarse pass of a grid solves every _STRIDE-th point of the walk in sequence.
+_STRIDE = 16
 
 
 @dataclass(eq=False)
@@ -146,8 +159,10 @@ def density_grid(
 ) -> DensityCurve:
     """Solve the master equation at z = x + iy over the grid and return the curve.
 
-    The grid is one sequential walk from its largest x downward (smallest
-    upward when reverse=True), each solve warm-started from the previous point.
+    The grid is walked from its largest x downward (smallest upward when
+    reverse=True).  Every 16th point of the walk, and its last point, is solved
+    in sequence, each from the previous one; the points in between are then
+    certified and solved together from those roots (see _walk_roots).
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -158,24 +173,14 @@ def density_grid(
         raise ValueError("grid points must be positive (the atom at 0 is handled separately)")
     meq = master_from_spec(spec)
     stats = SolveStats()
-    proxy = None
-    ms = []
-    for x in xs.tolist() if reverse else xs[::-1].tolist():
-        z = complex(x, y)
-        try:
-            m = newton_lilypads(meq, z, proxy, solver_config, stats)
-        except SolverError as err:
-            raise SolverError(
-                f"density solve failed at x={x!r}: {err}",
-                z=z,
-                last_certified=err.last_certified,
-            ) from err
-        proxy = (z, m)
-        ms.append(m)
+    zs = np.empty(xs.size, dtype=complex)
+    zs.real = xs if reverse else xs[::-1]
+    zs.imag = y
+    ms = _walk_roots(meq, zs, solver_config, stats)
     if not reverse:
-        ms.reverse()
+        ms = ms[::-1]
 
-    rhos = -((np.array(ms) + 1.0) / (xs + 1j * y)).imag / math.pi
+    rhos = -((ms + 1.0) / (xs + 1j * y)).imag / math.pi
     bad = np.flatnonzero(rhos < -_NEGATIVE_DENSITY_TOL)
     if bad.size:
         x = float(xs[bad[0]])
@@ -191,6 +196,79 @@ def density_grid(
         atom_lower_bound=atom_lower_bound(spec),
         stats=stats,
     )
+
+
+def _walk_roots(
+    meq: RationalMasterEq, zs: np.ndarray, config: SolverConfig, stats: SolveStats
+) -> np.ndarray:
+    """Decaying-branch roots at the points zs, given in walk order.
+
+    Coarse pass: solve every _STRIDE-th point and the last one in order.  Each
+    is tested once from the previous coarse root.  If that whole-segment step
+    certifies, newton_lilypads takes it (its descent tries the whole gap
+    first); otherwise the segment is walked point by point, each from its
+    neighbour.  Batched pass: every other point of a jumped segment is tested
+    from the segment's first coarse root by basin_certificates, and the
+    certified ones are solved by newton_lockstep.  The rest are walked, in
+    order, from their neighbour.  Each point is thus one certified step from
+    a root on the decaying branch, the step newton_lilypads would try first.
+    """
+    n = zs.size
+    z_list = zs.tolist()
+    ms = np.empty(n, dtype=complex)
+
+    def walk(k: int, proxy: Optional[tuple]) -> complex:
+        z = z_list[k]
+        try:
+            m = newton_lilypads(meq, z, proxy, config, stats)
+        except SolverError as err:
+            raise SolverError(
+                f"density solve failed at x={z.real!r}: {err}",
+                z=z,
+                last_certified=err.last_certified,
+            ) from err
+        ms[k] = m
+        return m
+
+    coarse = list(range(0, n, _STRIDE))
+    if coarse[-1] != n - 1:
+        coarse.append(n - 1)
+    # segment s runs from coarse point s * _STRIDE to the next coarse point
+    jumped = np.zeros(len(coarse), dtype=bool)
+    m = walk(0, None)
+    for segment, (a, b) in enumerate(zip(coarse, coarse[1:])):
+        # called through the solver module, so that a wrapper installed at
+        # solver.is_in_basin sees the coarse tests too
+        stats.certificate_tests += 1
+        if solver.is_in_basin(meq, z_list[b], m, config) is not None:
+            jumped[segment] = True
+            m = walk(b, (z_list[a], m))
+        else:
+            stats.rejected_tests += 1
+            for k in range(a + 1, b + 1):
+                m = walk(k, (z_list[k - 1], m))
+
+    pos = np.arange(n)
+    first = pos - pos % _STRIDE
+    fine = pos[(pos != first) & (pos != n - 1) & jumped[pos // _STRIDE]]
+    if fine.size == 0:
+        return ms
+    z, m0 = zs[fine], ms[first[fine]]
+    certs = basin_certificates(meq, z, m0, config)
+    ok = certs.certified
+    solved = int(np.count_nonzero(ok))
+    stats.certificate_tests += fine.size
+    stats.rejected_tests += fine.size - solved
+    try:
+        ms[fine[ok]] = newton_lockstep(
+            meq, z[ok], m0[ok], certs.value[ok], certs.deriv[ok], config, stats
+        )
+    except SolverError as err:
+        raise SolverError(f"density solve failed at x={err.z.real!r}: {err}", z=err.z) from err
+    stats.basins += solved
+    for k in fine[~ok].tolist():
+        walk(k, (z_list[k - 1], complex(ms[k - 1])))
+    return ms
 
 
 def uniform_density_curve(x_lo: float, x_hi: float, points: int = 201) -> DensityCurve:

@@ -9,7 +9,9 @@ left factor by the right factor's ratio.
 For a network, Q(m) = m and P is a product of real linear factors,
 P(m) = K (m + 1) prod_l (m + c_l/Lambda_l).  The solver reads only that
 factored form: the multiplied-out coefficients cancel heavily, so both the
-evaluation of phi and the bound on phi'' are taken from the factors.
+evaluation of phi and the bound on phi'' are taken from the factors.  Each
+comes in a scalar form and an array form that runs the same arithmetic
+elementwise over numpy arrays of z and m.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .network_model import LayerSummary, NetworkSpec, summarize
 
@@ -32,7 +36,9 @@ __all__ = [
     "master_from_spec",
     "master_from_s_transform",
     "eval_phi",
+    "eval_phi_array",
     "second_derivative_bound",
+    "second_derivative_bound_array",
 ]
 
 # Reject master equations whose coefficients leave the comfortably representable
@@ -258,6 +264,45 @@ def eval_phi(meq: RationalMasterEq, z: complex, m: complex) -> tuple[complex, co
     return p / z - m, dp / z - 1.0
 
 
+def eval_phi_array(
+    meq: RationalMasterEq, z: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """eval_phi elementwise over complex arrays z and m (broadcast together).
+
+    numpy's complex products may round differently from Python's, so values
+    can differ from the scalar ones in the last bits.
+    """
+    z = np.asarray(z, dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    if np.any(z == 0):
+        raise ValueError("z must be nonzero")
+    scale, roots = _factors(meq)
+    p = np.full(np.broadcast(z, m).shape, complex(scale))
+    dp = np.zeros_like(p)
+    for r in roots:
+        t = m - r
+        dp *= t
+        dp += p
+        p *= t
+    return p / z - m, dp / z - 1.0
+
+
+def _modulus(c: np.ndarray) -> np.ndarray:
+    # |c| of a complex array, rounded like Python's abs of a complex: np.abs
+    # can be off by almost 2 ulp, hypot is within one, as the bound assumes
+    return np.hypot(c.real, c.imag)
+
+
+def _bound(scale: float, roots: tuple, z, center, radius, modulus):
+    v, d1, d2 = scale, 0.0, 0.0
+    for r in roots:
+        t = radius + modulus(center - r)
+        d2 = d2 * t + 2.0 * d1
+        d1 = d1 * t + v
+        v = v * t
+    return d2 / modulus(z) * (1.0 + (4 * len(roots) + 8) * _EPS)
+
+
 def second_derivative_bound(
     meq: RationalMasterEq, z: complex, center: complex, radius: float
 ) -> float:
@@ -278,11 +323,24 @@ def second_derivative_bound(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    scale, roots = _factors(meq)
-    v, d1, d2 = scale, 0.0, 0.0
-    for r in roots:
-        t = radius + abs(center - r)
-        d2 = d2 * t + 2.0 * d1
-        d1 = d1 * t + v
-        v = v * t
-    return d2 / abs(z) * (1.0 + (4 * len(roots) + 8) * _EPS)
+    return _bound(*_factors(meq), z, center, radius, abs)
+
+
+def second_derivative_bound_array(
+    meq: RationalMasterEq, z: np.ndarray, center: np.ndarray, radius: np.ndarray
+) -> np.ndarray:
+    """second_derivative_bound elementwise over arrays of discs.
+
+    Every modulus is taken with np.hypot, so each element is bit-identical to
+    the scalar bound of the same disc and the same rounding allowance holds.
+    """
+    radius = np.asarray(radius, dtype=float)
+    if np.any(radius < 0):
+        raise ValueError("radius must be nonnegative")
+    return _bound(
+        *_factors(meq),
+        np.asarray(z, dtype=complex),
+        np.asarray(center, dtype=complex),
+        radius,
+        _modulus,
+    )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import freespectra.solver as solver_module
+import freespectra.spectrum as spectrum_module
 from freespectra import (
     BasinCertificate,
     LayerSpec,
@@ -24,7 +25,7 @@ from freespectra import (
     newton_raphson,
 )
 from freespectra.oracles import all_roots
-from freespectra.solver import DEFAULT_CONFIG
+from freespectra.solver import DEFAULT_CONFIG, basin_certificates, newton_lockstep
 
 
 def mp_meq():
@@ -253,9 +254,11 @@ def test_stats_merge_accumulates():
 
 def test_certificate_counters_match_is_in_basin_calls(monkeypatch):
     # the counters must tally every Kantorovich test of the cold start (with
-    # doublings) and of the descent (with halvings), and every rejection
-    seen = {"calls": 0, "rejected": 0}
+    # doublings), of the descent (with halvings), of the grid's coarse pass and
+    # of its batched pass, and every rejection
+    seen = {"calls": 0, "rejected": 0, "batched": 0}
     original = solver_module.is_in_basin
+    original_batch = spectrum_module.basin_certificates
 
     def counting(*args, **kwargs):
         cert = original(*args, **kwargs)
@@ -263,7 +266,15 @@ def test_certificate_counters_match_is_in_basin_calls(monkeypatch):
         seen["rejected"] += cert is None
         return cert
 
+    def counting_batch(*args, **kwargs):
+        certs = original_batch(*args, **kwargs)
+        seen["calls"] += certs.certified.size
+        seen["batched"] += certs.certified.size
+        seen["rejected"] += int(np.count_nonzero(~certs.certified))
+        return certs
+
     monkeypatch.setattr("freespectra.solver.is_in_basin", counting)
+    monkeypatch.setattr("freespectra.spectrum.basin_certificates", counting_batch)
     stats = SolveStats()
     newton_lilypads(mp_meq(), 2 + 1j, stats=stats)
     assert stats.doublings >= 1
@@ -273,6 +284,7 @@ def test_certificate_counters_match_is_in_basin_calls(monkeypatch):
     curve = density_grid(spec, xs=default_grid(spec, points=400), y=1e-9)
     stats.merge(curve.stats)
     assert stats.rejected_tests > stats.doublings
+    assert seen["batched"] > 0
     assert stats.certificate_tests == seen["calls"]
     assert stats.rejected_tests == seen["rejected"]
 
@@ -305,24 +317,32 @@ def test_every_newton_solve_starts_from_a_certificate(monkeypatch, nonlinearity,
 @pytest.mark.parametrize(
     "nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins",
     [
-        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 1810, 464, 1346, 432),
-        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 2146, 644, 1502, 520),
-        (Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 1634, 409, 1225, 405),
+        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 2121, 489, 1632, 432),
+        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 2327, 669, 1658, 520),
+        (Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 1659, 434, 1225, 405),
     ],
 )
 def test_grid_evaluates_phi_once_per_test_and_step(
     monkeypatch, nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins
 ):
     # Newton's first step reuses the certificate's evaluation, so phi is
-    # evaluated once per certificate test and once per Newton iteration
+    # evaluated at one point per certificate test and per Newton iteration,
+    # whether by the scalar kernel or by the array kernel of the batched pass
     seen = {"evals": 0}
     original = solver_module.eval_phi
+    original_array = solver_module.eval_phi_array
 
     def counting(*args):
         seen["evals"] += 1
         return original(*args)
 
+    def counting_array(meq, z, m):
+        value, deriv = original_array(meq, z, m)
+        seen["evals"] += value.size
+        return value, deriv
+
     monkeypatch.setattr("freespectra.solver.eval_phi", counting)
+    monkeypatch.setattr("freespectra.solver.eval_phi_array", counting_array)
     spec = NetworkSpec(
         layers=tuple(LayerSpec(nonlinearity, gain, width_ratio=ratio) for _ in range(depth))
     )
@@ -369,3 +389,68 @@ def test_newton_from_certificate_matches_fresh_evaluation():
         assert reused.newton_iterations == fresh.newton_iterations
         checked += 1
     assert checked >= 100
+
+
+def test_batched_step_matches_the_scalar_step():
+    # each batched point is the step newton_lilypads tries first from a proxy
+    # (z_c, m_c): the certificate decisions agree away from h = 1/2, and the
+    # certified points land on the same root
+    rng = np.random.default_rng(61)
+    nls = list(Nonlinearity)
+    certified = rejected = 0
+    for _ in range(60):
+        spec = NetworkSpec(
+            layers=tuple(
+                LayerSpec(
+                    nonlinearity=nls[rng.integers(0, len(nls))],
+                    sigma_w_sq=float(rng.uniform(0.5, 2.5)),
+                    width_ratio=float(rng.choice([0.5, 1.0, 2.0])),
+                )
+                for _ in range(int(rng.integers(1, 17)))
+            )
+        )
+        meq = master_from_spec(spec)
+        m1 = closed_form_moments(spec).m1
+        y = 10 ** rng.uniform(-9, -3) * m1
+        z_c = complex(rng.uniform(0.01, 3.0) * m1, y)
+        m_c = newton_lilypads(meq, z_c)
+        z = z_c.real * 10 ** rng.uniform(-1.0, 1.0, 40) + 1j * y
+        certs = basin_certificates(meq, z, m_c)
+        ok = certs.certified
+        stats = SolveStats()
+        ms = newton_lockstep(meq, z[ok], m_c, certs.value[ok], certs.deriv[ok], stats=stats)
+        batched = dict(zip(np.flatnonzero(ok).tolist(), ms.tolist()))
+        for i, z_i in enumerate(z.tolist()):
+            cert = is_in_basin(meq, z_i, m_c)
+            if abs(certs.h[i] - 0.5) > 1e-12:
+                assert (cert is not None) == bool(ok[i]), (spec, z_i, certs.h[i])
+            if cert is None or not ok[i]:
+                rejected += 1
+                continue
+            certified += 1
+            assert certs.h[i] == pytest.approx(cert.h, rel=1e-9)
+            m = newton_lilypads(meq, z_i, proxy=(z_c, m_c))
+            assert abs(batched[i] - m) <= 1e-12 * (1.0 + abs(m)), (spec, z_i)
+    assert certified > 500 and rejected > 100
+
+
+def test_newton_lockstep_raises_newton_raphsons_errors():
+    # a start that needs several steps, allowed one, raises the scalar path's
+    # error naming the first such point; exact roots take zero steps
+    meq = mp_meq()
+    z = np.array([10j, 2 + 1j, 0.5 + 0.5j])
+    m0 = np.array([0j, -0.5j, -1 + 1j])
+    certs = basin_certificates(meq, z, m0)
+    assert certs.certified.all()
+    config = SolverConfig(max_newton_iters=1)
+    with pytest.raises(SolverError, match="no convergence within 1 iterations") as info:
+        newton_lockstep(meq, z, m0, certs.value, certs.deriv, config=config)
+    assert info.value.z == 10j
+    with pytest.raises(SolverError, match="no convergence within 1 iterations"):
+        newton_raphson(meq, 10j, 0j, config=config)
+    batched, scalar = SolveStats(), SolveStats()
+    ms = newton_lockstep(meq, z, m0, certs.value, certs.deriv, stats=batched)
+    for z_i, m0_i, m_i in zip(z.tolist(), m0.tolist(), ms.tolist()):
+        assert abs(m_i - newton_raphson(meq, z_i, m0_i, stats=scalar)) <= 1e-14
+    assert ms[2] == m0[2]
+    assert batched.newton_iterations == scalar.newton_iterations

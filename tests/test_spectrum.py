@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import freespectra.spectrum as spectrum_module
+from freespectra.oracles import all_roots
 from freespectra import (
     DensityCurve,
     LayerSpec,
@@ -18,6 +19,7 @@ from freespectra import (
     default_grid,
     density_grid,
     grid_moments,
+    master_from_spec,
     quantiles,
     support_upper_bound,
     uniform_density_curve,
@@ -100,25 +102,75 @@ def test_density_reverse_traversal_invariance():
     assert np.max(np.abs(fwd.rhos - rev.rhos)) <= 1e-9
 
 
-def test_density_assembly_matches_per_point_division(monkeypatch):
-    # rho is assembled with numpy's complex division; the per-point Python
-    # division is the reference, up to a few ulps of either rounding
-    import freespectra.spectrum as spectrum_module
+def record_grid_roots(monkeypatch):
+    """Install recorders of every root a density grid solves; returns their list.
 
+    A grid's roots come from its sequential solves and its lockstep batch; each
+    entry is (z, m, whether m came from the batch).
+    """
     solved = []
     original = spectrum_module.newton_lilypads
+    original_batch = spectrum_module.newton_lockstep
 
     def recording(meq, z, *args):
         m = original(meq, z, *args)
-        solved.append((z, m))
+        solved.append((z, m, False))
         return m
 
+    def recording_batch(meq, z, *args):
+        ms = original_batch(meq, z, *args)
+        solved.extend((z, m, True) for z, m in zip(z.tolist(), ms.tolist()))
+        return ms
+
     monkeypatch.setattr("freespectra.spectrum.newton_lilypads", recording)
+    monkeypatch.setattr("freespectra.spectrum.newton_lockstep", recording_batch)
+    return solved
+
+
+def test_density_assembly_matches_per_point_division(monkeypatch):
+    # rho is assembled with numpy's complex division; the per-point Python
+    # division is the reference, up to a few ulps of either rounding
+    solved = record_grid_roots(monkeypatch)
     xs = default_grid(relu4_spec(), points=200)
     curve = density_grid(relu4_spec(), xs=xs, y=1e-6)
-    reference = {z.real: max(0.0, -((m + 1.0) / z).imag / math.pi) for z, m in solved}
+    reference = {z.real: max(0.0, -((m + 1.0) / z).imag / math.pi) for z, m, _ in solved}
     expected = np.array([reference[x] for x in xs.tolist()])
     assert np.all(np.abs(curve.rhos - expected) <= 4 * np.spacing(expected))
+
+
+@pytest.mark.parametrize("nonlinearity", list(Nonlinearity))
+def test_every_grid_root_is_on_the_decaying_branch(monkeypatch, nonlinearity):
+    # criterion 4's test at every point of a grid, the batched ones included:
+    # m lies within 1e-9 of a root of the master equation and rho >= -1e-10
+    solved = record_grid_roots(monkeypatch)
+    batched = 0
+    for depth in (1, 2, 5, 16):
+        spec = NetworkSpec(
+            layers=tuple(LayerSpec(nonlinearity, 1.5, width_ratio=0.5) for _ in range(depth))
+        )
+        meq = master_from_spec(spec)
+        xs = default_grid(spec, points=150)
+        for y in (1e-3, 1e-6, 1e-9):
+            del solved[:]
+            density_grid(spec, xs=xs, y=y)
+            assert sorted(z.real for z, _, _ in solved) == xs.tolist()
+            batched += sum(in_batch for _, _, in_batch in solved)
+            for z, m, _ in solved:
+                distance = min(abs(m - r) for r in all_roots(meq, z).roots)
+                assert distance <= 1e-9, (spec, z, m, distance)
+                assert -((m + 1) / z).imag / math.pi >= -1e-10, (spec, z, m)
+    assert batched > 500
+
+
+def test_noise_floor_next_to_a_root_of_p():
+    # near x = 7.754e-9 the root m sits next to P's root -1 and phi's rounding
+    # is about 4 eps |phi'| |m|; without that term in the noise floor Newton
+    # ran out of iterations there
+    spec = mp_spec()
+    xs = default_grid(spec, points=400, x_min=1e-12 * closed_form_moments(spec).m1)
+    curve = density_grid(spec, xs=xs, y=1e-9)
+    assert np.all(np.isfinite(curve.rhos))
+    assert curve.stats.basins == 446
 
 
 def test_density_validates_inputs():

@@ -24,6 +24,7 @@ from freespectra.transform_algebra import (
     RationalSTransform,
     master_from_s_transform,
     second_derivative_bound,
+    second_derivative_bound_array,
 )
 
 
@@ -282,7 +283,8 @@ def test_second_derivative_bound_monotone_in_radius():
 def test_second_derivative_bound_is_sound_against_mpmath():
     # |phi''| at 120 bits on each disc's boundary (where its maximum lies) and
     # at the point centre + radius, where the bound is attained for a real
-    # centre right of every root: the rounding allowance must keep it above
+    # centre right of every root: the rounding allowance must keep both the
+    # scalar and the array bound above it
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(15)
     nls = list(Nonlinearity)
@@ -306,6 +308,9 @@ def test_second_derivative_bound_is_sound_against_mpmath():
             center = complex(rng.uniform(-2.5, 1.0), rng.uniform(-1.5, 1.5))
         radius = float(10 ** rng.uniform(-6, 0))
         bound = second_derivative_bound(meq, z, center, radius)
+        array_bound = float(
+            second_derivative_bound_array(meq, np.array([z]), np.array([center]), radius)[0]
+        )
         angles = [0.0] + list(rng.uniform(0, 2 * math.pi, size=6))
         with mpmath.workprec(120):
             for angle in angles:
@@ -316,6 +321,35 @@ def test_second_derivative_bound_is_sound_against_mpmath():
                     d2, d1, v = d2 * t + 2 * d1, d1 * t + v, v * t
                 exact = abs(d2) / abs(mpmath.mpc(z.real, z.imag))
                 assert exact <= bound
+                assert exact <= array_bound
                 if bound > 0:
-                    worst = max(worst, float(exact / bound))
+                    worst = max(worst, float(exact / max(bound, array_bound)))
     assert worst > 0.999  # the attained case was sampled, so the test can bite
+
+
+def test_second_derivative_bound_array_is_bitwise_the_scalar_bound():
+    # with every modulus taken by hypot, the array kernel rounds exactly like
+    # the scalar one, so both carry the same rounding allowance
+    rng = np.random.default_rng(16)
+    nls = list(Nonlinearity)
+    for _ in range(100):
+        spec = NetworkSpec(
+            layers=tuple(
+                LayerSpec(
+                    nonlinearity=nls[rng.integers(0, len(nls))],
+                    sigma_w_sq=float(rng.uniform(0.5, 2.5)),
+                    width_ratio=float(rng.choice([0.5, 1.0, 2.0])),
+                )
+                for _ in range(int(rng.integers(1, 65)))
+            )
+        )
+        meq = master_from_spec(spec)
+        z = rng.uniform(-3, 30, 100) + 1j * rng.choice([-1, 1], 100) * 10 ** rng.uniform(-9, 1, 100)
+        center = rng.uniform(-2.5, 2.0, 100) + 1j * rng.uniform(-1.5, 1.5, 100)
+        radius = 10 ** rng.uniform(-6, 0, 100)
+        bounds = second_derivative_bound_array(meq, z, center, radius)
+        expected = [
+            second_derivative_bound(meq, complex(zi), complex(ci), float(ri))
+            for zi, ci, ri in zip(z, center, radius)
+        ]
+        assert bounds.tolist() == expected
