@@ -141,7 +141,8 @@ def layer_coefficient(nl: Nonlinearity, q: float) -> float:
     if nl is Nonlinearity.RELU:
         return 0.5
     if nl is Nonlinearity.HARD_TANH:
-        return 0.5 * math.erf(1.0 / math.sqrt(2.0 * q))
+        # the fraction of live derivatives, P(|N| < 1/sqrt(q)) for N ~ N(0, 1)
+        return math.erf(1.0 / math.sqrt(2.0 * q))
     raise ValueError(f"unhandled nonlinearity {nl}")
 
 

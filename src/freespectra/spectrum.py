@@ -2,9 +2,10 @@
 
 The density at x is recovered from the decaying-branch solution m(x + iy) of the
 master equation through rho = -Im((m+1)/z)/pi, evaluated at a small smoothing
-offset y > 0.  A grid is solved in two passes: a sequential walk over every
-16th point, then one batched certificate test and a lockstep Newton solve for
-the points in between (see _walk_roots).
+offset y > 0.  A grid is solved in two passes: a sequential walk that jumps
+64 points at a time and halves a jump that does not certify, then one batched
+certificate test and a lockstep Newton solve for the points jumped over (see
+_walk_roots).
 """
 
 from __future__ import annotations
@@ -54,8 +55,11 @@ _RENORM_BAND = 0.005
 
 _NEGATIVE_DENSITY_TOL = 1e-10
 
-# The coarse pass of a grid solves every _STRIDE-th point of the walk in sequence.
-_STRIDE = 16
+# The coarse pass of a grid first tries to jump _STRIDE points of the walk at a
+# time, halving a segment whose jump does not certify.  At 64 a 400-point grid
+# still makes at least 8 sequential solves, the sample perfbench's branch check
+# draws from; a failed long jump costs one certificate test.
+_STRIDE = 64
 
 
 @dataclass(eq=False)
@@ -160,9 +164,10 @@ def density_grid(
     """Solve the master equation at z = x + iy over the grid and return the curve.
 
     The grid is walked from its largest x downward (smallest upward when
-    reverse=True).  Every 16th point of the walk, and its last point, is solved
-    in sequence, each from the previous one; the points in between are then
-    certified and solved together from those roots (see _walk_roots).
+    reverse=True).  The walk jumps 64 points at a time, halving a jump until
+    it certifies, and solves each jump's end in sequence from the previous
+    one; the points jumped over are then certified and solved together from
+    those roots (see _walk_roots).
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -203,19 +208,22 @@ def _walk_roots(
 ) -> np.ndarray:
     """Decaying-branch roots at the points zs, given in walk order.
 
-    Coarse pass: solve every _STRIDE-th point and the last one in order.  Each
-    is tested once from the previous coarse root.  If that whole-segment step
-    certifies, newton_lilypads takes it (its descent tries the whole gap
-    first); otherwise the segment is walked point by point, each from its
-    neighbour.  Batched pass: every other point of a jumped segment is tested
-    from the segment's first coarse root by basin_certificates, and the
-    certified ones are solved by newton_lockstep.  The rest are walked, in
-    order, from their neighbour.  Each point is thus one certified step from
-    a root on the decaying branch, the step newton_lilypads would try first.
+    Coarse pass: the segments end at every _STRIDE-th point and at the last
+    one.  Each segment is tested once, its end from the root at its head.  If
+    that whole-segment step certifies, newton_lilypads takes it (its descent
+    tries the whole gap first) and the end becomes the next head; otherwise
+    the segment is halved and its first half tried the same way, down to
+    single steps, which are walked from their neighbour.  Batched pass: every
+    point inside a jumped segment is tested from that segment's head root by
+    basin_certificates, and the certified ones are solved by newton_lockstep.
+    The rest are walked, in order, from their neighbour.  Each point is thus
+    one certified step from a root on the decaying branch, the step
+    newton_lilypads would try first.
     """
     n = zs.size
     z_list = zs.tolist()
     ms = np.empty(n, dtype=complex)
+    sequential = np.zeros(n, dtype=bool)
 
     def walk(k: int, proxy: Optional[tuple]) -> complex:
         z = z_list[k]
@@ -228,32 +236,33 @@ def _walk_roots(
                 last_certified=err.last_certified,
             ) from err
         ms[k] = m
+        sequential[k] = True
         return m
 
-    coarse = list(range(0, n, _STRIDE))
-    if coarse[-1] != n - 1:
-        coarse.append(n - 1)
-    # segment s runs from coarse point s * _STRIDE to the next coarse point
-    jumped = np.zeros(len(coarse), dtype=bool)
+    # segment ends still to reach, the next one on top
+    ends = [n - 1, *reversed(range(_STRIDE, n - 1, _STRIDE))] if n > 1 else []
+    head = 0
     m = walk(0, None)
-    for segment, (a, b) in enumerate(zip(coarse, coarse[1:])):
-        # called through the solver module, so that a wrapper installed at
-        # solver.is_in_basin sees the coarse tests too
-        stats.certificate_tests += 1
-        if solver.is_in_basin(meq, z_list[b], m, config) is not None:
-            jumped[segment] = True
-            m = walk(b, (z_list[a], m))
-        else:
-            stats.rejected_tests += 1
-            for k in range(a + 1, b + 1):
-                m = walk(k, (z_list[k - 1], m))
+    while ends:
+        end = ends.pop()
+        if end - head > 1:
+            # called through the solver module, so that a wrapper installed at
+            # solver.is_in_basin sees the coarse tests too
+            stats.certificate_tests += 1
+            if solver.is_in_basin(meq, z_list[end], m, config) is None:
+                stats.rejected_tests += 1
+                ends += [end, (head + end) // 2]
+                continue
+        m = walk(end, (z_list[head], m))
+        head = end
 
-    pos = np.arange(n)
-    first = pos - pos % _STRIDE
-    fine = pos[(pos != first) & (pos != n - 1) & jumped[pos // _STRIDE]]
+    fine = np.flatnonzero(~sequential)
     if fine.size == 0:
         return ms
-    z, m0 = zs[fine], ms[first[fine]]
+    # a point inside a jumped segment starts from the segment's head, the
+    # nearest sequentially solved point before it
+    heads = np.maximum.accumulate(np.where(sequential, np.arange(n), 0))[fine]
+    z, m0 = zs[fine], ms[heads]
     certs = basin_certificates(meq, z, m0, config)
     ok = certs.certified
     solved = int(np.count_nonzero(ok))

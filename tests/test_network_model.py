@@ -110,13 +110,13 @@ def test_layer_coefficient_values():
     assert layer_coefficient(Nonlinearity.HARD_SINE, 3.0) == 1.0
     assert layer_coefficient(Nonlinearity.LINEAR, 3.0) == 1.0
     got = layer_coefficient(Nonlinearity.HARD_TANH, 1.0)
-    assert got == pytest.approx(0.3413447460685429, rel=1e-12)
-    assert got == pytest.approx(0.341345, abs=1e-6)
+    assert got == pytest.approx(0.6826894921370859, rel=1e-12)
+    assert got == pytest.approx(0.682689, abs=1e-6)
 
 
 def test_layer_coefficient_hard_tanh_against_normal_cdf():
     for q in np.logspace(-3, 3, 9):
-        oracle = float(ndtr(1.0 / math.sqrt(q))) - 0.5
+        oracle = 2.0 * float(ndtr(1.0 / math.sqrt(q))) - 1.0
         assert abs(layer_coefficient(Nonlinearity.HARD_TANH, float(q)) - oracle) <= 1e-12
 
 

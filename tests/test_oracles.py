@@ -139,11 +139,8 @@ def test_monte_carlo_forward_mode():
 
 
 def test_monte_carlo_mean_tracks_first_moment():
-    # hard_tanh excluded: its master-equation coefficient is pinned to the
-    # one-sided mass while the sampled derivative keeps the two-sided band,
-    # so the finite-size mean lands on a different product (see next test)
     rng = np.random.default_rng(21)
-    nls = [Nonlinearity.LINEAR, Nonlinearity.RELU, Nonlinearity.HARD_SINE]
+    nls = list(Nonlinearity)
     for _ in range(5):
         spec = NetworkSpec(
             layers=tuple(
@@ -163,8 +160,8 @@ def test_monte_carlo_mean_tracks_first_moment():
 
 def test_monte_carlo_hard_tanh_keeps_two_sided_band():
     # the sampler is faithful to the physical derivative: each hard_tanh
-    # entry survives with probability erf(1/sqrt(2q)), twice the one-sided
-    # coefficient used by the master equation
+    # entry survives with probability erf(1/sqrt(2q)), the coefficient used
+    # by the master equation
     spec = NetworkSpec(
         layers=(
             LayerSpec(Nonlinearity.HARD_SINE, 2.62),

@@ -1,5 +1,6 @@
 """Density grids, quantiles, moments, and their bookkeeping."""
 
+import gc
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from freespectra import (
     density_grid,
     grid_moments,
     master_from_spec,
+    newton_lilypads,
     quantiles,
     support_upper_bound,
     uniform_density_curve,
@@ -49,7 +51,7 @@ def test_atom_lower_bound_values():
     wide = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=2.0),))
     assert atom_lower_bound(wide) == 0.5
     ht = NetworkSpec(layers=(LayerSpec(Nonlinearity.HARD_TANH, 1.0),))
-    assert atom_lower_bound(ht) == pytest.approx(0.6586552539314571, rel=1e-12)
+    assert atom_lower_bound(ht) == pytest.approx(0.31731050786291415, rel=1e-12)
     mixed = NetworkSpec(
         layers=(
             LayerSpec(Nonlinearity.RELU, 2.0),
@@ -160,6 +162,74 @@ def test_every_grid_root_is_on_the_decaying_branch(monkeypatch, nonlinearity):
                 assert distance <= 1e-9, (spec, z, m, distance)
                 assert -((m + 1) / z).imag / math.pi >= -1e-10, (spec, z, m)
     assert batched > 500
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, gain, depth",
+    [(Nonlinearity.LINEAR, 1.0, 16), (Nonlinearity.HARD_SINE, 1.5, 32), (Nonlinearity.RELU, 2.0, 64)],
+)
+def test_deep_grid_halves_rejected_jumps(monkeypatch, nonlinearity, gain, depth):
+    # on deep nets a 64-point jump rarely certifies but an 8-point one does;
+    # halving the rejected segments keeps most points in the batch instead
+    # of walking all 400 in sequence
+    calls = {"sequential": 0}
+    original = spectrum_module.newton_lilypads
+
+    def counting(*args):
+        calls["sequential"] += 1
+        return original(*args)
+
+    monkeypatch.setattr("freespectra.spectrum.newton_lilypads", counting)
+    spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
+    density_grid(spec, xs=default_grid(spec, points=400), y=1e-6)
+    assert calls["sequential"] <= 64
+
+
+def sequential_walk_rhos(spec, xs, y):
+    """Reference grid: every point solved by newton_lilypads from its
+    neighbour, largest x first, with no coarse jumps and no batch."""
+    meq = master_from_spec(spec)
+    zs = (xs + 1j * y).tolist()[::-1]
+    m = newton_lilypads(meq, zs[0])
+    ms = [m]
+    for previous, z in zip(zs, zs[1:]):
+        m = newton_lilypads(meq, z, (previous, m))
+        ms.append(m)
+    ms = np.array(ms[::-1])
+    return np.maximum(-((ms + 1.0) / (xs + 1j * y)).imag / math.pi, 0.0)
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, gain, depth, ratio, y",
+    [
+        (Nonlinearity.LINEAR, 1.0, 8, 2.0, 1e-3),
+        (Nonlinearity.HARD_SINE, 1.5, 16, 1.0, 1e-9),
+        (Nonlinearity.HARD_TANH, 1.5, 32, 0.5, 1e-9),
+        (Nonlinearity.RELU, 2.0, 64, 1.0, 1e-6),
+    ],
+)
+def test_deep_grid_matches_the_sequential_walk(nonlinearity, gain, depth, ratio, y):
+    spec = NetworkSpec(
+        layers=tuple(LayerSpec(nonlinearity, gain, width_ratio=ratio) for _ in range(depth))
+    )
+    xs = default_grid(spec, points=400)
+    reference = sequential_walk_rhos(spec, xs, y)
+    curve = density_grid(spec, xs=xs, y=y)
+    scale = np.maximum(reference, 1e-12 * reference.max())
+    assert np.max(np.abs(curve.rhos - reference) / scale) <= 1e-8
+
+
+def test_density_grid_leaves_no_reference_cycles():
+    # a grid's arrays are freed by reference counting when it returns, not
+    # left for the cyclic collector
+    density_grid(relu4_spec(), points=400)
+    gc.collect()
+    gc.disable()
+    try:
+        density_grid(relu4_spec(), points=400)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_noise_floor_next_to_a_root_of_p():
