@@ -1,9 +1,9 @@
 """Limiting singular value spectra of deep-network Jacobians.
 
 The master equation for the Stieltjes transform of the squared-singular-value
-law is a rational equation P(m) = z Q(m); this package solves it along a grid
-of spectral points with certified Newton steps, and validates the results with
-Monte-Carlo and all-roots baselines.
+law is P(m) = z m, with P a product of real linear factors gain (m - r_j); this
+package solves it along a grid of spectral points with certified Newton steps,
+and validates the results with Monte-Carlo and all-roots baselines.
 """
 
 from .network_model import (
@@ -27,28 +27,20 @@ from .solver import (
 )
 from .spectrum import (
     DensityCurve,
-    GridMoments,
     Moments,
     QuantileTable,
     atom_lower_bound,
     closed_form_moments,
     default_grid,
     density_grid,
-    grid_moments,
     quantiles,
-    support_upper_bound,
     uniform_density_curve,
 )
 from .transform_algebra import (
-    ComplexPolynomial,
     RationalMasterEq,
-    RationalSTransform,
-    compose_layers,
     eval_phi,
-    layer_s_transforms,
     master_from_spec,
     master_from_summary,
-    rect_convolve,
 )
 
 __version__ = "0.1.0"
@@ -74,25 +66,17 @@ __all__ = [
     "newton_lilypads",
     "newton_raphson",
     "DensityCurve",
-    "GridMoments",
     "Moments",
     "QuantileTable",
     "atom_lower_bound",
     "closed_form_moments",
     "default_grid",
     "density_grid",
-    "grid_moments",
     "quantiles",
-    "support_upper_bound",
     "uniform_density_curve",
-    "ComplexPolynomial",
     "RationalMasterEq",
-    "RationalSTransform",
-    "compose_layers",
     "eval_phi",
-    "layer_s_transforms",
     "master_from_spec",
     "master_from_summary",
-    "rect_convolve",
     "__version__",
 ]

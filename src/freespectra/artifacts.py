@@ -33,7 +33,6 @@ _STAT_KEYS = (
     "newton_iterations",
     "basins",
     "doublings",
-    "restarts",
     "certificate_tests",
     "rejected_tests",
 )
@@ -133,8 +132,9 @@ def _split_artifact(text: str) -> tuple[dict, list]:
 
 
 def _stats_from_meta(meta: dict) -> Optional[SolveStats]:
-    # Headers written before the certificate counters existed lack them; those
-    # read as 0, as in the JSON form.
+    # Files written before the certificate counters existed lack them; those
+    # read as 0.  Older files also carry a restarts counter, which was always
+    # 0 and is ignored, as is any other key that is not a counter.
     present = {key: int(meta[key]) for key in _STAT_KEYS if key in meta}
     return SolveStats(**present) if present else None
 
@@ -144,14 +144,13 @@ def read_density(path: str) -> DensityCurve:
         text = handle.read()
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        stats = SolveStats(**doc["stats"]) if doc.get("stats") else None
         return DensityCurve(
             xs=np.array(doc["x"], dtype=float),
             rhos=np.array(doc["rho"], dtype=float),
             y=float(doc["y"]),
             total_mass=float(doc["total_mass"]),
             atom_lower_bound=float(doc["atom_lower_bound"]),
-            stats=stats,
+            stats=_stats_from_meta(doc.get("stats") or {}),
         )
     meta, rows = _split_artifact(text)
     xs = np.array([float(row[0]) for row in rows])

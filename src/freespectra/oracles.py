@@ -15,7 +15,7 @@ import numpy as np
 
 from .network_model import NetworkSpec, activation, activation_derivative, summarize
 from .spectrum import DensityCurve, _cumulative_mass
-from .transform_algebra import ComplexPolynomial, RationalMasterEq
+from .transform_algebra import RationalMasterEq
 
 __all__ = [
     "EmpiricalSpectrum",
@@ -55,7 +55,7 @@ class EmpiricalSpectrum:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All roots of P(m) - z Q(m), with multiplicity."""
+    """All roots of P(m) - z m, with multiplicity."""
 
     roots: tuple
 
@@ -144,26 +144,26 @@ def monte_carlo_spectrum(
     return EmpiricalSpectrum(values=values, n0=n0, seed=seed)
 
 
-def _residual(meq: RationalMasterEq, poly: ComplexPolynomial, z: complex, m: complex):
-    """(f, f') for f(m) = P(m) - z Q(m); in product form when the equation has factors."""
-    if meq.roots is None:
-        return poly.eval_with_derivative(m)
-    p = complex(meq.scale)
+def _residual(meq: RationalMasterEq, z: complex, m: complex):
+    """(f, f') for f(m) = P(m) - z m, P and P' from the factors as in eval_phi."""
+    gain = meq.gain
+    p = 1.0 + 0j
     dp = 0j
     for r in meq.roots:
-        dp = dp * (m - r) + p
-        p = p * (m - r)
-    return p - z * m, dp - z
+        t = (m - r) * gain
+        dp = dp * t + p
+        p = p * t
+    return p - z * m, dp * gain - z
 
 
-def _polish(meq: RationalMasterEq, poly: ComplexPolynomial, z: complex, root: complex) -> complex:
+def _polish(meq: RationalMasterEq, z: complex, root: complex) -> complex:
     """Newton steps from root, each kept only if it lowers |f|."""
-    value, deriv = _residual(meq, poly, z, root)
+    value, deriv = _residual(meq, z, root)
     for _ in range(_POLISH_MAX_ITERS):
         if value == 0 or deriv == 0:
             break
         trial = root - value / deriv
-        trial_value, trial_deriv = _residual(meq, poly, z, trial)
+        trial_value, trial_deriv = _residual(meq, z, trial)
         if not abs(trial_value) < abs(value):
             break
         root, value, deriv = trial, trial_value, trial_deriv
@@ -171,32 +171,30 @@ def _polish(meq: RationalMasterEq, poly: ComplexPolynomial, z: complex, root: co
 
 
 def all_roots(meq: RationalMasterEq, z: complex) -> RootSet:
-    """Every root of P(m) - z Q(m): companion-matrix eigenvalues, each polished.
+    """Every root of P(m) - z m: companion-matrix eigenvalues, each polished.
 
-    Residuals are checked relative to sum_k |c_k| max(1, |root|)^k, the natural
+    The coefficients are multiplied out from the factors on each call, and a
+    ValueError names their overflow; the solver never needs them.  Residuals
+    are checked relative to sum_k |c_k| max(1, |root|)^k, the natural
     attainable scale for coefficients spanning many orders of magnitude.
     """
     if z.imag == 0.0:
         raise ValueError(f"z must be off the real axis, got {z}")
-    spread = max(meq.P.degree, meq.Q.degree) + 1
-    coeffs = [0j] * spread
-    for k, c in enumerate(meq.P.coeffs):
-        coeffs[k] += c
-    for k, c in enumerate(meq.Q.coeffs):
-        coeffs[k] -= z * c
-    poly = ComplexPolynomial(coeffs)
-    if poly.degree < 1:
-        raise ValueError("P - zQ is constant; no roots to find")
-    if poly.degree == 1:
-        c0, c1 = poly.coeffs
-        return RootSet(roots=(-c0 / c1,))
-    eigen = np.roots(poly.coeffs[::-1])
-    roots = [_polish(meq, poly, z, complex(r)) for r in eigen]
-    for root in roots:
-        scale = poly.eval_abs(max(1.0, abs(root)))
-        if abs(poly(root)) > _RESIDUAL_TOL * scale:
-            raise RuntimeError(f"root {root} kept relative residual above {_RESIDUAL_TOL}")
-    return RootSet(roots=tuple(roots))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.poly(meq.roots) * np.power(meq.gain, meq.degree)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(
+            f"all-roots coefficients overflow at degree {meq.degree} "
+            f"(gain {meq.gain!r}); the multiplied-out polynomial is not representable"
+        )
+    coeffs = coeffs.astype(complex)
+    coeffs[-2] -= z
+    roots = np.array([_polish(meq, z, complex(r)) for r in np.roots(coeffs)])
+    scale = np.polyval(np.abs(coeffs), np.maximum(1.0, np.abs(roots)))
+    bad = np.flatnonzero(np.abs(np.polyval(coeffs, roots)) > _RESIDUAL_TOL * scale)
+    if bad.size:
+        raise RuntimeError(f"root {roots[bad[0]]} kept relative residual above {_RESIDUAL_TOL}")
+    return RootSet(roots=tuple(roots.tolist()))
 
 
 def ks_distance(emp: EmpiricalSpectrum, curve: DensityCurve) -> float:

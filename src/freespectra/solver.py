@@ -79,10 +79,15 @@ def _converged(value, deriv, m, degree: int, epsilon: float, modulus=abs):
     Stop when |phi| < epsilon and the next step |phi/phi'| is at most
     epsilon * (1 + |m|): near a spectral edge |phi'| is tiny, so a small
     residual alone can leave m far from the root.  Or stop at phi's own
-    floating-point floor: phi = P(m)/z - m is a product of d factors with
-    value + m = P(m)/z, which rounds to 4 eps (d |P(m)/z| + |m|); m itself is
-    rounded too, which next to a root r_j of P moves the factor m - r_j by a
-    relative u |m|/|m - r_j|, so phi by up to about 4 eps |phi'| |m|.
+    floating-point floor: phi = P(m)/z - m with value + m = P(m)/z, and
+    eval_phi forms P(m) from d factors gain (m - r_j).  With u = eps/2, each
+    factor adds at most (2 + sqrt 5) u of relative error: one rounding each
+    for m - r_j and for the gain, and sqrt 5 u for the complex product.  That
+    is about 2.1 eps of the 4 eps allowed per factor; the rest covers the
+    division by z and the subtraction of m, so value rounds to
+    4 eps (d |P(m)/z| + |m|).  m itself is rounded too, which next to a root
+    r_j of P moves the factor m - r_j by a relative u |m|/|m - r_j|, so phi
+    by up to about 4 eps |phi'| |m|.
     """
     resid = modulus(value)
     slope = modulus(deriv)
@@ -128,14 +133,12 @@ class SolveStats:
 
     certificate_tests counts Kantorovich tests in the cold start, the descent
     and a grid's coarse and batched passes, rejected_tests the ones that did
-    not certify.  restarts stays 0: no solve falls back to the all-roots
-    oracle; the field keeps the density headers' keys.
+    not certify.
     """
 
     newton_iterations: int = 0
     basins: int = 0
     doublings: int = 0
-    restarts: int = 0
     certificate_tests: int = 0
     rejected_tests: int = 0
 
@@ -143,7 +146,6 @@ class SolveStats:
         self.newton_iterations += other.newton_iterations
         self.basins += other.basins
         self.doublings += other.doublings
-        self.restarts += other.restarts
         self.certificate_tests += other.certificate_tests
         self.rejected_tests += other.rejected_tests
 

@@ -12,6 +12,13 @@ import warnings
 
 import numpy as np
 
+from _grid_moments import grid_moments, support_upper_bound
+from _s_transform import (
+    compose_layers,
+    factor_coefficients,
+    layer_s_transforms,
+    master_from_s_transform,
+)
 from freespectra import (
     LayerSpec,
     NetworkSpec,
@@ -23,20 +30,16 @@ from freespectra import (
     default_grid,
     density_grid,
     eval_phi,
-    grid_moments,
     is_in_basin,
     ks_distance,
-    layer_s_transforms,
     master_from_spec,
     master_from_summary,
     monte_carlo_spectrum,
     newton_lilypads,
     newton_raphson,
     summarize,
-    support_upper_bound,
 )
 from freespectra.artifacts import read_density, read_quantiles
-from freespectra.transform_algebra import compose_layers, master_from_s_transform
 
 ALL_NLS = (Nonlinearity.LINEAR, Nonlinearity.RELU, Nonlinearity.HARD_TANH, Nonlinearity.HARD_SINE)
 
@@ -183,9 +186,10 @@ def test_criterion_5_kantorovich_soundness(capsys):
             stats = SolveStats()
             m = newton_raphson(meq, z, m0, stats=stats)  # raises on divergence
             worst_iters = max(worst_iters, stats.newton_iterations)
-            floor = 4.0 * 2.0**-52 * (
-                meq.P.eval_abs(abs(m)) / abs(z) + meq.Q.eval_abs(abs(m))
-            )
+            # every root is <= 0, so P's coefficients are nonnegative and
+            # sum_k |c_k| |m|^k = prod_j gain (|m| + |r_j|)
+            majorant = math.prod(meq.gain * (abs(m) + abs(r)) for r in meq.roots)
+            floor = 4.0 * 2.0**-52 * (majorant / abs(z) + abs(m))
             # the true root lies within t* of m0; the returned iterate adds its
             # own stopping error, at most ~kappa * final residual
             slack = 4.0 * cert.kappa * max(1e-12, floor) + 1e-15
@@ -215,13 +219,14 @@ def test_criterion_6_telescoping_equivalence(capsys):
         spec = _random_spec(rng)
         summaries = summarize(spec)
         direct = master_from_summary(summaries)
-        composed = master_from_s_transform(compose_layers(layer_s_transforms(summaries)))
-        assert len(composed.P.coeffs) == len(direct.P.coeffs)
-        assert composed.Q.coeffs == direct.Q.coeffs
-        for got, want in zip(composed.P.coeffs, direct.P.coeffs):
+        P, Q = master_from_s_transform(compose_layers(layer_s_transforms(summaries)))
+        factored = factor_coefficients(direct)
+        assert len(P.coeffs) == len(factored)
+        assert Q.coeffs == (0j, 1 + 0j)
+        for got, want in zip(P.coeffs, factored):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     ok = worst <= 1e-12
-    _report(capsys, 6, ok, f"100 random specs: worst composed-vs-direct coefficient gap {worst:.2e} (tol 1e-12)")
+    _report(capsys, 6, ok, f"100 random specs: worst composed-vs-factored coefficient gap {worst:.2e} (tol 1e-12)")
 
 
 def test_criterion_7_quantile_observable(tmp_path, capsys):

@@ -47,6 +47,23 @@ def test_density_mp_row_nearest_two(tmp_path):
         assert key in text
 
 
+def test_density_of_a_1100_layer_net(tmp_path):
+    # the master equation's overall scale 2^1100 is not a double; the solve
+    # only reads the factors
+    payload = {
+        "network": {
+            "layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0} for _ in range(1100)]
+        },
+        "grid": {"points": 200},
+    }
+    config = write_config(tmp_path, "relu1100.json", payload)
+    out = tmp_path / "relu1100.csv"
+    assert cli.main(["density", "--config", config, "--out", str(out)]) == 0
+    curve = read_density(str(out))
+    assert curve.xs.size == 200
+    assert np.all(np.isfinite(curve.rhos)) and np.all(curve.rhos >= 0.0)
+
+
 def test_density_rejects_nonpositive_y(tmp_path, capsys):
     payload = dict(MP1)
     payload["y"] = -1.0

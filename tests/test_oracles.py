@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from _s_transform import factor_coefficients
 from freespectra import (
-    ComplexPolynomial,
     DensityCurve,
     EmpiricalSpectrum,
     LayerSpec,
@@ -282,7 +282,7 @@ def test_all_roots_mp_quadratic():
 
 
 def test_all_roots_degree_one():
-    meq = RationalMasterEq(P=ComplexPolynomial([2.0, 3.0]), Q=ComplexPolynomial([0.0, 1.0]))
+    meq = RationalMasterEq(gain=3.0, roots=(-2.0 / 3.0,))  # P(m) = 2 + 3m
     z = 5 + 2j
     (root,) = all_roots(meq, z).roots
     assert root == pytest.approx(-2.0 / (3.0 - z), rel=1e-13)
@@ -304,15 +304,20 @@ def test_all_roots_residuals_are_polished():
         spec = random_spec(rng)
         meq = master_from_spec(spec)
         z = complex(rng.uniform(0.1, 4), 10 ** rng.uniform(-5, 0.5))
-        resid = ComplexPolynomial(
-            [
-                (meq.P.coeffs[k] if k < len(meq.P.coeffs) else 0j)
-                - z * (meq.Q.coeffs[k] if k < len(meq.Q.coeffs) else 0j)
-                for k in range(max(len(meq.P.coeffs), len(meq.Q.coeffs)))
-            ]
-        )
+        coeffs = factor_coefficients(meq).astype(complex)
+        coeffs[1] -= z
         for root in all_roots(meq, z).roots:
-            assert abs(resid(root)) <= 1e-10 * resid.eval_abs(max(1.0, abs(root)))
+            resid = np.polyval(coeffs[::-1], root)
+            scale = np.polyval(np.abs(coeffs[::-1]), max(1.0, abs(root)))
+            assert abs(resid) <= 1e-10 * scale
+
+
+def test_all_roots_names_coefficient_overflow():
+    # the solver reads the factors, but the oracle multiplies them out:
+    # 2^1100 (m + 1)(m + 1/2)^1100 has no double coefficients
+    spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(1100)))
+    with pytest.raises(ValueError, match="coefficients overflow"):
+        all_roots(master_from_spec(spec), 1.0 + 1e-6j)
 
 
 def test_all_roots_rejects_real_z():

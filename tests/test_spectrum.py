@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import freespectra.spectrum as spectrum_module
+from _grid_moments import grid_moments, support_upper_bound
 from freespectra.oracles import all_roots
 from freespectra import (
     DensityCurve,
@@ -19,11 +20,9 @@ from freespectra import (
     closed_form_moments,
     default_grid,
     density_grid,
-    grid_moments,
     master_from_spec,
     newton_lilypads,
     quantiles,
-    support_upper_bound,
     uniform_density_curve,
 )
 
@@ -241,6 +240,28 @@ def test_noise_floor_next_to_a_root_of_p():
     curve = density_grid(spec, xs=xs, y=1e-9)
     assert np.all(np.isfinite(curve.rhos))
     assert curve.stats.basins == 446
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        ((Nonlinearity.RELU, 2.0, 1100),),
+        ((Nonlinearity.RELU, 2.0, 3000),),
+        ((Nonlinearity.RELU, 4.0, 300), (Nonlinearity.RELU, 1.0, 300)),
+    ],
+    ids=["relu2x1100", "relu2x3000", "relu4x300-relu1x300"],
+)
+def test_deep_net_density_completes(layers):
+    # prod sigma^2 Lambda is 2^1100, 2^3000 and 2^600 here, far outside the
+    # doubles for the first two; the factors share the gain, so no partial
+    # product forms it.  The window's mass is not asserted: the default window
+    # misses mass as depth grows.
+    spec = NetworkSpec(
+        layers=tuple(LayerSpec(nl, gain) for nl, gain, depth in layers for _ in range(depth))
+    )
+    curve = density_grid(spec, points=200)
+    assert np.all(np.isfinite(curve.rhos))
+    assert np.all(curve.rhos >= 0.0) and curve.rhos.max() > 0.0
 
 
 def test_density_validates_inputs():

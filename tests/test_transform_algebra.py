@@ -1,28 +1,31 @@
-"""Polynomial kernel, S-transform composition, and the master equation."""
+"""The factored master equation, its evaluation, and the S-transform oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from freespectra import (
+from _s_transform import (
     ComplexPolynomial,
+    RationalSTransform,
+    compose_layers,
+    factor_coefficients,
+    layer_s_transforms,
+    master_from_s_transform,
+    rect_convolve,
+)
+from freespectra import (
     LayerSpec,
     NetworkSpec,
     Nonlinearity,
     RationalMasterEq,
-    compose_layers,
     eval_phi,
-    layer_s_transforms,
     master_from_spec,
     master_from_summary,
-    rect_convolve,
     summarize,
 )
-from freespectra.network_model import LayerSummary
 from freespectra.transform_algebra import (
-    RationalSTransform,
-    master_from_s_transform,
     second_derivative_bound,
     second_derivative_bound_array,
 )
@@ -103,24 +106,30 @@ def test_polynomial_scale_and_compose_scaled():
 # ------------------------------------------------------------ master equation
 
 
+def test_master_is_gain_and_roots():
+    assert [f.name for f in dataclasses.fields(RationalMasterEq)] == ["gain", "roots"]
+
+
 def test_master_coefficients_mp1():
     meq = mp_meq()
-    assert meq.P.coeffs == (1 + 0j, 2 + 0j, 1 + 0j)
-    assert meq.Q.coeffs == (0j, 1 + 0j)
+    assert meq.gain == 1.0 and meq.roots == (-1.0, -1.0)
+    assert factor_coefficients(meq).tolist() == [1.0, 2.0, 1.0]
 
 
 def test_master_coefficients_relu_depth_two():
+    # P = (1 + m)(1 + 2m)^2: scales 1, 2, 2, so the gain is 4^(1/3)
     spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(2)))
     meq = master_from_spec(spec)
-    assert meq.P.coeffs == pytest.approx([1, 5, 8, 4], abs=1e-14)
-    assert meq.Q.coeffs == (0j, 1 + 0j)
+    assert meq.gain == pytest.approx(4.0 ** (1.0 / 3.0), rel=1e-15)
+    assert meq.roots == (-1.0, -0.5, -0.5)
+    assert factor_coefficients(meq) == pytest.approx([1, 5, 8, 4], abs=1e-14)
     assert meq.degree == 3
 
 
 def test_master_coefficients_relu_wide():
     spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=2.0),))
     meq = master_from_spec(spec)
-    assert meq.P.coeffs == pytest.approx([1, 5, 4], abs=1e-14)
+    assert factor_coefficients(meq) == pytest.approx([1, 5, 4], abs=1e-14)
 
 
 def test_master_degree_is_depth_plus_one():
@@ -128,14 +137,18 @@ def test_master_degree_is_depth_plus_one():
     for _ in range(10):
         spec = random_spec(rng)
         meq = master_from_spec(spec)
-        assert meq.P.degree == spec.depth + 1
         assert meq.degree == spec.depth + 1
 
 
-def test_master_rejects_overflowing_coefficients():
-    layers = [LayerSummary(q=1.0, c=1.0, Lambda=1.0, sigma_w_sq=1e10) for _ in range(40)]
-    with pytest.raises(ValueError, match="magnitude"):
-        master_from_summary(layers)
+def test_master_builds_where_the_overall_scale_overflows():
+    # ReLU sigma^2 = 2 at depth 3000 has prod sigma^2 Lambda = 2^3000; the
+    # gain is its geometric mean over the 3001 factors
+    spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(3000)))
+    meq = master_from_spec(spec)
+    assert meq.degree == 3001
+    assert meq.gain == pytest.approx(2.0 ** (3000 / 3001), rel=1e-14)
+    val, der = eval_phi(meq, 1.0 + 1e-6j, 0.01j)
+    assert math.isfinite(abs(val)) and math.isfinite(abs(der))
 
 
 def test_residue_recovers_first_moment():
@@ -143,7 +156,7 @@ def test_residue_recovers_first_moment():
     for _ in range(50):
         spec = random_spec(rng)
         meq = master_from_spec(spec)
-        m1 = meq.P(0.0) / meq.Q.coeffs[1]
+        m1 = math.prod(meq.gain * -r for r in meq.roots)  # P(0)
         closed = 1.0
         for s in summarize(spec):
             closed *= s.c * s.sigma_w_sq
@@ -195,11 +208,12 @@ def test_telescoping_matches_direct_master():
         spec = random_spec(rng)
         summaries = summarize(spec)
         direct = master_from_summary(summaries)
-        composed = master_from_s_transform(compose_layers(layer_s_transforms(summaries)))
-        assert len(composed.P.coeffs) == len(direct.P.coeffs)
-        for got, want in zip(composed.P.coeffs, direct.P.coeffs):
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-        assert composed.Q.coeffs == direct.Q.coeffs
+        P, Q = master_from_s_transform(compose_layers(layer_s_transforms(summaries)))
+        want = factor_coefficients(direct)
+        assert len(P.coeffs) == len(want)
+        for got, w in zip(P.coeffs, want):
+            assert abs(got - w) <= 1e-12 * max(1.0, abs(w))
+        assert Q.coeffs == (0j, 1 + 0j)
 
 
 # ------------------------------------------------------------------- eval_phi
@@ -253,10 +267,8 @@ def test_second_derivative_bound_mp1_constant():
 
 
 def test_second_derivative_bound_degree_one_is_zero():
-    # P = 1+m, Q = m: phi'' vanishes identically; the bound reads the factored form
-    meq = RationalMasterEq(
-        P=ComplexPolynomial([1.0, 1.0]), Q=ComplexPolynomial([0.0, 1.0]), scale=1.0, roots=(-1.0,)
-    )
+    # P = 1+m: phi'' vanishes identically
+    meq = RationalMasterEq(gain=1.0, roots=(-1.0,))
     assert second_derivative_bound(meq, 1j, 0.5j, 3.0) == 0.0
 
 
@@ -315,11 +327,11 @@ def test_second_derivative_bound_is_sound_against_mpmath():
         with mpmath.workprec(120):
             for angle in angles:
                 m = mpmath.mpc(center.real, center.imag) + radius * mpmath.expjpi(angle / math.pi)
-                v, d1, d2 = mpmath.mpf(meq.scale), mpmath.mpc(0), mpmath.mpc(0)
+                v, d1, d2 = mpmath.mpf(1), mpmath.mpc(0), mpmath.mpc(0)
                 for r in meq.roots:
-                    t = m - r
+                    t = meq.gain * (m - r)
                     d2, d1, v = d2 * t + 2 * d1, d1 * t + v, v * t
-                exact = abs(d2) / abs(mpmath.mpc(z.real, z.imag))
+                exact = abs(d2) * mpmath.mpf(meq.gain) ** 2 / abs(mpmath.mpc(z.real, z.imag))
                 assert exact <= bound
                 assert exact <= array_bound
                 if bound > 0:
