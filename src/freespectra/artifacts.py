@@ -33,6 +33,7 @@ _STAT_KEYS = (
     "newton_iterations",
     "basins",
     "doublings",
+    "restarts",
     "certificate_tests",
     "rejected_tests",
 )
@@ -133,8 +134,8 @@ def _split_artifact(text: str) -> tuple[dict, list]:
 
 def _stats_from_meta(meta: dict) -> Optional[SolveStats]:
     # Files written before the certificate counters existed lack them; those
-    # read as 0.  Older files also carry a restarts counter, which was always
-    # 0 and is ignored, as is any other key that is not a counter.
+    # read as 0.  A key that is not a counter is ignored, so a counter can
+    # leave SolveStats without making older files unreadable.
     present = {key: int(meta[key]) for key in _STAT_KEYS if key in meta}
     return SolveStats(**present) if present else None
 

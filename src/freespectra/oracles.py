@@ -1,9 +1,10 @@
 """Independent validators for the analytic pipeline.
 
-Three cross-checks that share no code with the solver path: finite-size
-Monte-Carlo sampling of the Jacobian Gram spectrum, an all-roots polynomial
-baseline (companion-matrix eigenvalues plus Newton polish), and a
-Kolmogorov-Smirnov distance that accounts for the point mass at zero.
+Three cross-checks that share no code with the solver's continuation:
+finite-size Monte-Carlo sampling of the Jacobian Gram spectrum, an all-roots
+polynomial baseline (companion-matrix eigenvalues, each polished by Newton
+steps on eval_phi), and a Kolmogorov-Smirnov distance that accounts for the
+point mass at zero.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .network_model import NetworkSpec, activation, activation_derivative, summarize
 from .spectrum import DensityCurve, _cumulative_mass
-from .transform_algebra import RationalMasterEq
+from .transform_algebra import RationalMasterEq, eval_phi
 
 __all__ = [
     "EmpiricalSpectrum",
@@ -144,26 +145,18 @@ def monte_carlo_spectrum(
     return EmpiricalSpectrum(values=values, n0=n0, seed=seed)
 
 
-def _residual(meq: RationalMasterEq, z: complex, m: complex):
-    """(f, f') for f(m) = P(m) - z m, P and P' from the factors as in eval_phi."""
-    gain = meq.gain
-    p = 1.0 + 0j
-    dp = 0j
-    for r in meq.roots:
-        t = (m - r) * gain
-        dp = dp * t + p
-        p = p * t
-    return p - z * m, dp * gain - z
-
-
 def _polish(meq: RationalMasterEq, z: complex, root: complex) -> complex:
-    """Newton steps from root, each kept only if it lowers |f|."""
-    value, deriv = _residual(meq, z, root)
+    """Newton steps from root, each kept only if it lowers |phi|.
+
+    phi = (P(m) - z m)/z, so its Newton step is that of P(m) - z m and, at
+    fixed z, |phi| orders candidates as |P(m) - z m| does.
+    """
+    value, deriv = eval_phi(meq, z, root)
     for _ in range(_POLISH_MAX_ITERS):
         if value == 0 or deriv == 0:
             break
         trial = root - value / deriv
-        trial_value, trial_deriv = _residual(meq, z, trial)
+        trial_value, trial_deriv = eval_phi(meq, z, trial)
         if not abs(trial_value) < abs(value):
             break
         root, value, deriv = trial, trial_value, trial_deriv

@@ -133,12 +133,14 @@ class SolveStats:
 
     certificate_tests counts Kantorovich tests in the cold start, the descent
     and a grid's coarse and batched passes, rejected_tests the ones that did
-    not certify.
+    not certify.  restarts stays 0: no solve falls back to the all-roots
+    oracle; the field keeps the density headers' keys.
     """
 
     newton_iterations: int = 0
     basins: int = 0
     doublings: int = 0
+    restarts: int = 0
     certificate_tests: int = 0
     rejected_tests: int = 0
 
@@ -146,6 +148,7 @@ class SolveStats:
         self.newton_iterations += other.newton_iterations
         self.basins += other.basins
         self.doublings += other.doublings
+        self.restarts += other.restarts
         self.certificate_tests += other.certificate_tests
         self.rejected_tests += other.rejected_tests
 

@@ -54,13 +54,38 @@ def master_from_summary(layers: Sequence[LayerSummary]) -> RationalMasterEq:
     """P(m) = (m+1) * prod_l sigma_l^2 (c_l + Lambda_l m) as gain and roots.
 
     The factor scales are s_0 = 1 for m + 1 and s_l = sigma_l^2 Lambda_l, the
-    roots -1 and -c_l/Lambda_l, and the gain is exp(mean_j log s_j).
+    roots -1 and -c_l/Lambda_l, and the gain is exp(mean_j log s_j).  Each
+    log s_l is taken as log sigma_l^2 + log Lambda_l, so no scale is formed
+    either.  A ValueError names a Lambda, gain or root that is not a finite
+    float.
     """
     if not layers:
         raise ValueError("need at least one layer summary")
-    log_scale = math.fsum(math.log(layer.sigma_w_sq * layer.Lambda) for layer in layers)
+    for index, layer in enumerate(layers, start=1):
+        if not (math.isfinite(layer.Lambda) and layer.Lambda > 0):
+            raise ValueError(
+                f"cumulative width ratio Lambda={layer.Lambda!r} at layer {index} "
+                f"is not a positive finite float"
+            )
+        if not math.isfinite(layer.c / layer.Lambda):
+            raise ValueError(
+                f"root -c/Lambda at layer {index} overflows "
+                f"(c={layer.c!r}, Lambda={layer.Lambda!r})"
+            )
     roots = (-1.0, *(-layer.c / layer.Lambda for layer in layers))
-    return RationalMasterEq(gain=math.exp(log_scale / len(roots)), roots=roots)
+    mean_log = math.fsum(
+        math.log(layer.sigma_w_sq) + math.log(layer.Lambda) for layer in layers
+    ) / len(roots)
+    try:
+        gain = math.exp(mean_log)
+    except OverflowError:
+        gain = math.inf
+    if not (math.isfinite(gain) and gain > 0):
+        raise ValueError(
+            f"master equation gain exp({mean_log!r}), the geometric mean of the "
+            f"factor scales, is not a positive finite float"
+        )
+    return RationalMasterEq(gain=gain, roots=roots)
 
 
 def master_from_spec(spec: NetworkSpec) -> RationalMasterEq:

@@ -32,6 +32,7 @@ def awkward_curve():
             newton_iterations=17,
             basins=4,
             doublings=2,
+            restarts=1,
             certificate_tests=9,
             rejected_tests=3,
         ),
@@ -62,60 +63,27 @@ def test_density_json_round_trip_is_bit_exact(tmp_path):
     assert back.stats == curve.stats
 
 
-# the density header of files written while SolveStats still had a restarts
-# counter, which was always 0
-OLD_CSV = """# y: 1e-06
-# total_mass: 0.30000000000000004
-# atom_lower_bound: 0.5
-# newton_iterations: 17
-# basins: 4
-# doublings: 2
-# restarts: 0
-# certificate_tests: 9
-# rejected_tests: 3
-x,rho
-0.1,0.5
-2.0,0.25
-"""
-
-
 def test_density_csv_without_certificate_counters_keeps_its_stats(tmp_path):
     # headers written before the certificate counters existed still read back
-    old = [line for line in OLD_CSV.splitlines() if "certificate_tests" not in line]
+    text = render_density(awkward_curve())
+    old = [line for line in text.splitlines() if "certificate_tests" not in line]
     old = [line for line in old if "rejected_tests" not in line]
     path = tmp_path / "old.csv"
     path.write_text("\n".join(old) + "\n")
     back = read_density(str(path))
-    assert back.stats == SolveStats(newton_iterations=17, basins=4, doublings=2)
+    assert back.stats == SolveStats(newton_iterations=17, basins=4, doublings=2, restarts=1)
 
 
-def test_density_files_with_a_restarts_counter_still_read(tmp_path):
-    want = SolveStats(
-        newton_iterations=17, basins=4, doublings=2, certificate_tests=9, rejected_tests=3
-    )
-    path = tmp_path / "old.csv"
-    path.write_text(OLD_CSV)
-    assert read_density(str(path)).stats == want
-    doc = {
-        "y": 1e-06,
-        "total_mass": 0.30000000000000004,
-        "atom_lower_bound": 0.5,
-        "stats": {
-            "newton_iterations": 17,
-            "basins": 4,
-            "doublings": 2,
-            "restarts": 0,
-            "certificate_tests": 9,
-            "rejected_tests": 3,
-        },
-        "x": [0.1, 2.0],
-        "rho": [0.5, 0.25],
-    }
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    back = read_density(str(path))
-    assert back.stats == want
-    assert back.xs.tolist() == [0.1, 2.0]
+def test_density_json_ignores_keys_that_are_not_counters(tmp_path):
+    # as the CSV header does, so a counter can leave SolveStats and its old
+    # files still read
+    curve = awkward_curve()
+    path = tmp_path / "c.json"
+    write_density(curve, str(path), fmt="json")
+    doc = json.loads(path.read_text())
+    doc["stats"]["retired_counter"] = 0
+    path.write_text(json.dumps(doc))
+    assert read_density(str(path)).stats == curve.stats
 
 
 def test_quantiles_round_trip_and_zero_value_log(tmp_path):
@@ -147,6 +115,7 @@ def test_render_density_headers_cover_stats():
         "newton_iterations",
         "basins",
         "doublings",
+        "restarts",
         "certificate_tests",
         "rejected_tests",
     }

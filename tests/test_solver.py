@@ -214,6 +214,7 @@ def test_tiny_y_hard_sine_net_completes():
     )
     curve = density_grid(spec, xs=default_grid(spec, points=400), y=1e-9)
     assert curve.stats.basins <= 600
+    assert curve.stats.restarts == 0
 
 
 @pytest.mark.parametrize(
@@ -225,6 +226,7 @@ def test_grid_basin_count(nonlinearity, gain, depth, y):
     spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
     curve = density_grid(spec, xs=default_grid(spec, points=400), y=y)
     assert curve.stats.basins <= 500
+    assert curve.stats.restarts == 0
 
 
 def test_lilypads_survives_large_coefficients():
@@ -239,14 +241,14 @@ def test_lilypads_survives_large_coefficients():
 
 def test_stats_merge_accumulates():
     a = SolveStats(
-        newton_iterations=3, basins=1, doublings=2, certificate_tests=4, rejected_tests=1
+        newton_iterations=3, basins=1, doublings=2, restarts=0, certificate_tests=4, rejected_tests=1
     )
     b = SolveStats(
-        newton_iterations=5, basins=2, doublings=0, certificate_tests=3, rejected_tests=0
+        newton_iterations=5, basins=2, doublings=0, restarts=1, certificate_tests=3, rejected_tests=0
     )
     a.merge(b)
     assert a == SolveStats(
-        newton_iterations=8, basins=3, doublings=2, certificate_tests=7, rejected_tests=1
+        newton_iterations=8, basins=3, doublings=2, restarts=1, certificate_tests=7, rejected_tests=1
     )
 
 

@@ -25,6 +25,7 @@ from freespectra import (
     master_from_summary,
     summarize,
 )
+from freespectra.network_model import LayerSummary
 from freespectra.transform_algebra import (
     second_derivative_bound,
     second_derivative_bound_array,
@@ -149,6 +150,31 @@ def test_master_builds_where_the_overall_scale_overflows():
     assert meq.gain == pytest.approx(2.0 ** (3000 / 3001), rel=1e-14)
     val, der = eval_phi(meq, 1.0 + 1e-6j, 0.01j)
     assert math.isfinite(abs(val)) and math.isfinite(abs(der))
+
+
+def test_master_builds_where_one_layer_scale_overflows():
+    # sigma^2 Lambda = 1e310 is not a float, but its log and the gain are
+    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1e300, width_ratio=1e10),))
+    meq = master_from_spec(spec)
+    assert meq.gain == pytest.approx(1e155, rel=1e-13)
+    assert meq.roots == (-1.0, -1e-10)
+
+
+def test_master_names_a_gain_or_root_that_is_not_a_float():
+    # scales 1, 1e600 and 1e600: the geometric mean 1e400 overflows
+    big = LayerSummary(q=1.0, c=1.0, Lambda=1e300, sigma_w_sq=1e300)
+    with pytest.raises(ValueError, match="gain"):
+        master_from_summary([big, big])
+    tiny = LayerSummary(q=1.0, c=1e-300, Lambda=1e-300, sigma_w_sq=1e-300)
+    with pytest.raises(ValueError, match="gain"):
+        master_from_summary([tiny, tiny])
+    lost = LayerSummary(q=1.0, c=1.0, Lambda=0.0, sigma_w_sq=1.0)
+    with pytest.raises(ValueError, match="Lambda"):
+        master_from_summary([lost])
+    # c/Lambda = 1e310 with every scale a float
+    far = LayerSummary(q=1.0, c=1.0, Lambda=1e-310, sigma_w_sq=1.0)
+    with pytest.raises(ValueError, match="root"):
+        master_from_summary([far])
 
 
 def test_residue_recovers_first_moment():
