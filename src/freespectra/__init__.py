@@ -19,7 +19,6 @@ from .oracles import EmpiricalSpectrum, RootSet, all_roots, ks_distance, monte_c
 from .solver import (
     BasinCertificate,
     SolveStats,
-    SolverConfig,
     SolverError,
     is_in_basin,
     newton_lilypads,
@@ -60,7 +59,6 @@ __all__ = [
     "monte_carlo_spectrum",
     "BasinCertificate",
     "SolveStats",
-    "SolverConfig",
     "SolverError",
     "is_in_basin",
     "newton_lilypads",

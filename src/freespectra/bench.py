@@ -43,7 +43,7 @@ def run_bench(config: RunConfig) -> list:
     rows = []
 
     start = time.perf_counter()
-    curve = density_grid(spec, xs=xs, y=config.y, solver_config=config.solver)
+    curve = density_grid(spec, xs=xs, y=config.y)
     elapsed = (time.perf_counter() - start) * 1e3
     stats = curve.stats
     rows.append(

@@ -86,7 +86,7 @@ def _solve_curve(config: RunConfig):
         x_max=config.grid.x_max,
         log_spaced=config.grid.log_spaced,
     )
-    return density_grid(spec, xs=xs, y=config.y, solver_config=config.solver)
+    return density_grid(spec, xs=xs, y=config.y)
 
 
 def cmd_density(args: argparse.Namespace) -> int:

@@ -1,7 +1,10 @@
 """Run configuration: a single JSON document describing network, grid and outputs.
 
 Parsing is strict — unknown fields are rejected with their full path so typos
-surface immediately instead of silently falling back to defaults.
+surface immediately instead of silently falling back to defaults.  Every
+object is read by _read from a table of its fields, and every setting is
+checked once, where its dataclass is built, so a command-line override meets
+the same check as the file.
 """
 
 from __future__ import annotations
@@ -9,10 +12,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any, Optional
 
 from .network_model import LayerSpec, NetworkSpec, Nonlinearity
-from .solver import SolverConfig
 
 __all__ = [
     "ConfigError",
@@ -32,6 +35,13 @@ class ConfigError(ValueError):
     """Invalid or malformed run configuration; message carries the field path."""
 
 
+def _check_positive(value: float, where: str, prefix: str = "") -> None:
+    """Refuse a value that is not a positive finite number, naming its field."""
+    if not (isfinite(value) and value > 0):
+        detail = "" if isfinite(value) else f" and finite, got {value!r}"
+        raise ConfigError(f"config: {where}: {prefix}must be positive{detail}")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     x_min: Optional[float] = None
@@ -43,8 +53,8 @@ class GridConfig:
         if self.points < 2:
             raise ConfigError("config: grid.points: must be at least 2")
         for name, value in (("x_min", self.x_min), ("x_max", self.x_max)):
-            if value is not None and value <= 0:
-                raise ConfigError(f"config: grid.{name}: must be positive")
+            if value is not None:
+                _check_positive(value, f"grid.{name}")
         if self.x_min is not None and self.x_max is not None and self.x_min >= self.x_max:
             raise ConfigError("config: grid.x_min: must be below grid.x_max")
 
@@ -76,13 +86,11 @@ class RunConfig:
     grid: GridConfig = GridConfig()
     y: float = 1e-6
     probs: tuple = DEFAULT_PROBS
-    solver: SolverConfig = SolverConfig()
     mc: MonteCarloConfig = MonteCarloConfig()
     output: OutputConfig = OutputConfig()
 
     def __post_init__(self) -> None:
-        if self.y <= 0:
-            raise ConfigError("config: y: y must be positive")
+        _check_positive(self.y, "y", "y ")
         for p in self.probs:
             if not (0.0 < p < 1.0):
                 raise ConfigError(f"config: probs: must lie strictly inside (0, 1), got {p}")
@@ -93,23 +101,52 @@ class RunConfig:
         return self.network
 
 
-def _expect_mapping(value: Any, ctx: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"config: {ctx}: expected an object, got {type(value).__name__}")
-    return value
+def _path(ctx: str, key: str) -> str:
+    return f"{ctx}.{key}" if ctx else key
 
 
-def _expect_list(value: Any, ctx: str) -> list:
+def _reported(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), reporting a plain ValueError as a ConfigError at where."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"config: {where}: {err}") from None
+
+
+def _read(data: Any, ctx: str, cls, fields: dict, required: tuple = ()):
+    """Build cls from the JSON object data found at path ctx ("" for the root).
+
+    fields maps each allowed key, in reading order, to (argument of cls,
+    reader); a reader takes the value and its path.  An object that is not a
+    mapping, an unknown key and a missing required key are refused first.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"config: {ctx or '<root>'}: expected an object, got {type(data).__name__}")
+    for key in data:
+        if key not in fields:
+            raise ConfigError(f"config: {_path(ctx, key)}: unknown field")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"config: {_path(ctx, key)}: required")
+    kwargs = {}
+    for key, (name, reader) in fields.items():
+        if key in data:
+            where = _path(ctx, key)
+            kwargs[name] = _reported(where, reader, data[key], where)
+    return _reported(ctx, cls, **kwargs)
+
+
+def _section(cls, fields: dict, required: tuple = ()):
+    """The reader of a nested object built as cls."""
+    return lambda data, ctx: _read(data, ctx, cls, fields, required)
+
+
+def _as_list(value: Any, ctx: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"config: {ctx}: expected an array, got {type(value).__name__}")
     return value
-
-
-def _reject_unknown(mapping: dict, allowed: set, ctx: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            where = f"{ctx}.{key}" if ctx else key
-            raise ConfigError(f"config: {where}: unknown field")
 
 
 def _as_real(value: Any, ctx: str) -> float:
@@ -136,133 +173,60 @@ def _as_str(value: Any, ctx: str) -> str:
     return value
 
 
-def _parse_layer(data: Any, ctx: str) -> LayerSpec:
-    mapping = _expect_mapping(data, ctx)
-    _reject_unknown(mapping, {"nonlinearity", "sigma_w_sq", "sigma_b_sq", "lambda"}, ctx)
-    if "nonlinearity" not in mapping:
-        raise ConfigError(f"config: {ctx}.nonlinearity: required")
-    if "sigma_w_sq" not in mapping:
-        raise ConfigError(f"config: {ctx}.sigma_w_sq: required")
-    try:
-        nl = Nonlinearity.from_name(_as_str(mapping["nonlinearity"], f"{ctx}.nonlinearity"))
-    except ValueError as err:
-        raise ConfigError(f"config: {ctx}.nonlinearity: {err}") from None
-    kwargs = {
-        "nonlinearity": nl,
-        "sigma_w_sq": _as_real(mapping["sigma_w_sq"], f"{ctx}.sigma_w_sq"),
-    }
-    if "sigma_b_sq" in mapping:
-        kwargs["sigma_b_sq"] = _as_real(mapping["sigma_b_sq"], f"{ctx}.sigma_b_sq")
-    if "lambda" in mapping:
-        kwargs["width_ratio"] = _as_real(mapping["lambda"], f"{ctx}.lambda")
-    try:
-        return LayerSpec(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"config: {ctx}: {err}") from None
+def _as_nonlinearity(value: Any, ctx: str) -> Nonlinearity:
+    return Nonlinearity.from_name(_as_str(value, ctx))
 
 
-def _parse_network(data: Any) -> NetworkSpec:
-    mapping = _expect_mapping(data, "network")
-    _reject_unknown(mapping, {"layers", "input_mean_square"}, "network")
-    if "layers" not in mapping:
-        raise ConfigError("config: network.layers: required")
-    layers = [
-        _parse_layer(item, f"network.layers[{i}]")
-        for i, item in enumerate(_expect_list(mapping["layers"], "network.layers"))
-    ]
-    kwargs: dict = {"layers": tuple(layers)}
-    if "input_mean_square" in mapping:
-        kwargs["input_mean_square"] = _as_real(mapping["input_mean_square"], "network.input_mean_square")
-    try:
-        return NetworkSpec(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"config: network: {err}") from None
+def _as_path(value: Any, ctx: str) -> Optional[str]:
+    return None if value is None else _as_str(value, ctx)
 
 
-def _parse_grid(data: Any) -> GridConfig:
-    mapping = _expect_mapping(data, "grid")
-    _reject_unknown(mapping, {"x_min", "x_max", "points", "log_spaced"}, "grid")
-    kwargs: dict = {}
-    if "x_min" in mapping:
-        kwargs["x_min"] = _as_real(mapping["x_min"], "grid.x_min")
-    if "x_max" in mapping:
-        kwargs["x_max"] = _as_real(mapping["x_max"], "grid.x_max")
-    if "points" in mapping:
-        kwargs["points"] = _as_int(mapping["points"], "grid.points")
-    if "log_spaced" in mapping:
-        kwargs["log_spaced"] = _as_bool(mapping["log_spaced"], "grid.log_spaced")
-    return GridConfig(**kwargs)
+_LAYER_FIELDS = {
+    "nonlinearity": ("nonlinearity", _as_nonlinearity),
+    "sigma_w_sq": ("sigma_w_sq", _as_real),
+    "sigma_b_sq": ("sigma_b_sq", _as_real),
+    "lambda": ("width_ratio", _as_real),
+}
 
 
-def _parse_solver(data: Any) -> SolverConfig:
-    mapping = _expect_mapping(data, "solver")
-    allowed = {"epsilon", "max_newton_iters", "max_doublings", "min_step_fraction"}
-    _reject_unknown(mapping, allowed, "solver")
-    kwargs: dict = {}
-    if "epsilon" in mapping:
-        kwargs["epsilon"] = _as_real(mapping["epsilon"], "solver.epsilon")
-    if "max_newton_iters" in mapping:
-        kwargs["max_newton_iters"] = _as_int(mapping["max_newton_iters"], "solver.max_newton_iters")
-    if "max_doublings" in mapping:
-        kwargs["max_doublings"] = _as_int(mapping["max_doublings"], "solver.max_doublings")
-    if "min_step_fraction" in mapping:
-        kwargs["min_step_fraction"] = _as_real(mapping["min_step_fraction"], "solver.min_step_fraction")
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"config: solver: {err}") from None
+def _as_layers(value: Any, ctx: str) -> tuple:
+    return tuple(
+        _read(item, f"{ctx}[{i}]", LayerSpec, _LAYER_FIELDS, ("nonlinearity", "sigma_w_sq"))
+        for i, item in enumerate(_as_list(value, ctx))
+    )
 
 
-def _parse_mc(data: Any) -> MonteCarloConfig:
-    mapping = _expect_mapping(data, "mc")
-    _reject_unknown(mapping, {"n0", "seed", "enabled"}, "mc")
-    kwargs: dict = {}
-    if "n0" in mapping:
-        kwargs["n0"] = _as_int(mapping["n0"], "mc.n0")
-    if "seed" in mapping:
-        kwargs["seed"] = _as_int(mapping["seed"], "mc.seed")
-    if "enabled" in mapping:
-        kwargs["enabled"] = _as_bool(mapping["enabled"], "mc.enabled")
-    return MonteCarloConfig(**kwargs)
+def _as_probs(value: Any, ctx: str) -> tuple:
+    probs = _as_list(value, ctx)
+    if not probs:
+        raise ConfigError(f"config: {ctx}: must be nonempty")
+    return tuple(_as_real(p, f"{ctx}[{i}]") for i, p in enumerate(probs))
 
 
-def _parse_output(data: Any) -> OutputConfig:
-    mapping = _expect_mapping(data, "output")
-    _reject_unknown(mapping, {"format", "path"}, "output")
-    kwargs: dict = {}
-    if "format" in mapping:
-        kwargs["format"] = _as_str(mapping["format"], "output.format")
-    if "path" in mapping and mapping["path"] is not None:
-        kwargs["path"] = _as_str(mapping["path"], "output.path")
-    return OutputConfig(**kwargs)
+_NETWORK_FIELDS = {
+    "layers": ("layers", _as_layers),
+    "input_mean_square": ("input_mean_square", _as_real),
+}
+_GRID_FIELDS = {
+    "x_min": ("x_min", _as_real),
+    "x_max": ("x_max", _as_real),
+    "points": ("points", _as_int),
+    "log_spaced": ("log_spaced", _as_bool),
+}
+_MC_FIELDS = {"n0": ("n0", _as_int), "seed": ("seed", _as_int), "enabled": ("enabled", _as_bool)}
+_OUTPUT_FIELDS = {"format": ("format", _as_str), "path": ("path", _as_path)}
+_RUN_FIELDS = {
+    "network": ("network", _section(NetworkSpec, _NETWORK_FIELDS, ("layers",))),
+    "grid": ("grid", _section(GridConfig, _GRID_FIELDS)),
+    "y": ("y", _as_real),
+    "probs": ("probs", _as_probs),
+    "mc": ("mc", _section(MonteCarloConfig, _MC_FIELDS)),
+    "output": ("output", _section(OutputConfig, _OUTPUT_FIELDS)),
+}
 
 
 def parse_run_config(data: Any) -> RunConfig:
-    mapping = _expect_mapping(data, "<root>")
-    allowed = {"network", "grid", "y", "probs", "solver", "mc", "output"}
-    _reject_unknown(mapping, allowed, "")
-    if "network" not in mapping:
-        raise ConfigError("config: network: required")
-    kwargs: dict = {"network": _parse_network(mapping["network"])}
-    if "grid" in mapping:
-        kwargs["grid"] = _parse_grid(mapping["grid"])
-    if "y" in mapping:
-        y = _as_real(mapping["y"], "y")
-        if y <= 0:
-            raise ConfigError("config: y: y must be positive")
-        kwargs["y"] = y
-    if "probs" in mapping:
-        probs = _expect_list(mapping["probs"], "probs")
-        if not probs:
-            raise ConfigError("config: probs: must be nonempty")
-        kwargs["probs"] = tuple(_as_real(p, f"probs[{i}]") for i, p in enumerate(probs))
-    if "solver" in mapping:
-        kwargs["solver"] = _parse_solver(mapping["solver"])
-    if "mc" in mapping:
-        kwargs["mc"] = _parse_mc(mapping["mc"])
-    if "output" in mapping:
-        kwargs["output"] = _parse_output(mapping["output"])
-    return RunConfig(**kwargs)
+    return _read(data, "", RunConfig, _RUN_FIELDS, ("network",))
 
 
 def load_config(path: str) -> RunConfig:
@@ -289,8 +253,6 @@ def apply_overrides(
     if points is not None:
         config = dataclasses.replace(config, grid=dataclasses.replace(config.grid, points=points))
     if y is not None:
-        if y <= 0:
-            raise ConfigError("config: y: y must be positive")
         config = dataclasses.replace(config, y=y)
     if seed is not None:
         config = dataclasses.replace(config, mc=dataclasses.replace(config.mc, seed=seed))

@@ -89,15 +89,6 @@ class NetworkSpec:
     def depth(self) -> int:
         return len(self.layers)
 
-    def cumulative_ratios(self) -> list[float]:
-        """Lambda_l = lambda_1 * ... * lambda_l for each layer."""
-        out = []
-        acc = 1.0
-        for layer in self.layers:
-            acc *= layer.width_ratio
-            out.append(acc)
-        return out
-
 
 @dataclass(frozen=True)
 class LayerSummary:

@@ -13,6 +13,10 @@ For many points at once, basin_certificates runs the same Kantorovich test on
 numpy arrays and newton_lockstep iterates every certified point together
 under newton_raphson's stop rule, iteration cap and errors; a density grid uses
 them for the points it can reach in one certified step from a solved point.
+
+The stop rule's tolerance (_EPSILON), Newton's iteration cap, the cap on Im z
+doublings and the descent's step floor, as a fraction of its first gap, are
+module constants: they are part of the method, not settings of a run.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .transform_algebra import (
 )
 
 __all__ = [
-    "SolverConfig",
-    "DEFAULT_CONFIG",
     "BasinCertificate",
     "BasinCertificates",
     "SolveStats",
@@ -51,33 +53,17 @@ __all__ = [
 # Four machine epsilons: the noise-floor factor of phi's product-form evaluation.
 _NOISE_SCALE = 4.0 * 2.0**-52
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    epsilon: float = 1e-12
-    max_newton_iters: int = 100
-    max_doublings: int = 60
-    min_step_fraction: float = 2.0**-60
-
-    def __post_init__(self) -> None:
-        if not (1e-15 <= self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in [1e-15, 1), got {self.epsilon}")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be a positive integer")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be a positive integer")
-        if not (0.0 < self.min_step_fraction < 1.0):
-            raise ValueError("min_step_fraction must lie in (0, 1)")
+_EPSILON = 1e-12
+_MAX_NEWTON_ITERS = 100
+_MAX_DOUBLINGS = 60
+_MIN_STEP_FRACTION = 2.0**-60
 
 
-DEFAULT_CONFIG = SolverConfig()
-
-
-def _converged(value, deriv, m, degree: int, epsilon: float, modulus=abs):
+def _converged(value, deriv, m, degree: int, modulus=abs):
     """Newton's stop rule, for scalars (modulus=abs) or arrays (modulus=_modulus).
 
-    Stop when |phi| < epsilon and the next step |phi/phi'| is at most
-    epsilon * (1 + |m|): near a spectral edge |phi'| is tiny, so a small
+    Stop when |phi| < _EPSILON and the next step |phi/phi'| is at most
+    _EPSILON * (1 + |m|): near a spectral edge |phi'| is tiny, so a small
     residual alone can leave m far from the root.  Or stop at phi's own
     floating-point floor: phi = P(m)/z - m with value + m = P(m)/z, and
     eval_phi forms P(m) from d factors gain (m - r_j).  With u = eps/2, each
@@ -92,7 +78,7 @@ def _converged(value, deriv, m, degree: int, epsilon: float, modulus=abs):
     resid = modulus(value)
     slope = modulus(deriv)
     size = modulus(m)
-    return ((resid < epsilon) & (resid <= epsilon * slope * (1.0 + size))) | (
+    return ((resid < _EPSILON) & (resid <= _EPSILON * slope * (1.0 + size))) | (
         resid < _NOISE_SCALE * (degree * modulus(value + m) + size + slope * size)
     )
 
@@ -171,7 +157,6 @@ def is_in_basin(
     meq: RationalMasterEq,
     z: complex,
     m0: complex,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> Optional[BasinCertificate]:
     """Kantorovich test at m0; None means "not certified", never "divergent"."""
     if z.imag == 0.0:
@@ -198,7 +183,6 @@ def basin_certificates(
     meq: RationalMasterEq,
     z: np.ndarray,
     m0: np.ndarray,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> BasinCertificates:
     """is_in_basin elementwise over arrays of objectives z and starts m0.
 
@@ -226,7 +210,6 @@ def newton_raphson(
     meq: RationalMasterEq,
     z: complex,
     m0: complex,
-    config: SolverConfig = DEFAULT_CONFIG,
     stats: Optional[SolveStats] = None,
     certificate: Optional[BasinCertificate] = None,
 ) -> complex:
@@ -235,8 +218,8 @@ def newton_raphson(
 
     A certificate from is_in_basin(meq, z, m0) supplies phi and phi' at m0, so
     the first step costs no evaluation; the iterates are the same either way.
-    Stops by _converged: when |phi_z(m)| < epsilon and the next step
-    |phi/phi'| is at most epsilon * (1 + |m|), or when the residual falls below
+    Stops by _converged: when |phi_z(m)| < _EPSILON and the next step
+    |phi/phi'| is at most _EPSILON * (1 + |m|), or when the residual falls below
     its own floating-point evaluation floor (converged to working precision).
     """
     if z.imag == 0.0:
@@ -245,16 +228,14 @@ def newton_raphson(
         value, deriv = eval_phi(meq, z, m0)
     else:
         value, deriv = certificate.value, certificate.deriv
-    epsilon = config.epsilon
-    max_iters = config.max_newton_iters
     degree = len(meq.roots)
     m = m0
-    for iteration in range(max_iters + 1):
-        if _converged(value, deriv, m, degree, epsilon):
+    for iteration in range(_MAX_NEWTON_ITERS + 1):
+        if _converged(value, deriv, m, degree):
             if stats is not None:
                 stats.newton_iterations += iteration
             return m
-        if iteration == max_iters:
+        if iteration == _MAX_NEWTON_ITERS:
             break
         if deriv == 0 or not cisfinite(deriv):
             raise SolverError(f"derivative underflow at m={m} (z={z})", z=z)
@@ -263,7 +244,7 @@ def newton_raphson(
             raise SolverError(f"iterate diverged to {m} (z={z})", z=z)
         value, deriv = eval_phi(meq, z, m)
     raise SolverError(
-        f"no convergence within {max_iters} iterations at z={z} "
+        f"no convergence within {_MAX_NEWTON_ITERS} iterations at z={z} "
         f"(residual {abs(value):.3e})",
         z=z,
     )
@@ -275,7 +256,6 @@ def newton_lockstep(
     m0: np.ndarray,
     value: np.ndarray,
     deriv: np.ndarray,
-    config: SolverConfig = DEFAULT_CONFIG,
     stats: Optional[SolveStats] = None,
 ) -> np.ndarray:
     """newton_raphson on every point at once, from starts that all certified.
@@ -288,14 +268,12 @@ def newton_lockstep(
     """
     z = np.asarray(z, dtype=complex)
     m = np.broadcast_to(np.asarray(m0, dtype=complex), z.shape).copy()
-    epsilon = config.epsilon
-    max_iters = config.max_newton_iters
     degree = len(meq.roots)
     out = m.copy()
     live = np.arange(z.size)
     steps = 0
-    for iteration in range(max_iters + 1):
-        done = _converged(value, deriv, m, degree, epsilon, _modulus)
+    for iteration in range(_MAX_NEWTON_ITERS + 1):
+        done = _converged(value, deriv, m, degree, _modulus)
         if done.any():
             out[live[done]] = m[done]
             steps += iteration * int(np.count_nonzero(done))
@@ -305,7 +283,7 @@ def newton_lockstep(
             if stats is not None:
                 stats.newton_iterations += steps
             return out
-        if iteration == max_iters:
+        if iteration == _MAX_NEWTON_ITERS:
             break
         flat = (deriv == 0) | ~np.isfinite(deriv)
         if flat.any():
@@ -323,7 +301,7 @@ def newton_lockstep(
                 )
             value, deriv = eval_phi_array(meq, z, m)
     raise SolverError(
-        f"no convergence within {max_iters} iterations at z={complex(z[0])} "
+        f"no convergence within {_MAX_NEWTON_ITERS} iterations at z={complex(z[0])} "
         f"(residual {abs(complex(value[0])):.3e})",
         z=complex(z[0]),
     )
@@ -333,7 +311,6 @@ def newton_lilypads(
     meq: RationalMasterEq,
     z_objective: complex,
     proxy: Optional[tuple[complex, complex]] = None,
-    config: SolverConfig = DEFAULT_CONFIG,
     stats: Optional[SolveStats] = None,
 ) -> complex:
     """Solve phi_{z_objective}(m) = 0 on the decaying branch (m -> 0 as z -> infinity).
@@ -361,10 +338,10 @@ def newton_lilypads(
         m = 0j
         doublings = 0
         stats.certificate_tests += 1
-        cert = is_in_basin(meq, z, m, config)
+        cert = is_in_basin(meq, z, m)
         while cert is None:
             stats.rejected_tests += 1
-            if doublings >= config.max_doublings:
+            if doublings >= _MAX_DOUBLINGS:
                 raise SolverError(
                     f"no certified start after {doublings} doublings of Im z "
                     f"(reached z={z})",
@@ -373,16 +350,16 @@ def newton_lilypads(
             z = complex(z.real, 2.0 * z.imag)
             doublings += 1
             stats.certificate_tests += 1
-            cert = is_in_basin(meq, z, m, config)
+            cert = is_in_basin(meq, z, m)
         stats.doublings += doublings
-        m = newton_raphson(meq, z, m, config, stats, cert)
+        m = newton_raphson(meq, z, m, stats, cert)
         stats.basins += 1
         if z == z_objective:
             return m
     else:
         z, m = proxy
 
-    return _descend(meq, z, m, z_objective, config, stats)
+    return _descend(meq, z, m, z_objective, stats)
 
 
 def _descend(
@@ -390,11 +367,10 @@ def _descend(
     z: complex,
     m: complex,
     z_objective: complex,
-    config: SolverConfig,
     stats: SolveStats,
 ) -> complex:
     full_step = abs(z_objective - z)
-    floor = config.min_step_fraction * full_step
+    floor = _MIN_STEP_FRACTION * full_step
     step = full_step
     while True:
         dz = z_objective - z
@@ -405,7 +381,7 @@ def _descend(
             dz *= 2.0 * step / gap
             target = z + dz
         stats.certificate_tests += 1
-        cert = is_in_basin(meq, target, m, config)
+        cert = is_in_basin(meq, target, m)
         while cert is None:
             stats.rejected_tests += 1
             dz *= 0.5
@@ -413,7 +389,7 @@ def _descend(
             if abs(dz) < floor:
                 raise SolverError(
                     f"continuation stalled at z={z} (step below "
-                    f"{config.min_step_fraction:.3g} of the initial gap)",
+                    f"{_MIN_STEP_FRACTION:.3g} of the initial gap)",
                     z=z_objective,
                     last_certified=(z, m),
                 )
@@ -424,10 +400,10 @@ def _descend(
                     last_certified=(z, m),
                 )
             stats.certificate_tests += 1
-            cert = is_in_basin(meq, target, m, config)
+            cert = is_in_basin(meq, target, m)
         step = abs(dz)
         z = target
-        m = newton_raphson(meq, z, m, config, stats, cert)
+        m = newton_raphson(meq, z, m, stats, cert)
         stats.basins += 1
         if z == z_objective:
             return m

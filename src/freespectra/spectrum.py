@@ -19,8 +19,6 @@ import numpy as np
 from .network_model import NetworkSpec, summarize
 from . import solver
 from .solver import (
-    DEFAULT_CONFIG,
-    SolverConfig,
     SolverError,
     SolveStats,
     basin_certificates,
@@ -119,6 +117,11 @@ def default_grid(
         x_min = m1 * 1e-4
     if x_max is None:
         x_max = m1 + 10.0 * math.sqrt(var)
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError(
+            f"grid window [{x_min!r}, {x_max!r}] is not finite: the closed-form moments give "
+            f"m1 = {m1!r} and variance = {var!r}; set grid.x_min and grid.x_max"
+        )
     if not (0.0 < x_min < x_max):
         raise ValueError(f"invalid grid bracket [{x_min}, {x_max}]")
     if log_spaced:
@@ -130,33 +133,29 @@ def density_grid(
     spec: NetworkSpec,
     xs: Optional[Sequence[float]] = None,
     y: float = 1e-6,
-    points: int = 200,
-    solver_config: SolverConfig = DEFAULT_CONFIG,
-    reverse: bool = False,
 ) -> DensityCurve:
     """Solve the master equation at z = x + iy over the grid and return the curve.
 
-    The grid is walked from its largest x downward (smallest upward when
-    reverse=True).  The walk jumps 64 points at a time, halving a jump until
-    it certifies, and solves each jump's end in sequence from the previous
-    one; the points jumped over are then certified and solved together from
-    those roots (see _walk_roots).
+    xs defaults to default_grid(spec).  The grid is walked from its largest x
+    downward.  The walk jumps 64 points at a time, halving a jump until it
+    certifies, and solves each jump's end in sequence from the previous one;
+    the points jumped over are then certified and solved together from those
+    roots (see _walk_roots).  The solver's tolerance and caps are the solver
+    module's constants.
     """
-    if y <= 0:
-        raise ValueError("y must be positive")
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"y must be positive and finite, got {y!r}")
     if xs is None:
-        xs = default_grid(spec, points)
+        xs = default_grid(spec)
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0):
         raise ValueError("grid points must be positive (the atom at 0 is handled separately)")
     meq = master_from_spec(spec)
     stats = SolveStats()
     zs = np.empty(xs.size, dtype=complex)
-    zs.real = xs if reverse else xs[::-1]
+    zs.real = xs[::-1]
     zs.imag = y
-    ms = _walk_roots(meq, zs, solver_config, stats)
-    if not reverse:
-        ms = ms[::-1]
+    ms = _walk_roots(meq, zs, stats)[::-1]
 
     rhos = -((ms + 1.0) / (xs + 1j * y)).imag / math.pi
     bad = np.flatnonzero(rhos < -_NEGATIVE_DENSITY_TOL)
@@ -176,9 +175,7 @@ def density_grid(
     )
 
 
-def _walk_roots(
-    meq: RationalMasterEq, zs: np.ndarray, config: SolverConfig, stats: SolveStats
-) -> np.ndarray:
+def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.ndarray:
     """Decaying-branch roots at the points zs, given in walk order.
 
     Coarse pass: the segments end at every _STRIDE-th point and at the last
@@ -201,7 +198,7 @@ def _walk_roots(
     def walk(k: int, proxy: Optional[tuple]) -> complex:
         z = z_list[k]
         try:
-            m = newton_lilypads(meq, z, proxy, config, stats)
+            m = newton_lilypads(meq, z, proxy, stats)
         except SolverError as err:
             raise SolverError(
                 f"density solve failed at x={z.real!r}: {err}",
@@ -213,7 +210,7 @@ def _walk_roots(
         return m
 
     # segment ends still to reach, the next one on top
-    ends = [n - 1, *reversed(range(_STRIDE, n - 1, _STRIDE))] if n > 1 else []
+    ends = [n - 1, *range(_STRIDE, n - 1, _STRIDE)[::-1]] if n > 1 else []
     head = 0
     m = walk(0, None)
     while ends:
@@ -222,7 +219,7 @@ def _walk_roots(
             # called through the solver module, so that a wrapper installed at
             # solver.is_in_basin sees the coarse tests too
             stats.certificate_tests += 1
-            if solver.is_in_basin(meq, z_list[end], m, config) is None:
+            if solver.is_in_basin(meq, z_list[end], m) is None:
                 stats.rejected_tests += 1
                 ends += [end, (head + end) // 2]
                 continue
@@ -236,15 +233,13 @@ def _walk_roots(
     # nearest sequentially solved point before it
     heads = np.maximum.accumulate(np.where(sequential, np.arange(n), 0))[fine]
     z, m0 = zs[fine], ms[heads]
-    certs = basin_certificates(meq, z, m0, config)
+    certs = basin_certificates(meq, z, m0)
     ok = certs.certified
     solved = int(np.count_nonzero(ok))
     stats.certificate_tests += fine.size
     stats.rejected_tests += fine.size - solved
     try:
-        ms[fine[ok]] = newton_lockstep(
-            meq, z[ok], m0[ok], certs.value[ok], certs.deriv[ok], config, stats
-        )
+        ms[fine[ok]] = newton_lockstep(meq, z[ok], m0[ok], certs.value[ok], certs.deriv[ok], stats)
     except SolverError as err:
         raise SolverError(f"density solve failed at x={err.z.real!r}: {err}", z=err.z) from err
     stats.basins += solved

@@ -72,6 +72,30 @@ def test_density_rejects_nonpositive_y(tmp_path, capsys):
     assert "y must be positive" in capsys.readouterr().err
 
 
+def test_density_rejects_nan_y_from_the_command_line(tmp_path, capsys):
+    config = write_config(tmp_path, "mp.json", MP1)
+    assert cli.main(["density", "--config", config, "--y", "nan"]) == 2
+    assert capsys.readouterr().err == "error: config: y: y must be positive and finite, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('"y": NaN', "config: y: y must be positive and finite, got nan"),
+        ('"grid": {"x_max": Infinity}', "config: grid.x_max: must be positive and finite, got inf"),
+        (
+            '"grid": {"x_min": -Infinity}',
+            "config: grid.x_min: must be positive and finite, got -inf",
+        ),
+    ],
+)
+def test_density_rejects_non_finite_json_literals(tmp_path, capsys, text, message):
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(MP1)[:-1] + ", " + text + "}")
+    assert cli.main(["density", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_density_relu4_nonnegative(tmp_path):
     config = write_config(tmp_path, "relu4.json", RELU4)
     out = tmp_path / "relu4.csv"

@@ -13,7 +13,6 @@ from freespectra import (
     NetworkSpec,
     closed_form_moments,
     Nonlinearity,
-    SolverConfig,
     SolverError,
     SolveStats,
     default_grid,
@@ -25,7 +24,7 @@ from freespectra import (
     newton_raphson,
 )
 from freespectra.oracles import all_roots
-from freespectra.solver import DEFAULT_CONFIG, basin_certificates, newton_lockstep
+from freespectra.solver import basin_certificates, newton_lockstep
 
 
 def mp_meq():
@@ -37,19 +36,6 @@ def mp_root(z):
     roots = np.roots([1.0, 2.0 - z, 1.0])
     dens = [-((m + 1) / z).imag for m in roots]
     return complex(roots[int(np.argmax(dens))])
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=1e-16)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(max_newton_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(min_step_fraction=1.5)
-    assert DEFAULT_CONFIG.epsilon == 1e-12
-    assert DEFAULT_CONFIG.max_newton_iters == 100
 
 
 def test_is_in_basin_mp1_example():
@@ -121,10 +107,10 @@ def test_newton_stop_near_edge_waits_for_a_small_step():
                 assert min(abs(mpmath.mpc(m.real, m.imag) - r) for r in roots) <= 1e-9
 
 
-def test_newton_iteration_cap_raises():
-    config = SolverConfig(max_newton_iters=2)
+def test_newton_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(solver_module, "_MAX_NEWTON_ITERS", 2)
     with pytest.raises(SolverError):
-        newton_raphson(mp_meq(), 2 + 1j, 50 + 50j, config=config)
+        newton_raphson(mp_meq(), 2 + 1j, 50 + 50j)
 
 
 def test_lilypads_cold_start():
@@ -185,11 +171,11 @@ def test_lilypads_is_deterministic():
     assert s1 == s2
 
 
-def test_lilypads_stall_reports_last_certified():
+def test_lilypads_stall_reports_last_certified(monkeypatch):
     # a coarse dichotomy floor forces a stall near the spectral edge
-    config = SolverConfig(min_step_fraction=0.5)
+    monkeypatch.setattr(solver_module, "_MIN_STEP_FRACTION", 0.5)
     with pytest.raises(SolverError) as info:
-        newton_lilypads(mp_meq(), 3.9999 + 1e-13j, config=config)
+        newton_lilypads(mp_meq(), 3.9999 + 1e-13j)
     err = info.value
     assert err.last_certified is not None
     z_last, m_last = err.last_certified
@@ -300,9 +286,9 @@ def test_every_newton_solve_starts_from_a_certificate(monkeypatch, nonlinearity,
     uncertified = {"calls": 0}
     original = solver_module.newton_raphson
 
-    def counting(meq, z, m0, config=DEFAULT_CONFIG, stats=None, certificate=None):
+    def counting(meq, z, m0, stats=None, certificate=None):
         uncertified["calls"] += certificate is None
-        return original(meq, z, m0, config, stats, certificate)
+        return original(meq, z, m0, stats, certificate)
 
     monkeypatch.setattr("freespectra.solver.newton_raphson", counting)
     spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
@@ -434,7 +420,7 @@ def test_batched_step_matches_the_scalar_step():
     assert certified > 500 and rejected > 100
 
 
-def test_newton_lockstep_raises_newton_raphsons_errors():
+def test_newton_lockstep_raises_newton_raphsons_errors(monkeypatch):
     # a start that needs several steps, allowed one, raises the scalar path's
     # error naming the first such point; exact roots take zero steps
     meq = mp_meq()
@@ -442,12 +428,13 @@ def test_newton_lockstep_raises_newton_raphsons_errors():
     m0 = np.array([0j, -0.5j, -1 + 1j])
     certs = basin_certificates(meq, z, m0)
     assert certs.certified.all()
-    config = SolverConfig(max_newton_iters=1)
-    with pytest.raises(SolverError, match="no convergence within 1 iterations") as info:
-        newton_lockstep(meq, z, m0, certs.value, certs.deriv, config=config)
-    assert info.value.z == 10j
-    with pytest.raises(SolverError, match="no convergence within 1 iterations"):
-        newton_raphson(meq, 10j, 0j, config=config)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_MAX_NEWTON_ITERS", 1)
+        with pytest.raises(SolverError, match="no convergence within 1 iterations") as info:
+            newton_lockstep(meq, z, m0, certs.value, certs.deriv)
+        assert info.value.z == 10j
+        with pytest.raises(SolverError, match="no convergence within 1 iterations"):
+            newton_raphson(meq, 10j, 0j)
     batched, scalar = SolveStats(), SolveStats()
     ms = newton_lockstep(meq, z, m0, certs.value, certs.deriv, stats=batched)
     for z_i, m0_i, m_i in zip(z.tolist(), m0.tolist(), ms.tolist()):

@@ -16,6 +16,7 @@ from freespectra import (
     NetworkSpec,
     Nonlinearity,
     SolverError,
+    SolveStats,
     atom_lower_bound,
     closed_form_moments,
     default_grid,
@@ -97,10 +98,15 @@ def test_density_flattens_as_y_grows():
 
 
 def test_density_reverse_traversal_invariance():
-    xs = default_grid(relu4_spec(), points=60)
-    fwd = density_grid(relu4_spec(), xs=xs, y=1e-6)
-    rev = density_grid(relu4_spec(), xs=xs, y=1e-6, reverse=True)
-    assert np.max(np.abs(fwd.rhos - rev.rhos)) <= 1e-9
+    # walking the grid upward from its smallest x finds the density that
+    # density_grid's downward walk finds
+    spec = relu4_spec()
+    xs = default_grid(spec, points=60)
+    fwd = density_grid(spec, xs=xs, y=1e-6)
+    zs = xs + 1e-6j
+    ms = spectrum_module._walk_roots(master_from_spec(spec), zs, SolveStats())
+    rev = np.maximum(-((ms + 1.0) / zs).imag / math.pi, 0.0)
+    assert np.max(np.abs(fwd.rhos - rev)) <= 1e-9
 
 
 def record_grid_roots(monkeypatch):
@@ -221,11 +227,11 @@ def test_deep_grid_matches_the_sequential_walk(nonlinearity, gain, depth, ratio,
 def test_density_grid_leaves_no_reference_cycles():
     # a grid's arrays are freed by reference counting when it returns, not
     # left for the cyclic collector
-    density_grid(relu4_spec(), points=400)
+    density_grid(relu4_spec(), xs=default_grid(relu4_spec(), points=400))
     gc.collect()
     gc.disable()
     try:
-        density_grid(relu4_spec(), points=400)
+        density_grid(relu4_spec(), xs=default_grid(relu4_spec(), points=400))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -259,7 +265,7 @@ def test_deep_net_density_completes(layers):
     spec = NetworkSpec(
         layers=tuple(LayerSpec(nl, gain) for nl, gain, depth in layers for _ in range(depth))
     )
-    curve = density_grid(spec, points=200)
+    curve = density_grid(spec)
     assert np.all(np.isfinite(curve.rhos))
     assert np.all(curve.rhos >= 0.0) and curve.rhos.max() > 0.0
 
@@ -267,14 +273,28 @@ def test_deep_net_density_completes(layers):
 def test_density_validates_inputs():
     with pytest.raises(ValueError, match="y must be positive"):
         density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=0.0)
+    for y in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="y must be positive and finite"):
+            density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=y)
     with pytest.raises(ValueError):
         density_grid(mp_spec(), xs=np.array([-1.0, 2.0]), y=1e-6)
     with pytest.raises(ValueError):
         density_grid(mp_spec(), xs=np.array([2.0, 1.0]), y=1e-6)
 
 
+def test_default_grid_names_an_overflowing_window():
+    # m1 = 1e250 and its variance 25 * 1e500 overflows, so the default x_max
+    # would be inf and the solve would fail far from the cause
+    spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.LINEAR, 1e10) for _ in range(25)))
+    with pytest.raises(ValueError, match=r"m1 = 9\.99+\d*e\+249 and variance = inf") as info:
+        default_grid(spec)
+    assert "grid.x_min and grid.x_max" in str(info.value)
+    xs = default_grid(spec, points=50, x_min=1e246, x_max=1e251)
+    assert np.all(np.isfinite(density_grid(spec, xs=xs).rhos))
+
+
 def test_density_failure_names_the_grid_point(monkeypatch):
-    def explode(meq, z_objective, proxy=None, config=None, stats=None):
+    def explode(meq, z_objective, proxy=None, stats=None):
         raise SolverError("synthetic failure")
 
     monkeypatch.setattr("freespectra.spectrum.newton_lilypads", explode)
