@@ -101,41 +101,37 @@ class RunConfig:
         return self.network
 
 
-def _path(ctx: str, key: str) -> str:
-    return f"{ctx}.{key}" if ctx else key
-
-
-def _reported(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), reporting a plain ValueError as a ConfigError at where."""
-    try:
-        return build(*args, **kwargs)
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"config: {where}: {err}") from None
-
-
 def _read(data: Any, ctx: str, cls, fields: dict, required: tuple = ()):
     """Build cls from the JSON object data found at path ctx ("" for the root).
 
     fields maps each allowed key, in reading order, to (argument of cls,
     reader); a reader takes the value and its path.  An object that is not a
-    mapping, an unknown key and a missing required key are refused first.
+    mapping, an unknown key and a missing required key are refused first.  A
+    plain ValueError of a reader or of cls is reported at the path it came
+    from; a ConfigError passes unchanged.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config: {ctx or '<root>'}: expected an object, got {type(data).__name__}")
+    prefix = f"{ctx}." if ctx else ""
     for key in data:
         if key not in fields:
-            raise ConfigError(f"config: {_path(ctx, key)}: unknown field")
+            raise ConfigError(f"config: {prefix}{key}: unknown field")
     for key in required:
         if key not in data:
-            raise ConfigError(f"config: {_path(ctx, key)}: required")
+            raise ConfigError(f"config: {prefix}{key}: required")
     kwargs = {}
-    for key, (name, reader) in fields.items():
-        if key in data:
-            where = _path(ctx, key)
-            kwargs[name] = _reported(where, reader, data[key], where)
-    return _reported(ctx, cls, **kwargs)
+    where = ctx
+    try:
+        for key, (name, reader) in fields.items():
+            if key in data:
+                where = prefix + key
+                kwargs[name] = reader(data[key], where)
+        where = ctx
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"config: {where}: {err}") from None
 
 
 def _section(cls, fields: dict, required: tuple = ()):
@@ -249,7 +245,7 @@ def apply_overrides(
     seed: Optional[int] = None,
     out: Optional[str] = None,
 ) -> RunConfig:
-    """Fold command-line flags over a loaded configuration."""
+    """Fold command-line flags over a loaded configuration; each meets its field's check."""
     if points is not None:
         config = dataclasses.replace(config, grid=dataclasses.replace(config.grid, points=points))
     if y is not None:

@@ -325,6 +325,9 @@ def newton_lilypads(
     """
     if z_objective.imag == 0.0:
         raise _off_axis_error(z_objective)
+    if not cisfinite(z_objective):
+        # from a proxy, a NaN objective would halve the descent's step without end
+        raise ValueError(f"z must be finite, got {z_objective}")
     if stats is None:
         stats = SolveStats()
 

@@ -148,8 +148,10 @@ def density_grid(
     if xs is None:
         xs = default_grid(spec)
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
-        raise ValueError("grid points must be positive (the atom at 0 is handled separately)")
+    if not np.all(np.isfinite(xs) & (xs > 0)):
+        raise ValueError(
+            "grid points must be positive and finite (the atom at 0 is handled separately)"
+        )
     meq = master_from_spec(spec)
     stats = SolveStats()
     zs = np.empty(xs.size, dtype=complex)

@@ -154,6 +154,16 @@ def test_lilypads_rejects_real_axis():
         newton_lilypads(mp_meq(), 2.0 + 0j)
 
 
+def test_lilypads_rejects_a_non_finite_objective():
+    # from a proxy, a NaN objective once kept the descent halving its step
+    # without end, and an infinite one returned m = 0
+    meq = mp_meq()
+    proxy = (2 + 1j, newton_lilypads(meq, 2 + 1j))
+    for z in (complex(math.nan, 1e-6), complex(math.inf, 1e-6)):
+        with pytest.raises(ValueError, match="z must be finite"):
+            newton_lilypads(meq, z, proxy=proxy)
+
+
 def test_lilypads_lower_half_plane_schwarz():
     meq = mp_meq()
     for z in (2 + 1e-3j, 3.5 + 0.2j, 0.5 + 1j):

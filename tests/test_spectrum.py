@@ -276,6 +276,9 @@ def test_density_validates_inputs():
     for y in (math.nan, math.inf):
         with pytest.raises(ValueError, match="y must be positive and finite"):
             density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=y)
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            density_grid(mp_spec(), xs=np.array([1.0, x]), y=1e-6)
     with pytest.raises(ValueError):
         density_grid(mp_spec(), xs=np.array([-1.0, 2.0]), y=1e-6)
     with pytest.raises(ValueError):
