@@ -252,8 +252,8 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
 
 def uniform_density_curve(x_lo: float, x_hi: float, points: int = 201) -> DensityCurve:
     """Synthetic flat curve (mass 1, no atom); used for test modes, not solving."""
-    if not (0.0 <= x_lo < x_hi):
-        raise ValueError("need 0 <= x_lo < x_hi")
+    if not (0.0 <= x_lo < x_hi < math.inf):
+        raise ValueError(f"need 0 <= x_lo < x_hi < inf, got [{x_lo!r}, {x_hi!r}]")
     xs = np.linspace(x_lo, x_hi, points)
     rhos = np.full(points, 1.0 / (x_hi - x_lo))
     return DensityCurve(xs=xs, rhos=rhos, y=0.0, total_mass=1.0)

@@ -285,6 +285,13 @@ def test_density_validates_inputs():
         density_grid(mp_spec(), xs=np.array([2.0, 1.0]), y=1e-6)
 
 
+@pytest.mark.parametrize("x_lo, x_hi", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)])
+def test_uniform_density_curve_refuses_a_non_finite_bound(x_lo, x_hi):
+    # an infinite upper bound once failed later as "curve carries no mass"
+    with pytest.raises(ValueError, match="need 0 <= x_lo < x_hi < inf"):
+        uniform_density_curve(x_lo, x_hi)
+
+
 def test_default_grid_names_an_overflowing_window():
     # m1 = 1e250 and its variance 25 * 1e500 overflows, so the default x_max
     # would be inf and the solve would fail far from the cause
