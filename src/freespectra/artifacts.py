@@ -2,7 +2,9 @@
 
 Every float is written with shortest round-trip formatting (`repr`), so a parsed
 artifact reconstructs bit-identical doubles; files are written atomically
-(temp file in the same directory, then rename).
+(temp file in the same directory, then rename).  A JSON artifact is one line:
+json.dumps without an indent runs the C encoder, about twice as fast as the
+pure-Python one an indent forces on a 20k-point density.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def render_density(curve: DensityCurve, fmt: str = "csv") -> str:
             "x": curve.xs.tolist(),
             "rho": curve.rhos.tolist(),
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc) + "\n"
     lines = [
         f"# y: {curve.y!r}",
         f"# total_mass: {curve.total_mass!r}",
@@ -94,7 +96,7 @@ def render_quantiles(table: QuantileTable, fmt: str = "csv") -> str:
             "values": list(table.values),
             "log10_values": logs,
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc) + "\n"
     lines = [
         f"# atom_lower_bound: {table.atom_lower_bound!r}",
         f"# total_mass: {table.total_mass!r}",

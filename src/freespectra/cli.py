@@ -99,8 +99,10 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_quantiles(args: argparse.Namespace) -> int:
     config = _load(args)
     if getattr(args, "synthetic", None) is not None:
-        lo, hi = args.synthetic
-        curve = uniform_density_curve(lo, hi)
+        try:
+            curve = uniform_density_curve(*args.synthetic)
+        except ValueError as err:
+            raise ConfigError(f"--synthetic: {err}") from None
     else:
         curve = _solve_curve(config)
     table = quantiles(curve, config.probs)

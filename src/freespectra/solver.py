@@ -59,8 +59,8 @@ _MAX_DOUBLINGS = 60
 _MIN_STEP_FRACTION = 2.0**-60
 
 
-def _converged(value, deriv, m, degree: int, modulus=abs):
-    """Newton's stop rule, for scalars (modulus=abs) or arrays (modulus=_modulus).
+def _converged(value, deriv, m, degree: int):
+    """Newton's stop rule, for scalars or elementwise for numpy arrays.
 
     Stop when |phi| < _EPSILON and the next step |phi/phi'| is at most
     _EPSILON * (1 + |m|): near a spectral edge |phi'| is tiny, so a small
@@ -74,12 +74,16 @@ def _converged(value, deriv, m, degree: int, modulus=abs):
     4 eps (d |P(m)/z| + |m|).  m itself is rounded too, which next to a root
     r_j of P moves the factor m - r_j by a relative u |m|/|m - r_j|, so phi
     by up to about 4 eps |phi'| |m|.
+
+    The moduli are abs: Python's (hypot) for scalars, np.abs for arrays.
+    np.abs of a complex array can be almost 2 ulp off hypot but costs a tenth
+    of it; the stop rule is a tolerance test, not part of the certificate.
     """
-    resid = modulus(value)
-    slope = modulus(deriv)
-    size = modulus(m)
+    resid = abs(value)
+    slope = abs(deriv)
+    size = abs(m)
     return ((resid < _EPSILON) & (resid <= _EPSILON * slope * (1.0 + size))) | (
-        resid < _NOISE_SCALE * (degree * modulus(value + m) + size + slope * size)
+        resid < _NOISE_SCALE * (degree * abs(value + m) + size + slope * size)
     )
 
 
@@ -187,9 +191,11 @@ def basin_certificates(
     """is_in_basin elementwise over arrays of objectives z and starts m0.
 
     Every rejection of the scalar test is kept: phi' zero or not finite, delta
-    or kappa not finite, and h not below 1/2.  The moduli are hypot, as in
-    Python's abs of a complex, and the lambda bound is bit-identical to the
-    scalar one.
+    or kappa not finite, and h not below 1/2.  Every modulus is hypot, as in
+    Python's abs of a complex, so each verdict and h is the scalar one: |phi|,
+    |phi'| and |z| per point, and the lambda bound's |m0 - r_j| once per run
+    of equal consecutive starts (second_derivative_bound_array), which a
+    grid's batched points share with their segment.
     """
     z = np.asarray(z, dtype=complex)
     m0 = np.asarray(m0, dtype=complex)
@@ -262,9 +268,10 @@ def newton_lockstep(
 
     value and deriv are phi and phi' at m0 from basin_certificates(meq, z, m0),
     taken only where it certified; they make the first step.  Each point stops
-    by the scalar stop rule and leaves the batch; stats.newton_iterations gains
-    each point's step count.  The first point, in array order, to hit one of
-    newton_raphson's errors raises it, naming that point's z.
+    by newton_raphson's stop rule, _converged, with its moduli taken by np.abs,
+    and leaves the batch; stats.newton_iterations gains each point's step
+    count.  The first point, in array order, to hit one of newton_raphson's
+    errors raises it, naming that point's z.
     """
     z = np.asarray(z, dtype=complex)
     m = np.broadcast_to(np.asarray(m0, dtype=complex), z.shape).copy()
@@ -273,7 +280,7 @@ def newton_lockstep(
     live = np.arange(z.size)
     steps = 0
     for iteration in range(_MAX_NEWTON_ITERS + 1):
-        done = _converged(value, deriv, m, degree, _modulus)
+        done = _converged(value, deriv, m, degree)
         if done.any():
             out[live[done]] = m[done]
             steps += iteration * int(np.count_nonzero(done))

@@ -68,6 +68,14 @@ class DensityCurve:
             raise ValueError("xs and rhos must be 1-D arrays of equal length")
         if self.xs.size < 2:
             raise ValueError("a density curve needs at least two grid points")
+        # NaN passes both order checks below, since every comparison with it is False
+        for name, values in (("xs", self.xs), ("rhos", self.rhos)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = float(values[np.argmin(finite)])
+                raise ValueError(f"{name} must be finite, got {bad!r}")
+        if not math.isfinite(self.total_mass):
+            raise ValueError(f"total_mass must be finite, got {self.total_mass!r}")
         if self.xs[0] < 0 or np.any(np.diff(self.xs) <= 0):
             raise ValueError("xs must be strictly increasing and nonnegative")
         if np.any(self.rhos < 0):

@@ -86,6 +86,21 @@ def test_density_json_ignores_keys_that_are_not_counters(tmp_path):
     assert read_density(str(path)).stats == curve.stats
 
 
+def test_density_csv_holding_nan_is_refused(tmp_path):
+    path = tmp_path / "nan.csv"
+    text = render_density(awkward_curve(), "csv").replace("\n2.0,5e-324\n", "\n2.0,nan\n")
+    assert "2.0,nan" in text
+    path.write_text(text)
+    with pytest.raises(ValueError, match="rhos must be finite, got nan"):
+        read_density(str(path))
+
+
+def test_density_json_is_one_line():
+    text = render_density(awkward_curve(), "json")
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert json.loads(text)["rho"] == awkward_curve().rhos.tolist()
+
+
 def test_quantiles_round_trip_and_zero_value_log(tmp_path):
     table = QuantileTable(
         probs=(0.1, 0.5, 0.9),

@@ -126,6 +126,14 @@ def test_quantiles_synthetic_uniform(capsys):
     assert float(log10) == pytest.approx(math.log10(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("lo, hi", [("0", "nan"), ("2", "1")])
+def test_quantiles_rejects_a_bad_synthetic_pair(capsys, lo, hi):
+    assert cli.main(["quantiles", "--synthetic", lo, hi]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --synthetic: need 0 <= x_lo < x_hi < inf, got [{float(lo)!r}, {float(hi)!r}]\n"
+    )
+
+
 def test_quantiles_mp_median_vs_oracle(tmp_path):
     payload = dict(MP1)
     payload["grid"] = {"x_min": 1e-8, "points": 600}

@@ -451,3 +451,50 @@ def test_newton_lockstep_raises_newton_raphsons_errors(monkeypatch):
         assert abs(m_i - newton_raphson(meq, z_i, m0_i, stats=scalar)) <= 1e-14
     assert ms[2] == m0[2]
     assert batched.newton_iterations == scalar.newton_iterations
+
+
+def test_lockstep_stop_rule_matches_newton_raphson_on_grid_batches(monkeypatch):
+    # the batched stop rule takes its moduli with np.abs, the scalar one with
+    # hypot; on every batched point of fixed-seed random grids both stop after
+    # the same number of steps at the same root
+    batches = []
+    original = spectrum_module.newton_lockstep
+
+    def recording(meq, z, m0, value, deriv, stats=None):
+        batches.append((meq, z, m0, value, deriv))
+        return original(meq, z, m0, value, deriv, stats)
+
+    monkeypatch.setattr("freespectra.spectrum.newton_lockstep", recording)
+    rng = np.random.default_rng(2024)
+    nls = list(Nonlinearity)
+    for _ in range(8):
+        spec = NetworkSpec(
+            layers=tuple(
+                LayerSpec(
+                    nonlinearity=nls[rng.integers(0, len(nls))],
+                    sigma_w_sq=float(rng.uniform(0.5, 2.5)),
+                    width_ratio=float(rng.choice([0.5, 1.0, 2.0])),
+                )
+                for _ in range(int(rng.integers(1, 17)))
+            )
+        )
+        density_grid(spec, xs=default_grid(spec, points=400), y=float(10 ** rng.uniform(-9, -3)))
+    points = 0
+    for meq, z, m0, value, deriv in batches:
+        batched = SolveStats()
+        ms = newton_lockstep(meq, z, m0, value, deriv, stats=batched)
+        scalar_total = 0
+        for i in range(z.size):
+            z_i, m0_i = complex(z[i]), complex(m0[i])
+            cert = is_in_basin(meq, z_i, m0_i)
+            assert cert is not None
+            scalar, alone = SolveStats(), SolveStats()
+            m = newton_raphson(meq, z_i, m0_i, stats=scalar, certificate=cert)
+            newton_lockstep(meq, z[i : i + 1], m0[i : i + 1], value[i : i + 1],
+                            deriv[i : i + 1], stats=alone)
+            assert alone.newton_iterations == scalar.newton_iterations, (z_i, m0_i)
+            assert abs(complex(ms[i]) - m) <= 1e-14 * abs(m), (z_i, m0_i)
+            scalar_total += scalar.newton_iterations
+        assert batched.newton_iterations == scalar_total
+        points += z.size
+    assert points >= 2000

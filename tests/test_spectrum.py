@@ -337,6 +337,25 @@ def test_density_curve_validation():
         DensityCurve(xs=xs, rhos=rho, y=1e-6, total_mass=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("xs", math.nan), ("rhos", math.nan), ("rhos", math.inf), ("total_mass", math.nan)],
+)
+def test_density_curve_refuses_non_finite_values(field, bad):
+    # NaN compares False both ways, so the order and sign checks alone let it in
+    fields = {
+        "xs": np.array([1.0, 2.0, 3.0]),
+        "rhos": np.array([0.1, 0.1, 0.1]),
+        "total_mass": 0.2,
+    }
+    if field == "total_mass":
+        fields[field] = bad
+    else:
+        fields[field][1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
+        DensityCurve(y=1e-6, **fields)
+
+
 # ------------------------------------------------------------------ quantiles
 
 

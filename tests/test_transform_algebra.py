@@ -391,3 +391,37 @@ def test_second_derivative_bound_array_is_bitwise_the_scalar_bound():
             for zi, ci, ri in zip(z, center, radius)
         ]
         assert bounds.tolist() == expected
+
+
+def test_second_derivative_bound_array_is_bitwise_the_scalar_bound_over_runs():
+    # centres that come in runs of equal values, as a grid's batched points
+    # share their segment's head root, take each |center - r_j| once per run;
+    # every bound is still bit-identical to the scalar one
+    rng = np.random.default_rng(64)
+    nls = list(Nonlinearity)
+    for depth in range(1, 65):
+        spec = NetworkSpec(
+            layers=tuple(
+                LayerSpec(
+                    nonlinearity=nls[rng.integers(0, len(nls))],
+                    sigma_w_sq=float(rng.uniform(0.5, 2.5)),
+                    width_ratio=float(rng.choice([0.5, 1.0, 2.0])),
+                )
+                for _ in range(depth)
+            )
+        )
+        meq = master_from_spec(spec)
+        lengths = rng.integers(1, 9, 12)
+        lengths[:3] = 1
+        heads = rng.uniform(-2.5, 2.0, lengths.size) + 1j * rng.uniform(-1.5, 1.5, lengths.size)
+        n = int(lengths.sum())
+        z = rng.uniform(-3, 30, n) + 1j * rng.choice([-1, 1], n) * 10 ** rng.uniform(-9, 1, n)
+        radius = 10 ** rng.uniform(-6, 0, n)
+        for center in (np.repeat(heads, lengths), np.full(n, heads[0])):
+            bounds = second_derivative_bound_array(meq, z, center, radius)
+            expected = [
+                second_derivative_bound(meq, complex(zi), complex(ci), float(ri))
+                for zi, ci, ri in zip(z, center, radius)
+            ]
+            assert bounds.tolist() == expected, depth
+        assert second_derivative_bound_array(meq, z[:0], heads[:0], radius[:0]).size == 0
