@@ -140,16 +140,16 @@ def _modulus(c: np.ndarray) -> np.ndarray:
     return np.hypot(c.real, c.imag)
 
 
-def _bound(meq: RationalMasterEq, z_modulus, distances, radius):
-    # M''(radius)/|z| with its rounding allowance, from |z| and the |center - r_j|
-    gain = meq.gain
+def _bound(meq: RationalMasterEq, z_modulus, center, radius, distance):
+    # M''(radius)/|z| with its rounding allowance; distance(center - r_j) is |a_j|
+    gain, roots = meq.gain, meq.roots
     v, d1, d2 = 1.0, 0.0, 0.0
-    for distance in distances:
-        t = (radius + distance) * gain
+    for r in roots:
+        t = (radius + distance(center - r)) * gain
         d2 = d2 * t + 2.0 * d1
         d1 = d1 * t + v
         v = v * t
-    return d2 * gain * gain / z_modulus * (1.0 + (7 * meq.degree - 4) // 2 * _EPS)
+    return d2 * gain * gain / z_modulus * (1.0 + (7 * len(roots) - 4) // 2 * _EPS)
 
 
 def second_derivative_bound(
@@ -179,7 +179,7 @@ def second_derivative_bound(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return _bound(meq, abs(z), (abs(center - r) for r in meq.roots), radius)
+    return _bound(meq, abs(z), center, radius, abs)
 
 
 def second_derivative_bound_array(
@@ -201,8 +201,9 @@ def second_derivative_bound_array(
     flat = center.reshape(-1)
     starts = np.flatnonzero(np.r_[flat.size > 0, flat[1:] != flat[:-1]])
     counts = np.diff(np.append(starts, flat.size))
-    heads = flat[starts]
-    distances = (
-        np.repeat(_modulus(heads - r), counts).reshape(center.shape) for r in meq.roots
-    )
-    return _bound(meq, _modulus(np.asarray(z, dtype=complex)), distances, radius)
+
+    def distance(offsets: np.ndarray) -> np.ndarray:
+        # offsets holds head - r_j, one per run; each point takes its run's
+        return np.repeat(_modulus(offsets), counts).reshape(center.shape)
+
+    return _bound(meq, _modulus(np.asarray(z, dtype=complex)), flat[starts], radius, distance)
