@@ -3,8 +3,8 @@
 Every float is written with shortest round-trip formatting (`repr`), so a parsed
 artifact reconstructs bit-identical doubles; files are written atomically
 (temp file in the same directory, then rename).  A JSON artifact is one line:
-json.dumps without an indent runs the C encoder, about twice as fast as the
-pure-Python one an indent forces on a 20k-point density.
+json.dumps without an indent runs the C encoder, not the pure-Python one an
+indent forces; the repr of the floats is most of what is left.
 """
 
 from __future__ import annotations

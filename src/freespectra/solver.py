@@ -194,8 +194,8 @@ def basin_certificates(
     or kappa not finite, and h not below 1/2.  Every modulus is hypot, as in
     Python's abs of a complex, so each verdict and h is the scalar one: |phi|,
     |phi'| and |z| per point, and the lambda bound's |m0 - r_j| once per run
-    of equal consecutive starts (second_derivative_bound_array), which a
-    grid's batched points share with their segment.
+    of equal consecutive starts (second_derivative_bound_array); a grid's
+    batched points share their segment's head root as start.
     """
     z = np.asarray(z, dtype=complex)
     m0 = np.asarray(m0, dtype=complex)

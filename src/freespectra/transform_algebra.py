@@ -191,8 +191,8 @@ def second_derivative_bound_array(
     the scalar bound of the same disc and the same rounding allowance holds.
     The distances |center - r_j| are taken once per run of equal consecutive
     centres (in array order) and repeated over the run: a grid's batched
-    points all start from their segment's head root, so a grid has about one
-    run per 64 points.
+    points start from their segment's head root, so a grid has one run per
+    jumped segment of up to 64 points.
     """
     radius = np.asarray(radius, dtype=float)
     if np.any(radius < 0):
