@@ -166,15 +166,18 @@ def _polish(meq: RationalMasterEq, z: complex, root: complex) -> complex:
 def all_roots(meq: RationalMasterEq, z: complex) -> RootSet:
     """Every root of P(m) - z m: companion-matrix eigenvalues, each polished.
 
-    The coefficients are multiplied out from the factors on each call, and a
-    ValueError names their overflow; the solver never needs them.  Residuals
-    are checked relative to sum_k |c_k| max(1, |root|)^k, the natural
-    attainable scale for coefficients spanning many orders of magnitude.
+    The coefficients are multiplied out from the factors, each root repeated
+    by its multiplicity, on each call, and a ValueError names their overflow;
+    the solver never needs them.  Residuals are checked relative to
+    sum_k |c_k| max(1, |root|)^k, the natural attainable scale for
+    coefficients spanning many orders of magnitude.
     """
     if z.imag == 0.0:
         raise ValueError(f"z must be off the real axis, got {z}")
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.poly(meq.roots) * np.power(meq.gain, meq.degree)
+        coeffs = np.poly(np.repeat(meq.roots, meq.multiplicities)) * np.power(
+            meq.gain, meq.degree
+        )
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(
             f"all-roots coefficients overflow at degree {meq.degree} "

@@ -66,14 +66,21 @@ def _converged(value, deriv, m, degree: int):
     _EPSILON * (1 + |m|): near a spectral edge |phi'| is tiny, so a small
     residual alone can leave m far from the root.  Or stop at phi's own
     floating-point floor: phi = P(m)/z - m with value + m = P(m)/z, and
-    eval_phi forms P(m) from d factors gain (m - r_j).  With u = eps/2, each
-    factor adds at most (2 + sqrt 5) u of relative error: one rounding each
-    for m - r_j and for the gain, and sqrt 5 u for the complex product.  That
-    is about 2.1 eps of the 4 eps allowed per factor; the rest covers the
-    division by z and the subtraction of m, so value rounds to
-    4 eps (d |P(m)/z| + |m|).  m itself is rounded too, which next to a root
-    r_j of P moves the factor m - r_j by a relative u |m|/|m - r_j|, so phi
-    by up to about 4 eps |phi'| |m|.
+    eval_phi forms P(m) = prod_j t_j^k_j, t_j = gain (m - r_j), of degree
+    d = sum_j k_j by binary powering.  With u = eps/2, each t_j carries a
+    relative error of at most 2u (one rounding for m - r_j, one for the gain)
+    and each complex product at most sqrt 5 u.  A relative error that enters
+    the partial product at bit b of the powering is raised to the power 2^b
+    with it, so it reaches P multiplied by 2^b.  The multiplications by t_j
+    then add sum_j k_j (2 + sqrt 5) u = d (2 + sqrt 5) u, as in the
+    factor-by-factor product, and the squarings, one per bit below the top
+    one, add at most (2^(B-1) - 1) sqrt 5 u < d sqrt 5 u, where
+    2^(B-1) <= max_j k_j <= d.  That is at most 3.3 eps of the 4 eps allowed
+    per unit of degree, and the product's first multiplication, by 1, is
+    exact; the rest covers the division by z and the subtraction of m, so
+    value rounds to 4 eps (d |P(m)/z| + |m|).  m itself is rounded too, which
+    next to a root r_j of P moves the factor m - r_j by a relative
+    u |m|/|m - r_j|, so phi by up to about 4 eps |phi'| |m|.
 
     The moduli are abs: Python's (hypot) for scalars, np.abs for arrays.
     np.abs of a complex array can be almost 2 ulp off hypot but costs a tenth
@@ -234,7 +241,7 @@ def newton_raphson(
         value, deriv = eval_phi(meq, z, m0)
     else:
         value, deriv = certificate.value, certificate.deriv
-    degree = len(meq.roots)
+    degree = meq.degree
     m = m0
     for iteration in range(_MAX_NEWTON_ITERS + 1):
         if _converged(value, deriv, m, degree):
@@ -275,7 +282,7 @@ def newton_lockstep(
     """
     z = np.asarray(z, dtype=complex)
     m = np.broadcast_to(np.asarray(m0, dtype=complex), z.shape).copy()
-    degree = len(meq.roots)
+    degree = meq.degree
     out = m.copy()
     live = np.arange(z.size)
     steps = 0

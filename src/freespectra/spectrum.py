@@ -76,6 +76,11 @@ class DensityCurve:
                 raise ValueError(f"{name} must be finite, got {bad!r}")
         if not math.isfinite(self.total_mass):
             raise ValueError(f"total_mass must be finite, got {self.total_mass!r}")
+        # y = 0 marks a synthetic curve; a solved one has y > 0
+        if not (math.isfinite(self.y) and self.y >= 0):
+            raise ValueError(f"y must be finite and nonnegative, got {self.y!r}")
+        if not 0.0 <= self.atom_lower_bound <= 1.0:
+            raise ValueError(f"atom_lower_bound must lie in [0, 1], got {self.atom_lower_bound!r}")
         if self.xs[0] < 0 or np.any(np.diff(self.xs) <= 0):
             raise ValueError("xs must be strictly increasing and nonnegative")
         if np.any(self.rhos < 0):
@@ -105,9 +110,15 @@ def atom_lower_bound(spec: NetworkSpec) -> float:
     Through layer ell the Jacobian factors through a matrix whose rank fraction
     (relative to the input width) is at most c_ell / Lambda_ell: the width shrinks
     by Lambda_ell and only a c_ell-fraction of derivative entries is nonzero.
+    The atom is 1 - min(1, min_ell c_ell / Lambda_ell), read off the master
+    equation's roots, -1 and -c_ell / Lambda_ell.
     """
-    frac = min(s.c / s.Lambda for s in summarize(spec))
-    return max(0.0, 1.0 - min(1.0, frac))
+    return _atom_lower_bound(master_from_spec(spec))
+
+
+def _atom_lower_bound(meq: RationalMasterEq) -> float:
+    # 1 + (-x) rounds like 1 - x, so this is bit for bit 1 - min(1, min c/Lambda)
+    return 1.0 + max(meq.roots)
 
 
 def default_grid(
@@ -180,7 +191,7 @@ def density_grid(
         rhos=rhos,
         y=y,
         total_mass=mass,
-        atom_lower_bound=atom_lower_bound(spec),
+        atom_lower_bound=_atom_lower_bound(meq),
         stats=stats,
     )
 

@@ -6,7 +6,9 @@ the argument of the left factor by the right factor's ratio, and the composed
 law gives the master equation z = P(m)/Q(m) with M^{-1}(m) = (1 + m)/(m S(m)).
 The package keeps only the factored form of P; these dense polynomials build
 P and Q independently of it, so the two can be compared coefficient by
-coefficient.
+coefficient.  factor_roots lists the factors one by one, each root repeated by
+its multiplicity, and phi_errors measures an evaluation of phi against
+high-precision arithmetic on them.
 """
 
 from typing import NamedTuple, Sequence
@@ -146,6 +148,43 @@ def master_from_s_transform(s: RationalSTransform) -> tuple:
     )
 
 
+def factor_roots(meq) -> list:
+    """The roots of P with each repeated by its multiplicity: one per linear factor."""
+    return [r for r, k in zip(meq.roots, meq.multiplicities) for _ in range(k)]
+
+
+def phi_errors(meq, z: complex, m: complex, computed, prec: int = 160):
+    """How far computed (phi_z(m), phi_z'(m)) pairs are from prec-bit
+    arithmetic on the factors taken one by one, with the scales to measure it.
+
+    Returns ([(|value - phi|, |deriv - phi'|) for each pair], |P(m)/z|, |phi'|,
+    sum_j k_j |P(m)/z| / |m - r_j|), the last the size of the terms that make
+    up P'(m)/z.  mpmath is imported on the first call.
+    """
+    import mpmath
+
+    with mpmath.workprec(prec):
+        gain = mpmath.mpf(meq.gain)
+        mm = mpmath.mpc(m.real, m.imag)
+        zz = mpmath.mpc(z.real, z.imag)
+        p, dp = mpmath.mpc(1), mpmath.mpc(0)
+        for r in factor_roots(meq):
+            t = gain * (mm - r)
+            dp = dp * t + p
+            p = p * t
+        p_over_z = p / zz
+        phi, slope = p_over_z - mm, dp * gain / zz - 1
+        terms = abs(p_over_z) * sum(k / abs(mm - r) for r, k in zip(meq.roots, meq.multiplicities))
+        errors = [
+            (
+                float(abs(mpmath.mpc(value.real, value.imag) - phi)),
+                float(abs(mpmath.mpc(deriv.real, deriv.imag) - slope)),
+            )
+            for value, deriv in computed
+        ]
+        return errors, float(abs(p_over_z)), float(abs(slope)), float(terms)
+
+
 def factor_coefficients(meq) -> np.ndarray:
-    """Ascending coefficients of P(m) = prod_j gain (m - r_j), multiplied out."""
-    return np.poly(meq.roots)[::-1] * meq.gain ** meq.degree
+    """Ascending coefficients of P(m) = prod_j (gain (m - r_j))^k_j, multiplied out."""
+    return np.poly(factor_roots(meq))[::-1] * meq.gain ** meq.degree

@@ -16,6 +16,7 @@ from _grid_moments import grid_moments, support_upper_bound
 from _s_transform import (
     compose_layers,
     factor_coefficients,
+    factor_roots,
     layer_s_transforms,
     master_from_s_transform,
 )
@@ -188,7 +189,7 @@ def test_criterion_5_kantorovich_soundness(capsys):
             worst_iters = max(worst_iters, stats.newton_iterations)
             # every root is <= 0, so P's coefficients are nonnegative and
             # sum_k |c_k| |m|^k = prod_j gain (|m| + |r_j|)
-            majorant = math.prod(meq.gain * (abs(m) + abs(r)) for r in meq.roots)
+            majorant = math.prod(meq.gain * (abs(m) + abs(r)) for r in factor_roots(meq))
             floor = 4.0 * 2.0**-52 * (majorant / abs(z) + abs(m))
             # the true root lies within t* of m0; the returned iterate adds its
             # own stopping error, at most ~kappa * final residual

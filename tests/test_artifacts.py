@@ -95,6 +95,23 @@ def test_density_csv_holding_nan_is_refused(tmp_path):
         read_density(str(path))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("field", ["y", "atom_lower_bound"])
+def test_density_artifact_holding_a_nan_y_or_atom_is_refused(tmp_path, fmt, field):
+    curve = awkward_curve()
+    text = render_density(curve, fmt)
+    value = repr(getattr(curve, field))
+    if fmt == "csv":
+        old, new = f"# {field}: {value}\n", f"# {field}: nan\n"
+    else:
+        old, new = f'"{field}": {value},', f'"{field}": NaN,'
+    assert text.count(old) == 1
+    path = tmp_path / f"nan.{fmt}"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=f"^{field} must .*, got nan$"):
+        read_density(str(path))
+
+
 def test_density_json_is_one_line():
     text = render_density(awkward_curve(), "json")
     assert text.count("\n") == 1 and text.endswith("}\n")

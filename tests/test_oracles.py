@@ -282,7 +282,7 @@ def test_all_roots_mp_quadratic():
 
 
 def test_all_roots_degree_one():
-    meq = RationalMasterEq(gain=3.0, roots=(-2.0 / 3.0,))  # P(m) = 2 + 3m
+    meq = RationalMasterEq(gain=3.0, roots=(-2.0 / 3.0,), multiplicities=(1,))  # P(m) = 2 + 3m
     z = 5 + 2j
     (root,) = all_roots(meq, z).roots
     assert root == pytest.approx(-2.0 / (3.0 - z), rel=1e-13)

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 import freespectra.spectrum as spectrum_module
 from _grid_moments import grid_moments, support_upper_bound
+from _s_transform import phi_errors
 from freespectra.oracles import all_roots
 from freespectra import (
     DensityCurve,
@@ -21,6 +22,7 @@ from freespectra import (
     closed_form_moments,
     default_grid,
     density_grid,
+    eval_phi,
     master_from_spec,
     newton_lilypads,
     quantiles,
@@ -270,6 +272,35 @@ def test_deep_net_density_completes(layers):
     assert np.all(curve.rhos >= 0.0) and curve.rhos.max() > 0.0
 
 
+def test_deep_alternating_net_stays_in_the_exponent_range():
+    # ReLU sigma^2 = 2 at width ratios 4 and 0.25 in turn holds the roots
+    # -0.125 and -0.5 3000 times each, with gain (m - r) near 1/2 and 2 at
+    # small m: either power alone is about 2^-3000 or 2^3000, outside the
+    # doubles, while P and every partial product of the binary powering stay
+    # inside them
+    spec = NetworkSpec(
+        layers=tuple(
+            LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=4.0 if layer % 2 == 0 else 0.25)
+            for layer in range(6000)
+        )
+    )
+    meq = master_from_spec(spec)
+    assert meq.roots == (-1.0, -0.125, -0.5) and meq.multiplicities == (1, 3000, 3000)
+    xs = default_grid(spec, points=100)
+    curve = density_grid(spec, xs=xs)
+    assert np.all(np.isfinite(curve.rhos))
+    assert np.all(curve.rhos >= 0.0) and curve.rhos.max() > 0.0
+    # phi at 5 grid points, at the roots the grid walk found, against 160-bit
+    # arithmetic on the 6001 factors one by one
+    pytest.importorskip("mpmath")
+    zs = xs[::-1] + 1e-6j
+    ms = spectrum_module._walk_roots(meq, zs, SolveStats())
+    for i in (0, 25, 50, 75, 99):
+        z, m = complex(zs[i]), complex(ms[i])
+        [(err, _)], p_over_z, slope, _ = phi_errors(meq, z, m, [eval_phi(meq, z, m)])
+        assert err <= 4 * 2.0**-52 * (meq.degree * p_over_z + abs(m) + slope * abs(m)), z
+
+
 def test_density_validates_inputs():
     with pytest.raises(ValueError, match="y must be positive"):
         density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=0.0)
@@ -354,6 +385,29 @@ def test_density_curve_refuses_non_finite_values(field, bad):
         fields[field][1] = bad
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
         DensityCurve(y=1e-6, **fields)
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("y", math.nan, "y must be finite and nonnegative, got nan"),
+        ("y", math.inf, "y must be finite and nonnegative, got inf"),
+        ("y", -1e-6, "y must be finite and nonnegative, got -1e-06"),
+        ("atom_lower_bound", math.nan, r"atom_lower_bound must lie in \[0, 1\], got nan"),
+        ("atom_lower_bound", -0.25, r"atom_lower_bound must lie in \[0, 1\], got -0.25"),
+        ("atom_lower_bound", 1.5, r"atom_lower_bound must lie in \[0, 1\], got 1.5"),
+    ],
+)
+def test_density_curve_refuses_a_bad_y_or_atom(field, bad, message):
+    # a NaN atom made quantiles' window check (total_mass + atom < 0.5) pass
+    # and came back as the table's atom_lower_bound
+    fields = {"y": 1e-6, "atom_lower_bound": 0.5, field: bad}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), total_mass=0.1, **fields)
+    # the edges stay allowed: y = 0 for synthetic curves, atoms 0 and 1
+    for edge in ({"y": 0.0}, {"atom_lower_bound": 0.0}, {"atom_lower_bound": 1.0}):
+        fields = {"y": 1e-6, **edge}
+        DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), total_mass=0.1, **fields)
 
 
 # ------------------------------------------------------------------ quantiles

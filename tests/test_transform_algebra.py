@@ -11,8 +11,10 @@ from _s_transform import (
     RationalSTransform,
     compose_layers,
     factor_coefficients,
+    factor_roots,
     layer_s_transforms,
     master_from_s_transform,
+    phi_errors,
     rect_convolve,
 )
 from freespectra import (
@@ -27,6 +29,7 @@ from freespectra import (
 )
 from freespectra.network_model import LayerSummary
 from freespectra.transform_algebra import (
+    eval_phi_array,
     second_derivative_bound,
     second_derivative_bound_array,
 )
@@ -108,12 +111,32 @@ def test_polynomial_scale_and_compose_scaled():
 
 
 def test_master_is_gain_and_roots():
-    assert [f.name for f in dataclasses.fields(RationalMasterEq)] == ["gain", "roots"]
+    # the factors are the only representation: no multiplied-out polynomial is
+    # stored, as a field or as state derived from the fields
+    fields = ["gain", "roots", "multiplicities"]
+    assert [f.name for f in dataclasses.fields(RationalMasterEq)] == fields
+    spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(5)))
+    meq = master_from_spec(spec)
+    assert sorted(vars(meq)) == sorted([*fields, "first_level", "later_levels", "degree"])
+    assert meq.roots == (-1.0, -0.5) and meq.multiplicities == (1, 5) and meq.degree == 6
+    # 5 = 0b101: -0.5 enters at the top bit and at bit 0, -1 at bit 0 only
+    assert meq.first_level == (-0.5,) and meq.later_levels == ((), (-1.0, -0.5))
+
+
+def test_master_refuses_repeated_roots_and_bad_multiplicities():
+    with pytest.raises(ValueError, match="distinct"):
+        RationalMasterEq(gain=1.0, roots=(-1.0, -1.0), multiplicities=(1, 1))
+    for bad in ((0,), (1.0,), (-2,)):
+        with pytest.raises(ValueError, match="positive ints"):
+            RationalMasterEq(gain=1.0, roots=(-1.0,), multiplicities=bad)
+    for roots, mults in (((-1.0,), (1, 1)), ((), ())):
+        with pytest.raises(ValueError, match="one multiplicity"):
+            RationalMasterEq(gain=1.0, roots=roots, multiplicities=mults)
 
 
 def test_master_coefficients_mp1():
     meq = mp_meq()
-    assert meq.gain == 1.0 and meq.roots == (-1.0, -1.0)
+    assert meq.gain == 1.0 and meq.roots == (-1.0,) and meq.multiplicities == (2,)
     assert factor_coefficients(meq).tolist() == [1.0, 2.0, 1.0]
 
 
@@ -122,7 +145,7 @@ def test_master_coefficients_relu_depth_two():
     spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(2)))
     meq = master_from_spec(spec)
     assert meq.gain == pytest.approx(4.0 ** (1.0 / 3.0), rel=1e-15)
-    assert meq.roots == (-1.0, -0.5, -0.5)
+    assert meq.roots == (-1.0, -0.5) and meq.multiplicities == (1, 2)
     assert factor_coefficients(meq) == pytest.approx([1, 5, 8, 4], abs=1e-14)
     assert meq.degree == 3
 
@@ -157,7 +180,7 @@ def test_master_builds_where_one_layer_scale_overflows():
     spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1e300, width_ratio=1e10),))
     meq = master_from_spec(spec)
     assert meq.gain == pytest.approx(1e155, rel=1e-13)
-    assert meq.roots == (-1.0, -1e-10)
+    assert meq.roots == (-1.0, -1e-10) and meq.multiplicities == (1, 1)
 
 
 def test_master_names_a_gain_or_root_that_is_not_a_float():
@@ -182,7 +205,7 @@ def test_residue_recovers_first_moment():
     for _ in range(50):
         spec = random_spec(rng)
         meq = master_from_spec(spec)
-        m1 = math.prod(meq.gain * -r for r in meq.roots)  # P(0)
+        m1 = math.prod(meq.gain * -r for r in factor_roots(meq))  # P(0)
         closed = 1.0
         for s in summarize(spec):
             closed *= s.c * s.sigma_w_sq
@@ -283,6 +306,49 @@ def test_eval_phi_derivative_matches_finite_differences():
         assert abs(fd - der) <= 1e-6 * max(1.0, abs(der))
 
 
+_EPS = 2.0**-52
+
+
+def homogeneous(nonlinearity, gain, depth):
+    return master_from_spec(
+        NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 255, 256, 3000])
+def test_grouped_eval_phi_matches_mpmath_on_the_expanded_factors(k):
+    # ReLU sigma^2 = 2 x k holds -0.5 k times, linear x (k - 1) holds -1 k
+    # times.  Both phi forms must stay inside newton_raphson's noise floor,
+    # 4 eps (d |P/z| + |m| + |phi'| |m|), against 160-bit arithmetic on the
+    # d factors one by one, and phi' inside 4 eps (d S + |phi'| + 1), S the
+    # size of the terms k_j P/(z (m - r_j)) of P'/z
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1100 + k)
+    nets = [homogeneous(Nonlinearity.RELU, 2.0, k)]
+    if k > 1:
+        nets.append(homogeneous(Nonlinearity.LINEAR, 1.0, k - 1))
+    for meq in nets:
+        assert k in meq.multiplicities
+        d = meq.degree
+        root = meq.roots[meq.multiplicities.index(k)]
+        # |gain (m - root)| between 0.5 and 1.2 keeps P inside the doubles at
+        # k = 3000; the rest sit 1e-1 .. 1e-12 from the repeated root
+        far = np.exp(rng.uniform(math.log(0.5), math.log(1.2), 12)) / meq.gain
+        near = 10.0 ** -rng.uniform(1, 12, 12)
+        angles = rng.uniform(0, 2 * math.pi, 24)
+        ms = root + np.concatenate([far, near]) * np.exp(1j * angles)
+        zs = 10 ** rng.uniform(-1, 1, 24) * np.exp(1j * rng.uniform(0.05, math.pi - 0.05, 24))
+        zs *= rng.choice([-1, 1], 24)
+        values, derivs = eval_phi_array(meq, zs, ms)
+        for z, m, array_value, array_deriv in zip(zs, ms, values, derivs):
+            z, m = complex(z), complex(m)
+            computed = [eval_phi(meq, z, m), (complex(array_value), complex(array_deriv))]
+            errors, p_over_z, slope, terms = phi_errors(meq, z, m, computed)
+            for err, derr in errors:
+                assert err <= 4 * _EPS * (d * p_over_z + abs(m) + slope * abs(m)), (k, z, m)
+                assert derr <= 4 * _EPS * (d * terms + slope + 1.0), (k, z, m)
+
+
 # ------------------------------------------------- second-derivative envelope
 
 
@@ -294,7 +360,7 @@ def test_second_derivative_bound_mp1_constant():
 
 def test_second_derivative_bound_degree_one_is_zero():
     # P = 1+m: phi'' vanishes identically
-    meq = RationalMasterEq(gain=1.0, roots=(-1.0,))
+    meq = RationalMasterEq(gain=1.0, roots=(-1.0,), multiplicities=(1,))
     assert second_derivative_bound(meq, 1j, 0.5j, 3.0) == 0.0
 
 
@@ -354,13 +420,55 @@ def test_second_derivative_bound_is_sound_against_mpmath():
             for angle in angles:
                 m = mpmath.mpc(center.real, center.imag) + radius * mpmath.expjpi(angle / math.pi)
                 v, d1, d2 = mpmath.mpf(1), mpmath.mpc(0), mpmath.mpc(0)
-                for r in meq.roots:
+                for r in factor_roots(meq):
                     t = meq.gain * (m - r)
                     d2, d1, v = d2 * t + 2 * d1, d1 * t + v, v * t
                 exact = abs(d2) * mpmath.mpf(meq.gain) ** 2 / abs(mpmath.mpc(z.real, z.imag))
                 assert exact <= bound
                 assert exact <= array_bound
                 if bound > 0:
+                    worst = max(worst, float(exact / max(bound, array_bound)))
+    assert worst > 0.999  # the attained case was sampled, so the test can bite
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, gain",
+    [(Nonlinearity.RELU, 2.0), (Nonlinearity.LINEAR, 1.0), (Nonlinearity.HARD_SINE, 1.5)],
+)
+def test_second_derivative_bound_is_sound_at_high_multiplicity(nonlinearity, gain):
+    # homogeneous nets hold one root thousands of times, which the bound
+    # raises to a power by squaring; |phi''| at 120 bits over the expanded
+    # factors, on each disc's boundary and at centre + radius (attained for a
+    # real centre right of every root), must stay below the scalar and the
+    # array bound
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for depth in (64, 700, 3000):
+        meq = homogeneous(nonlinearity, gain, depth)
+        root = meq.roots[int(np.argmax(meq.multiplicities))]
+        assert max(meq.multiplicities) >= depth
+        for disc in range(3):
+            # |gain (centre - root)| near 1 keeps M'' a finite double
+            offset = float(rng.uniform(0.7, 1.05)) / meq.gain
+            angle = 0.0 if disc == 0 else float(rng.uniform(-math.pi / 2, math.pi / 2))
+            center = root + offset * complex(math.cos(angle), math.sin(angle))
+            radius = float(10 ** rng.uniform(-6, -3))
+            z = complex(rng.uniform(-3, 30), rng.choice([-1, 1]) * 10 ** rng.uniform(-9, 1))
+            bound = second_derivative_bound(meq, z, center, radius)
+            array_bound = float(
+                second_derivative_bound_array(meq, np.array([z]), np.array([center]), radius)[0]
+            )
+            assert math.isfinite(bound) and bound > 0
+            with mpmath.workprec(120):
+                for point in [0.0, *rng.uniform(0, 2 * math.pi, 2)]:
+                    m = mpmath.mpc(center.real, center.imag) + radius * mpmath.expjpi(point / math.pi)
+                    v, d1, d2 = mpmath.mpf(1), mpmath.mpc(0), mpmath.mpc(0)
+                    for r in factor_roots(meq):
+                        t = meq.gain * (m - r)
+                        d2, d1, v = d2 * t + 2 * d1, d1 * t + v, v * t
+                    exact = abs(d2) * mpmath.mpf(meq.gain) ** 2 / abs(mpmath.mpc(z.real, z.imag))
+                    assert exact <= bound and exact <= array_bound, (depth, disc)
                     worst = max(worst, float(exact / max(bound, array_bound)))
     assert worst > 0.999  # the attained case was sampled, so the test can bite
 
