@@ -34,7 +34,7 @@ def run_bench(config: RunConfig) -> list:
     degree = meq.degree
     grid = config.grid
     xs = default_grid(
-        spec,
+        meq,
         points=grid.points,
         x_min=grid.x_min,
         x_max=grid.x_max,
@@ -43,7 +43,7 @@ def run_bench(config: RunConfig) -> list:
     rows = []
 
     start = time.perf_counter()
-    curve = density_grid(spec, xs=xs, y=config.y)
+    curve = density_grid(meq, xs=xs, y=config.y)
     elapsed = (time.perf_counter() - start) * 1e3
     stats = curve.stats
     rows.append(

@@ -14,6 +14,7 @@ import math
 import sys
 from typing import Optional
 
+from . import spectrum
 from .artifacts import write_density, write_quantiles, write_text
 from .bench import render_bench, run_bench
 from .config import ConfigError, RunConfig, apply_overrides, load_config
@@ -78,15 +79,16 @@ def _load(args: argparse.Namespace) -> RunConfig:
 
 
 def _solve_curve(config: RunConfig):
-    spec = config.require_network()
+    # called through the spectrum module, so that a wrapper installed there sees it
+    meq = spectrum.master_from_spec(config.require_network())
     xs = default_grid(
-        spec,
+        meq,
         points=config.grid.points,
         x_min=config.grid.x_min,
         x_max=config.grid.x_max,
         log_spaced=config.grid.log_spaced,
     )
-    return density_grid(spec, xs=xs, y=config.y)
+    return density_grid(meq, xs=xs, y=config.y)
 
 
 def cmd_density(args: argparse.Namespace) -> int:

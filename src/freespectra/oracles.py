@@ -200,7 +200,8 @@ def ks_distance(emp: EmpiricalSpectrum, curve: DensityCurve) -> float:
     of the grid to the remaining mass.  Sample points exactly at zero are
     compared against the atom alone; at positive points both one-sided limits
     of the empirical CDF are used, which keeps ties at zero from inflating the
-    distance.
+    distance.  A curve with no mass on its grid window is refused, as
+    quantiles refuses it.
     """
     if not curve.total_mass + curve.atom_lower_bound > 0.5:
         raise ValueError("curve mass (including the atom) too low for a meaningful comparison")

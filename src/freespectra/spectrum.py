@@ -5,7 +5,8 @@ master equation through rho = -Im((m+1)/z)/pi, evaluated at a small smoothing
 offset y > 0.  A grid is solved in two passes: a sequential walk that jumps
 64 points at a time and halves a jump that does not certify, then one batched
 certificate test and a lockstep Newton solve for the points jumped over (see
-_walk_roots).
+_walk_roots).  Every function here reads the law from the master equation's
+factors (a RationalMasterEq) alone, never from the layers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .network_model import NetworkSpec, summarize
 from . import solver
 from .solver import (
     SolverError,
@@ -25,7 +25,8 @@ from .solver import (
     newton_lilypads,
     newton_lockstep,
 )
-from .transform_algebra import RationalMasterEq, master_from_spec
+# unused here: the CLI calls master_from_spec as this module's attribute (see cli)
+from .transform_algebra import RationalMasterEq, eval_phi, master_from_spec
 
 __all__ = [
     "DensityCurve",
@@ -104,34 +105,30 @@ class Moments(NamedTuple):
     variance: float
 
 
-def atom_lower_bound(spec: NetworkSpec) -> float:
-    """Mass forced onto {0} by rank counting.
+def atom_lower_bound(meq: RationalMasterEq) -> float:
+    """Mass forced onto {0} by rank counting, read off the master equation's roots.
 
     Through layer ell the Jacobian factors through a matrix whose rank fraction
     (relative to the input width) is at most c_ell / Lambda_ell: the width shrinks
     by Lambda_ell and only a c_ell-fraction of derivative entries is nonzero.
-    The atom is 1 - min(1, min_ell c_ell / Lambda_ell), read off the master
-    equation's roots, -1 and -c_ell / Lambda_ell.
+    The atom is 1 - min(1, min_ell c_ell / Lambda_ell), and the roots are -1 and
+    -c_ell / Lambda_ell, so it is 1 + max_j r_j; 1 + (-x) rounds like 1 - x,
+    so the two agree bit for bit.
     """
-    return _atom_lower_bound(master_from_spec(spec))
-
-
-def _atom_lower_bound(meq: RationalMasterEq) -> float:
-    # 1 + (-x) rounds like 1 - x, so this is bit for bit 1 - min(1, min c/Lambda)
     return 1.0 + max(meq.roots)
 
 
 def default_grid(
-    spec: NetworkSpec,
+    meq: RationalMasterEq,
     points: int = 200,
     x_min: Optional[float] = None,
     x_max: Optional[float] = None,
     log_spaced: bool = True,
 ) -> np.ndarray:
-    """Grid bracketing the bulk via closed-form moments; log-spaced by default."""
+    """Grid bracketing the bulk, 1e-4 m1 to m1 + 10 sigma of the moments; log-spaced by default."""
     if points < 2:
         raise ValueError("grid needs at least 2 points")
-    m1, var = closed_form_moments(spec)
+    m1, var = closed_form_moments(meq)
     if x_min is None:
         x_min = m1 * 1e-4
     if x_max is None:
@@ -149,13 +146,13 @@ def default_grid(
 
 
 def density_grid(
-    spec: NetworkSpec,
+    meq: RationalMasterEq,
     xs: Optional[Sequence[float]] = None,
     y: float = 1e-6,
 ) -> DensityCurve:
     """Solve the master equation at z = x + iy over the grid and return the curve.
 
-    xs defaults to default_grid(spec).  The grid is walked from its largest x
+    xs defaults to default_grid(meq).  The grid is walked from its largest x
     downward.  The walk jumps 64 points at a time, halving a jump until it
     certifies, and solves each jump's end in sequence from the previous one;
     the points jumped over are then certified and solved together from those
@@ -165,13 +162,12 @@ def density_grid(
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"y must be positive and finite, got {y!r}")
     if xs is None:
-        xs = default_grid(spec)
+        xs = default_grid(meq)
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs) & (xs > 0)):
         raise ValueError(
             "grid points must be positive and finite (the atom at 0 is handled separately)"
         )
-    meq = master_from_spec(spec)
     stats = SolveStats()
     zs = np.empty(xs.size, dtype=complex)
     zs.real = xs[::-1]
@@ -191,7 +187,7 @@ def density_grid(
         rhos=rhos,
         y=y,
         total_mass=mass,
-        atom_lower_bound=_atom_lower_bound(meq),
+        atom_lower_bound=atom_lower_bound(meq),
         stats=stats,
     )
 
@@ -283,6 +279,8 @@ def _cumulative_mass(curve: DensityCurve) -> np.ndarray:
     out = np.empty(curve.xs.size, dtype=float)
     out[0] = 0.0
     np.cumsum(steps, out=out[1:])
+    if not (out[-1] > 0.0):
+        raise ValueError("curve carries no mass on its grid window")
     return out
 
 
@@ -302,8 +300,6 @@ def quantiles(curve: DensityCurve, probs: Sequence[float]) -> QuantileTable:
         raise ValueError("grid window misses the bulk")
     cum = _cumulative_mass(curve)
     mass = cum[-1]
-    if not (mass > 0.0):
-        raise ValueError("curve carries no mass on its grid window")
     # Exact inversion of the trapezoid CDF: within a cell the density is linear,
     # so the cumulative is quadratic in t = v - x0 and the stable root is
     # t = 2T / (rho0 + sqrt(rho0^2 + 2sT)); the discriminant telescopes to
@@ -326,17 +322,17 @@ def quantiles(curve: DensityCurve, probs: Sequence[float]) -> QuantileTable:
     )
 
 
-def closed_form_moments(spec: NetworkSpec) -> Moments:
-    """First moment and variance of the limiting law from the layer summaries.
+def closed_form_moments(meq: RationalMasterEq) -> Moments:
+    """First moment and variance of the law, read off the master equation's factors.
 
-    m1 = prod_ell c_ell sigma_w_ell^2, and expanding the master equation at
-    z -> infinity gives m2 = m1^2 (1 + sum_ell Lambda_ell / c_ell), i.e.
-    variance = m1^2 * sum_ell Lambda_ell / c_ell.
+    With m = m1/z + m2/z^2 + ... as z -> infinity, z m = P(m) gives m1 = P(0),
+    taken as phi_1(0), and m2 = m1 P'(0) = m1^2 sum_j k_j / (-r_j).  The factor
+    m + 1 takes one of the root -1's count, so the variance is
+    m1^2 ((k_{-1} - 1) + sum_{r_j != -1} k_j / (-r_j)); for a net, that sum
+    is sum_ell Lambda_ell / c_ell and m1 = prod_ell c_ell sigma_w_ell^2.
     """
-    summaries = summarize(spec)
-    m1 = 1.0
-    for s in summaries:
-        m1 *= s.c * s.sigma_w_sq
-    variance = m1 * m1 * sum(s.Lambda / s.c for s in summaries)
-    return Moments(m1=m1, variance=variance)
-
+    m1 = eval_phi(meq, 1, 0)[0].real
+    m1 = math.inf if math.isnan(m1) else m1  # an overflowed P(0) comes out as nan
+    counts = dict(zip(meq.roots, meq.multiplicities))
+    spread = sum((k / -r for r, k in counts.items() if r != -1.0), counts.get(-1.0, 0) - 1)
+    return Moments(m1=m1, variance=m1 * m1 * spread)

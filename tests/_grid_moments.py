@@ -1,4 +1,5 @@
-"""Trapezoid moments of a density curve and an upper edge for its window.
+"""Trapezoid moments of a density curve, an upper edge for its window, and
+the closed-form moments from the layer summaries.
 
 The moment-consistency check integrates a solved curve over a window that
 reaches past the support and compares its moments with the closed forms.
@@ -9,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from freespectra import DensityCurve, NetworkSpec
+from freespectra import DensityCurve, Moments, NetworkSpec, summarize
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -36,6 +37,18 @@ def support_upper_bound(spec: NetworkSpec) -> float:
     return float(
         np.prod([l.sigma_w_sq * (1.0 + math.sqrt(l.width_ratio)) ** 2 for l in spec.layers])
     )
+
+
+def layer_moments(spec: NetworkSpec) -> Moments:
+    """First moment and variance from the layer summaries, layer by layer.
+
+    m1 = prod_ell c_ell sigma_w_ell^2, and expanding the master equation at
+    z -> infinity gives m2 = m1^2 (1 + sum_ell Lambda_ell / c_ell), i.e.
+    variance = m1^2 * sum_ell Lambda_ell / c_ell.
+    """
+    summaries = summarize(spec)
+    m1 = math.prod(s.c * s.sigma_w_sq for s in summaries)
+    return Moments(m1=m1, variance=m1 * m1 * sum(s.Lambda / s.c for s in summaries))
 
 
 def grid_moments(curve: DensityCurve) -> GridMoments:

@@ -69,7 +69,7 @@ def test_criterion_1_marchenko_pastur_exactness(capsys):
     spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0),))
     xs = np.logspace(-3, math.log10(5.0), 400)
     start = time.perf_counter()
-    curve = density_grid(spec, xs=xs, y=1e-9)
+    curve = density_grid(master_from_spec(spec), xs=xs, y=1e-9)
     elapsed = time.perf_counter() - start
     mask = (xs >= 0.1) & (xs <= 3.9)
     exact = np.sqrt(xs[mask] * (4.0 - xs[mask])) / (2.0 * math.pi * xs[mask])
@@ -84,9 +84,10 @@ def test_criterion_2_moment_consistency(capsys):
     worst_m1 = worst_var = 0.0
     for _ in range(50):
         spec = _random_spec(rng)
-        closed = closed_form_moments(spec)
-        xs = default_grid(spec, points=400, x_max=support_upper_bound(spec))
-        curve = density_grid(spec, xs=xs, y=1e-6)
+        meq = master_from_spec(spec)
+        closed = closed_form_moments(meq)
+        xs = default_grid(meq, points=400, x_max=support_upper_bound(spec))
+        curve = density_grid(meq, xs=xs, y=1e-6)
         grid = grid_moments(curve)
         worst_m1 = max(worst_m1, abs(grid.m1 - closed.m1) / closed.m1)
         grid_var = grid.m2 - grid.m1**2
@@ -105,7 +106,8 @@ def test_criterion_2_moment_consistency(capsys):
 def test_criterion_3_monte_carlo_agreement(capsys):
     spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(4)))
     start = time.perf_counter()
-    curve = density_grid(spec, xs=default_grid(spec, points=300), y=1e-6)
+    meq = master_from_spec(spec)
+    curve = density_grid(meq, xs=default_grid(meq, points=300), y=1e-6)
     distances = []
     for seed in (0, 1, 2):
         emp = monte_carlo_spectrum(spec, 1000, seed=seed)
@@ -130,7 +132,7 @@ def test_criterion_4_branch_correctness(capsys):
     for _ in range(1000):
         spec = _random_spec(rng)
         meq = master_from_spec(spec)
-        m1 = closed_form_moments(spec).m1
+        m1 = closed_form_moments(meq).m1
         z = complex(
             float(rng.uniform(-1.0, 20.0)) * m1,
             float(10 ** rng.uniform(-9, 1)),
@@ -166,7 +168,7 @@ def test_criterion_5_kantorovich_soundness(capsys):
     while certified < 10_000 and attempts < 400_000:
         spec = _random_spec(rng, max_depth=4, sigma_hi=2.5)
         meq = master_from_spec(spec)
-        m1 = closed_form_moments(spec).m1
+        m1 = closed_form_moments(meq).m1
         z = complex(
             float(rng.uniform(0.1, 5.0)) * m1,
             float(10 ** rng.uniform(-3, 1)) * max(1.0, m1),

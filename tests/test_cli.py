@@ -2,12 +2,13 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from freespectra import cli, quantiles
+from freespectra import cli, network_model, quantiles
 from freespectra.artifacts import read_density, read_quantiles
 
 MP1 = {"network": {"layers": [{"nonlinearity": "linear", "sigma_w_sq": 1.0}]}}
@@ -153,6 +154,25 @@ def test_quantiles_rejects_probs_outside_unit_interval(tmp_path, capsys):
     config = write_config(tmp_path, "bad_probs.json", payload)
     assert cli.main(["quantiles", "--config", config]) == 2
     assert "probs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["density", "quantiles"])
+def test_a_solve_summarizes_the_net_once(tmp_path, monkeypatch, command):
+    # the window and the solve both read the one master equation a run builds
+    calls = []
+    original = network_model.summarize
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "freespectra" and getattr(module, "summarize", None) is original:
+            monkeypatch.setattr(module, "summarize", counting)
+    payload = {"network": {"layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0}] * 64}}
+    config = write_config(tmp_path, "relu64.json", payload)
+    assert cli.main([command, "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------- validate

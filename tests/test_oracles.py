@@ -152,7 +152,7 @@ def test_monte_carlo_mean_tracks_first_moment():
                 for _ in range(int(rng.integers(1, 5)))
             )
         )
-        closed = closed_form_moments(spec)
+        closed = closed_form_moments(master_from_spec(spec))
         emp = monte_carlo_spectrum(spec, 800, seed=int(rng.integers(0, 100)))
         spread = 3.0 * math.sqrt(max(closed.variance, 1e-12) / 800) + 0.15 * closed.m1
         assert abs(emp.values.mean() - closed.m1) <= spread
@@ -350,14 +350,16 @@ def test_ks_distance_of_inverse_cdf_samples_is_small():
 
 
 def test_ks_distance_all_zeros_vs_atomless_curve():
-    curve = density_grid(mp_spec(), xs=default_grid(mp_spec(), points=120), y=1e-6)
+    meq = master_from_spec(mp_spec())
+    curve = density_grid(meq, xs=default_grid(meq, points=120), y=1e-6)
     emp = EmpiricalSpectrum(values=np.zeros(50), n0=50, seed=0)
     assert ks_distance(emp, curve) >= 0.99
 
 
 def test_ks_distance_credits_the_atom():
     spec = relu4_spec()
-    curve = density_grid(spec, xs=default_grid(spec, points=200), y=1e-6)
+    meq = master_from_spec(spec)
+    curve = density_grid(meq, xs=default_grid(meq, points=200), y=1e-6)
     emp = monte_carlo_spectrum(spec, 500, seed=0)
     assert ks_distance(emp, curve) <= 0.1
 
@@ -368,3 +370,13 @@ def test_ks_distance_rejects_starved_curve():
     emp = EmpiricalSpectrum(values=np.linspace(0, 1, 16), n0=16, seed=0)
     with pytest.raises(ValueError, match="mass"):
         ks_distance(emp, starved)
+
+
+def test_ks_distance_refuses_a_curve_with_no_mass_on_its_window():
+    # the atom alone passes the mass check, and the window's CDF was 0/0:
+    # NaN, which max dropped, so this pair scored KS 0.0
+    xs = np.linspace(1.0, 2.0, 8)
+    empty = DensityCurve(xs=xs, rhos=np.zeros(8), y=1e-6, total_mass=0.0, atom_lower_bound=0.6)
+    emp = EmpiricalSpectrum(values=np.r_[np.zeros(6), 1.0, 1.2, 1.5, 1.9], n0=10, seed=0)
+    with pytest.raises(ValueError, match="^curve carries no mass on its grid window$"):
+        ks_distance(emp, empty)

@@ -208,7 +208,8 @@ def test_tiny_y_hard_sine_net_completes():
     spec = NetworkSpec(
         layers=tuple(LayerSpec(Nonlinearity.HARD_SINE, 1.5, width_ratio=2.0) for _ in range(3))
     )
-    curve = density_grid(spec, xs=default_grid(spec, points=400), y=1e-9)
+    meq = master_from_spec(spec)
+    curve = density_grid(meq, xs=default_grid(meq, points=400), y=1e-9)
     assert curve.stats.basins <= 600
     assert curve.stats.restarts == 0
 
@@ -220,7 +221,8 @@ def test_tiny_y_hard_sine_net_completes():
 def test_grid_basin_count(nonlinearity, gain, depth, y):
     # the centred bound keeps basins wide as depth grows: about one per point
     spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
-    curve = density_grid(spec, xs=default_grid(spec, points=400), y=y)
+    meq = master_from_spec(spec)
+    curve = density_grid(meq, xs=default_grid(meq, points=400), y=y)
     assert curve.stats.basins <= 500
     assert curve.stats.restarts == 0
 
@@ -277,7 +279,8 @@ def test_certificate_counters_match_is_in_basin_calls(monkeypatch):
     spec = NetworkSpec(
         layers=tuple(LayerSpec(Nonlinearity.HARD_SINE, 1.5, width_ratio=2.0) for _ in range(3))
     )
-    curve = density_grid(spec, xs=default_grid(spec, points=400), y=1e-9)
+    meq = master_from_spec(spec)
+    curve = density_grid(meq, xs=default_grid(meq, points=400), y=1e-9)
     stats.merge(curve.stats)
     assert stats.rejected_tests > stats.doublings
     assert seen["batched"] > 0
@@ -302,8 +305,9 @@ def test_every_newton_solve_starts_from_a_certificate(monkeypatch, nonlinearity,
 
     monkeypatch.setattr("freespectra.solver.newton_raphson", counting)
     spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
-    xs = default_grid(spec, points=400)
-    curve = density_grid(spec, xs=xs, y=y)
+    meq = master_from_spec(spec)
+    xs = default_grid(meq, points=400)
+    curve = density_grid(meq, xs=xs, y=y)
     assert uncertified["calls"] == 0
     if nonlinearity is Nonlinearity.HARD_TANH:
         assert np.all(xs <= y)
@@ -342,7 +346,8 @@ def test_grid_evaluates_phi_once_per_test_and_step(
     spec = NetworkSpec(
         layers=tuple(LayerSpec(nonlinearity, gain, width_ratio=ratio) for _ in range(depth))
     )
-    curve = density_grid(spec, xs=default_grid(spec, points=400), y=y)
+    meq = master_from_spec(spec)
+    curve = density_grid(meq, xs=default_grid(meq, points=400), y=y)
     stats = curve.stats
     assert seen["evals"] == stats.certificate_tests + stats.newton_iterations
     assert (seen["evals"], stats.certificate_tests, stats.newton_iterations, stats.basins) == (
@@ -371,7 +376,7 @@ def test_newton_from_certificate_matches_fresh_evaluation():
             )
         )
         meq = master_from_spec(spec)
-        m1 = closed_form_moments(spec).m1
+        m1 = closed_form_moments(meq).m1
         z = complex(rng.uniform(0.01, 3.0) * m1, 10 ** rng.uniform(-9, -1) * m1)
         z_near = z * (1.0 + 10 ** rng.uniform(-4, -1))
         m0 = newton_lilypads(meq, z_near)
@@ -406,7 +411,7 @@ def test_batched_step_matches_the_scalar_step():
             )
         )
         meq = master_from_spec(spec)
-        m1 = closed_form_moments(spec).m1
+        m1 = closed_form_moments(meq).m1
         y = 10 ** rng.uniform(-9, -3) * m1
         z_c = complex(rng.uniform(0.01, 3.0) * m1, y)
         m_c = newton_lilypads(meq, z_c)
@@ -478,7 +483,8 @@ def test_lockstep_stop_rule_matches_newton_raphson_on_grid_batches(monkeypatch):
                 for _ in range(int(rng.integers(1, 17)))
             )
         )
-        density_grid(spec, xs=default_grid(spec, points=400), y=float(10 ** rng.uniform(-9, -3)))
+        meq = master_from_spec(spec)
+        density_grid(meq, xs=default_grid(meq, points=400), y=float(10 ** rng.uniform(-9, -3)))
     points = 0
     for meq, z, m0, value, deriv in batches:
         batched = SolveStats()

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import freespectra.spectrum as spectrum_module
-from _grid_moments import grid_moments, support_upper_bound
+from _grid_moments import grid_moments, layer_moments, support_upper_bound
 from _s_transform import phi_errors
 from freespectra.oracles import all_roots
 from freespectra import (
@@ -48,19 +48,19 @@ def mp_cdf(t):
 
 
 def test_atom_lower_bound_values():
-    assert atom_lower_bound(mp_spec()) == 0.0
-    assert atom_lower_bound(relu4_spec()) == 0.5
+    assert atom_lower_bound(master_from_spec(mp_spec())) == 0.0
+    assert atom_lower_bound(master_from_spec(relu4_spec())) == 0.5
     wide = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=2.0),))
-    assert atom_lower_bound(wide) == 0.5
+    assert atom_lower_bound(master_from_spec(wide)) == 0.5
     ht = NetworkSpec(layers=(LayerSpec(Nonlinearity.HARD_TANH, 1.0),))
-    assert atom_lower_bound(ht) == pytest.approx(0.31731050786291415, rel=1e-12)
+    assert atom_lower_bound(master_from_spec(ht)) == pytest.approx(0.31731050786291415, rel=1e-12)
     mixed = NetworkSpec(
         layers=(
             LayerSpec(Nonlinearity.RELU, 2.0),
             LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=4.0),
         )
     )
-    assert atom_lower_bound(mixed) == pytest.approx(0.75, rel=1e-12)
+    assert atom_lower_bound(master_from_spec(mixed)) == pytest.approx(0.75, rel=1e-12)
 
 
 def test_support_upper_bound_values():
@@ -71,7 +71,8 @@ def test_support_upper_bound_values():
 
 
 def test_default_grid_brackets_from_moments():
-    xs = default_grid(mp_spec())
+    meq = master_from_spec(mp_spec())
+    xs = default_grid(meq)
     assert xs.size == 200
     assert xs[0] == pytest.approx(1e-4, rel=1e-12)
     assert xs[-1] == pytest.approx(11.0, rel=1e-12)
@@ -79,7 +80,7 @@ def test_default_grid_brackets_from_moments():
     # log spacing: constant ratio
     ratios = xs[1:] / xs[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
-    lin = default_grid(mp_spec(), points=50, x_min=0.5, x_max=2.0, log_spaced=False)
+    lin = default_grid(meq, points=50, x_min=0.5, x_max=2.0, log_spaced=False)
     assert np.allclose(np.diff(lin), lin[1] - lin[0], rtol=1e-12)
 
 
@@ -87,15 +88,16 @@ def test_default_grid_brackets_from_moments():
 
 
 def test_density_matches_mp_closed_form_at_two():
-    curve = density_grid(mp_spec(), xs=np.array([2.0, 5.0]), y=1e-9)
+    curve = density_grid(master_from_spec(mp_spec()), xs=np.array([2.0, 5.0]), y=1e-9)
     assert abs(curve.rhos[0] - 1 / (2 * math.pi)) <= 1e-6
     assert curve.rhos[1] <= 1e-8  # outside [0, 4]
     assert curve.y == 1e-9
 
 
 def test_density_flattens_as_y_grows():
-    soft = density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=1.0)
-    sharp = density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=1e-4)
+    meq = master_from_spec(mp_spec())
+    soft = density_grid(meq, xs=np.array([1.0, 2.0]), y=1.0)
+    sharp = density_grid(meq, xs=np.array([1.0, 2.0]), y=1e-4)
     assert soft.rhos[1] < sharp.rhos[1]
 
 
@@ -103,10 +105,11 @@ def test_density_reverse_traversal_invariance():
     # walking the grid upward from its smallest x finds the density that
     # density_grid's downward walk finds
     spec = relu4_spec()
-    xs = default_grid(spec, points=60)
-    fwd = density_grid(spec, xs=xs, y=1e-6)
+    meq = master_from_spec(spec)
+    xs = default_grid(meq, points=60)
+    fwd = density_grid(meq, xs=xs, y=1e-6)
     zs = xs + 1e-6j
-    ms = spectrum_module._walk_roots(master_from_spec(spec), zs, SolveStats())
+    ms = spectrum_module._walk_roots(meq, zs, SolveStats())
     rev = np.maximum(-((ms + 1.0) / zs).imag / math.pi, 0.0)
     assert np.max(np.abs(fwd.rhos - rev)) <= 1e-9
 
@@ -140,8 +143,9 @@ def test_density_assembly_matches_per_point_division(monkeypatch):
     # rho is assembled with numpy's complex division; the per-point Python
     # division is the reference, up to a few ulps of either rounding
     solved = record_grid_roots(monkeypatch)
-    xs = default_grid(relu4_spec(), points=200)
-    curve = density_grid(relu4_spec(), xs=xs, y=1e-6)
+    meq = master_from_spec(relu4_spec())
+    xs = default_grid(meq, points=200)
+    curve = density_grid(meq, xs=xs, y=1e-6)
     reference = {z.real: max(0.0, -((m + 1.0) / z).imag / math.pi) for z, m, _ in solved}
     expected = np.array([reference[x] for x in xs.tolist()])
     assert np.all(np.abs(curve.rhos - expected) <= 4 * np.spacing(expected))
@@ -158,10 +162,10 @@ def test_every_grid_root_is_on_the_decaying_branch(monkeypatch, nonlinearity):
             layers=tuple(LayerSpec(nonlinearity, 1.5, width_ratio=0.5) for _ in range(depth))
         )
         meq = master_from_spec(spec)
-        xs = default_grid(spec, points=150)
+        xs = default_grid(meq, points=150)
         for y in (1e-3, 1e-6, 1e-9):
             del solved[:]
-            density_grid(spec, xs=xs, y=y)
+            density_grid(meq, xs=xs, y=y)
             assert sorted(z.real for z, _, _ in solved) == xs.tolist()
             batched += sum(in_batch for _, _, in_batch in solved)
             for z, m, _ in solved:
@@ -188,7 +192,8 @@ def test_deep_grid_halves_rejected_jumps(monkeypatch, nonlinearity, gain, depth)
 
     monkeypatch.setattr("freespectra.spectrum.newton_lilypads", counting)
     spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
-    density_grid(spec, xs=default_grid(spec, points=400), y=1e-6)
+    meq = master_from_spec(spec)
+    density_grid(meq, xs=default_grid(meq, points=400), y=1e-6)
     assert calls["sequential"] <= 64
 
 
@@ -219,9 +224,10 @@ def test_deep_grid_matches_the_sequential_walk(nonlinearity, gain, depth, ratio,
     spec = NetworkSpec(
         layers=tuple(LayerSpec(nonlinearity, gain, width_ratio=ratio) for _ in range(depth))
     )
-    xs = default_grid(spec, points=400)
+    meq = master_from_spec(spec)
+    xs = default_grid(meq, points=400)
     reference = sequential_walk_rhos(spec, xs, y)
-    curve = density_grid(spec, xs=xs, y=y)
+    curve = density_grid(meq, xs=xs, y=y)
     scale = np.maximum(reference, 1e-12 * reference.max())
     assert np.max(np.abs(curve.rhos - reference) / scale) <= 1e-8
 
@@ -229,11 +235,12 @@ def test_deep_grid_matches_the_sequential_walk(nonlinearity, gain, depth, ratio,
 def test_density_grid_leaves_no_reference_cycles():
     # a grid's arrays are freed by reference counting when it returns, not
     # left for the cyclic collector
-    density_grid(relu4_spec(), xs=default_grid(relu4_spec(), points=400))
+    meq = master_from_spec(relu4_spec())
+    density_grid(meq, xs=default_grid(meq, points=400))
     gc.collect()
     gc.disable()
     try:
-        density_grid(relu4_spec(), xs=default_grid(relu4_spec(), points=400))
+        density_grid(meq, xs=default_grid(meq, points=400))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -244,8 +251,9 @@ def test_noise_floor_next_to_a_root_of_p():
     # is about 4 eps |phi'| |m|; without that term in the noise floor Newton
     # ran out of iterations there
     spec = mp_spec()
-    xs = default_grid(spec, points=400, x_min=1e-12 * closed_form_moments(spec).m1)
-    curve = density_grid(spec, xs=xs, y=1e-9)
+    meq = master_from_spec(spec)
+    xs = default_grid(meq, points=400, x_min=1e-12 * closed_form_moments(meq).m1)
+    curve = density_grid(meq, xs=xs, y=1e-9)
     assert np.all(np.isfinite(curve.rhos))
     assert curve.stats.basins == 446
 
@@ -267,7 +275,7 @@ def test_deep_net_density_completes(layers):
     spec = NetworkSpec(
         layers=tuple(LayerSpec(nl, gain) for nl, gain, depth in layers for _ in range(depth))
     )
-    curve = density_grid(spec)
+    curve = density_grid(master_from_spec(spec))
     assert np.all(np.isfinite(curve.rhos))
     assert np.all(curve.rhos >= 0.0) and curve.rhos.max() > 0.0
 
@@ -286,8 +294,8 @@ def test_deep_alternating_net_stays_in_the_exponent_range():
     )
     meq = master_from_spec(spec)
     assert meq.roots == (-1.0, -0.125, -0.5) and meq.multiplicities == (1, 3000, 3000)
-    xs = default_grid(spec, points=100)
-    curve = density_grid(spec, xs=xs)
+    xs = default_grid(meq, points=100)
+    curve = density_grid(meq, xs=xs)
     assert np.all(np.isfinite(curve.rhos))
     assert np.all(curve.rhos >= 0.0) and curve.rhos.max() > 0.0
     # phi at 5 grid points, at the roots the grid walk found, against 160-bit
@@ -302,18 +310,19 @@ def test_deep_alternating_net_stays_in_the_exponent_range():
 
 
 def test_density_validates_inputs():
+    meq = master_from_spec(mp_spec())
     with pytest.raises(ValueError, match="y must be positive"):
-        density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=0.0)
+        density_grid(meq, xs=np.array([1.0, 2.0]), y=0.0)
     for y in (math.nan, math.inf):
         with pytest.raises(ValueError, match="y must be positive and finite"):
-            density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=y)
+            density_grid(meq, xs=np.array([1.0, 2.0]), y=y)
     for x in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            density_grid(mp_spec(), xs=np.array([1.0, x]), y=1e-6)
+            density_grid(meq, xs=np.array([1.0, x]), y=1e-6)
     with pytest.raises(ValueError):
-        density_grid(mp_spec(), xs=np.array([-1.0, 2.0]), y=1e-6)
+        density_grid(meq, xs=np.array([-1.0, 2.0]), y=1e-6)
     with pytest.raises(ValueError):
-        density_grid(mp_spec(), xs=np.array([2.0, 1.0]), y=1e-6)
+        density_grid(meq, xs=np.array([2.0, 1.0]), y=1e-6)
 
 
 @pytest.mark.parametrize("x_lo, x_hi", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)])
@@ -327,11 +336,20 @@ def test_default_grid_names_an_overflowing_window():
     # m1 = 1e250 and its variance 25 * 1e500 overflows, so the default x_max
     # would be inf and the solve would fail far from the cause
     spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.LINEAR, 1e10) for _ in range(25)))
+    meq = master_from_spec(spec)
     with pytest.raises(ValueError, match=r"m1 = 9\.99+\d*e\+249 and variance = inf") as info:
-        default_grid(spec)
+        default_grid(meq)
     assert "grid.x_min and grid.x_max" in str(info.value)
-    xs = default_grid(spec, points=50, x_min=1e246, x_max=1e251)
-    assert np.all(np.isfinite(density_grid(spec, xs=xs).rhos))
+    xs = default_grid(meq, points=50, x_min=1e246, x_max=1e251)
+    assert np.all(np.isfinite(density_grid(meq, xs=xs).rhos))
+
+
+def test_default_grid_names_an_overflowing_first_moment():
+    # m1 = P(0) is past the doubles here; the complex products of its binary
+    # powering turn the overflow into nan, which the window names as inf
+    spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.HARD_TANH, 1e10) for _ in range(80)))
+    with pytest.raises(ValueError, match=r"m1 = inf and variance = inf"):
+        default_grid(master_from_spec(spec))
 
 
 def test_density_failure_names_the_grid_point(monkeypatch):
@@ -340,17 +358,19 @@ def test_density_failure_names_the_grid_point(monkeypatch):
 
     monkeypatch.setattr("freespectra.spectrum.newton_lilypads", explode)
     with pytest.raises(SolverError, match="density solve failed at x="):
-        density_grid(mp_spec(), xs=np.array([1.0, 2.0]), y=1e-6)
+        density_grid(master_from_spec(mp_spec()), xs=np.array([1.0, 2.0]), y=1e-6)
 
 
 def test_mass_sanity_on_edge_separated_laws():
     # total mass accounts for everything except the rank-deficiency atom;
     # laws with a hard edge at zero are excluded (their x -> 0 tail cannot
     # be captured by any positive window)
-    mp = density_grid(mp_spec(), xs=default_grid(mp_spec(), points=300), y=1e-6)
+    meq = master_from_spec(mp_spec())
+    mp = density_grid(meq, xs=default_grid(meq, points=300), y=1e-6)
     assert 1 - 0.02 <= mp.total_mass + mp.atom_lower_bound <= 1.02
     wide_spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.5, width_ratio=2.0),))
-    wide = density_grid(wide_spec, xs=default_grid(wide_spec, points=300), y=1e-6)
+    meq = master_from_spec(wide_spec)
+    wide = density_grid(meq, xs=default_grid(meq, points=300), y=1e-6)
     assert wide.atom_lower_bound == 0.5
     assert 1 - 0.02 <= wide.total_mass + wide.atom_lower_bound <= 1.02
 
@@ -424,8 +444,9 @@ def test_quantiles_uniform_closed_form():
 def test_quantiles_mp_median_matches_cdf_inversion():
     # the x -> 0 tail carries ~(2/pi)*sqrt(x_min) mass, so the window must
     # open far below the default for a 1e-3 quantile comparison
-    xs = default_grid(mp_spec(), points=600, x_min=1e-8)
-    curve = density_grid(mp_spec(), xs=xs, y=1e-9)
+    meq = master_from_spec(mp_spec())
+    xs = default_grid(meq, points=600, x_min=1e-8)
+    curve = density_grid(meq, xs=xs, y=1e-9)
     median = quantiles(curve, np.array([0.5])).values[0]
     oracle = brentq(lambda t: mp_cdf(t) - 0.5, 1e-9, 4.0 - 1e-9, xtol=1e-12)
     assert abs(median - oracle) <= 1e-3
@@ -433,7 +454,8 @@ def test_quantiles_mp_median_matches_cdf_inversion():
 
 def test_quantiles_nondecreasing():
     spec = relu4_spec()
-    curve = density_grid(spec, xs=default_grid(spec, points=150), y=1e-6)
+    meq = master_from_spec(spec)
+    curve = density_grid(meq, xs=default_grid(meq, points=150), y=1e-6)
     probs = np.linspace(0.1, 0.9, 9)
     values = quantiles(curve, probs).values
     assert np.all(np.diff(values) >= 0)
@@ -460,26 +482,55 @@ def test_quantiles_reject_empty_window():
 
 
 def test_closed_form_moments_examples():
-    m = closed_form_moments(relu4_spec())
+    m = closed_form_moments(master_from_spec(relu4_spec()))
     assert m.m1 == pytest.approx(1.0, rel=1e-14)
     assert m.variance == pytest.approx(8.0, rel=1e-14)
-    m = closed_form_moments(mp_spec())
+    m = closed_form_moments(master_from_spec(mp_spec()))
     assert (m.m1, m.variance) == (1.0, 1.0)
     faint = NetworkSpec(
         layers=(LayerSpec(Nonlinearity.LINEAR, 1e-12), LayerSpec(Nonlinearity.LINEAR, 1.0))
     )
-    assert closed_form_moments(faint).m1 <= 1e-11
+    assert closed_form_moments(master_from_spec(faint)).m1 <= 1e-11
+
+
+def random_deep_spec(rng):
+    return NetworkSpec(
+        layers=tuple(
+            LayerSpec(
+                nonlinearity=list(Nonlinearity)[rng.integers(0, 4)],
+                sigma_w_sq=float(rng.uniform(0.5, 3.0)),
+                sigma_b_sq=float(rng.uniform(0.0, 0.5)),
+                width_ratio=float(2.0 ** rng.uniform(-2.0, 2.0)),
+            )
+            for _ in range(int(rng.integers(1, 65)))
+        )
+    )
+
+
+def test_closed_form_moments_match_the_layer_formula():
+    # the factors' P(0) and sum_j k_j / (-r_j) against prod c sigma^2 and
+    # sum Lambda / c over the layers, at depth 1-64 and width ratios 0.25-4
+    rng = np.random.default_rng(12)
+    specs = [random_deep_spec(rng) for _ in range(200)]
+    specs.append(NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(1100))))
+    assert {layer.nonlinearity for spec in specs for layer in spec.layers} == set(Nonlinearity)
+    for spec in specs:
+        closed = closed_form_moments(master_from_spec(spec))
+        oracle = layer_moments(spec)
+        assert closed.m1 == pytest.approx(oracle.m1, rel=1e-13), spec
+        assert closed.variance == pytest.approx(oracle.variance, rel=1e-13), spec
 
 
 def test_closed_form_variance_survives_width_change():
     # single rectangular Gaussian factor: squared-singular variance is
     # sigma^4 * Lambda, the sharp discriminator for the moment bookkeeping
     spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.5, width_ratio=2.0),))
-    closed = closed_form_moments(spec)
+    meq = master_from_spec(spec)
+    closed = closed_form_moments(meq)
     assert closed.m1 == pytest.approx(1.5, rel=1e-14)
     assert closed.variance == pytest.approx(1.5**2 * 2.0, rel=1e-14)
-    xs = default_grid(spec, points=400)
-    curve = density_grid(spec, xs=xs, y=1e-6)
+    xs = default_grid(meq, points=400)
+    curve = density_grid(meq, xs=xs, y=1e-6)
     grid = grid_moments(curve)
     assert grid.m1 == pytest.approx(closed.m1, rel=0.01)
     grid_var = grid.m2 - grid.m1**2
@@ -487,7 +538,8 @@ def test_closed_form_variance_survives_width_change():
 
 
 def test_grid_moments_mp1():
-    curve = density_grid(mp_spec(), xs=default_grid(mp_spec(), points=400), y=1e-6)
+    meq = master_from_spec(mp_spec())
+    curve = density_grid(meq, xs=default_grid(meq, points=400), y=1e-6)
     grid = grid_moments(curve)
     assert grid.m1 == pytest.approx(1.0, rel=0.01)
     assert grid.m2 == pytest.approx(2.0, rel=0.02)
@@ -503,5 +555,6 @@ def test_grid_moments_uniform_synthetic():
 
 
 def test_grid_moments_flags_soft_resolution():
-    curve = density_grid(mp_spec(), xs=default_grid(mp_spec(), points=100), y=1e-3)
+    meq = master_from_spec(mp_spec())
+    curve = density_grid(meq, xs=default_grid(meq, points=100), y=1e-3)
     assert grid_moments(curve).coverage_ok is False
