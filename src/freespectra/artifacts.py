@@ -38,6 +38,7 @@ _STAT_KEYS = (
     "restarts",
     "certificate_tests",
     "rejected_tests",
+    "lifts",
 )
 
 

@@ -6,8 +6,12 @@ global strategy chains certified basins: from Im z = max(|Im z|, |Re z|) double
 Im z upward until the cold start certifies, then walk back down to the requested
 z, warm starting each solve from the previous solution.  Each step of the walk
 tries at most twice the last accepted step and is halved until it certifies.
-The certificate carries phi and phi' at the start it certified, and Newton's
-first step reuses that evaluation.
+A straight walk at small |Im z| that crosses a support edge would halve its
+step toward the branch point there, so the walk detours instead: at its first
+rejected step while |Im z| is below the remaining gap, it climbs away from
+the real axis to an apex over the midpoint and walks back from there, each leg
+certified step by step (see _descend).  The certificate carries phi and phi' at the start it
+certified, and Newton's first step reuses that evaluation.
 
 For many points at once, basin_certificates runs the same Kantorovich test on
 numpy arrays and newton_lockstep iterates every certified point together
@@ -130,8 +134,9 @@ class SolveStats:
 
     certificate_tests counts Kantorovich tests in the cold start, the descent
     and a grid's coarse and batched passes, rejected_tests the ones that did
-    not certify.  restarts stays 0: no solve falls back to the all-roots
-    oracle; the field keeps the density headers' keys.
+    not certify, and lifts the descents that detoured over an apex instead of
+    halving their step (see _descend).  restarts stays 0: no solve falls back
+    to the all-roots oracle; the field keeps the density headers' keys.
     """
 
     newton_iterations: int = 0
@@ -140,6 +145,7 @@ class SolveStats:
     restarts: int = 0
     certificate_tests: int = 0
     rejected_tests: int = 0
+    lifts: int = 0
 
     def merge(self, other: "SolveStats") -> None:
         self.newton_iterations += other.newton_iterations
@@ -148,6 +154,7 @@ class SolveStats:
         self.restarts += other.restarts
         self.certificate_tests += other.certificate_tests
         self.rejected_tests += other.rejected_tests
+        self.lifts += other.lifts
 
 
 class SolverError(RuntimeError):
@@ -335,7 +342,11 @@ def newton_lilypads(
     proxy (z, m) from a neighboring solve, skip straight to the descent.  The
     descent tries at most twice its last accepted step toward z_objective and
     halves it until the current solution certifies at the shifted point, then
-    advances and re-solves.  Every Newton solve starts from a certificate and reuses its evaluation.
+    advances and re-solves.  At its first rejected step while |Im z| is below
+    the remaining gap, as where a step along Im z crosses a support edge, it
+    detours once over an apex at height about gap/2 instead of halving, and
+    stats.lifts counts it (see _descend).  Every Newton solve starts from a
+    certificate and reuses its evaluation.
     """
     if z_objective.imag == 0.0:
         raise _off_axis_error(z_objective)
@@ -385,20 +396,44 @@ def _descend(
     m: complex,
     z_objective: complex,
     stats: SolveStats,
+    leg_end: Optional[complex] = None,
 ) -> complex:
-    full_step = abs(z_objective - z)
+    """Walk the solved (z, m) to z_objective in certified steps and return m there.
+
+    Each step tries at most twice the last accepted one, first the whole gap,
+    and is halved until m certifies at its end; Newton then solves there from
+    that certificate.  A step that reaches z_objective straight along Im z
+    can cross a support edge, where the basins shrink toward the branch point
+    with |Im z|.  So at the first rejected test while |Im z| is below the
+    remaining gap, the descent lifts instead of halving: it walks a leg to the
+    apex, the midpoint moved away from the real axis by gap/2 plus the larger
+    |Im| of the two ends, and a second leg down to z_objective.  Both legs
+    stay in the open half-plane of z, where the decaying branch is analytic,
+    and each is this straight descent with leg_end set: it walks to leg_end,
+    names z_objective in its errors and does not lift again, so a descent
+    lifts at most once and every leg keeps its step floor.
+    """
+    end = z_objective if leg_end is None else leg_end
+    full_step = abs(end - z)
     floor = _MIN_STEP_FRACTION * full_step
     step = full_step
     while True:
-        dz = z_objective - z
+        dz = end - z
         gap = abs(dz)
         if gap <= 2.0 * step:
-            target = z_objective
+            target = end
         else:
             dz *= 2.0 * step / gap
             target = z + dz
         stats.certificate_tests += 1
         cert = is_in_basin(meq, target, m)
+        if cert is None and leg_end is None and abs(z.imag) < gap:
+            stats.rejected_tests += 1
+            stats.lifts += 1
+            height = 0.5 * gap + max(abs(z.imag), abs(z_objective.imag))
+            apex = 0.5 * (z + z_objective) + complex(0.0, math.copysign(height, z.imag))
+            m = _descend(meq, z, m, z_objective, stats, apex)
+            return _descend(meq, apex, m, z_objective, stats, z_objective)
         while cert is None:
             stats.rejected_tests += 1
             dz *= 0.5
@@ -422,5 +457,5 @@ def _descend(
         z = target
         m = newton_raphson(meq, z, m, stats, cert)
         stats.basins += 1
-        if z == z_objective:
+        if z == end:
             return m

@@ -74,6 +74,25 @@ def test_density_csv_without_certificate_counters_keeps_its_stats(tmp_path):
     assert back.stats == SolveStats(newton_iterations=17, basins=4, doublings=2, restarts=1)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_lifts_round_trip_and_read_as_zero_when_missing(tmp_path, fmt):
+    curve = awkward_curve()
+    curve.stats.lifts = 5
+    path = tmp_path / f"c.{fmt}"
+    write_density(curve, str(path), fmt=fmt)
+    assert read_density(str(path)).stats == curve.stats
+    # a file written before the lifts counter existed reads it as 0
+    if fmt == "json":
+        doc = json.loads(path.read_text())
+        del doc["stats"]["lifts"]
+        path.write_text(json.dumps(doc))
+    else:
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if "lifts" not in line) + "\n")
+    curve.stats.lifts = 0
+    assert read_density(str(path)).stats == curve.stats
+
+
 def test_density_json_ignores_keys_that_are_not_counters(tmp_path):
     # as the CSV header does, so a counter can leave SolveStats and its old
     # files still read
@@ -150,6 +169,7 @@ def test_render_density_headers_cover_stats():
         "restarts",
         "certificate_tests",
         "rejected_tests",
+        "lifts",
     }
 
 

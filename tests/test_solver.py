@@ -214,6 +214,97 @@ def test_tiny_y_hard_sine_net_completes():
     assert curve.stats.restarts == 0
 
 
+@pytest.mark.parametrize("y", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("x_from, x_to", [(4.05, 3.95), (3.95, 4.05), (4.2, 3.8)])
+def test_edge_crossing_costs_a_few_basins_at_any_y(x_from, x_to, y):
+    # one grid step across the Marchenko-Pastur edge at x = 4: straight along
+    # Im z = y the basins shrink toward the branch point and the step took
+    # 18-47 basins; over the apex it takes a few whatever y is
+    meq = mp_meq()
+    z_from, z_to = complex(x_from, y), complex(x_to, y)
+    m_from = mp_root(z_from)
+    stats = SolveStats()
+    m = newton_lilypads(meq, z_to, proxy=(z_from, m_from), stats=stats)
+    assert stats.basins <= 6
+    assert stats.lifts == 1
+    assert abs(m - mp_root(z_to)) <= 1e-12
+    mirrored = newton_lilypads(
+        meq, z_to.conjugate(), proxy=(z_from.conjugate(), m_from.conjugate())
+    )
+    assert mirrored == m.conjugate()
+
+
+def test_vertical_descent_does_not_lift():
+    # the cold start's walk down at fixed x never has |Im z| below its gap
+    stats = SolveStats()
+    newton_lilypads(mp_meq(), 3.9999 + 1e-12j, stats=stats)
+    assert stats.rejected_tests > stats.doublings
+    assert stats.lifts == 0
+
+
+def test_descent_leg_stall_names_the_objective(monkeypatch):
+    # a leg that stalls reports the descent's objective, not its apex
+    monkeypatch.setattr(solver_module, "_MIN_STEP_FRACTION", 0.5)
+    z_from, z_to = 4.2 + 1e-9j, 3.8 + 1e-9j
+    with pytest.raises(SolverError) as info:
+        newton_lilypads(mp_meq(), z_to, proxy=(z_from, mp_root(z_from)))
+    assert info.value.z == z_to
+    z_last, m_last = info.value.last_certified
+    assert z_last.imag > 0
+    assert abs(eval_phi(mp_meq(), z_last, m_last)[0]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "layers, y, window",
+    [
+        # a walk straight along Im z = y stalled on both with "step ...
+        # rounds to zero" at an upper edge, at x = 169.29 and x = 1.68e6
+        (((Nonlinearity.LINEAR, 1.0, 1.0),) * 64, 1e-12, (1e-4, 1.001 * 65**65 / 64**64, 400)),
+        (((Nonlinearity.HARD_SINE, 1.5, 2.0),) * 16, 1e-9, None),
+    ],
+    ids=["linear-x64-y1e-12", "hard_sine-x16-ratio2-y1e-9"],
+)
+def test_tiny_y_grid_crosses_its_upper_edge(layers, y, window):
+    spec = NetworkSpec(layers=tuple(LayerSpec(nl, gain, width_ratio=r) for nl, gain, r in layers))
+    meq = master_from_spec(spec)
+    if window is None:
+        xs = default_grid(meq)
+    else:
+        lo, hi, points = window
+        xs = default_grid(meq, points=points, x_min=lo * closed_form_moments(meq).m1, x_max=hi)
+    stats = SolveStats()
+    zs = xs[::-1] + 1j * y
+    ms = spectrum_module._walk_roots(meq, zs, stats)
+    assert stats.lifts >= 1
+    for z, m in zip(zs.tolist(), ms.tolist()):
+        assert min(abs(m - r) for r in all_roots(meq, z).roots) <= 1e-9
+    assert np.all(-((ms + 1.0) / zs).imag / math.pi >= -1e-10)
+
+
+def test_lifted_grid_stays_within_the_stop_rule_of_the_exact_roots():
+    # linear at ratio 0.5 and y = 1e-9 lifts at its edges; every grid m stays
+    # within Newton's 1e-12 (1 + |m|) of a root of P(m) - z m taken in 200 bits
+    mpmath = pytest.importorskip("mpmath")
+    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=0.5),))
+    meq = master_from_spec(spec)
+    stats = SolveStats()
+    zs = default_grid(meq, points=400)[::-1] + 1e-9j
+    ms = spectrum_module._walk_roots(meq, zs, stats)
+    assert stats.lifts >= 1
+    with mpmath.workprec(200):
+        gain = mpmath.mpf(meq.gain)
+        coeffs = [mpmath.mpc(1)]  # P(m) multiplied out, highest degree first
+        for r, k in zip(meq.roots, meq.multiplicities):
+            for _ in range(k):
+                coeffs = [gain * a - gain * r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        for z, m in zip(zs.tolist(), ms.tolist()):
+            shifted = list(coeffs)
+            shifted[-2] -= mpmath.mpc(z.real, z.imag)
+            roots = mpmath.polyroots(shifted, maxsteps=200, extraprec=200)
+            off = min(abs(mpmath.mpc(m.real, m.imag) - root) for root in roots)
+            assert off <= 1e-12 * (1 + abs(m))
+
+
 @pytest.mark.parametrize(
     "nonlinearity, gain, depth, y",
     [(Nonlinearity.RELU, 2.0, 4, 1e-6), (Nonlinearity.LINEAR, 1.0, 16, 1e-6)],
@@ -239,14 +330,17 @@ def test_lilypads_survives_large_coefficients():
 
 def test_stats_merge_accumulates():
     a = SolveStats(
-        newton_iterations=3, basins=1, doublings=2, restarts=0, certificate_tests=4, rejected_tests=1
+        newton_iterations=3, basins=1, doublings=2, restarts=0, certificate_tests=4,
+        rejected_tests=1, lifts=2,
     )
     b = SolveStats(
-        newton_iterations=5, basins=2, doublings=0, restarts=1, certificate_tests=3, rejected_tests=0
+        newton_iterations=5, basins=2, doublings=0, restarts=1, certificate_tests=3,
+        rejected_tests=0, lifts=3,
     )
     a.merge(b)
     assert a == SolveStats(
-        newton_iterations=8, basins=3, doublings=2, restarts=1, certificate_tests=7, rejected_tests=1
+        newton_iterations=8, basins=3, doublings=2, restarts=1, certificate_tests=7,
+        rejected_tests=1, lifts=5,
     )
 
 
@@ -317,8 +411,8 @@ def test_every_newton_solve_starts_from_a_certificate(monkeypatch, nonlinearity,
 @pytest.mark.parametrize(
     "nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins",
     [
-        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 2195, 523, 1672, 432),
-        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 2532, 695, 1837, 520),
+        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 2038, 473, 1565, 407),
+        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 1970, 497, 1473, 423),
         (Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 2011, 508, 1503, 405),
     ],
 )

@@ -255,7 +255,7 @@ def test_noise_floor_next_to_a_root_of_p():
     xs = default_grid(meq, points=400, x_min=1e-12 * closed_form_moments(meq).m1)
     curve = density_grid(meq, xs=xs, y=1e-9)
     assert np.all(np.isfinite(curve.rhos))
-    assert curve.stats.basins == 446
+    assert curve.stats.basins == 406
 
 
 @pytest.mark.parametrize(
