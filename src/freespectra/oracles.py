@@ -27,7 +27,10 @@ __all__ = [
 ]
 
 # Per-(seed, layer) substreams; keeps every draw independent of matrix
-# assembly order.
+# assembly order.  The swapped sampler reads a layer's gain stream first and
+# then draws from its weight stream only the entries between live units, in
+# row-major order; with no dead unit that is the whole matrix, as drawn by
+# the forward sampler.
 _STREAM_WEIGHT = 0
 _STREAM_GAIN = 1
 _STREAM_BIAS = 2
@@ -83,7 +86,12 @@ def monte_carlo_spectrum(
 
     Only what can reach a nonzero singular value is assembled.  A zero
     derivative zeroes its row of the product, so each layer multiplies just
-    its live rows and the previous layer's live columns.  When the product
+    its live rows and the previous layer's live columns.  In "swapped" mode
+    only those weight entries are drawn, after the layer's derivative
+    diagonal: the entries are i.i.d., so the law is unchanged, and the sample
+    differs from a whole-matrix draw only where units die (ReLU, hard_tanh).
+    "forward" mode draws every weight, since its preactivations need every
+    row.  When the product
     has fewer rows than both its columns and the next layer's live units, it
     is replaced by L from J = L Q (Q with orthonormal rows), which every later
     product sees with the same singular values.  The eigenvalues come from
@@ -111,20 +119,27 @@ def monte_carlo_spectrum(
 
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         n_out, n_in = widths[ell], widths[ell - 1]
-        weight = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((n_out, n_in))
-        weight *= math.sqrt(layer.sigma_w_sq / n_out)
+        weight_stream = _generator(seed, ell, _STREAM_WEIGHT)
+        scale = math.sqrt(layer.sigma_w_sq / n_out)
         if mode == "swapped":
             pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
+            diag = activation_derivative(layer.nonlinearity, pre)
+            live = np.flatnonzero(diag)
+            cols = n_in if jac is None else live_prev.size
+            block = weight_stream.standard_normal((live.size, cols))
+            block *= scale
         else:
+            weight = weight_stream.standard_normal((n_out, n_in))
+            weight *= scale
             pre = weight @ signal
             if layer.sigma_b_sq > 0.0:
                 bias = _generator(seed, ell, _STREAM_BIAS).standard_normal(n_out)
                 pre = pre + math.sqrt(layer.sigma_b_sq) * bias
             signal = activation(layer.nonlinearity, pre)
-        diag = activation_derivative(layer.nonlinearity, pre)
-        live = np.flatnonzero(diag)
-        block = weight[live] if jac is None else weight[np.ix_(live, live_prev)]
-        del weight
+            diag = activation_derivative(layer.nonlinearity, pre)
+            live = np.flatnonzero(diag)
+            block = weight[live] if jac is None else weight[np.ix_(live, live_prev)]
+            del weight
         if jac is not None:
             if jac.shape[0] < min(jac.shape[1], live.size):
                 # Width bottleneck: J = L Q with orthonormal rows Q.

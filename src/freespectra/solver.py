@@ -333,6 +333,7 @@ def newton_lilypads(
     z_objective: complex,
     proxy: Optional[tuple[complex, complex]] = None,
     stats: Optional[SolveStats] = None,
+    certificate: Optional[BasinCertificate] = None,
 ) -> complex:
     """Solve phi_{z_objective}(m) = 0 on the decaying branch (m -> 0 as z -> infinity).
 
@@ -346,13 +347,18 @@ def newton_lilypads(
     the remaining gap, as where a step along Im z crosses a support edge, it
     detours once over an apex at height about gap/2 instead of halving, and
     stats.lifts counts it (see _descend).  Every Newton solve starts from a
-    certificate and reuses its evaluation.
+    certificate and reuses its evaluation.  A caller that has already tested
+    the proxy's root at z_objective, is_in_basin(meq, z_objective, m), and
+    counted that test, passes the accepted certificate: the descent takes it
+    for its first, whole-gap step instead of testing again.
     """
     if z_objective.imag == 0.0:
         raise _off_axis_error(z_objective)
     if not cisfinite(z_objective):
         # from a proxy, a NaN objective would halve the descent's step without end
         raise ValueError(f"z must be finite, got {z_objective}")
+    if certificate is not None and proxy is None:
+        raise ValueError("a certificate needs the proxy whose root it tested")
     if stats is None:
         stats = SolveStats()
 
@@ -387,7 +393,7 @@ def newton_lilypads(
     else:
         z, m = proxy
 
-    return _descend(meq, z, m, z_objective, stats)
+    return _descend(meq, z, m, z_objective, stats, certificate=certificate)
 
 
 def _descend(
@@ -397,6 +403,7 @@ def _descend(
     z_objective: complex,
     stats: SolveStats,
     leg_end: Optional[complex] = None,
+    certificate: Optional[BasinCertificate] = None,
 ) -> complex:
     """Walk the solved (z, m) to z_objective in certified steps and return m there.
 
@@ -411,7 +418,8 @@ def _descend(
     stay in the open half-plane of z, where the decaying branch is analytic,
     and each is this straight descent with leg_end set: it walks to leg_end,
     names z_objective in its errors and does not lift again, so a descent
-    lifts at most once and every leg keeps its step floor.
+    lifts at most once and every leg keeps its step floor.  A certificate
+    already taken at the end from m stands in for the first, whole-gap test.
     """
     end = z_objective if leg_end is None else leg_end
     full_step = abs(end - z)
@@ -425,8 +433,11 @@ def _descend(
         else:
             dz *= 2.0 * step / gap
             target = z + dz
-        stats.certificate_tests += 1
-        cert = is_in_basin(meq, target, m)
+        if certificate is None:
+            stats.certificate_tests += 1
+            cert = is_in_basin(meq, target, m)
+        else:
+            cert, certificate = certificate, None
         if cert is None and leg_end is None and abs(z.imag) < gap:
             stats.rejected_tests += 1
             stats.lifts += 1

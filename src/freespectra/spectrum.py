@@ -197,10 +197,11 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
 
     Coarse pass: the segments end at every _STRIDE-th point and at the last
     one.  Each segment is tested once, its end from the root at its head.  If
-    that whole-segment step certifies, newton_lilypads takes it (its descent
-    tries the whole gap first) and the end becomes the next head; otherwise
-    the segment is halved and its first half tried the same way, down to
-    single steps, which are walked from their neighbour.  Batched pass: every
+    that whole-segment step certifies, newton_lilypads takes it from that
+    certificate (its descent tries the whole gap first, so the test is not
+    repeated) and the end becomes the next head; otherwise the segment is
+    halved and its first half tried the same way, down to single steps,
+    which are walked from their neighbour.  Batched pass: every
     point inside a jumped segment is tested from that segment's head root by
     basin_certificates, and the certified ones are solved by newton_lockstep.
     The rest are walked, in order, from their neighbour.  Each point is thus
@@ -212,10 +213,12 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     ms = np.empty(n, dtype=complex)
     sequential = np.zeros(n, dtype=bool)
 
-    def walk(k: int, proxy: Optional[tuple]) -> complex:
+    def walk(
+        k: int, proxy: Optional[tuple], certificate: Optional[solver.BasinCertificate] = None
+    ) -> complex:
         z = z_list[k]
         try:
-            m = newton_lilypads(meq, z, proxy, stats)
+            m = newton_lilypads(meq, z, proxy, stats, certificate)
         except SolverError as err:
             raise SolverError(
                 f"density solve failed at x={z.real!r}: {err}",
@@ -232,15 +235,17 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     m = walk(0, None)
     while ends:
         end = ends.pop()
+        cert = None
         if end - head > 1:
             # called through the solver module, so that a wrapper installed at
             # solver.is_in_basin sees the coarse tests too
             stats.certificate_tests += 1
-            if solver.is_in_basin(meq, z_list[end], m) is None:
+            cert = solver.is_in_basin(meq, z_list[end], m)
+            if cert is None:
                 stats.rejected_tests += 1
                 ends += [end, (head + end) // 2]
                 continue
-        m = walk(end, (z_list[head], m))
+        m = walk(end, (z_list[head], m), cert)
         head = end
 
     fine = np.flatnonzero(~sequential)

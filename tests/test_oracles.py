@@ -177,21 +177,35 @@ def test_monte_carlo_hard_tanh_keeps_two_sided_band():
 
 
 def full_gram_spectrum(spec, n0, seed, mode="swapped"):
-    """Reference sampler: every row of every layer, eigenvalues of the n0 x n0 J^T J."""
+    """Reference sampler: every row of every layer, eigenvalues of the n0 x n0 J^T J.
+
+    In swapped mode the entries between live units come from the weight
+    stream, as the oracle draws them; every other entry is a nonzero draw of
+    an independent generator, which must not reach the spectrum.
+    """
     summaries = summarize(spec)
     widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
     jac = None
     signal = None
+    live_prev = np.arange(n0)
+    filler = np.random.default_rng(seed + 1000)
     if mode == "forward":
         rng = _generator(seed, 0, _STREAM_INPUT)
         signal = math.sqrt(spec.input_mean_square) * rng.standard_normal(n0)
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         n_out, n_in = widths[ell], widths[ell - 1]
-        weight = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((n_out, n_in))
-        weight *= math.sqrt(layer.sigma_w_sq / n_out)
+        weight_stream = _generator(seed, ell, _STREAM_WEIGHT)
         if mode == "swapped":
             pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
+            live = np.flatnonzero(activation_derivative(layer.nonlinearity, pre))
+            weight = 1.0 + filler.uniform(size=(n_out, n_in))
+            block = weight_stream.standard_normal((live.size, live_prev.size))
+            weight[np.ix_(live, live_prev)] = block
+            live_prev = live
         else:
+            weight = weight_stream.standard_normal((n_out, n_in))
+        weight *= math.sqrt(layer.sigma_w_sq / n_out)
+        if mode == "forward":
             pre = weight @ signal
             if layer.sigma_b_sq > 0.0:
                 bias = _generator(seed, ell, _STREAM_BIAS).standard_normal(n_out)
@@ -243,6 +257,76 @@ def test_live_assembly_matches_full_gram(text, mode):
         ref = full_gram_spectrum(spec, 300, seed, mode)
         assert np.count_nonzero(emp.values == 0.0) == np.count_nonzero(ref == 0.0)
         assert np.max(np.abs(emp.values - ref)) <= 1e-9 * ref[-1]
+
+
+def test_oracle_draws_only_live_weight_entries(monkeypatch):
+    # a layer's weights are drawn after its derivative diagonal, and only
+    # those between live units: live_l x live_{l-1}, with live_0 = n0
+    drawn = []
+
+    class Counting:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def standard_normal(self, size):
+            out = self.generator.standard_normal(size)
+            drawn.append(out.size)
+            return out
+
+    def counting(seed, layer, stream):
+        generator = _generator(seed, layer, stream)
+        return Counting(generator) if stream == _STREAM_WEIGHT else generator
+
+    monkeypatch.setattr("freespectra.oracles._generator", counting)
+    spec, n0, seed = relu4_spec(), 400, 11
+    monte_carlo_spectrum(spec, n0, seed=seed)
+    live = [n0]
+    for ell, s in enumerate(summarize(spec), start=1):
+        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n0)
+        live.append(int(np.count_nonzero(activation_derivative(NL.RELU, pre))))
+    assert drawn == [a * b for a, b in zip(live[1:], live[:-1])]
+    # about (1/2 + 3 * 1/4) n0^2 entries, against 4 n0^2 drawn in full
+    assert sum(drawn) < 0.35 * 4 * n0 * n0
+
+
+def full_draw_spectrum(spec, n0, seed):
+    """The swapped sampler drawing whole weight matrices: each layer's weights
+    first, then the live block taken by index, assembled as the oracle does."""
+    summaries = summarize(spec)
+    widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
+    jac = live_prev = None
+    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
+        n_out, n_in = widths[ell], widths[ell - 1]
+        weight = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((n_out, n_in))
+        weight *= math.sqrt(layer.sigma_w_sq / n_out)
+        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
+        diag = activation_derivative(layer.nonlinearity, pre)
+        live = np.flatnonzero(diag)
+        block = weight[live] if jac is None else weight[np.ix_(live, live_prev)]
+        if jac is not None:
+            if jac.shape[0] < min(jac.shape[1], live.size):
+                jac = np.linalg.qr(jac.T, mode="r").T
+            block = block @ jac
+        block *= diag[live, None]
+        jac, live_prev = block, live
+    gram = jac @ jac.T if jac.shape[0] < jac.shape[1] else jac.T @ jac
+    values = np.zeros(n0)
+    values[: gram.shape[0]] = np.linalg.eigvalsh(gram)
+    values = np.clip(values, 0.0, None)
+    values[values < _ZERO_SNAP] = 0.0
+    return np.sort(values)
+
+
+@pytest.mark.parametrize(
+    "text", ["linear:0.5 linear:2 linear:0.5", "hard_sine:2 hard_sine:0.5 hard_sine:2 hard_sine:1"]
+)
+def test_nets_without_dead_units_keep_the_full_draw_sample(text):
+    # with every unit live, the live block is the whole matrix, drawn from
+    # the same stream: the spectrum is the full draw's, bit for bit
+    spec = ratio_spec(text)
+    for seed in (3, 4):
+        emp = monte_carlo_spectrum(spec, 300, seed=seed)
+        assert np.array_equal(emp.values, full_draw_spectrum(spec, 300, seed))
 
 
 def test_bottleneck_leaves_exactly_the_missing_rank_at_zero():

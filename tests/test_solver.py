@@ -382,6 +382,39 @@ def test_certificate_counters_match_is_in_basin_calls(monkeypatch):
     assert stats.rejected_tests == seen["rejected"]
 
 
+def test_grid_tests_no_start_twice(monkeypatch):
+    # an accepted coarse jump hands its certificate to the solve, whose
+    # descent would otherwise test the same (z, m0) again as its first step
+    seen = []
+    original = solver_module.is_in_basin
+
+    def recording(meq, z, m0):
+        seen.append((z, m0))
+        return original(meq, z, m0)
+
+    monkeypatch.setattr("freespectra.solver.is_in_basin", recording)
+    spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(4)))
+    meq = master_from_spec(spec)
+    curve = density_grid(meq, xs=default_grid(meq, points=400), y=1e-6)
+    assert curve.stats.basins > 400 // 64
+    assert len(set(seen)) == len(seen)
+
+
+def test_lilypads_from_a_handed_certificate_skips_its_test():
+    meq = mp_meq()
+    z_from, z_to = 2 + 1e-6j, 2.5 + 1e-6j
+    proxy = (z_from, newton_lilypads(meq, z_from))
+    cert = is_in_basin(meq, z_to, proxy[1])
+    assert cert is not None
+    tested, handed = SolveStats(), SolveStats()
+    m = newton_lilypads(meq, z_to, proxy, tested)
+    assert newton_lilypads(meq, z_to, proxy, handed, cert) == m
+    assert handed.certificate_tests == tested.certificate_tests - 1
+    assert handed.newton_iterations == tested.newton_iterations
+    with pytest.raises(ValueError, match="needs the proxy"):
+        newton_lilypads(meq, z_to, certificate=cert)
+
+
 @pytest.mark.parametrize(
     "nonlinearity, gain, depth, y",
     [(Nonlinearity.RELU, 1.9780206096911102, 1, 1e-3), (Nonlinearity.HARD_TANH, 1.5, 64, 1e7)],
@@ -411,9 +444,9 @@ def test_every_newton_solve_starts_from_a_certificate(monkeypatch, nonlinearity,
 @pytest.mark.parametrize(
     "nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins",
     [
-        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 2038, 473, 1565, 407),
-        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 1970, 497, 1473, 423),
-        (Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 2011, 508, 1503, 405),
+        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 2007, 442, 1565, 407),
+        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 1946, 473, 1473, 423),
+        (Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 1958, 455, 1503, 405),
     ],
 )
 def test_grid_evaluates_phi_once_per_test_and_step(

@@ -353,7 +353,7 @@ def test_default_grid_names_an_overflowing_first_moment():
 
 
 def test_density_failure_names_the_grid_point(monkeypatch):
-    def explode(meq, z_objective, proxy=None, stats=None):
+    def explode(meq, z_objective, proxy=None, stats=None, certificate=None):
         raise SolverError("synthetic failure")
 
     monkeypatch.setattr("freespectra.spectrum.newton_lilypads", explode)
