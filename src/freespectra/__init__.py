@@ -33,7 +33,6 @@ from .spectrum import (
     default_grid,
     density_grid,
     quantiles,
-    uniform_density_curve,
 )
 from .transform_algebra import (
     RationalMasterEq,
@@ -71,7 +70,6 @@ __all__ = [
     "default_grid",
     "density_grid",
     "quantiles",
-    "uniform_density_curve",
     "RationalMasterEq",
     "eval_phi",
     "master_from_spec",

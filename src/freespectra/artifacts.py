@@ -9,6 +9,7 @@ indent forces; the repr of the floats is most of what is left.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -31,15 +32,8 @@ __all__ = [
     "read_quantiles",
 ]
 
-_STAT_KEYS = (
-    "newton_iterations",
-    "basins",
-    "doublings",
-    "restarts",
-    "certificate_tests",
-    "rejected_tests",
-    "lifts",
-)
+# The solve counters, in header order: SolveStats declares each once.
+_STAT_KEYS = tuple(field.name for field in dataclasses.fields(SolveStats))
 
 
 def write_text(text: str, path: Optional[str] = None) -> None:

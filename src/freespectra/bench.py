@@ -10,10 +10,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import RunConfig
 from .oracles import all_roots, monte_carlo_spectrum
-from .spectrum import default_grid, density_grid
-from .transform_algebra import master_from_spec
+from .spectrum import density_grid
+from .transform_algebra import RationalMasterEq
 
 __all__ = ["BenchRow", "run_bench", "render_bench"]
 
@@ -28,18 +30,9 @@ class BenchRow:
     degree: int
 
 
-def run_bench(config: RunConfig) -> list:
-    spec = config.require_network()
-    meq = master_from_spec(spec)
+def run_bench(config: RunConfig, meq: RationalMasterEq, xs: np.ndarray) -> list:
+    """Time each pipeline on the run's master equation meq over the grid xs."""
     degree = meq.degree
-    grid = config.grid
-    xs = default_grid(
-        meq,
-        points=grid.points,
-        x_min=grid.x_min,
-        x_max=grid.x_max,
-        log_spaced=grid.log_spaced,
-    )
     rows = []
 
     start = time.perf_counter()
@@ -74,7 +67,7 @@ def run_bench(config: RunConfig) -> list:
 
     if config.mc.enabled:
         start = time.perf_counter()
-        monte_carlo_spectrum(spec, config.mc.n0, config.mc.seed)
+        monte_carlo_spectrum(config.network, config.mc.n0, config.mc.seed)
         elapsed = (time.perf_counter() - start) * 1e3
         rows.append(
             BenchRow(

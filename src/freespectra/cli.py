@@ -3,8 +3,9 @@
 Subcommands: density (solve and tabulate the smoothed density), quantiles
 (invert the CDF, printing log10 of each quantile), validate (Monte-Carlo
 against the analytic curve, KS threshold), bench (timing and solver-statistics
-table).  Exit status: 0 success, 1 runtime or validation failure, 2 bad
-configuration.
+table).  Each reads its run from the JSON file named by --config, which is
+required.  Exit status: 0 success, 1 runtime or validation failure, 2 bad
+configuration or command line.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .artifacts import write_density, write_quantiles, write_text
 from .bench import render_bench, run_bench
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .oracles import ks_distance, monte_carlo_spectrum
-from .solver import SolverError
-from .spectrum import default_grid, density_grid, quantiles, uniform_density_curve
+from .spectrum import default_grid, density_grid, quantiles
 
 __all__ = ["main"]
 
@@ -34,43 +34,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
-        p.add_argument("--config", required=config_required, help="JSON run configuration")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output path (default: config output.path, else stdout)")
         p.add_argument("--points", type=int, help="override grid point count")
         p.add_argument("--y", type=float, help="override the smoothing offset y > 0")
         p.add_argument("--seed", type=int, help="override the Monte-Carlo seed")
 
     p_density = sub.add_parser("density", help="tabulate the smoothed spectral density")
-    add_common(p_density, config_required=True)
+    add_common(p_density)
     p_density.set_defaults(func=cmd_density)
 
     p_quant = sub.add_parser("quantiles", help="quantiles of the absolutely continuous part")
-    add_common(p_quant, config_required=False)
-    p_quant.add_argument(
-        "--synthetic",
-        nargs=2,
-        type=float,
-        metavar=("LO", "HI"),
-        help="test mode: skip the solver and use a uniform density on [LO, HI]",
-    )
+    add_common(p_quant)
     p_quant.set_defaults(func=cmd_quantiles)
 
     p_val = sub.add_parser("validate", help="Monte-Carlo vs analytic curve (KS test)")
-    add_common(p_val, config_required=True)
+    add_common(p_val)
     p_val.set_defaults(func=cmd_validate)
 
     p_bench = sub.add_parser("bench", help="timing table for the three pipelines")
-    add_common(p_bench, config_required=True)
+    add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
     return apply_overrides(
-        config,
+        load_config(args.config),
         points=args.points,
         y=args.y,
         seed=args.seed,
@@ -78,9 +70,10 @@ def _load(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _solve_curve(config: RunConfig):
+def _window(config: RunConfig):
+    """The run's master equation and the grid its config asks for."""
     # called through the spectrum module, so that a wrapper installed there sees it
-    meq = spectrum.master_from_spec(config.require_network())
+    meq = spectrum.master_from_spec(config.network)
     xs = default_grid(
         meq,
         points=config.grid.points,
@@ -88,6 +81,11 @@ def _solve_curve(config: RunConfig):
         x_max=config.grid.x_max,
         log_spaced=config.grid.log_spaced,
     )
+    return meq, xs
+
+
+def _solve_curve(config: RunConfig):
+    meq, xs = _window(config)
     return density_grid(meq, xs=xs, y=config.y)
 
 
@@ -100,13 +98,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_quantiles(args: argparse.Namespace) -> int:
     config = _load(args)
-    if getattr(args, "synthetic", None) is not None:
-        try:
-            curve = uniform_density_curve(*args.synthetic)
-        except ValueError as err:
-            raise ConfigError(f"--synthetic: {err}") from None
-    else:
-        curve = _solve_curve(config)
+    curve = _solve_curve(config)
     table = quantiles(curve, config.probs)
     write_quantiles(table, config.output.path, config.output.format)
     if config.output.path is not None:
@@ -120,9 +112,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = _load(args)
     if not config.mc.enabled:
         raise ConfigError("config: mc.enabled: validation requires mc.enabled")
-    spec = config.require_network()
     curve = _solve_curve(config)
-    emp = monte_carlo_spectrum(spec, config.mc.n0, config.mc.seed)
+    emp = monte_carlo_spectrum(config.network, config.mc.n0, config.mc.seed)
     ks = ks_distance(emp, curve)
     passed = ks <= _KS_THRESHOLD
     report = (
@@ -140,7 +131,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _load(args)
-    rows = run_bench(config)
+    rows = run_bench(config, *_window(config))
     text = render_bench(rows)
     write_text(text, config.output.path)
     if config.output.path is not None:
@@ -162,9 +153,6 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except SolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (RuntimeError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

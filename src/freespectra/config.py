@@ -82,7 +82,7 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    network: Optional[NetworkSpec] = None
+    network: NetworkSpec
     grid: GridConfig = GridConfig()
     y: float = 1e-6
     probs: tuple = DEFAULT_PROBS
@@ -94,11 +94,6 @@ class RunConfig:
         for p in self.probs:
             if not (0.0 < p < 1.0):
                 raise ConfigError(f"config: probs: must lie strictly inside (0, 1), got {p}")
-
-    def require_network(self) -> NetworkSpec:
-        if self.network is None:
-            raise ConfigError("config: network: required for this command")
-        return self.network
 
 
 def _read(data: Any, ctx: str, cls, fields: dict, required: tuple = ()):

@@ -1,7 +1,8 @@
 """Independent validators for the analytic pipeline.
 
 Three cross-checks that share no code with the solver's continuation:
-finite-size Monte-Carlo sampling of the Jacobian Gram spectrum, an all-roots
+finite-size Monte-Carlo sampling of the Jacobian Gram spectrum, with each
+layer's derivative diagonal drawn independent of its weights, an all-roots
 polynomial baseline (companion-matrix eigenvalues, each polished by Newton
 steps on eval_phi), and a Kolmogorov-Smirnov distance that accounts for the
 point mass at zero.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network_model import NetworkSpec, activation, activation_derivative, summarize
+from .network_model import NetworkSpec, activation_derivative, summarize
 from .spectrum import DensityCurve, _cumulative_mass
 from .transform_algebra import RationalMasterEq, eval_phi
 
@@ -27,14 +28,13 @@ __all__ = [
 ]
 
 # Per-(seed, layer) substreams; keeps every draw independent of matrix
-# assembly order.  The swapped sampler reads a layer's gain stream first and
-# then draws from its weight stream only the entries between live units, in
-# row-major order; with no dead unit that is the whole matrix, as drawn by
-# the forward sampler.
+# assembly order.  The sampler reads a layer's gain stream first and then
+# draws from its weight stream only the entries between live units, in
+# row-major order; with no dead unit that is the whole matrix.  Each layer
+# owns the four keys 4 layer + stream (see _generator), of which these two
+# are drawn; a change to that key would change every sample.
 _STREAM_WEIGHT = 0
 _STREAM_GAIN = 1
-_STREAM_BIAS = 2
-_STREAM_INPUT = 3
 
 _ZERO_SNAP = 1e-9
 _POLISH_MAX_ITERS = 50
@@ -69,39 +69,29 @@ def _generator(seed: int, layer: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def monte_carlo_spectrum(
-    spec: NetworkSpec,
-    n0: int,
-    seed: int,
-    mode: str = "swapped",
-) -> EmpiricalSpectrum:
+def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpectrum:
     """Sample one Jacobian at base width n0 and return eigenvalues of J^T J.
 
     Layer widths are N_ell = round(n0 / Lambda_ell); weights have i.i.d.
-    N(0, sigma_w^2 / N_ell) entries.  In "swapped" mode each derivative matrix
-    D_ell is diagonal with i.i.d. entries phi'(sqrt(q_ell) g), g standard normal,
-    independent of the weights.  "forward" mode instead differentiates an actual
-    forward pass of a Gaussian input (sanity check only; for width ratios != 1
-    its preactivation scale drifts from the infinite-width recurrence).
+    N(0, sigma_w^2 / N_ell) entries.  Each derivative matrix D_ell is
+    diagonal with i.i.d. entries phi'(sqrt(q_ell) g), g standard normal,
+    independent of the weights: the swapped model, whose limit is the free
+    multiplicative convolution the master equation describes.
 
     Only what can reach a nonzero singular value is assembled.  A zero
     derivative zeroes its row of the product, so each layer multiplies just
-    its live rows and the previous layer's live columns.  In "swapped" mode
-    only those weight entries are drawn, after the layer's derivative
-    diagonal: the entries are i.i.d., so the law is unchanged, and the sample
-    differs from a whole-matrix draw only where units die (ReLU, hard_tanh).
-    "forward" mode draws every weight, since its preactivations need every
-    row.  When the product
-    has fewer rows than both its columns and the next layer's live units, it
-    is replaced by L from J = L Q (Q with orthonormal rows), which every later
-    product sees with the same singular values.  The eigenvalues come from
-    the smaller of J J^T and J^T J; the other n0 - min(rows, cols) are exact
-    zeros.
+    its live rows and the previous layer's live columns, and only those
+    weight entries are drawn, after the layer's derivative diagonal: the
+    entries are i.i.d., so the law is unchanged, and the sample differs from
+    a whole-matrix draw only where units die (ReLU, hard_tanh).  When the
+    product has fewer rows than both its columns and the next layer's live
+    units, it is replaced by L from J = L Q (Q with orthonormal rows), which
+    every later product sees with the same singular values.  The eigenvalues
+    come from the smaller of J J^T and J^T J; the other n0 - min(rows, cols)
+    are exact zeros.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
-    if mode not in ("swapped", "forward"):
-        raise ValueError(f"mode must be 'swapped' or 'forward', got {mode!r}")
     summaries = summarize(spec)
     widths = [n0]
     for ell, s in enumerate(summaries, start=1):
@@ -112,34 +102,14 @@ def monte_carlo_spectrum(
 
     jac = None  # live rows of the Jacobian so far
     live_prev = None
-    signal = None
-    if mode == "forward":
-        rng = _generator(seed, 0, _STREAM_INPUT)
-        signal = math.sqrt(spec.input_mean_square) * rng.standard_normal(n0)
-
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         n_out, n_in = widths[ell], widths[ell - 1]
-        weight_stream = _generator(seed, ell, _STREAM_WEIGHT)
-        scale = math.sqrt(layer.sigma_w_sq / n_out)
-        if mode == "swapped":
-            pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
-            diag = activation_derivative(layer.nonlinearity, pre)
-            live = np.flatnonzero(diag)
-            cols = n_in if jac is None else live_prev.size
-            block = weight_stream.standard_normal((live.size, cols))
-            block *= scale
-        else:
-            weight = weight_stream.standard_normal((n_out, n_in))
-            weight *= scale
-            pre = weight @ signal
-            if layer.sigma_b_sq > 0.0:
-                bias = _generator(seed, ell, _STREAM_BIAS).standard_normal(n_out)
-                pre = pre + math.sqrt(layer.sigma_b_sq) * bias
-            signal = activation(layer.nonlinearity, pre)
-            diag = activation_derivative(layer.nonlinearity, pre)
-            live = np.flatnonzero(diag)
-            block = weight[live] if jac is None else weight[np.ix_(live, live_prev)]
-            del weight
+        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
+        diag = activation_derivative(layer.nonlinearity, pre)
+        live = np.flatnonzero(diag)
+        cols = n_in if jac is None else live_prev.size
+        block = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((live.size, cols))
+        block *= math.sqrt(layer.sigma_w_sq / n_out)
         if jac is not None:
             if jac.shape[0] < min(jac.shape[1], live.size):
                 # Width bottleneck: J = L Q with orthonormal rows Q.
@@ -215,11 +185,9 @@ def ks_distance(emp: EmpiricalSpectrum, curve: DensityCurve) -> float:
     of the grid to the remaining mass.  Sample points exactly at zero are
     compared against the atom alone; at positive points both one-sided limits
     of the empirical CDF are used, which keeps ties at zero from inflating the
-    distance.  A curve with no mass on its grid window is refused, as
-    quantiles refuses it.
+    distance.  A curve whose window misses the bulk, or holds no mass, is
+    refused, as quantiles refuses it.
     """
-    if not curve.total_mass + curve.atom_lower_bound > 0.5:
-        raise ValueError("curve mass (including the atom) too low for a meaningful comparison")
     values = emp.values
     n = values.size
     cum = _cumulative_mass(curve)

@@ -147,15 +147,6 @@ class SolveStats:
     rejected_tests: int = 0
     lifts: int = 0
 
-    def merge(self, other: "SolveStats") -> None:
-        self.newton_iterations += other.newton_iterations
-        self.basins += other.basins
-        self.doublings += other.doublings
-        self.restarts += other.restarts
-        self.certificate_tests += other.certificate_tests
-        self.rejected_tests += other.rejected_tests
-        self.lifts += other.lifts
-
 
 class SolverError(RuntimeError):
     """Solve failure; carries the objective z and the last certified (z, m) if any."""

@@ -35,7 +35,6 @@ __all__ = [
     "atom_lower_bound",
     "default_grid",
     "density_grid",
-    "uniform_density_curve",
     "quantiles",
     "closed_form_moments",
 ]
@@ -77,7 +76,7 @@ class DensityCurve:
                 raise ValueError(f"{name} must be finite, got {bad!r}")
         if not math.isfinite(self.total_mass):
             raise ValueError(f"total_mass must be finite, got {self.total_mass!r}")
-        # y = 0 marks a synthetic curve; a solved one has y > 0
+        # y = 0 marks a curve built directly, not solved; a solved one has y > 0
         if not (math.isfinite(self.y) and self.y >= 0):
             raise ValueError(f"y must be finite and nonnegative, got {self.y!r}")
         if not 0.0 <= self.atom_lower_bound <= 1.0:
@@ -270,16 +269,16 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     return ms
 
 
-def uniform_density_curve(x_lo: float, x_hi: float, points: int = 201) -> DensityCurve:
-    """Synthetic flat curve (mass 1, no atom); used for test modes, not solving."""
-    if not (0.0 <= x_lo < x_hi < math.inf):
-        raise ValueError(f"need 0 <= x_lo < x_hi < inf, got [{x_lo!r}, {x_hi!r}]")
-    xs = np.linspace(x_lo, x_hi, points)
-    rhos = np.full(points, 1.0 / (x_hi - x_lo))
-    return DensityCurve(xs=xs, rhos=rhos, y=0.0, total_mass=1.0)
-
-
 def _cumulative_mass(curve: DensityCurve) -> np.ndarray:
+    """The trapezoid CDF of the curve over its grid window, from 0.
+
+    A window whose mass, the atom included, is below one half misses the
+    bulk, and one with no mass at all has no CDF to normalize; both are
+    refused.
+    """
+    mass = float(curve.total_mass + curve.atom_lower_bound)
+    if mass < 0.5:
+        raise ValueError(f"grid window misses the bulk: total_mass + atom = {mass!r} below 0.5")
     steps = 0.5 * (curve.rhos[1:] + curve.rhos[:-1]) * np.diff(curve.xs)
     out = np.empty(curve.xs.size, dtype=float)
     out[0] = 0.0
@@ -301,8 +300,6 @@ def quantiles(curve: DensityCurve, probs: Sequence[float]) -> QuantileTable:
     for p in probs:
         if not (0.0 < p < 1.0):
             raise ValueError(f"probs must lie strictly inside (0, 1), got {p}")
-    if curve.total_mass + curve.atom_lower_bound < 0.5:
-        raise ValueError("grid window misses the bulk")
     cum = _cumulative_mass(curve)
     mass = cum[-1]
     # Exact inversion of the trapezoid CDF: within a cell the density is linear,

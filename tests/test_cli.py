@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from freespectra import cli, network_model, quantiles
 from freespectra.artifacts import read_density, read_quantiles
+from freespectra.solver import SolverError
 
 MP1 = {"network": {"layers": [{"nonlinearity": "linear", "sigma_w_sq": 1.0}]}}
 RELU4 = {
@@ -117,22 +118,12 @@ def test_density_points_override(tmp_path):
 # ------------------------------------------------------------------ quantiles
 
 
-def test_quantiles_synthetic_uniform(capsys):
-    assert cli.main(["quantiles", "--synthetic", "0", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "log10_value" in out
-    median_row = next(line for line in out.splitlines() if line.startswith("0.5,"))
-    _, value, log10 = median_row.split(",")
-    assert float(value) == 2.0
-    assert float(log10) == pytest.approx(math.log10(2.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("lo, hi", [("0", "nan"), ("2", "1")])
-def test_quantiles_rejects_a_bad_synthetic_pair(capsys, lo, hi):
-    assert cli.main(["quantiles", "--synthetic", lo, hi]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --synthetic: need 0 <= x_lo < x_hi < inf, got [{float(lo)!r}, {float(hi)!r}]\n"
-    )
+def test_quantiles_requires_a_config(capsys):
+    # argparse refuses the command line itself, with its usage exit status
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["quantiles"])
+    assert exit_info.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_quantiles_mp_median_vs_oracle(tmp_path):
@@ -327,6 +318,19 @@ def test_missing_network_section(tmp_path, capsys):
     config = write_config(tmp_path, "empty.json", {"y": 1e-6})
     assert cli.main(["density", "--config", config]) == 2
     assert "network" in capsys.readouterr().err
+
+
+def test_solve_failure_exits_1_and_names_it(tmp_path, capsys, monkeypatch):
+    def explode(meq, z_objective, proxy=None, stats=None, certificate=None):
+        raise SolverError("step rounds to zero")
+
+    monkeypatch.setattr("freespectra.spectrum.newton_lilypads", explode)
+    config = write_config(tmp_path, "mp.json", MP1)
+    assert cli.main(["density", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: density solve failed at x=")
+    assert captured.err.endswith(": step rounds to zero\n")
 
 
 def test_unwritable_out_path_fails_cleanly(tmp_path):

@@ -33,7 +33,7 @@ def test_defaults_fill_in():
     assert cfg.probs == tuple(round(0.1 * k, 1) for k in range(1, 10))
     assert cfg.mc.n0 == 1000 and cfg.mc.enabled is True
     assert cfg.output.format == "csv" and cfg.output.path is None
-    net = cfg.require_network()
+    net = cfg.network
     assert net.layers[0].nonlinearity is Nonlinearity.RELU
 
 
@@ -44,15 +44,15 @@ def test_lambda_key_maps_to_width_ratio():
         }
     }
     cfg = parse_run_config(payload)
-    assert cfg.require_network().layers[0].width_ratio == 2.0
+    assert cfg.network.layers[0].width_ratio == 2.0
 
 
 def test_network_required_for_solves():
-    # the bare default config exists for synthetic-input commands only
+    # every command solves a net, so a run configuration always holds one
     from freespectra.config import RunConfig
 
-    with pytest.raises(ConfigError, match="network"):
-        RunConfig().require_network()
+    with pytest.raises(TypeError, match="network"):
+        RunConfig()
     with pytest.raises(ConfigError, match="network"):
         parse_run_config({"y": 1e-6})
 
@@ -301,4 +301,4 @@ def test_load_config_errors(tmp_path):
         load_config(str(tmp_path / "absent.json"))
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps(MINIMAL))
-    assert load_config(str(ok)).require_network().depth == 1
+    assert load_config(str(ok)).network.depth == 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _curves import uniform_density_curve
 from _s_transform import factor_coefficients
 from freespectra import (
     DensityCurve,
@@ -22,18 +23,11 @@ from freespectra import (
     master_from_spec,
     monte_carlo_spectrum,
     newton_lilypads,
-    uniform_density_curve,
+    quantiles,
 )
 from freespectra.network_model import Nonlinearity as NL
-from freespectra.network_model import activation, activation_derivative, summarize
-from freespectra.oracles import (
-    _STREAM_BIAS,
-    _STREAM_GAIN,
-    _STREAM_INPUT,
-    _STREAM_WEIGHT,
-    _ZERO_SNAP,
-    _generator,
-)
+from freespectra.network_model import activation_derivative, summarize
+from freespectra.oracles import _STREAM_GAIN, _STREAM_WEIGHT, _ZERO_SNAP, _generator
 
 
 def mp_spec():
@@ -126,18 +120,6 @@ def test_monte_carlo_width_validation():
         monte_carlo_spectrum(skinny, 4, seed=0)
 
 
-def test_monte_carlo_forward_mode():
-    with pytest.raises(ValueError, match="mode"):
-        monte_carlo_spectrum(mp_spec(), 16, seed=0, mode="backward")
-    # for a linear net both modes build the same Jacobian
-    a = monte_carlo_spectrum(mp_spec(), 200, seed=5, mode="swapped")
-    b = monte_carlo_spectrum(mp_spec(), 200, seed=5, mode="forward")
-    assert np.array_equal(a.values, b.values)
-    fwd = monte_carlo_spectrum(relu4_spec(), 400, seed=3, mode="forward")
-    assert 0.4 <= np.mean(fwd.values == 0.0) <= 0.6
-    assert np.all(fwd.values >= 0)
-
-
 def test_monte_carlo_mean_tracks_first_moment():
     rng = np.random.default_rng(21)
     nls = list(Nonlinearity)
@@ -176,42 +158,28 @@ def test_monte_carlo_hard_tanh_keeps_two_sided_band():
 
 
 
-def full_gram_spectrum(spec, n0, seed, mode="swapped"):
+def full_gram_spectrum(spec, n0, seed):
     """Reference sampler: every row of every layer, eigenvalues of the n0 x n0 J^T J.
 
-    In swapped mode the entries between live units come from the weight
-    stream, as the oracle draws them; every other entry is a nonzero draw of
-    an independent generator, which must not reach the spectrum.
+    The entries between live units come from the weight stream, as the oracle
+    draws them; every other entry is a nonzero draw of an independent
+    generator, which must not reach the spectrum.
     """
     summaries = summarize(spec)
     widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
     jac = None
-    signal = None
     live_prev = np.arange(n0)
     filler = np.random.default_rng(seed + 1000)
-    if mode == "forward":
-        rng = _generator(seed, 0, _STREAM_INPUT)
-        signal = math.sqrt(spec.input_mean_square) * rng.standard_normal(n0)
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         n_out, n_in = widths[ell], widths[ell - 1]
-        weight_stream = _generator(seed, ell, _STREAM_WEIGHT)
-        if mode == "swapped":
-            pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
-            live = np.flatnonzero(activation_derivative(layer.nonlinearity, pre))
-            weight = 1.0 + filler.uniform(size=(n_out, n_in))
-            block = weight_stream.standard_normal((live.size, live_prev.size))
-            weight[np.ix_(live, live_prev)] = block
-            live_prev = live
-        else:
-            weight = weight_stream.standard_normal((n_out, n_in))
-        weight *= math.sqrt(layer.sigma_w_sq / n_out)
-        if mode == "forward":
-            pre = weight @ signal
-            if layer.sigma_b_sq > 0.0:
-                bias = _generator(seed, ell, _STREAM_BIAS).standard_normal(n_out)
-                pre = pre + math.sqrt(layer.sigma_b_sq) * bias
-            signal = activation(layer.nonlinearity, pre)
+        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
         diag = activation_derivative(layer.nonlinearity, pre)
+        live = np.flatnonzero(diag)
+        weight = 1.0 + filler.uniform(size=(n_out, n_in))
+        block = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((live.size, live_prev.size))
+        weight[np.ix_(live, live_prev)] = block
+        live_prev = live
+        weight *= math.sqrt(layer.sigma_w_sq / n_out)
         jac = diag[:, None] * (weight if jac is None else weight @ jac)
     values = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
     values[values < _ZERO_SNAP] = 0.0
@@ -243,18 +211,19 @@ VALIDATE_NETS = (
 )
 
 
-@pytest.mark.parametrize(
-    "text, mode",
-    [(text, "swapped") for text in VALIDATE_NETS]
-    + [("relu:0.5 relu:2 relu:0.5 relu:2", "forward"), ("hard_tanh:0.5 hard_tanh:2", "forward")],
-)
-def test_live_assembly_matches_full_gram(text, mode):
+# the bias reaches the sampler only through q, the variance of its gains,
+# which sets how many hard_tanh units stay live
+BIASED_NET = "hard_tanh:0.5 hard_tanh:2"
+
+
+@pytest.mark.parametrize("text", VALIDATE_NETS, ids=lambda text: f"{text}-swapped")
+def test_live_assembly_matches_full_gram(text):
     # dropping dead rows, compressing bottlenecks and taking the smaller Gram
     # must leave the spectrum of the full n0 x n0 J^T J, zeros included
-    spec = ratio_spec(text, bias=0.1 if mode == "forward" else 0.0)
+    spec = ratio_spec(text, bias=0.1 if text == BIASED_NET else 0.0)
     for seed in (3, 4):
-        emp = monte_carlo_spectrum(spec, 300, seed=seed, mode=mode)
-        ref = full_gram_spectrum(spec, 300, seed, mode)
+        emp = monte_carlo_spectrum(spec, 300, seed=seed)
+        ref = full_gram_spectrum(spec, 300, seed)
         assert np.count_nonzero(emp.values == 0.0) == np.count_nonzero(ref == 0.0)
         assert np.max(np.abs(emp.values - ref)) <= 1e-9 * ref[-1]
 
@@ -454,6 +423,29 @@ def test_ks_distance_rejects_starved_curve():
     emp = EmpiricalSpectrum(values=np.linspace(0, 1, 16), n0=16, seed=0)
     with pytest.raises(ValueError, match="mass"):
         ks_distance(emp, starved)
+
+
+@pytest.mark.parametrize("total_mass", [0.375, np.nextafter(0.375, 0.0)])
+def test_quantiles_and_ks_distance_share_one_mass_check(total_mass):
+    # total_mass + atom exactly 0.5 passes both, and the next double below
+    # fails both with one message; ks_distance once refused 0.5 itself, with
+    # a message of its own
+    xs = np.linspace(1.0, 2.0, 8)
+    curve = DensityCurve(
+        xs=xs, rhos=np.full(8, 0.25), y=1e-6, total_mass=total_mass, atom_lower_bound=0.125
+    )
+    emp = EmpiricalSpectrum(values=np.r_[np.zeros(4), 1.1, 1.4, 1.6, 1.9], n0=8, seed=0)
+    mass = float(total_mass + 0.125)
+    if mass == 0.5:
+        assert quantiles(curve, (0.5,)).values[0] == pytest.approx(1.5, rel=1e-12)
+        assert 0.0 <= ks_distance(emp, curve) <= 1.0
+        return
+    assert mass == np.nextafter(0.5, 0.0)
+    message = rf"^grid window misses the bulk: total_mass \+ atom = {mass!r} below 0.5$"
+    with pytest.raises(ValueError, match=message):
+        quantiles(curve, (0.5,))
+    with pytest.raises(ValueError, match=message):
+        ks_distance(emp, curve)
 
 
 def test_ks_distance_refuses_a_curve_with_no_mass_on_its_window():

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import freespectra.spectrum as spectrum_module
+from _curves import uniform_density_curve
 from _grid_moments import grid_moments, layer_moments, support_upper_bound
 from _s_transform import phi_errors
 from freespectra.oracles import all_roots
@@ -26,7 +27,6 @@ from freespectra import (
     master_from_spec,
     newton_lilypads,
     quantiles,
-    uniform_density_curve,
 )
 
 
@@ -325,13 +325,6 @@ def test_density_validates_inputs():
         density_grid(meq, xs=np.array([2.0, 1.0]), y=1e-6)
 
 
-@pytest.mark.parametrize("x_lo, x_hi", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)])
-def test_uniform_density_curve_refuses_a_non_finite_bound(x_lo, x_hi):
-    # an infinite upper bound once failed later as "curve carries no mass"
-    with pytest.raises(ValueError, match="need 0 <= x_lo < x_hi < inf"):
-        uniform_density_curve(x_lo, x_hi)
-
-
 def test_default_grid_names_an_overflowing_window():
     # m1 = 1e250 and its variance 25 * 1e500 overflows, so the default x_max
     # would be inf and the solve would fail far from the cause
@@ -424,7 +417,7 @@ def test_density_curve_refuses_a_bad_y_or_atom(field, bad, message):
     fields = {"y": 1e-6, "atom_lower_bound": 0.5, field: bad}
     with pytest.raises(ValueError, match=f"^{message}$"):
         DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), total_mass=0.1, **fields)
-    # the edges stay allowed: y = 0 for synthetic curves, atoms 0 and 1
+    # the edges stay allowed: y = 0 for a curve built without a solve, atoms 0 and 1
     for edge in ({"y": 0.0}, {"atom_lower_bound": 0.0}, {"atom_lower_bound": 1.0}):
         fields = {"y": 1e-6, **edge}
         DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), total_mass=0.1, **fields)
