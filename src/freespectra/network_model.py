@@ -21,7 +21,6 @@ __all__ = [
     "LayerSummary",
     "g_moment",
     "layer_coefficient",
-    "activation",
     "activation_derivative",
     "propagate_variances",
     "summarize",
@@ -134,19 +133,6 @@ def layer_coefficient(nl: Nonlinearity, q: float) -> float:
     if nl is Nonlinearity.HARD_TANH:
         # the fraction of live derivatives, P(|N| < 1/sqrt(q)) for N ~ N(0, 1)
         return math.erf(1.0 / math.sqrt(2.0 * q))
-    raise ValueError(f"unhandled nonlinearity {nl}")
-
-
-def activation(nl: Nonlinearity, h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if nl is Nonlinearity.LINEAR:
-        return h
-    if nl is Nonlinearity.RELU:
-        return np.maximum(h, 0.0)
-    if nl is Nonlinearity.HARD_TANH:
-        return np.clip(h, -1.0, 1.0)
-    if nl is Nonlinearity.HARD_SINE:
-        return (2.0 / np.pi) * np.arcsin(np.sin(np.pi * h / 2.0))
     raise ValueError(f"unhandled nonlinearity {nl}")
 
 

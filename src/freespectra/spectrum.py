@@ -64,6 +64,10 @@ class DensityCurve:
     def __post_init__(self) -> None:
         self.xs = np.asarray(self.xs, dtype=float)
         self.rhos = np.asarray(self.rhos, dtype=float)
+        # plain floats, so a numpy scalar never reaches an artifact's spelling
+        self.y = float(self.y)
+        self.total_mass = float(self.total_mass)
+        self.atom_lower_bound = float(self.atom_lower_bound)
         if self.xs.shape != self.rhos.shape or self.xs.ndim != 1:
             raise ValueError("xs and rhos must be 1-D arrays of equal length")
         if self.xs.size < 2:

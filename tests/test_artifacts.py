@@ -2,11 +2,21 @@
 
 import json
 import math
+import stat
 
 import numpy as np
 import pytest
 
-from freespectra import DensityCurve, QuantileTable, SolveStats
+from freespectra import (
+    DensityCurve,
+    LayerSpec,
+    NetworkSpec,
+    Nonlinearity,
+    QuantileTable,
+    SolveStats,
+    density_grid,
+    master_from_spec,
+)
 from freespectra.artifacts import (
     read_density,
     read_quantiles,
@@ -117,18 +127,105 @@ def test_density_csv_holding_nan_is_refused(tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("field", ["y", "atom_lower_bound"])
 def test_density_artifact_holding_a_nan_y_or_atom_is_refused(tmp_path, fmt, field):
-    curve = awkward_curve()
-    text = render_density(curve, fmt)
-    value = repr(getattr(curve, field))
-    if fmt == "csv":
-        old, new = f"# {field}: {value}\n", f"# {field}: nan\n"
-    else:
-        old, new = f'"{field}": {value},', f'"{field}": NaN,'
-    assert text.count(old) == 1
+    text = render_density(awkward_curve(), fmt)
+    # replace the field's value, however the writer spells it, with NaN
+    key, end, nan = (f"# {field}:", "\n", " nan") if fmt == "csv" else (f'"{field}":', ",", "NaN")
+    assert text.count(key) == 1
+    start = text.index(key) + len(key)
     path = tmp_path / f"nan.{fmt}"
-    path.write_text(text.replace(old, new))
+    path.write_text(text[:start] + nan + text[text.index(end, start):])
     with pytest.raises(ValueError, match=f"^{field} must .*, got nan$"):
         read_density(str(path))
+
+
+# Doubles where a shortest round-trip writer changes its spelling or its
+# precision: both sides of the switches between fixed and exponent notation,
+# the subnormals and the extremes.
+_SWITCHES = (1e-5, 1e-4, 1e15, 1e16)
+SPECIAL_DOUBLES = (
+    0.0,
+    5e-324,
+    1e-323,
+    2.2250738585072009e-308,
+    2.2250738585072014e-308,
+    1e-300,
+    1e300,
+    1.7976931348623157e308,
+    0.1 + 0.2,
+    *_SWITCHES,
+    *np.nextafter(_SWITCHES, 0.0).tolist(),
+    *np.nextafter(_SWITCHES, math.inf).tolist(),
+)
+
+
+def random_doubles(rng, count):
+    """Finite nonnegative doubles from uniform random bit patterns."""
+    # one pattern in 2048 is inf or NaN, so twice the draws leave more than enough
+    values = rng.integers(0, 2**63, size=2 * count, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)][:count]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_density_round_trips_random_bit_patterns(tmp_path, fmt, seed):
+    rng = np.random.default_rng(seed)
+    specials = np.array(SPECIAL_DOUBLES)
+    subnormals = rng.integers(1, 2**52, size=200, dtype=np.uint64).view(np.float64)
+    xs = np.unique(np.concatenate([random_doubles(rng, 3000), specials, subnormals]))
+    rhos = rng.permutation(
+        np.concatenate([random_doubles(rng, xs.size - specials.size - 1), specials, [-0.0]])
+    )
+    small = specials[specials <= 1.0]
+    curve = DensityCurve(
+        xs=xs,
+        rhos=rhos,
+        y=float(rng.choice(specials)),
+        total_mass=float(rng.choice(small)) if seed % 2 else rng.random(),
+        atom_lower_bound=rng.random() if seed % 2 else float(rng.choice(small)),
+        stats=SolveStats(newton_iterations=seed, basins=2**40),
+    )
+    path = tmp_path / f"random.{fmt}"
+    write_density(curve, str(path), fmt=fmt)
+    back = read_density(str(path))
+    assert np.array_equal(back.xs.view(np.uint64), xs.view(np.uint64))
+    assert np.array_equal(back.rhos.view(np.uint64), rhos.view(np.uint64))
+    for field in ("y", "total_mass", "atom_lower_bound"):
+        assert math.copysign(1.0, getattr(back, field)) == math.copysign(1.0, getattr(curve, field))
+        assert getattr(back, field) == getattr(curve, field)
+    assert back.stats == curve.stats
+    assert render_density(back, fmt) == path.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_of_strided_arrays_renders_as_their_copies(fmt):
+    # every other element of a longer array: a view that is not contiguous
+    curve = awkward_curve()
+    wide = np.repeat(np.column_stack((curve.xs, curve.rhos)), 2, axis=0)
+    strided = DensityCurve(
+        xs=wide[::2, 0],
+        rhos=wide[::2, 1],
+        y=curve.y,
+        total_mass=curve.total_mass,
+        atom_lower_bound=curve.atom_lower_bound,
+        stats=curve.stats,
+    )
+    assert not strided.xs.flags.c_contiguous
+    assert render_density(strided, fmt) == render_density(curve, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_with_a_numpy_scalar_y_round_trips(tmp_path, fmt):
+    # a numpy y used to reach the header as "np.float64(1e-06)", which the
+    # reader refused
+    meq = master_from_spec(NetworkSpec((LayerSpec(Nonlinearity.RELU, 2.0),)))
+    curve = density_grid(meq, np.linspace(0.5, 3.0, 6), y=np.float64(1e-6))
+    assert type(curve.y) is float
+    path = tmp_path / f"numpy_y.{fmt}"
+    write_density(curve, str(path), fmt=fmt)
+    back = read_density(str(path))
+    assert back.y == 1e-6
+    assert np.array_equal(back.rhos, curve.rhos)
+    assert render_density(back, fmt) == path.read_text()
 
 
 def test_density_json_is_one_line():
@@ -185,6 +282,16 @@ def test_write_text_replaces_atomically(tmp_path):
     assert path.read_text() == "second\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-artifact-")]
     assert leftovers == []
+
+
+def test_write_text_gives_the_mode_open_gives(tmp_path):
+    # the temp file behind the atomic write is created 0600; the artifact is not
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w") as handle:
+        handle.write("x\n")
+    path = tmp_path / "artifact.csv"
+    write_text("x\n", str(path))
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_write_text_missing_directory_raises(tmp_path):

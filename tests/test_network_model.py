@@ -15,9 +15,24 @@ from freespectra import (
     propagate_variances,
     summarize,
 )
-from freespectra.network_model import activation, activation_derivative
+from freespectra.network_model import activation_derivative
 
 from _quadrature import gaussian_second_moment
+
+
+def activation(nl: Nonlinearity, h: np.ndarray) -> np.ndarray:
+    """The nonlinearity itself: g_moment's reference (the package uses only its derivative)."""
+    h = np.asarray(h, dtype=float)
+    if nl is Nonlinearity.LINEAR:
+        return h
+    if nl is Nonlinearity.RELU:
+        return np.maximum(h, 0.0)
+    if nl is Nonlinearity.HARD_TANH:
+        return np.clip(h, -1.0, 1.0)
+    if nl is Nonlinearity.HARD_SINE:
+        return (2.0 / np.pi) * np.arcsin(np.sin(np.pi * h / 2.0))
+    raise ValueError(f"unhandled nonlinearity {nl}")
+
 
 ALL_NLS = (Nonlinearity.LINEAR, Nonlinearity.RELU, Nonlinearity.HARD_TANH, Nonlinearity.HARD_SINE)
 
