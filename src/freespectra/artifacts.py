@@ -136,22 +136,38 @@ def write_quantiles(table: QuantileTable, path: Optional[str] = None, fmt: str =
     write_text(render_quantiles(table, fmt), path)
 
 
-def _split_artifact(text: str) -> tuple[dict, list]:
+def _split_artifact(text: str, fields: int) -> tuple[dict, np.ndarray]:
+    """The "# key: value" header and the (rows, fields) float table of a CSV.
+
+    The header lines precede the column-name line; every nonblank line after
+    it is a row of exactly `fields` comma-separated floats, and a row with
+    any other count raises a ValueError naming its line.  The rows are parsed
+    in one pass, as one list of tokens, not one list per row; float() spells
+    each token back into the double it was written from.
+    """
+    lines = text.splitlines()
     meta: dict = {}
-    rows: list = []
-    header_seen = False
-    for line in text.splitlines():
+    body = len(lines)
+    for number, line in enumerate(lines):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             key, _, value = line[1:].partition(":")
             meta[key.strip()] = value.strip()
-        elif not header_seen:
-            header_seen = True
-        else:
-            rows.append(line.split(","))
-    return meta, rows
+        elif line:
+            body = number + 1
+            break
+    rows = []
+    for number, line in enumerate(lines[body:], start=body + 1):
+        if line.count(",") == fields - 1:
+            rows.append(line)
+        elif line.strip():
+            raise ValueError(
+                f"line {number}: expected {fields} comma-separated fields, "
+                f"got {line.count(',') + 1}"
+            )
+    tokens = ",".join(rows).split(",") if rows else []
+    table = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    return meta, table.reshape(-1, fields)
 
 
 def _stats_from_meta(meta: dict) -> Optional[SolveStats]:
@@ -175,12 +191,10 @@ def read_density(path: str) -> DensityCurve:
             atom_lower_bound=float(doc["atom_lower_bound"]),
             stats=_stats_from_meta(doc.get("stats") or {}),
         )
-    meta, rows = _split_artifact(text)
-    xs = np.array([float(row[0]) for row in rows])
-    rhos = np.array([float(row[1]) for row in rows])
+    meta, table = _split_artifact(text, 2)
     return DensityCurve(
-        xs=xs,
-        rhos=rhos,
+        xs=table[:, 0],
+        rhos=table[:, 1],
         y=float(meta["y"]),
         total_mass=float(meta["total_mass"]),
         atom_lower_bound=float(meta["atom_lower_bound"]),
@@ -199,10 +213,10 @@ def read_quantiles(path: str) -> QuantileTable:
             atom_lower_bound=float(doc["atom_lower_bound"]),
             total_mass=float(doc["total_mass"]),
         )
-    meta, rows = _split_artifact(text)
+    meta, table = _split_artifact(text, 3)
     return QuantileTable(
-        probs=tuple(float(row[0]) for row in rows),
-        values=tuple(float(row[1]) for row in rows),
+        probs=tuple(table[:, 0].tolist()),
+        values=tuple(table[:, 1].tolist()),
         atom_lower_bound=float(meta["atom_lower_bound"]),
         total_mass=float(meta["total_mass"]),
     )

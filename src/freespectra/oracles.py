@@ -2,7 +2,8 @@
 
 Three cross-checks that share no code with the solver's continuation:
 finite-size Monte-Carlo sampling of the Jacobian Gram spectrum, with each
-layer's derivative diagonal drawn independent of its weights, an all-roots
+layer's derivative diagonal drawn independent of its weights and the first
+layer's weights drawn as their triangular Bartlett factor, an all-roots
 polynomial baseline (companion-matrix eigenvalues, each polished by Newton
 steps on eval_phi), and a Kolmogorov-Smirnov distance that accounts for the
 point mass at zero.
@@ -28,13 +29,16 @@ __all__ = [
 ]
 
 # Per-(seed, layer) substreams; keeps every draw independent of matrix
-# assembly order.  The sampler reads a layer's gain stream first and then
-# draws from its weight stream only the entries between live units, in
-# row-major order; with no dead unit that is the whole matrix.  Each layer
-# owns the four keys 4 layer + stream (see _generator), of which these two
+# assembly order.  The sampler reads a layer's gain stream first.  Layer 1
+# then draws its Bartlett factor: the k chi-squared diagonal entries from its
+# chi stream, and the k (k - 1) / 2 normals below the diagonal from its
+# weight stream, in row-major order.  Every later layer draws from its weight
+# stream only the entries between live units, in row-major order.  Each layer
+# owns the four keys 4 layer + stream (see _generator), of which these three
 # are drawn; a change to that key would change every sample.
 _STREAM_WEIGHT = 0
 _STREAM_GAIN = 1
+_STREAM_CHI = 2
 
 _ZERO_SNAP = 1e-9
 _POLISH_MAX_ITERS = 50
@@ -69,6 +73,24 @@ def _generator(seed: int, layer: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _bartlett_factor(seed: int, rows: int, cols: int) -> np.ndarray:
+    """Lower-triangular k x k factor T, k = min(rows, cols), big = max(rows, cols).
+
+    T_ii^2 ~ chi^2_{big - i} (0-based) and the entries below the diagonal are
+    standard normal, so T T^T is Wishart_k(big, I) and T's singular values
+    have the law of a rows x cols standard Gaussian matrix's (Bartlett; see
+    Edelman, SIAM J. Matrix Anal. Appl. 1988).
+    """
+    k, big = min(rows, cols), max(rows, cols)
+    factor = np.zeros((k, k))
+    below = _generator(seed, 1, _STREAM_WEIGHT).standard_normal(k * (k - 1) // 2)
+    factor[np.tri(k, k=-1, dtype=bool)] = below
+    factor.flat[:: k + 1] = np.sqrt(
+        _generator(seed, 1, _STREAM_CHI).chisquare(big - np.arange(k))
+    )
+    return factor
+
+
 def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpectrum:
     """Sample one Jacobian at base width n0 and return eigenvalues of J^T J.
 
@@ -81,14 +103,21 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     Only what can reach a nonzero singular value is assembled.  A zero
     derivative zeroes its row of the product, so each layer multiplies just
     its live rows and the previous layer's live columns, and only those
-    weight entries are drawn, after the layer's derivative diagonal: the
-    entries are i.i.d., so the law is unchanged, and the sample differs from
-    a whole-matrix draw only where units die (ReLU, hard_tanh).  When the
-    product has fewer rows than both its columns and the next layer's live
-    units, it is replaced by L from J = L Q (Q with orthonormal rows), which
-    every later product sees with the same singular values.  The eigenvalues
-    come from the smaller of J J^T and J^T J; the other n0 - min(rows, cols)
-    are exact zeros.
+    weight entries are drawn, after the layer's derivative diagonal.
+
+    The first layer's live block G_1 (live_1 x n0) is not drawn at all.  Every
+    live derivative is +-1 (a ValueError names a layer where one is not), so
+    D_1 on the live units is orthogonal.  When live_1 <= n0, G_1 = T Q with Q
+    having orthonormal rows, and J^T J has the nonzero eigenvalues of
+    (X T)^T (X T), X being the later layers; when live_1 > n0, G_1 = Q R and
+    the next layer's block times D_1 Q is again a Gaussian, independent of R.
+    Either way only the singular-value law of G_1 reaches the spectrum, so
+    layer 1 draws its k x k Bartlett factor T, k = min(live_1, n0), and layer
+    2 draws live_2 x k.  When the product has fewer rows than both its
+    columns and the next layer's live units, it is replaced by L from
+    J = L Q (Q with orthonormal rows), which every later product sees with
+    the same singular values.  The eigenvalues come from the smaller of J J^T
+    and J^T J; the other n0 - min(rows, cols) are exact zeros.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
@@ -100,24 +129,30 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
             raise ValueError(f"layer {ell} width rounds to zero (n0={n0}, Lambda={s.Lambda})")
         widths.append(w)
 
-    jac = None  # live rows of the Jacobian so far
-    live_prev = None
+    jac = None  # the Bartlett factor, then the live rows of the product
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
-        n_out, n_in = widths[ell], widths[ell - 1]
+        n_out = widths[ell]
         pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
         diag = activation_derivative(layer.nonlinearity, pre)
         live = np.flatnonzero(diag)
-        cols = n_in if jac is None else live_prev.size
-        block = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((live.size, cols))
-        block *= math.sqrt(layer.sigma_w_sq / n_out)
-        if jac is not None:
-            if jac.shape[0] < min(jac.shape[1], live.size):
-                # Width bottleneck: J = L Q with orthonormal rows Q.
-                jac = np.linalg.qr(jac.T, mode="r").T
-            block = block @ jac
+        scale = math.sqrt(layer.sigma_w_sq / n_out)
+        if jac is None:
+            if not np.all(np.abs(diag[live]) == 1.0):
+                raise ValueError(
+                    f"layer {ell} has a live derivative other than +-1; "
+                    "its Bartlett factor needs D_1 orthogonal on the live units"
+                )
+            jac = _bartlett_factor(seed, live.size, widths[0])
+            jac *= scale
+            continue
+        block = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((live.size, jac.shape[0]))
+        block *= scale
+        if jac.shape[0] < min(jac.shape[1], live.size):
+            # Width bottleneck: J = L Q with orthonormal rows Q.
+            jac = np.linalg.qr(jac.T, mode="r").T
+        block = block @ jac
         block *= diag[live, None]
         jac = block
-        live_prev = live
 
     rows, cols = jac.shape
     gram = jac @ jac.T if rows < cols else jac.T @ jac

@@ -124,6 +124,39 @@ def test_density_csv_holding_nan_is_refused(tmp_path):
         read_density(str(path))
 
 
+@pytest.mark.parametrize("row, fields", [("2.0", 1), ("2.0,5e-324,0.5", 3), ("2.0;5e-324", 1)])
+def test_density_csv_with_a_malformed_row_is_refused(tmp_path, row, fields):
+    # a one-field row used to raise IndexError, and a three-field row was
+    # read as its first two fields
+    lines = render_density(awkward_curve(), "csv").splitlines()
+    number = lines.index("2.0,5e-324") + 1
+    lines[number - 1] = row
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"^line {number}: expected 2 comma-separated fields, got {fields}$"
+    with pytest.raises(ValueError, match=message):
+        read_density(str(path))
+
+
+def test_quantiles_csv_with_a_malformed_row_is_refused(tmp_path):
+    table = QuantileTable(probs=(0.1, 0.5), values=(1.0, 2.0), atom_lower_bound=0.0, total_mass=1.0)
+    lines = render_quantiles(table).splitlines()
+    lines[-1] = "0.5,2.0"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line {len(lines)}: expected 3 comma-separated fields, got 2$"):
+        read_quantiles(str(path))
+
+
+def test_csv_reader_skips_blank_lines(tmp_path):
+    curve = awkward_curve()
+    path = tmp_path / "blank.csv"
+    path.write_text(render_density(curve, "csv").replace("\n2.0,", "\n\n  \n2.0,") + "\n\n")
+    back = read_density(str(path))
+    assert np.array_equal(back.xs, curve.xs)
+    assert np.array_equal(back.rhos, curve.rhos)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("field", ["y", "atom_lower_bound"])
 def test_density_artifact_holding_a_nan_y_or_atom_is_refused(tmp_path, fmt, field):

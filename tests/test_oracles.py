@@ -27,7 +27,14 @@ from freespectra import (
 )
 from freespectra.network_model import Nonlinearity as NL
 from freespectra.network_model import activation_derivative, summarize
-from freespectra.oracles import _STREAM_GAIN, _STREAM_WEIGHT, _ZERO_SNAP, _generator
+from freespectra.oracles import (
+    _STREAM_CHI,
+    _STREAM_GAIN,
+    _STREAM_WEIGHT,
+    _ZERO_SNAP,
+    _bartlett_factor,
+    _generator,
+)
 
 
 def mp_spec():
@@ -159,28 +166,36 @@ def test_monte_carlo_hard_tanh_keeps_two_sided_band():
 
 
 def full_gram_spectrum(spec, n0, seed):
-    """Reference sampler: every row of every layer, eigenvalues of the n0 x n0 J^T J.
+    """Reference sampler: from the oracle's layer-1 factor, every row of every
+    later layer, and eigenvalues of the n0 x n0 J^T J.
 
-    The entries between live units come from the weight stream, as the oracle
-    draws them; every other entry is a nonzero draw of an independent
-    generator, which must not reach the spectrum.
+    Layer 1 is the oracle's Bartlett factor T (k x k), set in the first k
+    columns of a k x n0 matrix.  After it, the entries between live units come
+    from the weight stream, as the oracle draws them; every other entry is a
+    nonzero draw of an independent generator, which must not reach the
+    spectrum.
     """
     summaries = summarize(spec)
     widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
-    jac = None
-    live_prev = np.arange(n0)
+    jac = live_prev = None
     filler = np.random.default_rng(seed + 1000)
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
-        n_out, n_in = widths[ell], widths[ell - 1]
+        n_out = widths[ell]
         pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
         diag = activation_derivative(layer.nonlinearity, pre)
         live = np.flatnonzero(diag)
-        weight = 1.0 + filler.uniform(size=(n_out, n_in))
+        scale = math.sqrt(layer.sigma_w_sq / n_out)
+        if jac is None:
+            factor = _bartlett_factor(seed, live.size, n0)
+            jac = np.zeros((factor.shape[0], n0))
+            jac[:, : factor.shape[1]] = scale * factor
+            live_prev = np.arange(factor.shape[0])
+            continue
+        weight = 1.0 + filler.uniform(size=(n_out, jac.shape[0]))
         block = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((live.size, live_prev.size))
         weight[np.ix_(live, live_prev)] = block
         live_prev = live
-        weight *= math.sqrt(layer.sigma_w_sq / n_out)
-        jac = diag[:, None] * (weight if jac is None else weight @ jac)
+        jac = diag[:, None] * ((scale * weight) @ jac)
     values = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
     values[values < _ZERO_SNAP] = 0.0
     return np.sort(values)
@@ -228,39 +243,94 @@ def test_live_assembly_matches_full_gram(text):
         assert np.max(np.abs(emp.values - ref)) <= 1e-9 * ref[-1]
 
 
+def live_counts(spec, n0, seed):
+    """live_0 = n0, then each layer's live units, read off its gain stream."""
+    summaries = summarize(spec)
+    live = [n0]
+    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
+        n_out = int(round(n0 / s.Lambda))
+        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
+        live.append(int(np.count_nonzero(activation_derivative(layer.nonlinearity, pre))))
+    return live
+
+
 def test_oracle_draws_only_live_weight_entries(monkeypatch):
-    # a layer's weights are drawn after its derivative diagonal, and only
-    # those between live units: live_l x live_{l-1}, with live_0 = n0
+    # layer 1 draws its Bartlett factor, k = min(live_1, n0): k (k - 1) / 2
+    # normals and k chi-squares; layer 2 then draws live_2 x k, and every
+    # later layer live_l x live_{l-1}
     drawn = []
 
     class Counting:
-        def __init__(self, generator):
+        def __init__(self, generator, layer, stream):
             self.generator = generator
+            self.key = (layer, stream)
 
         def standard_normal(self, size):
             out = self.generator.standard_normal(size)
-            drawn.append(out.size)
+            drawn.append(("normal", *self.key, out.size))
+            return out
+
+        def chisquare(self, df):
+            out = self.generator.chisquare(df)
+            drawn.append(("chi2", *self.key, out.size))
             return out
 
     def counting(seed, layer, stream):
         generator = _generator(seed, layer, stream)
-        return Counting(generator) if stream == _STREAM_WEIGHT else generator
+        return generator if stream == _STREAM_GAIN else Counting(generator, layer, stream)
 
     monkeypatch.setattr("freespectra.oracles._generator", counting)
-    spec, n0, seed = relu4_spec(), 400, 11
-    monte_carlo_spectrum(spec, n0, seed=seed)
-    live = [n0]
-    for ell, s in enumerate(summarize(spec), start=1):
-        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n0)
-        live.append(int(np.count_nonzero(activation_derivative(NL.RELU, pre))))
-    assert drawn == [a * b for a, b in zip(live[1:], live[:-1])]
-    # about (1/2 + 3 * 1/4) n0^2 entries, against 4 n0^2 drawn in full
-    assert sum(drawn) < 0.35 * 4 * n0 * n0
+    # the first layer is wide (live_1 < n0) in ReLU x 4 and tall in the other
+    for spec in (relu4_spec(), ratio_spec("linear:0.5 relu:2 relu:1")):
+        n0, seed = 400, 11
+        drawn.clear()
+        monte_carlo_spectrum(spec, n0, seed=seed)
+        live = live_counts(spec, n0, seed)
+        k = min(live[1], n0)
+        expected = [
+            ("normal", 1, _STREAM_WEIGHT, k * (k - 1) // 2),
+            ("chi2", 1, _STREAM_CHI, k),
+            ("normal", 2, _STREAM_WEIGHT, live[2] * k),
+        ]
+        expected += [
+            ("normal", ell, _STREAM_WEIGHT, live[ell] * live[ell - 1]) for ell in range(3, len(live))
+        ]
+        assert drawn == expected
+    # ReLU x 4 draws about (1/8 + 3/4) n0^2 entries, against 4 n0^2 drawn in full
+    drawn.clear()
+    monte_carlo_spectrum(relu4_spec(), n0, seed=seed)
+    assert sum(entry[-1] for entry in drawn) < 0.25 * 4 * n0 * n0
+
+
+@pytest.mark.parametrize("rows, cols", [(5, 8), (8, 5), (6, 6)])
+def test_bartlett_factor_has_the_wishart_mean(rows, cols):
+    # E[T T^T] = big I: diagonal i holds i normal squares and chi^2_{big-i};
+    # each diagonal entry averages 2000 draws of standard deviation
+    # sqrt(2 big) <= 4, so a chi-square degree off by one moves it at least
+    # 11 standard errors, against a tolerance of about 5
+    k, big = min(rows, cols), max(rows, cols)
+    draws = np.array([_bartlett_factor(seed, rows, cols) for seed in range(2000)])
+    assert draws.shape == (2000, k, k)
+    assert np.all(np.triu(draws, 1) == 0.0)
+    mean = np.einsum("sij,skj->ik", draws, draws) / 2000
+    assert np.max(np.abs(mean - big * np.eye(k))) <= 0.45
+
+
+def test_bartlett_first_layer_needs_unit_derivatives(monkeypatch):
+    # D_1 is absorbed into the Bartlett factor's orthogonal factor only when
+    # every live derivative is +-1
+    def halved(nl, h):
+        return 0.5 * activation_derivative(nl, h)
+
+    monkeypatch.setattr("freespectra.oracles.activation_derivative", halved)
+    with pytest.raises(ValueError, match="^layer 1 has a live derivative other than"):
+        monte_carlo_spectrum(relu4_spec(), 64, seed=0)
 
 
 def full_draw_spectrum(spec, n0, seed):
     """The swapped sampler drawing whole weight matrices: each layer's weights
-    first, then the live block taken by index, assembled as the oracle does."""
+    first, then the live block taken by index, assembled as the oracle
+    assembles its later layers."""
     summaries = summarize(spec)
     widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
     jac = live_prev = None
@@ -286,16 +356,39 @@ def full_draw_spectrum(spec, n0, seed):
     return np.sort(values)
 
 
+def spectrum_statistics(values):
+    """tr(J^T J)/n0, tr((J^T J)^2)/n0 and lambda_max of one sample."""
+    return values.mean(), np.mean(values * values), values[-1]
+
+
 @pytest.mark.parametrize(
-    "text", ["linear:0.5 linear:2 linear:0.5", "hard_sine:2 hard_sine:0.5 hard_sine:2 hard_sine:1"]
+    "text",
+    [
+        # tall first layer (live_1 = 2 n0 > n0), then wide and tall layers
+        "linear:0.5 linear:2 linear:0.5",
+        # wide first layer, and hard_sine's +-1 derivatives throughout
+        "hard_sine:2 hard_sine:0.5 hard_sine:2 hard_sine:1",
+        # single layers, tall and wide
+        "hard_sine:0.5",
+        "linear:2",
+    ],
 )
 def test_nets_without_dead_units_keep_the_full_draw_sample(text):
-    # with every unit live, the live block is the whole matrix, drawn from
-    # the same stream: the spectrum is the full draw's, bit for bit
-    spec = ratio_spec(text)
-    for seed in (3, 4):
-        emp = monte_carlo_spectrum(spec, 300, seed=seed)
-        assert np.array_equal(emp.values, full_draw_spectrum(spec, 300, seed))
+    # the Bartlett first layer keeps the law of the whole-matrix draw: over
+    # 240 seeds, the paired differences of each statistic average to zero
+    # within 4 standard errors
+    spec, n0, seeds = ratio_spec(text), 24, range(240)
+    diffs = np.array(
+        [
+            np.subtract(
+                spectrum_statistics(monte_carlo_spectrum(spec, n0, seed=seed).values),
+                spectrum_statistics(full_draw_spectrum(spec, n0, seed)),
+            )
+            for seed in seeds
+        ]
+    )
+    error = diffs.std(axis=0, ddof=1) / math.sqrt(len(seeds))
+    assert np.all(np.abs(diffs.mean(axis=0)) <= 4.0 * error)
 
 
 def test_bottleneck_leaves_exactly_the_missing_rank_at_zero():
