@@ -1,20 +1,20 @@
 """Serialization of density curves and quantile tables.
 
-Every float is written with shortest round-trip formatting, so a parsed
-artifact reconstructs bit-identical doubles; files are written atomically
-(temp file in the same directory, then rename, with the mode a plain open
-would give).  A density artifact's floats, headers included, are spelled by
-orjson, whose Ryu conversion (Adams, PLDI 2018) finds the same shortest digits
-as `repr` in C, several times faster; its JSON is one line with compact
-separators.  Quantile tables hold a few rows and a log10 column that can be
--inf, which JSON has no literal for, so they keep `repr` and json.dumps.
+An artifact is a header of named scalars and a table of named float columns,
+written as CSV ("# key: value" lines, a line of column names, then the rows)
+or as one JSON document on one line.  Every float is spelled by orjson, whose
+Ryu conversion (Adams, PLDI 2018) finds the same shortest round-trip digits
+as `repr`, so a parsed artifact reconstructs bit-identical doubles.  The log10
+of a zero quantile is written null in JSON, which is valid JSON, and -inf in
+CSV.  Files are written atomically (temp file in the same directory, then
+rename, with the mode a plain open would give).  Files spelled by `repr` and
+json.dumps, as quantile tables once were, read to the same doubles.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -36,7 +36,7 @@ __all__ = [
     "read_quantiles",
 ]
 
-# The solve counters, in header order: SolveStats declares each once.
+# The solve counters: SolveStats declares each once.
 _STAT_KEYS = tuple(field.name for field in dataclasses.fields(SolveStats))
 
 # mkstemp creates its file with mode 0600; an artifact gets what open() would
@@ -69,63 +69,50 @@ def write_text(text: str, path: Optional[str] = None) -> None:
         raise
 
 
-def _stat_items(stats: Optional[SolveStats]) -> list:
-    if stats is None:
-        return []
-    return [(key, getattr(stats, key)) for key in _STAT_KEYS]
+def _render(header: dict, columns: dict, title: str, fmt: str) -> str:
+    """The artifact text of a header and its float columns.
 
-
-def _csv_rows(xs: np.ndarray, rhos: np.ndarray) -> str:
-    """The lines "x,rho" of two float columns, without a final newline."""
-    # The (n, 2) stack dumps as [[x,rho],[x,rho],...] in one C pass, and the
-    # brackets between pairs become line breaks; decoding through a memoryview
-    # drops the outer brackets without copying the bytes once more.
-    pairs = orjson.dumps(np.column_stack((xs, rhos)), option=_NUMPY).replace(b"],[", b"\n")
-    return str(memoryview(pairs)[2:-2], "ascii")
-
-
-def render_density(curve: DensityCurve, fmt: str = "csv") -> str:
+    columns maps each JSON key to its values; title is the CSV's line of
+    column names.  A dict-valued header entry, the solve counters, stays one
+    nested object in JSON and gives one CSV header line per entry; a None
+    entry gives no CSV line.
+    """
     if fmt == "json":
-        doc = {
-            "y": curve.y,
-            "total_mass": curve.total_mass,
-            "atom_lower_bound": curve.atom_lower_bound,
-            "stats": dict(_stat_items(curve.stats)) or None,
-            "x": np.ascontiguousarray(curve.xs),
-            "rho": np.ascontiguousarray(curve.rhos),
-        }
+        arrays = {key: np.ascontiguousarray(values, dtype=float) for key, values in columns.items()}
+        doc = {**header, **arrays}
         return orjson.dumps(doc, option=_NUMPY | orjson.OPT_APPEND_NEWLINE).decode()
-    header = [
-        ("y", curve.y),
-        ("total_mass", curve.total_mass),
-        ("atom_lower_bound", curve.atom_lower_bound),
-        *_stat_items(curve.stats),
-    ]
-    lines = [f"# {key}: {orjson.dumps(value).decode()}" for key, value in header]
-    lines += ["x,rho", _csv_rows(curve.xs, curve.rhos), ""]
+    lines = []
+    for key, value in header.items():
+        for name, item in value.items() if isinstance(value, dict) else [(key, value)]:
+            if item is not None:
+                lines.append(f"# {name}: {orjson.dumps(item, option=_NUMPY).decode()}")
+    # The (n, k) stack dumps as [[a,b],[a,b],...] in one C pass; the brackets
+    # between rows become line breaks, and a memoryview drops the outer ones
+    # without another copy.  orjson spells -inf null, the only non-finite float
+    # an artifact holds; no other spelling has an "n", and a one-byte search is
+    # a memchr, several times faster than a search for "null".
+    rows = orjson.dumps(np.column_stack(tuple(columns.values())), option=_NUMPY)
+    rows = rows.replace(b"],[", b"\n")
+    if b"n" in rows:
+        rows = rows.replace(b"null", b"-inf")
+    lines += [title, str(memoryview(rows)[2:-2], "ascii"), ""]
     return "\n".join(lines)
 
 
+def render_density(curve: DensityCurve, fmt: str = "csv") -> str:
+    header = {
+        "y": curve.y,
+        "total_mass": curve.total_mass,
+        "atom_lower_bound": curve.atom_lower_bound,
+        "stats": None if curve.stats is None else dataclasses.asdict(curve.stats),
+    }
+    return _render(header, {"x": curve.xs, "rho": curve.rhos}, "x,rho", fmt)
+
+
 def render_quantiles(table: QuantileTable, fmt: str = "csv") -> str:
-    logs = [math.log10(v) if v > 0 else -math.inf for v in table.values]
-    if fmt == "json":
-        doc = {
-            "atom_lower_bound": table.atom_lower_bound,
-            "total_mass": table.total_mass,
-            "probs": list(table.probs),
-            "values": list(table.values),
-            "log10_values": logs,
-        }
-        return json.dumps(doc) + "\n"
-    lines = [
-        f"# atom_lower_bound: {table.atom_lower_bound!r}",
-        f"# total_mass: {table.total_mass!r}",
-        "prob,value,log10_value",
-    ]
-    lines.extend(
-        f"{p!r},{v!r},{lg!r}" for p, v, lg in zip(table.probs, table.values, logs)
-    )
-    return "\n".join(lines) + "\n"
+    header = {"atom_lower_bound": table.atom_lower_bound, "total_mass": table.total_mass}
+    columns = {"probs": table.probs, "values": table.values, "log10_values": table.log10_values}
+    return _render(header, columns, "prob,value,log10_value", fmt)
 
 
 def write_density(curve: DensityCurve, path: Optional[str] = None, fmt: str = "csv") -> None:
@@ -170,53 +157,44 @@ def _split_artifact(text: str, fields: int) -> tuple[dict, np.ndarray]:
     return meta, table.reshape(-1, fields)
 
 
-def _stats_from_meta(meta: dict) -> Optional[SolveStats]:
-    # Files written before the certificate counters existed lack them; those
-    # read as 0.  A key that is not a counter is ignored, so a counter can
-    # leave SolveStats without making older files unreadable.
-    present = {key: int(meta[key]) for key in _STAT_KEYS if key in meta}
-    return SolveStats(**present) if present else None
+def _load(path: str, keys: tuple) -> tuple[dict, list]:
+    """The header and the float columns named by keys, from either format.
 
-
-def read_density(path: str) -> DensityCurve:
+    A JSON document's "stats" object folds into the header, as its counters
+    are header lines in CSV; a CSV's columns are taken in the order of keys.
+    json.loads also reads the -Infinity that json.dumps once wrote.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        return DensityCurve(
-            xs=np.array(doc["x"], dtype=float),
-            rhos=np.array(doc["rho"], dtype=float),
-            y=float(doc["y"]),
-            total_mass=float(doc["total_mass"]),
-            atom_lower_bound=float(doc["atom_lower_bound"]),
-            stats=_stats_from_meta(doc.get("stats") or {}),
-        )
-    meta, table = _split_artifact(text, 2)
+        meta = json.loads(text)
+        meta.update(meta.pop("stats", None) or {})
+        return meta, [np.array(meta.pop(key), dtype=float) for key in keys]
+    meta, table = _split_artifact(text, len(keys))
+    return meta, list(table.T)
+
+
+def read_density(path: str) -> DensityCurve:
+    meta, (xs, rhos) = _load(path, ("x", "rho"))
+    # Files written before the certificate counters existed lack them; those
+    # read as 0.  A key that is not a counter is ignored, so a counter can
+    # leave SolveStats without making older files unreadable.
+    counters = {key: int(meta[key]) for key in _STAT_KEYS if key in meta}
     return DensityCurve(
-        xs=table[:, 0],
-        rhos=table[:, 1],
+        xs=xs,
+        rhos=rhos,
         y=float(meta["y"]),
         total_mass=float(meta["total_mass"]),
         atom_lower_bound=float(meta["atom_lower_bound"]),
-        stats=_stats_from_meta(meta),
+        stats=SolveStats(**counters) if counters else None,
     )
 
 
 def read_quantiles(path: str) -> QuantileTable:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        return QuantileTable(
-            probs=tuple(float(p) for p in doc["probs"]),
-            values=tuple(float(v) for v in doc["values"]),
-            atom_lower_bound=float(doc["atom_lower_bound"]),
-            total_mass=float(doc["total_mass"]),
-        )
-    meta, table = _split_artifact(text, 3)
+    meta, (probs, values, _) = _load(path, ("probs", "values", "log10_values"))
     return QuantileTable(
-        probs=tuple(table[:, 0].tolist()),
-        values=tuple(table[:, 1].tolist()),
+        probs=probs,
+        values=values,
         atom_lower_bound=float(meta["atom_lower_bound"]),
         total_mass=float(meta["total_mass"]),
     )

@@ -11,7 +11,6 @@ configuration or command line.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional
 
@@ -102,8 +101,7 @@ def cmd_quantiles(args: argparse.Namespace) -> int:
     table = quantiles(curve, config.probs)
     write_quantiles(table, config.output.path, config.output.format)
     if config.output.path is not None:
-        for p, v in zip(table.probs, table.values):
-            log10 = math.log10(v) if v > 0 else -math.inf
+        for p, v, log10 in zip(table.probs, table.values, table.log10_values):
             print(f"q({p!r}) = {v!r}   log10 = {log10!r}")
     return 0
 

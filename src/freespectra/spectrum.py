@@ -39,8 +39,6 @@ __all__ = [
     "closed_form_moments",
 ]
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 _NEGATIVE_DENSITY_TOL = 1e-10
 
 # The coarse pass of a grid first tries to jump _STRIDE points of the walk at a
@@ -101,6 +99,31 @@ class QuantileTable:
     values: tuple
     atom_lower_bound: float
     total_mass: float
+
+    def __post_init__(self) -> None:
+        # tuples of plain floats, from whatever sequence of numbers was passed
+        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        if not self.probs:
+            raise ValueError("probs must be nonempty")
+        if len(self.probs) != len(self.values):
+            lengths = f"{len(self.probs)} and {len(self.values)}"
+            raise ValueError(f"probs and values must have equal lengths, got {lengths}")
+        for p in self.probs:
+            if not 0.0 < p < 1.0:
+                raise ValueError(f"probs must lie strictly inside (0, 1), got {p!r}")
+        for v in self.values:
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"values must be finite and nonnegative, got {v!r}")
+        if not 0.0 <= self.atom_lower_bound <= 1.0:
+            raise ValueError(f"atom_lower_bound must lie in [0, 1], got {self.atom_lower_bound!r}")
+        if not math.isfinite(self.total_mass):
+            raise ValueError(f"total_mass must be finite, got {self.total_mass!r}")
+
+    @property
+    def log10_values(self) -> tuple:
+        """log10 of each value, -inf for a zero quantile."""
+        return tuple(math.log10(v) if v > 0 else -math.inf for v in self.values)
 
 
 class Moments(NamedTuple):
@@ -184,12 +207,11 @@ def density_grid(
         raise SolverError(f"negative density {float(rhos[bad[0]])!r} at x={x!r}", z=complex(x, y))
     rhos = np.where(rhos < 0.0, 0.0, rhos)
 
-    mass = float(_trapz(rhos, xs))
     return DensityCurve(
         xs=xs,
         rhos=rhos,
         y=y,
-        total_mass=mass,
+        total_mass=_cell_masses(xs, rhos).sum(),
         atom_lower_bound=atom_lower_bound(meq),
         stats=stats,
     )
@@ -273,6 +295,11 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     return ms
 
 
+def _cell_masses(xs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """The trapezoid mass of each grid cell; they sum to the curve's total_mass."""
+    return np.diff(xs) * (rhos[1:] + rhos[:-1]) / 2.0
+
+
 def _cumulative_mass(curve: DensityCurve) -> np.ndarray:
     """The trapezoid CDF of the curve over its grid window, from 0.
 
@@ -283,10 +310,9 @@ def _cumulative_mass(curve: DensityCurve) -> np.ndarray:
     mass = float(curve.total_mass + curve.atom_lower_bound)
     if mass < 0.5:
         raise ValueError(f"grid window misses the bulk: total_mass + atom = {mass!r} below 0.5")
-    steps = 0.5 * (curve.rhos[1:] + curve.rhos[:-1]) * np.diff(curve.xs)
     out = np.empty(curve.xs.size, dtype=float)
     out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
+    np.cumsum(_cell_masses(curve.xs, curve.rhos), out=out[1:])
     if not (out[-1] > 0.0):
         raise ValueError("curve carries no mass on its grid window")
     return out
@@ -299,11 +325,6 @@ def quantiles(curve: DensityCurve, probs: Sequence[float]) -> QuantileTable:
     grid window; the atom at zero is reported alongside, never folded in.
     """
     probs = tuple(float(p) for p in probs)
-    if not probs:
-        raise ValueError("probs must be nonempty")
-    for p in probs:
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"probs must lie strictly inside (0, 1), got {p}")
     cum = _cumulative_mass(curve)
     mass = cum[-1]
     # Exact inversion of the trapezoid CDF: within a cell the density is linear,
@@ -322,7 +343,7 @@ def quantiles(curve: DensityCurve, probs: Sequence[float]) -> QuantileTable:
     values = xs[idx - 1] + np.minimum(offset, widths)
     return QuantileTable(
         probs=probs,
-        values=tuple(float(v) for v in values),
+        values=values,
         atom_lower_bound=curve.atom_lower_bound,
         total_mass=curve.total_mass,
     )

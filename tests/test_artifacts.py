@@ -1,10 +1,13 @@
 """Serialization: bit-exact round trips and atomic writes."""
 
+import dataclasses
 import json
 import math
+import re
 import stat
 
 import numpy as np
+import orjson
 import pytest
 
 from freespectra import (
@@ -267,13 +270,17 @@ def test_density_json_is_one_line():
     assert json.loads(text)["rho"] == awkward_curve().rhos.tolist()
 
 
-def test_quantiles_round_trip_and_zero_value_log(tmp_path):
-    table = QuantileTable(
+def zero_quantile_table():
+    return QuantileTable(
         probs=(0.1, 0.5, 0.9),
         values=(0.0, 1.0 / 3.0, 7.25),
         atom_lower_bound=0.25,
         total_mass=0.96,
     )
+
+
+def test_quantiles_round_trip_and_zero_value_log(tmp_path):
+    table = zero_quantile_table()
     text = render_quantiles(table)
     assert "-inf" in text.splitlines()[3]  # log10 of the zero quantile
     path = tmp_path / "q.csv"
@@ -283,6 +290,98 @@ def test_quantiles_round_trip_and_zero_value_log(tmp_path):
     assert tuple(back.values) == table.values
     assert back.atom_lower_bound == table.atom_lower_bound
     assert back.total_mass == table.total_mass
+
+
+def test_json_artifacts_are_strict_json(tmp_path):
+    # RFC 8259 has no -Infinity: the log10 of a zero quantile is written null
+    curve, table = awkward_curve(), zero_quantile_table()
+    doc = orjson.loads(render_density(curve, "json"))
+    assert doc["rho"] == curve.rhos.tolist()
+    assert doc["stats"] == dataclasses.asdict(curve.stats)
+    text = render_quantiles(table, "json")
+    doc = orjson.loads(text)
+    assert doc["log10_values"] == [None, math.log10(1.0 / 3.0), math.log10(7.25)]
+    path = tmp_path / "q.json"
+    path.write_text(text)
+    assert read_quantiles(str(path)) == table
+
+
+def legacy_text(header, columns, title, fmt):
+    """An artifact spelled by repr and json.dumps, as files were before orjson."""
+    if fmt == "json":
+        doc = {**header, **{key: [float(v) for v in values] for key, values in columns.items()}}
+        return json.dumps(doc) + "\n"
+    flat = {}
+    for key, value in header.items():
+        flat.update(value if isinstance(value, dict) else {key: value})
+    lines = [f"# {key}: {value!r}" for key, value in flat.items()]
+    lines.append(title)
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns.values())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_artifacts_spelled_by_repr_and_json_dumps_still_read(tmp_path, fmt):
+    curve, table = awkward_curve(), zero_quantile_table()
+    density = legacy_text(
+        {
+            "y": curve.y,
+            "total_mass": curve.total_mass,
+            "atom_lower_bound": curve.atom_lower_bound,
+            "stats": dataclasses.asdict(curve.stats),
+        },
+        {"x": curve.xs, "rho": curve.rhos},
+        "x,rho",
+        fmt,
+    )
+    quantile_text = legacy_text(
+        {"atom_lower_bound": table.atom_lower_bound, "total_mass": table.total_mass},
+        {"probs": table.probs, "values": table.values, "log10_values": table.log10_values},
+        "prob,value,log10_value",
+        fmt,
+    )
+    # the spellings orjson does not write
+    assert "1e-06" in density and "1e+300" in density
+    assert ("-Infinity" if fmt == "json" else ",-inf\n") in quantile_text
+    assert (", " in density) == (fmt == "json")
+    density_path, quantile_path = tmp_path / f"d.{fmt}", tmp_path / f"q.{fmt}"
+    density_path.write_text(density)
+    quantile_path.write_text(quantile_text)
+    back = read_density(str(density_path))
+    assert np.array_equal(back.xs.view(np.uint64), curve.xs.view(np.uint64))
+    assert np.array_equal(back.rhos.view(np.uint64), curve.rhos.view(np.uint64))
+    assert (back.y, back.total_mass, back.atom_lower_bound) == (
+        curve.y,
+        curve.total_mass,
+        curve.atom_lower_bound,
+    )
+    assert back.stats == curve.stats
+    assert read_quantiles(str(quantile_path)) == table
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"probs": [0.1, 7.0, 0.9]}, "probs must lie strictly inside (0, 1), got 7.0"),
+        ({"probs": [0.1, 0.5, 2.0]}, "probs must lie strictly inside (0, 1), got 2.0"),
+        ({"values": [math.nan, 1.0, 2.0]}, "values must be finite and nonnegative, got nan"),
+        ({"values": [0.0, -3.0, 7.25]}, "values must be finite and nonnegative, got -3.0"),
+        ({"values": [0.0, 1.0, math.inf]}, "values must be finite and nonnegative, got inf"),
+        ({"values": [0.0, 1.0]}, "probs and values must have equal lengths, got 3 and 2"),
+        ({"probs": [], "values": [], "log10_values": []}, "probs must be nonempty"),
+        ({"atom_lower_bound": -1.0}, "atom_lower_bound must lie in [0, 1], got -1.0"),
+        ({"atom_lower_bound": 2.5}, "atom_lower_bound must lie in [0, 1], got 2.5"),
+        ({"total_mass": math.inf}, "total_mass must be finite, got inf"),
+        ({"total_mass": math.nan}, "total_mass must be finite, got nan"),
+    ],
+)
+def test_quantile_artifact_with_a_bad_field_is_refused(tmp_path, edits, message):
+    doc = json.loads(render_quantiles(zero_quantile_table(), "json"))
+    doc.update(edits)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_quantiles(str(path))
 
 
 def test_render_density_headers_cover_stats():
