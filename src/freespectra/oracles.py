@@ -2,11 +2,11 @@
 
 Three cross-checks that share no code with the solver's continuation:
 finite-size Monte-Carlo sampling of the Jacobian Gram spectrum, with each
-layer's derivative diagonal drawn independent of its weights and the first
-layer's weights drawn as their triangular Bartlett factor, an all-roots
-polynomial baseline (companion-matrix eigenvalues, each polished by Newton
-steps on eval_phi), and a Kolmogorov-Smirnov distance that accounts for the
-point mass at zero.
+layer's derivative diagonal drawn independent of its weights and each
+layer's weights drawn as one triangular Bartlett factor of the bottleneck's
+width, an all-roots polynomial baseline (companion-matrix eigenvalues, each
+polished by Newton steps on eval_phi), and a Kolmogorov-Smirnov distance that
+accounts for the point mass at zero.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ __all__ = [
 ]
 
 # Per-(seed, layer) substreams; keeps every draw independent of matrix
-# assembly order.  The sampler reads a layer's gain stream first.  Layer 1
-# then draws its Bartlett factor: the k chi-squared diagonal entries from its
-# chi stream, and the k (k - 1) / 2 normals below the diagonal from its
-# weight stream, in row-major order.  Every later layer draws from its weight
-# stream only the entries between live units, in row-major order.  Each layer
-# owns the four keys 4 layer + stream (see _generator), of which these three
-# are drawn; a change to that key would change every sample.
+# assembly order.  The sampler reads every layer's gain stream first, then
+# draws each layer's r x r Bartlett factor: the r chi-squared diagonal entries
+# from its chi stream, and the r (r - 1) / 2 normals below the diagonal from
+# its weight stream, in row-major order.  Each layer owns the four keys
+# 4 layer + stream (see _generator), of which these three are drawn; a change
+# to that key would change every sample.
 _STREAM_WEIGHT = 0
 _STREAM_GAIN = 1
 _STREAM_CHI = 2
@@ -73,21 +72,23 @@ def _generator(seed: int, layer: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _bartlett_factor(seed: int, rows: int, cols: int) -> np.ndarray:
-    """Lower-triangular k x k factor T, k = min(rows, cols), big = max(rows, cols).
+def _bartlett_factor(seed: int, layer: int, rows: int, cols: int) -> np.ndarray:
+    """Lower-triangular r x r factor L of a rows x cols standard Gaussian block G.
 
-    T_ii^2 ~ chi^2_{big - i} (0-based) and the entries below the diagonal are
-    standard normal, so T T^T is Wishart_k(big, I) and T's singular values
-    have the law of a rows x cols standard Gaussian matrix's (Bartlett; see
-    Edelman, SIAM J. Matrix Anal. Appl. 1988).
+    r = min(rows, cols), and the entries below the diagonal are standard
+    normal.  A wide block (rows < cols) is G = L Q, Q with orthonormal rows:
+    L_ii^2 ~ chi^2_{cols - i} (0-based), so L L^T is Wishart_r(cols, I).
+    Otherwise G = Q L, Q with orthonormal columns: L_ii^2 ~
+    chi^2_{rows - r + 1 + i}, so L^T L is Wishart_r(rows, I).  Either way L has
+    the law of G's triangular factor, independent of Q (Bartlett; see Edelman,
+    SIAM J. Matrix Anal. Appl. 1988).
     """
-    k, big = min(rows, cols), max(rows, cols)
-    factor = np.zeros((k, k))
-    below = _generator(seed, 1, _STREAM_WEIGHT).standard_normal(k * (k - 1) // 2)
-    factor[np.tri(k, k=-1, dtype=bool)] = below
-    factor.flat[:: k + 1] = np.sqrt(
-        _generator(seed, 1, _STREAM_CHI).chisquare(big - np.arange(k))
-    )
+    r = min(rows, cols)
+    degrees = cols - np.arange(r) if rows < cols else rows - r + 1 + np.arange(r)
+    factor = np.zeros((r, r))
+    below = _generator(seed, layer, _STREAM_WEIGHT).standard_normal(r * (r - 1) // 2)
+    factor[np.tri(r, k=-1, dtype=bool)] = below
+    factor.flat[:: r + 1] = np.sqrt(_generator(seed, layer, _STREAM_CHI).chisquare(degrees))
     return factor
 
 
@@ -100,65 +101,53 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     independent of the weights: the swapped model, whose limit is the free
     multiplicative convolution the master equation describes.
 
-    Only what can reach a nonzero singular value is assembled.  A zero
-    derivative zeroes its row of the product, so each layer multiplies just
-    its live rows and the previous layer's live columns, and only those
-    weight entries are drawn, after the layer's derivative diagonal.
-
-    The first layer's live block G_1 (live_1 x n0) is not drawn at all.  Every
-    live derivative is +-1 (a ValueError names a layer where one is not), so
-    D_1 on the live units is orthogonal.  When live_1 <= n0, G_1 = T Q with Q
-    having orthonormal rows, and J^T J has the nonzero eigenvalues of
-    (X T)^T (X T), X being the later layers; when live_1 > n0, G_1 = Q R and
-    the next layer's block times D_1 Q is again a Gaussian, independent of R.
-    Either way only the singular-value law of G_1 reaches the spectrum, so
-    layer 1 draws its k x k Bartlett factor T, k = min(live_1, n0), and layer
-    2 draws live_2 x k.  When the product has fewer rows than both its
-    columns and the next layer's live units, it is replaced by L from
-    J = L Q (Q with orthonormal rows), which every later product sees with
-    the same singular values.  The eigenvalues come from the smaller of J J^T
-    and J^T J; the other n0 - min(rows, cols) are exact zeros.
+    No weight matrix is drawn.  A zero derivative zeroes its row of the
+    product, so J's nonzero singular values are those of S_L G_L ... S_1 G_1,
+    G_ell being the d_ell x d_{ell-1} Gaussian block between live units
+    (d_0 = n0, d_ell = live_ell) and S_ell the live derivatives.  Every live
+    derivative is +-1 (a ValueError names a layer where one is not), so each
+    S_ell is orthogonal and folds into the neighbouring Gaussian block.  Let
+    r = min(d) and b the first index with d_b = r.  From the bottleneck out,
+    G_b = L_b Q_b, Q_b G_{b-1} = L_{b-1} Q_{b-1}, ... (LQ, each Q with
+    orthonormal rows, each product again Gaussian and independent), and
+    G_{b+1} = Q_{b+1} L_{b+1}, G_{b+2} Q_{b+1} = Q_{b+2} L_{b+2}, ... (QL).  So
+    J's nonzero spectrum is that of L_L ... L_1, a product of r x r
+    triangles, each drawn as its Bartlett factor (Akemann, Burda & Kieburg,
+    J. Phys. A 47 (2014) 395202).  The eigenvalues come from its r x r Gram;
+    the other n0 - r are exact zeros.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
     summaries = summarize(spec)
-    widths = [n0]
-    for ell, s in enumerate(summaries, start=1):
+    live, scales = [n0], []
+    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         w = int(round(n0 / s.Lambda))
         if w < 1:
             raise ValueError(f"layer {ell} width rounds to zero (n0={n0}, Lambda={s.Lambda})")
-        widths.append(w)
-
-    jac = None  # the Bartlett factor, then the live rows of the product
-    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
-        n_out = widths[ell]
-        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
+        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(w)
         diag = activation_derivative(layer.nonlinearity, pre)
-        live = np.flatnonzero(diag)
-        scale = math.sqrt(layer.sigma_w_sq / n_out)
-        if jac is None:
-            if not np.all(np.abs(diag[live]) == 1.0):
-                raise ValueError(
-                    f"layer {ell} has a live derivative other than +-1; "
-                    "its Bartlett factor needs D_1 orthogonal on the live units"
-                )
-            jac = _bartlett_factor(seed, live.size, widths[0])
-            jac *= scale
-            continue
-        block = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((live.size, jac.shape[0]))
-        block *= scale
-        if jac.shape[0] < min(jac.shape[1], live.size):
-            # Width bottleneck: J = L Q with orthonormal rows Q.
-            jac = np.linalg.qr(jac.T, mode="r").T
-        block = block @ jac
-        block *= diag[live, None]
-        jac = block
+        signs = diag[diag != 0.0]
+        if not np.all(np.abs(signs) == 1.0):
+            raise ValueError(
+                f"layer {ell} has a live derivative other than +-1; "
+                f"its Bartlett factor needs D_{ell} orthogonal on the live units"
+            )
+        live.append(signs.size)
+        scales.append(math.sqrt(layer.sigma_w_sq / w))
 
-    rows, cols = jac.shape
-    gram = jac @ jac.T if rows < cols else jac.T @ jac
+    r = min(live)
+    b = live.index(r)
+    jac = None  # the product of the triangles so far
+    for ell, scale in enumerate(scales, start=1):
+        block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
+        factor = _bartlett_factor(seed, ell, *block)
+        factor *= scale
+        jac = factor if jac is None else factor @ jac
+
+    gram = jac.T @ jac
     del jac
     values = np.zeros(n0)
-    values[: gram.shape[0]] = np.linalg.eigvalsh(gram)
+    values[:r] = np.linalg.eigvalsh(gram)
     values = np.clip(values, 0.0, None)
     # Rank-deficiency eigenvalues come out as rounding noise; pin them to the atom.
     values[values < _ZERO_SNAP] = 0.0

@@ -165,42 +165,6 @@ def test_monte_carlo_hard_tanh_keeps_two_sided_band():
 
 
 
-def full_gram_spectrum(spec, n0, seed):
-    """Reference sampler: from the oracle's layer-1 factor, every row of every
-    later layer, and eigenvalues of the n0 x n0 J^T J.
-
-    Layer 1 is the oracle's Bartlett factor T (k x k), set in the first k
-    columns of a k x n0 matrix.  After it, the entries between live units come
-    from the weight stream, as the oracle draws them; every other entry is a
-    nonzero draw of an independent generator, which must not reach the
-    spectrum.
-    """
-    summaries = summarize(spec)
-    widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
-    jac = live_prev = None
-    filler = np.random.default_rng(seed + 1000)
-    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
-        n_out = widths[ell]
-        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
-        diag = activation_derivative(layer.nonlinearity, pre)
-        live = np.flatnonzero(diag)
-        scale = math.sqrt(layer.sigma_w_sq / n_out)
-        if jac is None:
-            factor = _bartlett_factor(seed, live.size, n0)
-            jac = np.zeros((factor.shape[0], n0))
-            jac[:, : factor.shape[1]] = scale * factor
-            live_prev = np.arange(factor.shape[0])
-            continue
-        weight = 1.0 + filler.uniform(size=(n_out, jac.shape[0]))
-        block = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((live.size, live_prev.size))
-        weight[np.ix_(live, live_prev)] = block
-        live_prev = live
-        jac = diag[:, None] * ((scale * weight) @ jac)
-    values = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
-    values[values < _ZERO_SNAP] = 0.0
-    return np.sort(values)
-
-
 GAIN = {NL.LINEAR: 1.0, NL.RELU: 2.0, NL.HARD_TANH: 1.5, NL.HARD_SINE: 1.5}
 
 
@@ -231,18 +195,6 @@ VALIDATE_NETS = (
 BIASED_NET = "hard_tanh:0.5 hard_tanh:2"
 
 
-@pytest.mark.parametrize("text", VALIDATE_NETS, ids=lambda text: f"{text}-swapped")
-def test_live_assembly_matches_full_gram(text):
-    # dropping dead rows, compressing bottlenecks and taking the smaller Gram
-    # must leave the spectrum of the full n0 x n0 J^T J, zeros included
-    spec = ratio_spec(text, bias=0.1 if text == BIASED_NET else 0.0)
-    for seed in (3, 4):
-        emp = monte_carlo_spectrum(spec, 300, seed=seed)
-        ref = full_gram_spectrum(spec, 300, seed)
-        assert np.count_nonzero(emp.values == 0.0) == np.count_nonzero(ref == 0.0)
-        assert np.max(np.abs(emp.values - ref)) <= 1e-9 * ref[-1]
-
-
 def live_counts(spec, n0, seed):
     """live_0 = n0, then each layer's live units, read off its gain stream."""
     summaries = summarize(spec)
@@ -255,9 +207,9 @@ def live_counts(spec, n0, seed):
 
 
 def test_oracle_draws_only_live_weight_entries(monkeypatch):
-    # layer 1 draws its Bartlett factor, k = min(live_1, n0): k (k - 1) / 2
-    # normals and k chi-squares; layer 2 then draws live_2 x k, and every
-    # later layer live_l x live_{l-1}
+    # every layer draws one r x r Bartlett factor, r the narrowest live width
+    # (n0 included): r (r - 1) / 2 normals from its weight stream and r
+    # chi-squares from its chi stream
     drawn = []
 
     class Counting:
@@ -280,78 +232,92 @@ def test_oracle_draws_only_live_weight_entries(monkeypatch):
         return generator if stream == _STREAM_GAIN else Counting(generator, layer, stream)
 
     monkeypatch.setattr("freespectra.oracles._generator", counting)
-    # the first layer is wide (live_1 < n0) in ReLU x 4 and tall in the other
-    for spec in (relu4_spec(), ratio_spec("linear:0.5 relu:2 relu:1")):
-        n0, seed = 400, 11
+    # the narrowest width is the last layer's in ReLU x 4, n0 in the tall
+    # single layer, and in the middle of the other two
+    n0, seed = 400, 11
+    for spec in (
+        relu4_spec(),
+        ratio_spec("linear:0.5"),
+        ratio_spec("hard_sine:2 hard_sine:0.5"),
+        ratio_spec("linear:0.5 relu:2 relu:1"),
+    ):
         drawn.clear()
         monte_carlo_spectrum(spec, n0, seed=seed)
-        live = live_counts(spec, n0, seed)
-        k = min(live[1], n0)
-        expected = [
-            ("normal", 1, _STREAM_WEIGHT, k * (k - 1) // 2),
-            ("chi2", 1, _STREAM_CHI, k),
-            ("normal", 2, _STREAM_WEIGHT, live[2] * k),
-        ]
-        expected += [
-            ("normal", ell, _STREAM_WEIGHT, live[ell] * live[ell - 1]) for ell in range(3, len(live))
-        ]
+        r = min(live_counts(spec, n0, seed))
+        expected = []
+        for ell in range(1, len(spec.layers) + 1):
+            expected += [
+                ("normal", ell, _STREAM_WEIGHT, r * (r - 1) // 2),
+                ("chi2", ell, _STREAM_CHI, r),
+            ]
         assert drawn == expected
-    # ReLU x 4 draws about (1/8 + 3/4) n0^2 entries, against 4 n0^2 drawn in full
+    # ReLU x 4 draws about 4 (n0/2)^2 / 2 = n0^2 / 2 numbers, against 4 n0^2
+    # for whole weight matrices
     drawn.clear()
     monte_carlo_spectrum(relu4_spec(), n0, seed=seed)
-    assert sum(entry[-1] for entry in drawn) < 0.25 * 4 * n0 * n0
+    assert sum(entry[-1] for entry in drawn) < 0.15 * 4 * n0 * n0
+
+
+def test_oracle_never_compresses_a_bottleneck(monkeypatch):
+    # the triangles are already bottleneck-wide: no QR factorization is left
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    for text in VALIDATE_NETS:
+        monte_carlo_spectrum(ratio_spec(text), 200, seed=5)
 
 
 @pytest.mark.parametrize("rows, cols", [(5, 8), (8, 5), (6, 6)])
 def test_bartlett_factor_has_the_wishart_mean(rows, cols):
-    # E[T T^T] = big I: diagonal i holds i normal squares and chi^2_{big-i};
-    # each diagonal entry averages 2000 draws of standard deviation
-    # sqrt(2 big) <= 4, so a chi-square degree off by one moves it at least
-    # 11 standard errors, against a tolerance of about 5
-    k, big = min(rows, cols), max(rows, cols)
-    draws = np.array([_bartlett_factor(seed, rows, cols) for seed in range(2000)])
-    assert draws.shape == (2000, k, k)
+    # a wide block's LQ factor has E[L L^T] = cols I, and a tall or square
+    # block's QL factor E[L^T L] = rows I: the Gram's diagonal entry i holds
+    # a chi-square and i (LQ) or r - 1 - i (QL) normal squares.  Each diagonal
+    # entry averages 2000 draws of standard deviation sqrt(2 max(rows, cols))
+    # <= 4, so a chi-square degree off by one moves it at least 11 standard
+    # errors, against a tolerance of about 5
+    r = min(rows, cols)
+    draws = np.array([_bartlett_factor(seed, 1, rows, cols) for seed in range(2000)])
+    assert draws.shape == (2000, r, r)
     assert np.all(np.triu(draws, 1) == 0.0)
-    mean = np.einsum("sij,skj->ik", draws, draws) / 2000
-    assert np.max(np.abs(mean - big * np.eye(k))) <= 0.45
+    if rows < cols:
+        mean = np.einsum("sij,skj->ik", draws, draws) / 2000
+    else:
+        mean = np.einsum("sji,sjk->ik", draws, draws) / 2000
+    assert np.max(np.abs(mean - max(rows, cols) * np.eye(r))) <= 0.45
 
 
-def test_bartlett_first_layer_needs_unit_derivatives(monkeypatch):
-    # D_1 is absorbed into the Bartlett factor's orthogonal factor only when
-    # every live derivative is +-1
+@pytest.mark.parametrize("layer", [1, 2], ids=lambda layer: f"layer{layer}")
+def test_bartlett_factors_need_unit_derivatives(monkeypatch, layer):
+    # each D_ell is folded into a neighbouring Gaussian block only when every
+    # live derivative is +-1; the oracle reads one derivative diagonal per
+    # layer, in order, and this halves the one of the given layer
+    calls = []
+
     def halved(nl, h):
-        return 0.5 * activation_derivative(nl, h)
+        calls.append(nl)
+        derivative = activation_derivative(nl, h)
+        return 0.5 * derivative if len(calls) == layer else derivative
 
     monkeypatch.setattr("freespectra.oracles.activation_derivative", halved)
-    with pytest.raises(ValueError, match="^layer 1 has a live derivative other than"):
+    with pytest.raises(ValueError, match=rf"^layer {layer} has a live derivative other than"):
         monte_carlo_spectrum(relu4_spec(), 64, seed=0)
 
 
 def full_draw_spectrum(spec, n0, seed):
-    """The swapped sampler drawing whole weight matrices: each layer's weights
-    first, then the live block taken by index, assembled as the oracle
-    assembles its later layers."""
+    """Reference sampler of the swapped model: every layer's whole weight
+    matrix and derivative diagonal, the n_L x n0 product, and eigenvalues of
+    the n0 x n0 J^T J.  Nothing is dropped, factored or compressed."""
     summaries = summarize(spec)
     widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
-    jac = live_prev = None
+    jac = np.eye(n0)
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         n_out, n_in = widths[ell], widths[ell - 1]
         weight = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((n_out, n_in))
         weight *= math.sqrt(layer.sigma_w_sq / n_out)
         pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
-        diag = activation_derivative(layer.nonlinearity, pre)
-        live = np.flatnonzero(diag)
-        block = weight[live] if jac is None else weight[np.ix_(live, live_prev)]
-        if jac is not None:
-            if jac.shape[0] < min(jac.shape[1], live.size):
-                jac = np.linalg.qr(jac.T, mode="r").T
-            block = block @ jac
-        block *= diag[live, None]
-        jac, live_prev = block, live
-    gram = jac @ jac.T if jac.shape[0] < jac.shape[1] else jac.T @ jac
-    values = np.zeros(n0)
-    values[: gram.shape[0]] = np.linalg.eigvalsh(gram)
-    values = np.clip(values, 0.0, None)
+        jac = activation_derivative(layer.nonlinearity, pre)[:, None] * (weight @ jac)
+    values = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
     values[values < _ZERO_SNAP] = 0.0
     return np.sort(values)
 
@@ -359,6 +325,20 @@ def full_draw_spectrum(spec, n0, seed):
 def spectrum_statistics(values):
     """tr(J^T J)/n0, tr((J^T J)^2)/n0 and lambda_max of one sample."""
     return values.mean(), np.mean(values * values), values[-1]
+
+
+def paired_law_gaps(spec, n0, seeds):
+    """Mean paired difference of each statistic, oracle minus whole-matrix
+    draw, over the seeds, and its standard error.  Every oracle sample must
+    keep at least n0 - r exact zeros, r the narrowest live width."""
+    diffs = []
+    for seed in seeds:
+        values = monte_carlo_spectrum(spec, n0, seed=seed).values
+        assert np.count_nonzero(values == 0.0) >= n0 - min(live_counts(spec, n0, seed))
+        reference = full_draw_spectrum(spec, n0, seed)
+        diffs.append(np.subtract(spectrum_statistics(values), spectrum_statistics(reference)))
+    diffs = np.array(diffs)
+    return diffs.mean(axis=0), diffs.std(axis=0, ddof=1) / math.sqrt(len(seeds))
 
 
 @pytest.mark.parametrize(
@@ -374,21 +354,21 @@ def spectrum_statistics(values):
     ],
 )
 def test_nets_without_dead_units_keep_the_full_draw_sample(text):
-    # the Bartlett first layer keeps the law of the whole-matrix draw: over
-    # 240 seeds, the paired differences of each statistic average to zero
-    # within 4 standard errors
-    spec, n0, seeds = ratio_spec(text), 24, range(240)
-    diffs = np.array(
-        [
-            np.subtract(
-                spectrum_statistics(monte_carlo_spectrum(spec, n0, seed=seed).values),
-                spectrum_statistics(full_draw_spectrum(spec, n0, seed)),
-            )
-            for seed in seeds
-        ]
-    )
-    error = diffs.std(axis=0, ddof=1) / math.sqrt(len(seeds))
-    assert np.all(np.abs(diffs.mean(axis=0)) <= 4.0 * error)
+    # the triangles keep the law of the whole-matrix draw: over 240 seeds,
+    # the paired differences of each statistic average to zero within 4
+    # standard errors
+    gap, error = paired_law_gaps(ratio_spec(text), 24, range(240))
+    assert np.all(np.abs(gap) <= 4.0 * error)
+
+
+@pytest.mark.parametrize("text", VALIDATE_NETS, ids=lambda text: f"{text}-swapped")
+def test_live_assembly_matches_full_gram(text):
+    # dropping dead units and drawing one bottleneck-wide triangle per layer
+    # keep the law of the full n0 x n0 J^T J: over 400 seeds, the paired
+    # differences of each statistic average to zero within 4 standard errors
+    spec = ratio_spec(text, bias=0.1 if text == BIASED_NET else 0.0)
+    gap, error = paired_law_gaps(spec, 24, range(400))
+    assert np.all(np.abs(gap) <= 4.0 * error)
 
 
 def test_bottleneck_leaves_exactly_the_missing_rank_at_zero():
@@ -413,7 +393,7 @@ def test_all_dead_layer_gives_only_zeros(order):
     assert not np.any(activation_derivative(NL.HARD_TANH, pre))
     emp = monte_carlo_spectrum(spec, 64, seed=seed)
     assert np.array_equal(emp.values, np.zeros(64))
-    assert np.array_equal(full_gram_spectrum(spec, 64, seed), np.zeros(64))
+    assert np.array_equal(full_draw_spectrum(spec, 64, seed), np.zeros(64))
 
 
 # ------------------------------------------------------------------ all roots
