@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from freespectra import cli, network_model, quantiles
+from freespectra import cli, monte_carlo_spectrum, network_model, quantiles
 from freespectra.artifacts import read_density, read_quantiles
 from freespectra.solver import SolverError
 
@@ -184,6 +184,25 @@ def test_validate_relu4_passes(tmp_path, capsys):
     config = write_config(tmp_path, "relu4_mc.json", payload)
     assert cli.main(["validate", "--config", config]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_validate_reports_the_zeros_and_the_atom(tmp_path, capsys):
+    # zeros: the sample's exact zeros, atom: the curve's atom_lower_bound; the
+    # KS distance compares their shares at zero, so it is at least their gap
+    payload = dict(RELU4)
+    payload["mc"] = {"n0": 400, "seed": 5}
+    config = write_config(tmp_path, "relu4_mc.json", payload)
+    assert cli.main(["validate", "--config", config]) == 0
+    report = capsys.readouterr().out
+    fields = dict(line.split(": ", 1) for line in report.splitlines())
+    spec = network_model.NetworkSpec(
+        layers=(network_model.LayerSpec(network_model.Nonlinearity.RELU, 2.0),) * 4
+    )
+    sample = monte_carlo_spectrum(spec, 400, seed=5)
+    assert int(fields["zeros"]) == np.count_nonzero(sample.values == 0.0) > 0
+    atom = float(fields["atom"])
+    assert 0.0 < atom < 1.0
+    assert abs(int(fields["zeros"]) / 400 - atom) <= float(fields["ks_distance"])
 
 
 def test_validate_requires_mc(tmp_path, capsys):

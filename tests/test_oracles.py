@@ -28,12 +28,14 @@ from freespectra import (
 from freespectra.network_model import Nonlinearity as NL
 from freespectra.network_model import activation_derivative, summarize
 from freespectra.oracles import (
+    _BLOCK,
     _STREAM_CHI,
     _STREAM_GAIN,
     _STREAM_WEIGHT,
-    _ZERO_SNAP,
     _bartlett_factor,
     _generator,
+    _lower_gram,
+    _lower_product,
 )
 
 
@@ -101,10 +103,18 @@ def test_monte_carlo_matches_mp_closed_form():
     assert max(gaps) <= 0.08
 
 
-def test_monte_carlo_vanishing_gain_gives_zero_matrix():
-    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1e-20),))
-    emp = monte_carlo_spectrum(spec, 64, seed=1)
-    assert np.all(emp.values == 0.0)
+def test_monte_carlo_vanishing_gain_scales_the_sample():
+    # sigma_w^2 scales every entry of the triangle, so at one seed the
+    # sigma_w^2 = 1e-20 sample is 1e-20 times the sigma_w^2 = 1 one, to
+    # rounding relative to lambda_max; the zero snap is relative to the
+    # spectrum's scale, so no tiny eigenvalue is pinned to a spurious atom
+    def sample(gain):
+        spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, gain),))
+        return monte_carlo_spectrum(spec, 64, seed=1).values
+
+    tiny, unit = sample(1e-20), sample(1.0)
+    assert np.all(tiny > 0.0)
+    assert np.max(np.abs(tiny / 1e-20 - unit)) <= 1e-12 * unit[-1]
 
 
 def test_monte_carlo_relu_kills_half_the_rows():
@@ -318,7 +328,7 @@ def full_draw_spectrum(spec, n0, seed):
         pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
         jac = activation_derivative(layer.nonlinearity, pre)[:, None] * (weight @ jac)
     values = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
-    values[values < _ZERO_SNAP] = 0.0
+    values[values < n0 * np.finfo(float).eps * values.max()] = 0.0
     return np.sort(values)
 
 
@@ -394,6 +404,62 @@ def test_all_dead_layer_gives_only_zeros(order):
     emp = monte_carlo_spectrum(spec, 64, seed=seed)
     assert np.array_equal(emp.values, np.zeros(64))
     assert np.array_equal(full_draw_spectrum(spec, 64, seed), np.zeros(64))
+
+
+KERNEL_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+def relative_gap(got, want):
+    """max |got - want| over max |want|; 0 for empty arrays."""
+    return np.max(np.abs(got - want), initial=0.0) / max(np.max(np.abs(want), initial=0.0), 1e-300)
+
+
+@pytest.mark.parametrize("r", KERNEL_SIZES)
+def test_lower_product_matches_the_dense_product(r):
+    rng = np.random.default_rng(r)
+    a, b = rng.standard_normal((2, r, r))
+    product = _lower_product(np.tril(a), np.tril(b))
+    assert product.shape == (r, r)
+    assert np.all(np.triu(product, 1) == 0.0)
+    assert relative_gap(product, np.tril(a) @ np.tril(b)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", KERNEL_SIZES)
+def test_lower_gram_matches_the_dense_gram_below_the_diagonal(r):
+    j = np.tril(np.random.default_rng(r).standard_normal((r, r)))
+    gram = _lower_gram(j)
+    assert gram.shape == (r, r)
+    assert relative_gap(np.tril(gram), np.tril(j.T @ j)) <= 1e-13
+
+
+def dense_kernel_spectrum(spec, n0, seed):
+    """The oracle's sample with dense kernels: the same triangles multiplied
+    as full matrices, and eigvalsh of the whole Gram, unsnapped."""
+    summaries = summarize(spec)
+    live = live_counts(spec, n0, seed)
+    r = min(live)
+    b = live.index(r)
+    jac = np.eye(r)
+    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
+        block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
+        scale = math.sqrt(layer.sigma_w_sq / int(round(n0 / s.Lambda)))
+        jac = (scale * _bartlett_factor(seed, ell, *block)) @ jac
+    values = np.zeros(n0)
+    values[:r] = np.linalg.eigvalsh(jac.T @ jac)
+    return np.sort(np.clip(values, 0.0, None))
+
+
+def test_triangle_kernels_keep_the_dense_kernel_sample():
+    # at n0 = 300 the bottleneck r spans one to three blocks; the block
+    # kernels and the zero snap move each eigenvalue by rounding only
+    widths = []
+    for text in VALIDATE_NETS:
+        spec = ratio_spec(text)
+        values = monte_carlo_spectrum(spec, 300, seed=4).values
+        reference = dense_kernel_spectrum(spec, 300, 4)
+        assert np.max(np.abs(values - reference)) <= 1e-12 * reference[-1]
+        widths.append(min(live_counts(spec, 300, 4)))
+    assert min(widths) < _BLOCK < 2 * _BLOCK < max(widths)
 
 
 # ------------------------------------------------------------------ all roots
