@@ -4,21 +4,26 @@ Subcommands: density (solve and tabulate the smoothed density), quantiles
 (invert the CDF, printing log10 of each quantile), validate (Monte-Carlo
 against the analytic curve, KS threshold), bench (timing and solver-statistics
 table).  Each reads its run from the JSON file named by --config, which is
-required.  Exit status: 0 success, 1 runtime or validation failure, 2 bad
-configuration or command line.
+required.  The bench table's columns are
+method,wall_ms,points,newton_iterations,basins,degree, with one row each for
+lilypads_grid, all_roots_grid and, when mc.enabled, monte_carlo (points = n0);
+wall_ms is informational, the Newton count shows the warm-start savings.  A
+validate report or bench table written to output.path is echoed to stdout.
+Exit status: 0 success, 1 runtime or validation failure, 2 bad configuration
+or command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional
 
 from . import spectrum
 from .artifacts import write_density, write_quantiles, write_text
-from .bench import render_bench, run_bench
 from .config import ConfigError, RunConfig, apply_overrides, load_config
-from .oracles import ks_distance, monte_carlo_spectrum
+from .oracles import all_roots, ks_distance, monte_carlo_spectrum
 from .spectrum import default_grid, density_grid, quantiles
 
 __all__ = ["main"]
@@ -32,30 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Limiting singular value spectra of deep-network Jacobians.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, func, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output path (default: config output.path, else stdout)")
         p.add_argument("--points", type=int, help="override grid point count")
         p.add_argument("--y", type=float, help="override the smoothing offset y > 0")
         p.add_argument("--seed", type=int, help="override the Monte-Carlo seed")
-
-    p_density = sub.add_parser("density", help="tabulate the smoothed spectral density")
-    add_common(p_density)
-    p_density.set_defaults(func=cmd_density)
-
-    p_quant = sub.add_parser("quantiles", help="quantiles of the absolutely continuous part")
-    add_common(p_quant)
-    p_quant.set_defaults(func=cmd_quantiles)
-
-    p_val = sub.add_parser("validate", help="Monte-Carlo vs analytic curve (KS test)")
-    add_common(p_val)
-    p_val.set_defaults(func=cmd_validate)
-
-    p_bench = sub.add_parser("bench", help="timing table for the three pipelines")
-    add_common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
+        p.set_defaults(func=func)
     return parser
 
 
@@ -106,6 +95,13 @@ def cmd_quantiles(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report(text: str, config: RunConfig) -> None:
+    """Write text to output.path, or to stdout when none is set; echo it when one is."""
+    write_text(text, config.output.path)
+    if config.output.path is not None:
+        sys.stdout.write(text)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _load(args)
     if not config.mc.enabled:
@@ -114,30 +110,57 @@ def cmd_validate(args: argparse.Namespace) -> int:
     emp = monte_carlo_spectrum(config.network, config.mc.n0, config.mc.seed)
     ks = ks_distance(emp, curve)
     passed = ks <= _KS_THRESHOLD
-    report = (
+    _report(
         f"n0: {config.mc.n0}\n"
         f"seed: {config.mc.seed}\n"
         f"zeros: {int((emp.values == 0.0).sum())}\n"
         f"atom: {curve.atom_lower_bound!r}\n"
         f"ks_distance: {ks!r}\n"
         f"threshold: {_KS_THRESHOLD!r}\n"
-        f"result: {'pass' if passed else 'fail'}\n"
+        f"result: {'pass' if passed else 'fail'}\n",
+        config,
     )
-    write_text(report, config.output.path)
-    if config.output.path is not None:
-        sys.stdout.write(report)
     return 0 if passed else 1
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _load(args)
-    rows = run_bench(config, *_window(config))
-    text = render_bench(rows)
-    write_text(text, config.output.path)
-    if config.output.path is not None:
-        sys.stdout.write(text)
+    meq, xs = _window(config)
+
+    def lilypads() -> tuple:
+        stats = density_grid(meq, xs=xs, y=config.y).stats
+        return stats.newton_iterations, stats.basins
+
+    def roots() -> tuple:
+        for x in xs:
+            all_roots(meq, complex(float(x), config.y))
+        return 0, 0
+
+    def sample() -> tuple:
+        monte_carlo_spectrum(config.network, config.mc.n0, config.mc.seed)
+        return 0, 0
+
+    # (method, points, run); each run returns its (newton_iterations, basins)
+    entries = [("lilypads_grid", xs.size, lilypads), ("all_roots_grid", xs.size, roots)]
+    if config.mc.enabled:
+        entries.append(("monte_carlo", config.mc.n0, sample))
+    lines = ["method,wall_ms,points,newton_iterations,basins,degree"]
+    for method, points, run in entries:
+        start = time.perf_counter()
+        iterations, basins = run()
+        wall_ms = (time.perf_counter() - start) * 1e3
+        lines.append(f"{method},{wall_ms:.3f},{points},{iterations},{basins},{meq.degree}")
+    _report("\n".join(lines) + "\n", config)
     return 0
 
+
+# (name, handler, help) of each subcommand
+_COMMANDS = (
+    ("density", cmd_density, "tabulate the smoothed spectral density"),
+    ("quantiles", cmd_quantiles, "quantiles of the absolutely continuous part"),
+    ("validate", cmd_validate, "Monte-Carlo vs analytic curve (KS test)"),
+    ("bench", cmd_bench, "timing table for the three pipelines"),
+)
 
 _parser: Optional[argparse.ArgumentParser] = None
 

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import solver
+from .config import ConfigError
 from .solver import (
     SolverError,
     SolveStats,
@@ -155,14 +156,26 @@ def default_grid(
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     m1, var = closed_form_moments(meq)
-    if x_min is None:
+    auto_min, auto_max = x_min is None, x_max is None
+    if auto_min:
         x_min = m1 * 1e-4
-    if x_max is None:
+    if auto_max:
         x_max = m1 + 10.0 * math.sqrt(var)
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(
             f"grid window [{x_min!r}, {x_max!r}] is not finite: the closed-form moments give "
             f"m1 = {m1!r} and variance = {var!r}; set grid.x_min and grid.x_max"
+        )
+    # a lone bound at or past the automatic other end is the configuration's fault
+    if auto_max and not auto_min and x_min >= x_max:
+        raise ConfigError(
+            f"config: grid.x_min: {x_min!r} is not below the automatic upper end {x_max!r}; "
+            "set grid.x_max as well"
+        )
+    if auto_min and not auto_max and x_max <= x_min:
+        raise ConfigError(
+            f"config: grid.x_max: {x_max!r} is not above the automatic lower end {x_min!r}; "
+            "set grid.x_min as well"
         )
     if not (0.0 < x_min < x_max):
         raise ValueError(f"invalid grid bracket [{x_min}, {x_max}]")
@@ -190,6 +203,10 @@ def density_grid(
     if xs is None:
         xs = default_grid(meq)
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size < 2:
+        raise ValueError(
+            f"xs must be a 1-D grid of at least two points, got {xs.size} in shape {xs.shape}"
+        )
     if not np.all(np.isfinite(xs) & (xs > 0)):
         raise ValueError(
             "grid points must be positive and finite (the atom at 0 is handled separately)"

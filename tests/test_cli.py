@@ -98,6 +98,35 @@ def test_density_rejects_non_finite_json_literals(tmp_path, capsys, text, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (
+            {"x_min": 1e6},
+            "config: grid.x_min: 1000000.0 is not below the automatic upper end 11.0; "
+            "set grid.x_max as well",
+        ),
+        (
+            {"x_max": 1e-6},
+            "config: grid.x_max: 1e-06 is not above the automatic lower end 0.0001; "
+            "set grid.x_min as well",
+        ),
+    ],
+    ids=["x_min", "x_max"],
+)
+def test_lone_grid_bound_outside_the_automatic_window_is_a_config_error(
+    tmp_path, capsys, grid, message
+):
+    # Marchenko-Pastur's automatic window is [1e-4 m1, m1 + 10 sigma] = [1e-4, 11]
+    payload = dict(MP1)
+    payload["grid"] = grid
+    config = write_config(tmp_path, "lone.json", payload)
+    assert cli.main(["density", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_density_relu4_nonnegative(tmp_path):
     config = write_config(tmp_path, "relu4.json", RELU4)
     out = tmp_path / "relu4.csv"
@@ -243,6 +272,38 @@ def test_bench_emits_three_positive_rows(tmp_path, capsys):
         fields = line.split(",")
         assert float(fields[1]) > 0  # wall_ms
         assert int(fields[5]) == 2  # degree = depth + 1
+
+
+BENCH_HEADER = "method,wall_ms,points,newton_iterations,basins,degree"
+
+
+def test_bench_header_and_row_order(tmp_path, capsys):
+    payload = dict(MP1)
+    payload["grid"] = {"points": 40}
+    payload["mc"] = {"n0": 200, "seed": 0}
+    config = write_config(tmp_path, "mp_bench.json", payload)
+    assert cli.main(["bench", "--config", config]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == BENCH_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["lilypads_grid", "all_roots_grid", "monte_carlo"]
+    assert [int(row[2]) for row in rows] == [40, 40, 200]
+    assert int(rows[0][3]) > 0 and int(rows[0][4]) > 0
+    assert [row[3:5] for row in rows[1:]] == [["0", "0"], ["0", "0"]]
+
+
+def test_bench_out_without_monte_carlo_writes_two_rows_and_echoes_them(tmp_path, capsys):
+    payload = dict(MP1)
+    payload["grid"] = {"points": 40}
+    payload["mc"] = {"enabled": False}
+    config = write_config(tmp_path, "mp_no_mc.json", payload)
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--config", config, "--out", str(out)]) == 0
+    echoed = capsys.readouterr().out
+    assert out.read_text() == echoed
+    lines = echoed.splitlines()
+    assert lines[0] == BENCH_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["lilypads_grid", "all_roots_grid"]
 
 
 def test_bench_newton_count_sublinear_in_points(tmp_path, capsys):

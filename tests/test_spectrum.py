@@ -325,6 +325,18 @@ def test_density_validates_inputs():
         density_grid(meq, xs=np.array([2.0, 1.0]), y=1e-6)
 
 
+@pytest.mark.parametrize("xs", [[], [1.0], [[1.0, 2.0], [3.0, 4.0]]], ids=["0", "1", "2d"])
+def test_density_refuses_a_tiny_grid_before_solving(monkeypatch, xs):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a grid that is refused")
+
+    monkeypatch.setattr(spectrum_module, "newton_lilypads", unreachable)
+    meq = master_from_spec(mp_spec())
+    size = np.asarray(xs).size
+    with pytest.raises(ValueError, match=f"at least two points, got {size} in shape"):
+        density_grid(meq, xs=xs, y=1e-6)
+
+
 def test_default_grid_names_an_overflowing_window():
     # m1 = 1e250 and its variance 25 * 1e500 overflows, so the default x_max
     # would be inf and the solve would fail far from the cause
