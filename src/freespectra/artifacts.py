@@ -6,9 +6,11 @@ or as one JSON document on one line.  Every float is spelled by orjson, whose
 Ryu conversion (Adams, PLDI 2018) finds the same shortest round-trip digits
 as `repr`, so a parsed artifact reconstructs bit-identical doubles.  The log10
 of a zero quantile is written null in JSON, which is valid JSON, and -inf in
-CSV.  Files are written atomically (temp file in the same directory, then
-rename, with the mode a plain open would give).  Files spelled by `repr` and
-json.dumps, as quantile tables once were, read to the same doubles.
+CSV.  Files are written atomically: a new temp file in the same directory,
+created as a plain open creates it (mode 0666 less the umask at write time),
+then renamed.  A density's total_mass header is written for readers and
+recomputed from the rows on read.  Files spelled by `repr` and json.dumps,
+as quantile tables once were, read to the same doubles.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -39,13 +40,6 @@ __all__ = [
 # The solve counters: SolveStats declares each once.
 _STAT_KEYS = tuple(field.name for field in dataclasses.fields(SolveStats))
 
-# mkstemp creates its file with mode 0600; an artifact gets what open() would
-# give it, 0666 less the umask.  Reading the umask means setting it, so read it
-# once here rather than on every write.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-_FILE_MODE = 0o666 & ~_UMASK
-
 # orjson writes a C-contiguous float64 array straight from its buffer, with no
 # Python float per element.
 _NUMPY = orjson.OPT_SERIALIZE_NUMPY
@@ -57,15 +51,15 @@ def write_text(text: str, path: Optional[str] = None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
+    tmp = os.path.join(directory, f".tmp-artifact-{os.urandom(8).hex()}")
+    # "x" is O_EXCL: an existing name or link is refused, never written through
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        os.fchmod(fd, _FILE_MODE)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -123,14 +117,15 @@ def write_quantiles(table: QuantileTable, path: Optional[str] = None, fmt: str =
     write_text(render_quantiles(table, fmt), path)
 
 
-def _split_artifact(text: str, fields: int) -> tuple[dict, np.ndarray]:
-    """The "# key: value" header and the (rows, fields) float table of a CSV.
+def _split_artifact(text: str, fields: int) -> tuple[dict, list]:
+    """The "# key: value" header and the `fields` float columns of a CSV.
 
     The header lines precede the column-name line; every nonblank line after
     it is a row of exactly `fields` comma-separated floats, and a row with
-    any other count raises a ValueError naming its line.  The rows are parsed
-    in one pass, as one list of tokens, not one list per row; float() spells
-    each token back into the double it was written from.
+    any other count raises a ValueError naming its line.  The rows are split
+    in one pass, as one list of tokens, not one list per row, and each column
+    is parsed from its slice of it into its own array; float() spells each
+    token back into the double it was written from.
     """
     lines = text.splitlines()
     meta: dict = {}
@@ -153,8 +148,8 @@ def _split_artifact(text: str, fields: int) -> tuple[dict, np.ndarray]:
                 f"got {line.count(',') + 1}"
             )
     tokens = ",".join(rows).split(",") if rows else []
-    table = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    return meta, table.reshape(-1, fields)
+    columns = (tokens[j::fields] for j in range(fields))
+    return meta, [np.fromiter(map(float, column), float, len(column)) for column in columns]
 
 
 def _load(path: str, keys: tuple) -> tuple[dict, list]:
@@ -170,8 +165,7 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
         meta = json.loads(text)
         meta.update(meta.pop("stats", None) or {})
         return meta, [np.array(meta.pop(key), dtype=float) for key in keys]
-    meta, table = _split_artifact(text, len(keys))
-    return meta, list(table.T)
+    return _split_artifact(text, len(keys))
 
 
 def read_density(path: str) -> DensityCurve:
@@ -184,7 +178,6 @@ def read_density(path: str) -> DensityCurve:
         xs=xs,
         rhos=rhos,
         y=float(meta["y"]),
-        total_mass=float(meta["total_mass"]),
         atom_lower_bound=float(meta["atom_lower_bound"]),
         stats=SolveStats(**counters) if counters else None,
     )

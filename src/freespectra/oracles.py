@@ -45,18 +45,14 @@ _POLISH_MAX_ITERS = 50
 _RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class EmpiricalSpectrum:
-    """Sorted squared singular values of one sampled Jacobian."""
+    """Sorted squared singular values of one sampled Jacobian, one per input (n0 = values.size)."""
 
     values: np.ndarray
-    n0: int
-    seed: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.sort(np.asarray(self.values, dtype=float)))
-        if self.values.size != self.n0:
-            raise ValueError("values must have length n0")
         if self.values.size and self.values[0] < 0:
             raise ValueError("squared singular values cannot be negative")
 
@@ -189,7 +185,7 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     # eigvalsh resolves the Gram's eigenvalues to about r eps lambda_max; pin
     # those below that floor, which are rounding noise, to the atom.
     values[values < r * np.finfo(float).eps * values.max()] = 0.0
-    return EmpiricalSpectrum(values=values, n0=n0, seed=seed)
+    return EmpiricalSpectrum(values=values)
 
 
 def _polish(meq: RationalMasterEq, z: complex, root: complex) -> complex:

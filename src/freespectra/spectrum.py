@@ -12,7 +12,7 @@ factors (a RationalMasterEq) alone, never from the layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,14 +49,14 @@ _NEGATIVE_DENSITY_TOL = 1e-10
 _STRIDE = 64
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class DensityCurve:
-    """Smoothed density sampled on a grid; treat the arrays as read-only."""
+    """Smoothed density on a grid, total_mass its trapezoid mass; treat the arrays as read-only."""
 
     xs: np.ndarray
     rhos: np.ndarray
     y: float
-    total_mass: float
+    total_mass: float = field(init=False)
     atom_lower_bound: float = 0.0
     stats: Optional[SolveStats] = None
 
@@ -65,7 +65,6 @@ class DensityCurve:
         self.rhos = np.asarray(self.rhos, dtype=float)
         # plain floats, so a numpy scalar never reaches an artifact's spelling
         self.y = float(self.y)
-        self.total_mass = float(self.total_mass)
         self.atom_lower_bound = float(self.atom_lower_bound)
         if self.xs.shape != self.rhos.shape or self.xs.ndim != 1:
             raise ValueError("xs and rhos must be 1-D arrays of equal length")
@@ -77,6 +76,7 @@ class DensityCurve:
             if not finite.all():
                 bad = float(values[np.argmin(finite)])
                 raise ValueError(f"{name} must be finite, got {bad!r}")
+        self.total_mass = float(_cell_masses(self.xs, self.rhos).sum())
         if not math.isfinite(self.total_mass):
             raise ValueError(f"total_mass must be finite, got {self.total_mass!r}")
         # y = 0 marks a curve built directly, not solved; a solved one has y > 0
@@ -211,6 +211,8 @@ def density_grid(
         raise ValueError(
             "grid points must be positive and finite (the atom at 0 is handled separately)"
         )
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("xs must be strictly increasing and nonnegative")
     stats = SolveStats()
     zs = np.empty(xs.size, dtype=complex)
     zs.real = xs[::-1]
@@ -228,7 +230,6 @@ def density_grid(
         xs=xs,
         rhos=rhos,
         y=y,
-        total_mass=_cell_masses(xs, rhos).sum(),
         atom_lower_bound=atom_lower_bound(meq),
         stats=stats,
     )

@@ -9,4 +9,4 @@ def uniform_density_curve(x_lo: float, x_hi: float, points: int = 201) -> Densit
     """The flat density on [x_lo, x_hi]: mass 1, no atom, y = 0."""
     xs = np.linspace(x_lo, x_hi, points)
     rhos = np.full(points, 1.0 / (x_hi - x_lo))
-    return DensityCurve(xs=xs, rhos=rhos, y=0.0, total_mass=1.0)
+    return DensityCurve(xs=xs, rhos=rhos, y=0.0)

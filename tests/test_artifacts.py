@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import stat
 
@@ -17,6 +18,7 @@ from freespectra import (
     Nonlinearity,
     QuantileTable,
     SolveStats,
+    artifacts,
     density_grid,
     master_from_spec,
 )
@@ -39,7 +41,6 @@ def awkward_curve():
         xs=xs,
         rhos=rhos,
         y=1e-6,
-        total_mass=0.30000000000000004,
         atom_lower_bound=0.5,
         stats=SolveStats(
             newton_iterations=17,
@@ -208,28 +209,36 @@ def test_density_round_trips_random_bit_patterns(tmp_path, fmt, seed):
     specials = np.array(SPECIAL_DOUBLES)
     subnormals = rng.integers(1, 2**52, size=200, dtype=np.uint64).view(np.float64)
     xs = np.unique(np.concatenate([random_doubles(rng, 3000), specials, subnormals]))
-    rhos = rng.permutation(
+    values = rng.permutation(
         np.concatenate([random_doubles(rng, xs.size - specials.size - 1), specials, [-0.0]])
     )
     small = specials[specials <= 1.0]
-    curve = DensityCurve(
-        xs=xs,
-        rhos=rhos,
-        y=float(rng.choice(specials)),
-        total_mass=float(rng.choice(small)) if seed % 2 else rng.random(),
-        atom_lower_bound=rng.random() if seed % 2 else float(rng.choice(small)),
-        stats=SolveStats(newton_iterations=seed, basins=2**40),
-    )
-    path = tmp_path / f"random.{fmt}"
-    write_density(curve, str(path), fmt=fmt)
-    back = read_density(str(path))
-    assert np.array_equal(back.xs.view(np.uint64), xs.view(np.uint64))
-    assert np.array_equal(back.rhos.view(np.uint64), rhos.view(np.uint64))
-    for field in ("y", "total_mass", "atom_lower_bound"):
-        assert math.copysign(1.0, getattr(back, field)) == math.copysign(1.0, getattr(curve, field))
-        assert getattr(back, field) == getattr(curve, field)
-    assert back.stats == curve.stats
-    assert render_density(back, fmt) == path.read_text()
+    # total_mass is the rows' trapezoid mass, at most 1.02, so no curve holds
+    # arbitrary doubles in both columns: xs carries them under a zero density,
+    # and rhos carries them, between zeros, on consecutive subnormals, whose
+    # cells are 5e-324 wide
+    grid = np.arange(1, 2 * values.size + 1, dtype=np.uint64).view(np.float64)
+    rhos = np.zeros(grid.size)
+    rhos[::2] = values
+    for name, (grid_xs, grid_rhos) in {"xs": (xs, np.zeros(xs.size)), "rhos": (grid, rhos)}.items():
+        curve = DensityCurve(
+            xs=grid_xs,
+            rhos=grid_rhos,
+            y=float(rng.choice(specials)),
+            atom_lower_bound=rng.random() if seed % 2 else float(rng.choice(small)),
+            stats=SolveStats(newton_iterations=seed, basins=2**40),
+        )
+        path = tmp_path / f"random_{name}.{fmt}"
+        write_density(curve, str(path), fmt=fmt)
+        back = read_density(str(path))
+        assert np.array_equal(back.xs.view(np.uint64), grid_xs.view(np.uint64))
+        assert np.array_equal(back.rhos.view(np.uint64), grid_rhos.view(np.uint64))
+        for field in ("y", "total_mass", "atom_lower_bound"):
+            sign = math.copysign(1.0, getattr(back, field))
+            assert sign == math.copysign(1.0, getattr(curve, field))
+            assert getattr(back, field) == getattr(curve, field)
+        assert back.stats == curve.stats
+        assert render_density(back, fmt) == path.read_text()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -241,7 +250,6 @@ def test_density_of_strided_arrays_renders_as_their_copies(fmt):
         xs=wide[::2, 0],
         rhos=wide[::2, 1],
         y=curve.y,
-        total_mass=curve.total_mass,
         atom_lower_bound=curve.atom_lower_bound,
         stats=curve.stats,
     )
@@ -262,6 +270,18 @@ def test_density_with_a_numpy_scalar_y_round_trips(tmp_path, fmt):
     assert back.y == 1e-6
     assert np.array_equal(back.rhos, curve.rhos)
     assert render_density(back, fmt) == path.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_read_columns_are_contiguous(tmp_path, fmt):
+    # a CSV's columns were strided views of one (rows, columns) table
+    density, table = tmp_path / f"d.{fmt}", tmp_path / f"q.{fmt}"
+    write_density(awkward_curve(), str(density), fmt=fmt)
+    write_quantiles(zero_quantile_table(), str(table), fmt=fmt)
+    back = read_density(str(density))
+    assert back.xs.flags.c_contiguous and back.rhos.flags.c_contiguous
+    _, columns = artifacts._load(str(table), ("probs", "values", "log10_values"))
+    assert all(column.flags.c_contiguous for column in columns)
 
 
 def test_density_json_is_one_line():
@@ -429,3 +449,34 @@ def test_write_text_gives_the_mode_open_gives(tmp_path):
 def test_write_text_missing_directory_raises(tmp_path):
     with pytest.raises(OSError):
         write_text("x\n", str(tmp_path / "nope" / "x.csv"))
+
+
+def test_write_text_applies_the_umask_set_after_import(tmp_path):
+    # the mode once came from the umask read at import, so this gave 0644
+    old = os.umask(0o077)
+    try:
+        path = tmp_path / "private.csv"
+        write_text("x\n", str(path))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_text_onto_a_directory_raises_and_leaves_no_temp_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        write_text("x\n", str(tmp_path / "taken"))
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_write_text_refuses_a_temp_name_that_exists(tmp_path, monkeypatch):
+    # a link at the temp name is neither written through nor removed
+    victim = tmp_path / "victim"
+    victim.write_text("keep\n")
+    link = tmp_path / f".tmp-artifact-{'00' * 8}"
+    link.symlink_to(victim)
+    monkeypatch.setattr(os, "urandom", lambda size: bytes(size))
+    with pytest.raises(FileExistsError):
+        write_text("x\n", str(tmp_path / "artifact.csv"))
+    assert victim.read_text() == "keep\n" and link.is_symlink()
+    assert not (tmp_path / "artifact.csv").exists()

@@ -49,6 +49,24 @@ def test_density_mp_row_nearest_two(tmp_path):
         assert key in text
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_total_mass_header_is_the_trapezoid_mass_of_its_rows(tmp_path, fmt):
+    payload = {**RELU4, "grid": {"points": 150}, "output": {"format": fmt}}
+    config = write_config(tmp_path, f"relu4_{fmt}.json", payload)
+    out = tmp_path / f"density.{fmt}"
+    assert cli.main(["density", "--config", config, "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "json":
+        doc = json.loads(text)
+        header, xs, rhos = doc["total_mass"], np.array(doc["x"]), np.array(doc["rho"])
+    else:
+        lines = text.splitlines()
+        header = float(next(line for line in lines if line.startswith("# total_mass:"))[13:])
+        rows = lines[lines.index("x,rho") + 1:]
+        xs, rhos = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    assert header == float(np.sum(np.diff(xs) * (rhos[1:] + rhos[:-1]) / 2.0))
+
+
 def test_density_of_a_1100_layer_net(tmp_path):
     # the master equation's overall scale 2^1100 is not a double; the solve
     # only reads the factors

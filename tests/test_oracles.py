@@ -75,11 +75,15 @@ def random_spec(rng):
 
 def test_empirical_spectrum_validation():
     with pytest.raises(ValueError):
-        EmpiricalSpectrum(values=np.array([1.0, 2.0]), n0=3, seed=0)
-    with pytest.raises(ValueError):
-        EmpiricalSpectrum(values=np.array([-1.0, 2.0]), n0=2, seed=0)
-    emp = EmpiricalSpectrum(values=np.array([2.0, 1.0]), n0=2, seed=0)
+        EmpiricalSpectrum(values=np.array([-1.0, 2.0]))
+    emp = EmpiricalSpectrum(values=np.array([2.0, 1.0]))
     assert np.array_equal(emp.values, [1.0, 2.0])
+    # the sample size is values.size, and the seed stays with the config
+    for stale in ({"n0": 2}, {"seed": 0}):
+        with pytest.raises(TypeError):
+            EmpiricalSpectrum(values=np.array([2.0, 1.0]), **stale)
+    with pytest.raises(TypeError):
+        EmpiricalSpectrum(np.array([2.0, 1.0]))
 
 
 def test_monte_carlo_is_deterministic_per_seed():
@@ -537,14 +541,14 @@ def test_ks_distance_of_inverse_cdf_samples_is_small():
     curve = uniform_density_curve(0.0, 4.0)
     rng = np.random.default_rng(31)
     samples = 4.0 * rng.uniform(size=1000)
-    emp = EmpiricalSpectrum(values=np.sort(samples), n0=1000, seed=31)
+    emp = EmpiricalSpectrum(values=np.sort(samples))
     assert ks_distance(emp, curve) <= 0.05
 
 
 def test_ks_distance_all_zeros_vs_atomless_curve():
     meq = master_from_spec(mp_spec())
     curve = density_grid(meq, xs=default_grid(meq, points=120), y=1e-6)
-    emp = EmpiricalSpectrum(values=np.zeros(50), n0=50, seed=0)
+    emp = EmpiricalSpectrum(values=np.zeros(50))
     assert ks_distance(emp, curve) >= 0.99
 
 
@@ -558,23 +562,23 @@ def test_ks_distance_credits_the_atom():
 
 def test_ks_distance_rejects_starved_curve():
     xs = np.linspace(1.0, 2.0, 8)
-    starved = DensityCurve(xs=xs, rhos=np.full(8, 1e-9), y=1e-6, total_mass=1e-9)
-    emp = EmpiricalSpectrum(values=np.linspace(0, 1, 16), n0=16, seed=0)
+    starved = DensityCurve(xs=xs, rhos=np.full(8, 1e-9), y=1e-6)
+    emp = EmpiricalSpectrum(values=np.linspace(0, 1, 16))
     with pytest.raises(ValueError, match="mass"):
         ks_distance(emp, starved)
 
 
-@pytest.mark.parametrize("total_mass", [0.375, np.nextafter(0.375, 0.0)])
-def test_quantiles_and_ks_distance_share_one_mass_check(total_mass):
+@pytest.mark.parametrize("atom", [0.375, np.nextafter(0.375, 0.0)])
+def test_quantiles_and_ks_distance_share_one_mass_check(atom):
     # total_mass + atom exactly 0.5 passes both, and the next double below
     # fails both with one message; ks_distance once refused 0.5 itself, with
-    # a message of its own
-    xs = np.linspace(1.0, 2.0, 8)
-    curve = DensityCurve(
-        xs=xs, rhos=np.full(8, 0.25), y=1e-6, total_mass=total_mass, atom_lower_bound=0.125
-    )
-    emp = EmpiricalSpectrum(values=np.r_[np.zeros(4), 1.1, 1.4, 1.6, 1.9], n0=8, seed=0)
-    mass = float(total_mass + 0.125)
+    # a message of its own.  Eight cells of width and density 1/8 hold
+    # exactly 1/8.
+    xs = np.linspace(1.0, 2.0, 9)
+    curve = DensityCurve(xs=xs, rhos=np.full(9, 0.125), y=1e-6, atom_lower_bound=atom)
+    assert curve.total_mass == 0.125
+    emp = EmpiricalSpectrum(values=np.r_[np.zeros(4), 1.1, 1.4, 1.6, 1.9])
+    mass = float(0.125 + atom)
     if mass == 0.5:
         assert quantiles(curve, (0.5,)).values[0] == pytest.approx(1.5, rel=1e-12)
         assert 0.0 <= ks_distance(emp, curve) <= 1.0
@@ -591,7 +595,7 @@ def test_ks_distance_refuses_a_curve_with_no_mass_on_its_window():
     # the atom alone passes the mass check, and the window's CDF was 0/0:
     # NaN, which max dropped, so this pair scored KS 0.0
     xs = np.linspace(1.0, 2.0, 8)
-    empty = DensityCurve(xs=xs, rhos=np.zeros(8), y=1e-6, total_mass=0.0, atom_lower_bound=0.6)
-    emp = EmpiricalSpectrum(values=np.r_[np.zeros(6), 1.0, 1.2, 1.5, 1.9], n0=10, seed=0)
+    empty = DensityCurve(xs=xs, rhos=np.zeros(8), y=1e-6, atom_lower_bound=0.6)
+    emp = EmpiricalSpectrum(values=np.r_[np.zeros(6), 1.0, 1.2, 1.5, 1.9])
     with pytest.raises(ValueError, match="^curve carries no mass on its grid window$"):
         ks_distance(emp, empty)

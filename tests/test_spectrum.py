@@ -337,6 +337,20 @@ def test_density_refuses_a_tiny_grid_before_solving(monkeypatch, xs):
         density_grid(meq, xs=xs, y=1e-6)
 
 
+@pytest.mark.parametrize("order", ["decreasing", "repeated"])
+def test_density_refuses_a_grid_that_does_not_increase_before_solving(monkeypatch, order):
+    # such a grid was solved in full before DensityCurve refused it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a grid that is refused")
+
+    monkeypatch.setattr(spectrum_module, "_walk_roots", unreachable)
+    meq = master_from_spec(relu4_spec())
+    xs = default_grid(meq, points=2000)
+    xs = xs[::-1] if order == "decreasing" else np.insert(xs, 1000, xs[1000])
+    with pytest.raises(ValueError, match="^xs must be strictly increasing and nonnegative$"):
+        density_grid(meq, xs=xs, y=1e-6)
+
+
 def test_default_grid_names_an_overflowing_window():
     # m1 = 1e250 and its variance 25 * 1e500 overflows, so the default x_max
     # would be inf and the solve would fail far from the cause
@@ -384,32 +398,38 @@ def test_density_curve_validation():
     xs = np.array([1.0, 2.0, 3.0])
     rho = np.array([0.1, 0.1, 0.1])
     with pytest.raises(ValueError):
-        DensityCurve(xs=xs[::-1].copy(), rhos=rho, y=1e-6, total_mass=0.2)
+        DensityCurve(xs=xs[::-1].copy(), rhos=rho, y=1e-6)
     with pytest.raises(ValueError):
-        DensityCurve(xs=xs, rhos=-rho, y=1e-6, total_mass=0.2)
+        DensityCurve(xs=xs, rhos=-rho, y=1e-6)
     with pytest.raises(ValueError):
-        DensityCurve(xs=xs, rhos=rho[:2], y=1e-6, total_mass=0.2)
+        DensityCurve(xs=xs, rhos=rho[:2], y=1e-6)
     with pytest.raises(ValueError):
-        DensityCurve(xs=xs, rhos=rho, y=1e-6, total_mass=1.5)
+        DensityCurve(xs=xs, rhos=7.5 * rho, y=1e-6)
 
 
-@pytest.mark.parametrize(
-    "field, bad",
-    [("xs", math.nan), ("rhos", math.nan), ("rhos", math.inf), ("total_mass", math.nan)],
-)
+@pytest.mark.parametrize("field, bad", [("xs", math.nan), ("rhos", math.nan), ("rhos", math.inf)])
 def test_density_curve_refuses_non_finite_values(field, bad):
     # NaN compares False both ways, so the order and sign checks alone let it in
-    fields = {
-        "xs": np.array([1.0, 2.0, 3.0]),
-        "rhos": np.array([0.1, 0.1, 0.1]),
-        "total_mass": 0.2,
-    }
-    if field == "total_mass":
-        fields[field] = bad
-    else:
-        fields[field][1] = bad
+    fields = {"xs": np.array([1.0, 2.0, 3.0]), "rhos": np.array([0.1, 0.1, 0.1])}
+    fields[field][1] = bad
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
         DensityCurve(y=1e-6, **fields)
+
+
+def test_density_curve_total_mass_is_the_trapezoid_mass_of_its_rows():
+    curve = DensityCurve(xs=np.array([1.0, 2.0, 4.0]), rhos=np.array([0.1, 0.3, 0.1]), y=1e-6)
+    assert curve.total_mass == 0.2 + 0.4
+    with pytest.raises(ValueError, match="^total_mass 1.2000000000000002 exceeds 1.02"):
+        DensityCurve(xs=np.array([1.0, 2.0, 4.0]), rhos=np.array([0.2, 0.6, 0.2]), y=1e-6)
+    # rows whose mass overflows are refused by name
+    overflow = pytest.raises(ValueError, match="^total_mass must be finite, got inf$")
+    with np.errstate(over="ignore"), overflow:
+        DensityCurve(xs=np.array([1.0, 1e308]), rhos=np.array([1e10, 1e10]), y=1e-6)
+    # a stale total_mass, by keyword or by position, is refused
+    with pytest.raises(TypeError):
+        DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), y=1e-6, total_mass=0.1)
+    with pytest.raises(TypeError):
+        DensityCurve(np.array([1.0, 2.0]), np.array([0.1, 0.1]), 1e-6, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -428,11 +448,11 @@ def test_density_curve_refuses_a_bad_y_or_atom(field, bad, message):
     # and came back as the table's atom_lower_bound
     fields = {"y": 1e-6, "atom_lower_bound": 0.5, field: bad}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), total_mass=0.1, **fields)
+        DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), **fields)
     # the edges stay allowed: y = 0 for a curve built without a solve, atoms 0 and 1
     for edge in ({"y": 0.0}, {"atom_lower_bound": 0.0}, {"atom_lower_bound": 1.0}):
         fields = {"y": 1e-6, **edge}
-        DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), total_mass=0.1, **fields)
+        DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), **fields)
 
 
 # ------------------------------------------------------------------ quantiles
@@ -478,7 +498,7 @@ def test_quantiles_validate_probs():
 
 def test_quantiles_reject_empty_window():
     xs = np.linspace(1.0, 2.0, 10)
-    starved = DensityCurve(xs=xs, rhos=np.full(10, 1e-9), y=1e-6, total_mass=1e-9)
+    starved = DensityCurve(xs=xs, rhos=np.full(10, 1e-9), y=1e-6)
     with pytest.raises(ValueError, match="grid window misses the bulk"):
         quantiles(starved, np.array([0.5]))
 
