@@ -98,6 +98,33 @@ def _converged(value, deriv, m, degree: int):
     )
 
 
+def _converged_array(
+    value: np.ndarray, deriv: np.ndarray, m: np.ndarray, degree: int
+) -> np.ndarray:
+    """_converged on arrays, taking the floor clause's |value + m| only where it can pass.
+
+    |value + m| <= |value| + |m|, and twice that also covers the rounding of
+    the three moduli, so where resid is not below the floor with
+    2 (|value| + |m|) in its place, it is not below the true floor either:
+    every operation of the bound rounds monotonically.  Every verdict is
+    _converged's, at the cost of one complex sum and modulus per candidate
+    instead of one per point.
+    """
+    resid = np.abs(value)
+    slope = np.abs(deriv)
+    size = np.abs(m)
+    done = (resid < _EPSILON) & (resid <= _EPSILON * slope * (1.0 + size))
+    bound = resid + size
+    bound *= 2.0 * degree
+    bound += size
+    bound += slope * size
+    bound *= _NOISE_SCALE
+    maybe = np.flatnonzero(resid < bound)
+    if maybe.size:
+        done[maybe] = _converged(value[maybe], deriv[maybe], m[maybe], degree)
+    return done
+
+
 class BasinCertificate(NamedTuple):
     """delta = |phi/phi'|, kappa = 1/|phi'|, lambda_bound >= sup |phi''|, h = delta*kappa*lambda.
 
@@ -200,7 +227,7 @@ def basin_certificates(
     Python's abs of a complex, so each verdict and h is the scalar one: |phi|,
     |phi'| and |z| per point, and the lambda bound's |m0 - r_j| once per run
     of equal consecutive starts (second_derivative_bound_array); a grid's
-    batched points share their segment's head root as start.
+    batched points share their jump's head root as start.
     """
     z = np.asarray(z, dtype=complex)
     m0 = np.asarray(m0, dtype=complex)
@@ -273,10 +300,10 @@ def newton_lockstep(
 
     value and deriv are phi and phi' at m0 from basin_certificates(meq, z, m0),
     taken only where it certified; they make the first step.  Each point stops
-    by newton_raphson's stop rule, _converged, with its moduli taken by np.abs,
-    and leaves the batch; stats.newton_iterations gains each point's step
-    count.  The first point, in array order, to hit one of newton_raphson's
-    errors raises it, naming that point's z.
+    by newton_raphson's stop rule, with its moduli taken by np.abs
+    (_converged_array), and leaves the batch; stats.newton_iterations gains
+    each point's step count.  The first point, in array order, to hit one of
+    newton_raphson's errors raises it, naming that point's z.
     """
     z = np.asarray(z, dtype=complex)
     m = np.broadcast_to(np.asarray(m0, dtype=complex), z.shape).copy()
@@ -285,11 +312,13 @@ def newton_lockstep(
     live = np.arange(z.size)
     steps = 0
     for iteration in range(_MAX_NEWTON_ITERS + 1):
-        done = _converged(value, deriv, m, degree)
+        done = _converged_array(value, deriv, m, degree)
         if done.any():
-            out[live[done]] = m[done]
-            steps += iteration * int(np.count_nonzero(done))
-            going = ~done
+            finished = np.flatnonzero(done)
+            out[live[finished]] = m[finished]
+            steps += iteration * finished.size
+            # gathers by index: one scan of done instead of one per array
+            going = np.flatnonzero(~done)
             live, z, m, value, deriv = live[going], z[going], m[going], value[going], deriv[going]
         if live.size == 0:
             if stats is not None:
@@ -297,17 +326,17 @@ def newton_lockstep(
             return out
         if iteration == _MAX_NEWTON_ITERS:
             break
-        flat = (deriv == 0) | ~np.isfinite(deriv)
-        if flat.any():
-            i = int(np.argmax(flat))
+        # a complex array's all() is False exactly where an element is zero
+        if not (deriv.all() and np.isfinite(deriv).all()):
+            i = int(np.argmax((deriv == 0) | ~np.isfinite(deriv)))
             raise SolverError(
                 f"derivative underflow at m={complex(m[i])} (z={complex(z[i])})", z=complex(z[i])
             )
         with np.errstate(over="ignore", invalid="ignore"):
             m = m - value / deriv
-            lost = ~np.isfinite(m)
-            if lost.any():
-                i = int(np.argmax(lost))
+            finite = np.isfinite(m)
+            if not finite.all():
+                i = int(np.argmin(finite))
                 raise SolverError(
                     f"iterate diverged to {complex(m[i])} (z={complex(z[i])})", z=complex(z[i])
                 )

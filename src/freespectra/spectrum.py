@@ -3,10 +3,11 @@
 The density at x is recovered from the decaying-branch solution m(x + iy) of the
 master equation through rho = -Im((m+1)/z)/pi, evaluated at a small smoothing
 offset y > 0.  A grid is solved in two passes: a sequential walk that jumps
-64 points at a time and halves a jump that does not certify, then one batched
-certificate test and a lockstep Newton solve for the points jumped over (see
-_walk_roots).  Every function here reads the law from the master equation's
-factors (a RationalMasterEq) alone, never from the layers.
+64 points first, doubles a jump that certifies and halves one that does not,
+then batched certificate tests and lockstep Newton solves, in blocks, for the
+points jumped over (see _walk_roots).  Every function here reads the law from
+the master equation's factors (a RationalMasterEq) alone, never from the
+layers.
 """
 
 from __future__ import annotations
@@ -42,11 +43,16 @@ __all__ = [
 
 _NEGATIVE_DENSITY_TOL = 1e-10
 
-# The coarse pass of a grid first tries to jump _STRIDE points of the walk at a
-# time, halving a segment whose jump does not certify.  At 64 a 400-point grid
-# still makes at least 8 sequential solves, the sample perfbench's branch check
-# draws from; a failed long jump costs one certificate test.
+# The coarse pass of a grid first tries to jump _STRIDE points of the walk,
+# doubles a jump that certifies and halves one that does not.  Jumps stay at
+# most max(_STRIDE, (n - 1) // 8) points, so an n-point grid makes at least 8
+# sequential solves, the sample perfbench's branch check draws from; a failed
+# long jump costs one certificate test.
 _STRIDE = 64
+
+# The batched pass takes the grid in blocks of _BLOCK points, so that each of
+# its complex arrays holds at most 64 KiB, below glibc's mmap threshold.
+_BLOCK = 4096
 
 
 @dataclass(eq=False, kw_only=True)
@@ -76,7 +82,9 @@ class DensityCurve:
             if not finite.all():
                 bad = float(values[np.argmin(finite)])
                 raise ValueError(f"{name} must be finite, got {bad!r}")
-        self.total_mass = float(_cell_masses(self.xs, self.rhos).sum())
+        # finite rows can still overflow their mass; the check below names it
+        with np.errstate(over="ignore"):
+            self.total_mass = float(_cell_masses(self.xs, self.rhos).sum())
         if not math.isfinite(self.total_mass):
             raise ValueError(f"total_mass must be finite, got {self.total_mass!r}")
         # y = 0 marks a curve built directly, not solved; a solved one has y > 0
@@ -192,11 +200,11 @@ def density_grid(
     """Solve the master equation at z = x + iy over the grid and return the curve.
 
     xs defaults to default_grid(meq).  The grid is walked from its largest x
-    downward.  The walk jumps 64 points at a time, halving a jump until it
-    certifies, and solves each jump's end in sequence from the previous one;
-    the points jumped over are then certified and solved together from those
-    roots (see _walk_roots).  The solver's tolerance and caps are the solver
-    module's constants.
+    downward.  The walk jumps 64 points first, doubles a jump that certifies,
+    up to an eighth of the grid, and halves one that does not; it solves each
+    jump's end in sequence from the previous one.  The points jumped over are
+    then certified and solved in blocks from those roots (see _walk_roots).
+    The solver's tolerance and caps are the solver module's constants.
     """
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"y must be positive and finite, got {y!r}")
@@ -217,14 +225,17 @@ def density_grid(
     zs = np.empty(xs.size, dtype=complex)
     zs.real = xs[::-1]
     zs.imag = y
-    ms = _walk_roots(meq, zs, stats)[::-1]
-
-    rhos = -((ms + 1.0) / (xs + 1j * y)).imag / math.pi
+    # (m + 1)/z in place, in walk order (zs is exactly xs + iy reversed);
+    # a division by -pi rounds as a division by pi, negated
+    ms = _walk_roots(meq, zs, stats)
+    ms += 1.0
+    ms /= zs
+    rhos = np.divide(ms.imag[::-1], -math.pi)
     bad = np.flatnonzero(rhos < -_NEGATIVE_DENSITY_TOL)
     if bad.size:
         x = float(xs[bad[0]])
         raise SolverError(f"negative density {float(rhos[bad[0]])!r} at x={x!r}", z=complex(x, y))
-    rhos = np.where(rhos < 0.0, 0.0, rhos)
+    rhos[rhos < 0.0] = 0.0
 
     return DensityCurve(
         xs=xs,
@@ -238,28 +249,30 @@ def density_grid(
 def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.ndarray:
     """Decaying-branch roots at the points zs, given in walk order.
 
-    Coarse pass: the segments end at every _STRIDE-th point and at the last
-    one.  Each segment is tested once, its end from the root at its head.  If
-    that whole-segment step certifies, newton_lilypads takes it from that
+    Coarse pass: from the root at its head, the walk tests its jump's end
+    once.  If that step certifies, newton_lilypads takes it from that
     certificate (its descent tries the whole gap first, so the test is not
-    repeated) and the end becomes the next head; otherwise the segment is
-    halved and its first half tried the same way, down to single steps,
-    which are walked from their neighbour.  Batched pass: every
-    point inside a jumped segment is tested from that segment's head root by
-    basin_certificates, and the certified ones are solved by newton_lockstep.
-    The rest are walked, in order, from their neighbour.  Each point is thus
-    one certified step from a root on the decaying branch, the step
+    repeated), the end becomes the next head, and the next jump is twice
+    this one, up to max(_STRIDE, (n - 1) // 8) points; the first jump is
+    _STRIDE.  A jump that does not certify is halved, down to single steps,
+    which are walked from their neighbour without a test.  This is the
+    descent's own rule, and the cap keeps at least 8 sequential solves per
+    grid.  Batched pass: in blocks of _BLOCK grid points, every point jumped
+    over is tested from its head root by basin_certificates, and the
+    certified ones are solved by newton_lockstep; the arithmetic is per
+    point, so the blocks change no root or counter.  The rest are walked
+    afterwards, in order, from their neighbour.  Each point is thus one
+    certified step from a root on the decaying branch, the step
     newton_lilypads would try first.
     """
     n = zs.size
-    z_list = zs.tolist()
     ms = np.empty(n, dtype=complex)
     sequential = np.zeros(n, dtype=bool)
 
     def walk(
         k: int, proxy: Optional[tuple], certificate: Optional[solver.BasinCertificate] = None
     ) -> complex:
-        z = z_list[k]
+        z = complex(zs[k])
         try:
             m = newton_lilypads(meq, z, proxy, stats, certificate)
         except SolverError as err:
@@ -272,44 +285,51 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
         sequential[k] = True
         return m
 
-    # segment ends still to reach, the next one on top
-    ends = [n - 1, *range(_STRIDE, n - 1, _STRIDE)[::-1]] if n > 1 else []
-    head = 0
+    cap = max(_STRIDE, (n - 1) // 8)
+    head, jump = 0, _STRIDE
+    z_head = complex(zs[0])
     m = walk(0, None)
-    while ends:
-        end = ends.pop()
+    while head < n - 1:
+        end = min(head + jump, n - 1)
+        jump = end - head
+        z_end = complex(zs[end])
         cert = None
-        if end - head > 1:
+        if jump > 1:
             # called through the solver module, so that a wrapper installed at
             # solver.is_in_basin sees the coarse tests too
             stats.certificate_tests += 1
-            cert = solver.is_in_basin(meq, z_list[end], m)
+            cert = solver.is_in_basin(meq, z_end, m)
             if cert is None:
                 stats.rejected_tests += 1
-                ends += [end, (head + end) // 2]
+                jump //= 2
                 continue
-        m = walk(end, (z_list[head], m), cert)
-        head = end
+        m = walk(end, (z_head, m), cert)
+        head, z_head = end, z_end
+        jump = min(2 * jump, cap)
 
-    fine = np.flatnonzero(~sequential)
-    if fine.size == 0:
-        return ms
-    # a point inside a jumped segment starts from the segment's head, the
-    # nearest sequentially solved point before it
-    heads = np.maximum.accumulate(np.where(sequential, np.arange(n), 0))[fine]
-    z, m0 = zs[fine], ms[heads]
-    certs = basin_certificates(meq, z, m0)
-    ok = certs.certified
-    solved = int(np.count_nonzero(ok))
-    stats.certificate_tests += fine.size
-    stats.rejected_tests += fine.size - solved
-    try:
-        ms[fine[ok]] = newton_lockstep(meq, z[ok], m0[ok], certs.value[ok], certs.deriv[ok], stats)
-    except SolverError as err:
-        raise SolverError(f"density solve failed at x={err.z.real!r}: {err}", z=err.z) from err
-    stats.basins += solved
-    for k in fine[~ok].tolist():
-        walk(k, (z_list[k - 1], complex(ms[k - 1])))
+    heads = np.flatnonzero(sequential)
+    failed = []
+    for start in range(0, n, _BLOCK):
+        fine = start + np.flatnonzero(~sequential[start : start + _BLOCK])
+        if fine.size == 0:
+            continue
+        # a point jumped over starts from its head, the nearest sequentially
+        # solved point before it
+        z, m0 = zs[fine], ms[heads[np.searchsorted(heads, fine) - 1]]
+        certs = basin_certificates(meq, z, m0)
+        ok = np.flatnonzero(certs.certified)
+        stats.certificate_tests += fine.size
+        stats.rejected_tests += fine.size - ok.size
+        try:
+            ms[fine[ok]] = newton_lockstep(
+                meq, z[ok], m0[ok], certs.value[ok], certs.deriv[ok], stats
+            )
+        except SolverError as err:
+            raise SolverError(f"density solve failed at x={err.z.real!r}: {err}", z=err.z) from err
+        stats.basins += ok.size
+        failed += fine[~certs.certified].tolist()
+    for k in failed:
+        walk(k, (complex(zs[k - 1]), complex(ms[k - 1])))
     return ms
 
 

@@ -174,7 +174,7 @@ def eval_phi_array(
     """
     z = np.asarray(z, dtype=complex)
     m = np.asarray(m, dtype=complex)
-    if np.any(z == 0):
+    if not z.all():
         raise ValueError("z must be nonzero")
     gain = meq.gain
     p = np.ones(np.broadcast(z, m).shape, dtype=complex)
@@ -272,8 +272,8 @@ def second_derivative_bound_array(
     the scalar bound of the same disc and the same rounding allowance holds.
     The distances |center - r_j| are taken once per run of equal consecutive
     centres (in array order), at each level that holds r_j, and repeated over
-    the run: a grid's batched points start from their segment's head root, so
-    a grid has one run per jumped segment of up to 64 points.
+    the run: a grid's batched points start from their jump's head root, so
+    each block of a grid's batched pass has one run per coarse jump in it.
     """
     radius = np.asarray(radius, dtype=float)
     if np.any(radius < 0):

@@ -241,6 +241,41 @@ def test_density_round_trips_random_bit_patterns(tmp_path, fmt, seed):
         assert render_density(back, fmt) == path.read_text()
 
 
+def nested_csv_rows(columns):
+    """The CSV rows as the (n, k) stack dumps nested, brackets between rows as line breaks."""
+    rows = orjson.dumps(np.column_stack(columns), option=orjson.OPT_SERIALIZE_NUMPY)
+    return rows.replace(b"],[", b"\n").replace(b"null", b"-inf")[2:-2].decode()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_csv_rows_match_the_nested_dump(seed):
+    # the rows are dumped as one flat array and every k-th comma becomes a
+    # line break; the text is byte for byte the nested dump's
+    rng = np.random.default_rng(seed)
+    values = rng.permutation(np.concatenate([random_doubles(rng, 4000), SPECIAL_DOUBLES]))
+    grid = np.arange(1, 2 * values.size + 1, dtype=np.uint64).view(np.float64)
+    rhos = np.zeros(grid.size)
+    rhos[::2] = values
+    curves = [
+        DensityCurve(xs=np.unique(values), rhos=np.zeros(np.unique(values).size), y=1e-6),
+        DensityCurve(xs=grid, rhos=rhos, y=1e-6),
+    ]
+    for curve in curves:
+        text = render_density(curve, "csv")
+        assert text.endswith("x,rho\n" + nested_csv_rows((curve.xs, curve.rhos)) + "\n")
+    # three columns, the last holding -inf wherever a quantile is zero
+    for size in (1, 2, 3, 1000):
+        probs = np.sort(rng.uniform(0.0, 1.0, size))
+        quantile_values = np.where(rng.random(size) < 0.3, 0.0, random_doubles(rng, size))
+        table = QuantileTable(
+            probs=probs, values=quantile_values, atom_lower_bound=0.25, total_mass=0.75
+        )
+        columns = (table.probs, table.values, table.log10_values)
+        text = render_quantiles(table, "csv")
+        assert text.endswith("prob,value,log10_value\n" + nested_csv_rows(columns) + "\n")
+        assert ("-inf" in text) == (0.0 in table.values)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_density_of_strided_arrays_renders_as_their_copies(fmt):
     # every other element of a longer array: a view that is not contiguous

@@ -429,9 +429,9 @@ def test_every_newton_solve_starts_from_a_certificate(monkeypatch, nonlinearity,
 @pytest.mark.parametrize(
     "nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins",
     [
-        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 2007, 442, 1565, 407),
-        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 1946, 473, 1473, 423),
-        (Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 1958, 455, 1503, 405),
+        (Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 2014, 449, 1565, 407),
+        (Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 1935, 478, 1457, 423),
+        (Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 1966, 463, 1503, 405),
     ],
 )
 def test_grid_evaluates_phi_once_per_test_and_step(
@@ -616,3 +616,34 @@ def test_lockstep_stop_rule_matches_newton_raphson_on_grid_batches(monkeypatch):
         assert batched.newton_iterations == scalar_total
         points += z.size
     assert points >= 2000
+
+
+@pytest.mark.parametrize("degree", [1, 3, 65])
+def test_array_stop_rule_matches_the_elementwise_rule(degree):
+    # _converged_array takes the floor clause's |phi + m| only where the
+    # bound 2 (|phi| + |m|) lets it pass; on residuals that straddle the
+    # floor, and on zeros, infinities and NaNs, every verdict is the
+    # elementwise rule's
+    rng = np.random.default_rng(degree)
+    size = 20000
+    m = 10.0 ** rng.uniform(-6, 6, size) * np.exp(2j * math.pi * rng.random(size))
+    deriv = 10.0 ** rng.uniform(-12, 4, size) * np.exp(2j * math.pi * rng.random(size))
+    # the floor with |phi| << |m|, jittered by a few ulps either side
+    floor = solver_module._NOISE_SCALE * (degree + 1.0 + np.abs(deriv)) * np.abs(m)
+    scale = floor * (1.0 + rng.integers(-8, 9, size) * 2.0**-52)
+    scale[: size // 4] = 10.0 ** rng.uniform(-16, 0, size // 4) * np.abs(m[: size // 4])
+    value = scale * np.exp(2j * math.pi * rng.random(size))
+    specials = np.array([0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300])
+    for array in (value, deriv, m):
+        picks = rng.integers(0, size, 300)
+        array.real[picks] = rng.choice(specials, 300)
+        array.imag[picks] = rng.choice(specials, 300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = solver_module._converged(value, deriv, m, degree)
+        got = solver_module._converged_array(value, deriv, m, degree)
+        residual_clause = (np.abs(value) < 1e-12) & (
+            np.abs(value) <= 1e-12 * np.abs(deriv) * (1.0 + np.abs(m))
+        )
+    assert np.array_equal(got, expected)
+    # the floor clause decides both ways where the residual clause fails
+    assert expected[~residual_clause].any() and not expected[~residual_clause].all()

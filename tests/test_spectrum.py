@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,76 @@ def test_deep_grid_halves_rejected_jumps(monkeypatch, nonlinearity, gain, depth)
     meq = master_from_spec(spec)
     density_grid(meq, xs=default_grid(meq, points=400), y=1e-6)
     assert calls["sequential"] <= 64
+
+
+def walk_grid(meq, points, y):
+    """_walk_roots on a default grid of the given size, largest x first, and its stats."""
+    xs = default_grid(meq, points=points)
+    stats = SolveStats()
+    return spectrum_module._walk_roots(meq, xs[::-1] + 1j * y, stats), stats
+
+
+@pytest.mark.parametrize(
+    "layers, y",
+    [
+        (((Nonlinearity.RELU, 2.0, 0.5), (Nonlinearity.LINEAR, 1.0, 2.0)), 1e-6),
+        (((Nonlinearity.HARD_SINE, 1.5, 2.0),) * 3, 1e-9),
+        (((Nonlinearity.LINEAR, 1.0, 1.0),) * 16, 1e-6),
+    ],
+)
+def test_grid_blocks_change_no_root_or_counter(monkeypatch, layers, y):
+    # the batched pass's arithmetic is per point, so 7-point blocks and one
+    # block for the whole grid give the same roots and counters, bit for bit
+    spec = NetworkSpec(layers=tuple(LayerSpec(n, gain, width_ratio=r) for n, gain, r in layers))
+    meq = master_from_spec(spec)
+    runs = []
+    for block in (7, 10**9):
+        monkeypatch.setattr(spectrum_module, "_BLOCK", block)
+        runs.append(walk_grid(meq, 2000, y))
+    (small, small_stats), (whole, whole_stats) = runs
+    assert np.array_equal(small.view(np.uint64), whole.view(np.uint64))
+    assert small_stats == whole_stats
+    assert small_stats.rejected_tests > 0
+
+
+@pytest.mark.parametrize("points", [400, 2000, 5000, 20000])
+def test_grid_makes_at_least_eight_sequential_solves(monkeypatch, points):
+    # the doubling stride is capped at (n - 1) // 8 points, so even a grid
+    # whose every jump certifies is sampled by 8 sequential solves
+    calls = {"sequential": 0}
+    original = spectrum_module.newton_lilypads
+
+    def counting(*args):
+        calls["sequential"] += 1
+        return original(*args)
+
+    monkeypatch.setattr("freespectra.spectrum.newton_lilypads", counting)
+    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=0.5),))
+    meq = master_from_spec(spec)
+    density_grid(meq, xs=default_grid(meq, points=points), y=1e-6)
+    assert calls["sequential"] >= 8
+
+
+def test_points_far_from_their_head_are_on_the_decaying_branch(monkeypatch):
+    # the jumps double up to 2,499 points on a 20,000-point grid; criterion
+    # 4's test at the 64 batched points that start farthest from their head
+    solved = record_grid_roots(monkeypatch)
+    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=0.5),))
+    meq = master_from_spec(spec)
+    xs = default_grid(meq, points=20000)
+    density_grid(meq, xs=xs, y=1e-6)
+    index = {x: k for k, x in enumerate(xs[::-1].tolist())}
+    walked = np.array(sorted(index[z.real] for z, _, in_batch in solved if not in_batch))
+    batched = [(index[z.real], z, m) for z, m, in_batch in solved if in_batch]
+    offsets = np.array([k for k, _, _ in batched])
+    offsets -= walked[np.searchsorted(walked, offsets) - 1]
+    farthest = np.argsort(offsets)[-64:]
+    assert offsets[farthest].min() > 1000
+    for i in farthest.tolist():
+        _, z, m = batched[i]
+        distance = min(abs(m - r) for r in all_roots(meq, z).roots)
+        assert distance <= 1e-9, (z, m, distance)
+        assert -((m + 1) / z).imag / math.pi >= -1e-10, (z, m)
 
 
 def sequential_walk_rhos(spec, xs, y):
@@ -430,6 +501,15 @@ def test_density_curve_total_mass_is_the_trapezoid_mass_of_its_rows():
         DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), y=1e-6, total_mass=0.1)
     with pytest.raises(TypeError):
         DensityCurve(np.array([1.0, 2.0]), np.array([0.1, 0.1]), 1e-6, 0.1)
+
+
+def test_density_curve_names_an_overflowing_mass_before_any_warning():
+    # the suite turns RuntimeWarning into an error; the overflow of the cell
+    # masses must surface as the named ValueError, not as that warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^total_mass must be finite, got inf$"):
+            DensityCurve(xs=[1, 1e308], rhos=[1e10, 1e10], y=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -294,6 +294,18 @@ def test_eval_phi_rejects_zero_z():
         eval_phi(mp_meq(), 0j, 0j)
 
 
+@pytest.mark.parametrize("zero", [0j, complex(-0.0, 0.0), complex(0.0, -0.0), -0j])
+def test_eval_phi_array_rejects_a_zero_z_and_passes_a_nan_one(zero):
+    # a zero anywhere in z is refused; NaN is not zero, so it is evaluated
+    meq = mp_meq()
+    with pytest.raises(ValueError, match="z must be nonzero"):
+        eval_phi_array(meq, np.array([1j, zero, 2 + 1j]), np.zeros(3, dtype=complex))
+    nan = complex(math.nan, 0.0)
+    with np.errstate(invalid="ignore"):
+        value, _ = eval_phi_array(meq, np.array([1j, nan]), np.zeros(2, dtype=complex))
+    assert value[0] == eval_phi(meq, 1j, 0j)[0] and np.isnan(value[1])
+
+
 def test_eval_phi_derivative_matches_finite_differences():
     rng = np.random.default_rng(13)
     for _ in range(40):
