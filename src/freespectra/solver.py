@@ -225,9 +225,8 @@ def basin_certificates(
     Every rejection of the scalar test is kept: phi' zero or not finite, delta
     or kappa not finite, and h not below 1/2.  Every modulus is hypot, as in
     Python's abs of a complex, so each verdict and h is the scalar one: |phi|,
-    |phi'| and |z| per point, and the lambda bound's |m0 - r_j| once per run
-    of equal consecutive starts (second_derivative_bound_array); a grid's
-    batched points share their jump's head root as start.
+    |phi'|, |z| and the lambda bound's |m0 - r_j| are all taken per point
+    (second_derivative_bound_array).
     """
     z = np.asarray(z, dtype=complex)
     m0 = np.asarray(m0, dtype=complex)

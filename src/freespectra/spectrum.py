@@ -5,9 +5,10 @@ master equation through rho = -Im((m+1)/z)/pi, evaluated at a small smoothing
 offset y > 0.  A grid is solved in two passes: a sequential walk that jumps
 64 points first, doubles a jump that certifies and halves one that does not,
 then batched certificate tests and lockstep Newton solves, in blocks, for the
-points jumped over (see _walk_roots).  Every function here reads the law from
-the master equation's factors (a RationalMasterEq) alone, never from the
-layers.
+points jumped over, each started from the cubic Hermite interpolant of the
+branch between the two solved points that bracket it (see _walk_roots).
+Every function here reads the law from the master equation's factors (a
+RationalMasterEq) alone, never from the layers.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ def density_grid(
     downward.  The walk jumps 64 points first, doubles a jump that certifies,
     up to an eighth of the grid, and halves one that does not; it solves each
     jump's end in sequence from the previous one.  The points jumped over are
-    then certified and solved in blocks from those roots (see _walk_roots).
+    then certified and solved in blocks, each from the cubic Hermite
+    interpolant of the branch between the two roots that bracket it (see
+    _walk_roots).
     The solver's tolerance and caps are the solver module's constants.
     """
     if not (math.isfinite(y) and y > 0):
@@ -257,13 +260,18 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     _STRIDE.  A jump that does not certify is halved, down to single steps,
     which are walked from their neighbour without a test.  This is the
     descent's own rule, and the cap keeps at least 8 sequential solves per
-    grid.  Batched pass: in blocks of _BLOCK grid points, every point jumped
-    over is tested from its head root by basin_certificates, and the
-    certified ones are solved by newton_lockstep; the arithmetic is per
-    point, so the blocks change no root or counter.  The rest are walked
-    afterwards, in order, from their neighbour.  Each point is thus one
-    certified step from a root on the decaying branch, the step
-    newton_lilypads would try first.
+    grid.  The coarse pass thus solves both ends of every interval it
+    jumped: point 0, point n - 1 and each head in between.  Batched pass:
+    every point jumped over starts from the cubic Hermite interpolant of m
+    between the two solved points that bracket it, with the slopes dm/dz
+    there from the factors (_branch_slope), so no evaluation of phi is
+    added.  In blocks of _BLOCK grid points, those starts are tested by
+    basin_certificates, and the certified ones are solved by
+    newton_lockstep; the arithmetic is per point, so the blocks change no
+    root or counter.  The rest are walked afterwards, in order, from their
+    neighbour.  Each point is thus either solved by Newton from a certified
+    start between two roots on the decaying branch, or walked in certified
+    steps from one.
     """
     n = zs.size
     ms = np.empty(n, dtype=complex)
@@ -307,15 +315,36 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
         head, z_head = end, z_end
         jump = min(2 * jump, cap)
 
+    # the cubic Hermite interpolant of m between consecutive sequential
+    # solves, m_head + t (s_head + t (c + t d)) at t = (x - x_head)/w, where
+    # s_head and s_next are w dm/dz at the interval's two ends
     heads = np.flatnonzero(sequential)
+    x_heads, m_heads = zs.real[heads], ms[heads]
+    widths = np.diff(x_heads)
+    slopes = _branch_slope(meq, zs[heads], m_heads)
+    rises = np.diff(m_heads)
+    s_head, s_next = slopes[:-1] * widths, slopes[1:] * widths
+    c = 3.0 * rises - 2.0 * s_head - s_next
+    d = s_head + s_next - 2.0 * rises
     failed = []
     for start in range(0, n, _BLOCK):
         fine = start + np.flatnonzero(~sequential[start : start + _BLOCK])
         if fine.size == 0:
             continue
-        # a point jumped over starts from its head, the nearest sequentially
-        # solved point before it
-        z, m0 = zs[fine], ms[heads[np.searchsorted(heads, fine) - 1]]
+        # a point jumped over starts from the interpolant between the two
+        # sequentially solved points that bracket it (0 and n - 1 are two)
+        j = np.searchsorted(heads, fine) - 1
+        t = zs.real[fine]
+        t -= x_heads[j]
+        t /= widths[j]
+        m0 = d[j]
+        m0 *= t
+        m0 += c[j]
+        m0 *= t
+        m0 += s_head[j]
+        m0 *= t
+        m0 += m_heads[j]
+        z = zs[fine]
         certs = basin_certificates(meq, z, m0)
         ok = np.flatnonzero(certs.certified)
         stats.certificate_tests += fine.size
@@ -331,6 +360,23 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     for k in failed:
         walk(k, (complex(zs[k - 1]), complex(ms[k - 1])))
     return ms
+
+
+def _branch_slope(meq: RationalMasterEq, z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """dm/dz along the branch through the roots m at z, from the factors alone.
+
+    z = P(m)/m gives dz/dm = z (sum_j k_j / (m - r_j) - 1/m), which at a
+    root equals z phi_z'(m) / m; no evaluation of phi is needed.  A slope
+    that is not finite (a root at a branch point) is taken as 0, so the
+    interpolant through it stays finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rate = -1.0 / m
+        for r, k in zip(meq.roots, meq.multiplicities):
+            rate += k / (m - r)
+        slope = 1.0 / (z * rate)
+    slope[~np.isfinite(slope)] = 0.0
+    return slope
 
 
 def _cell_masses(xs: np.ndarray, rhos: np.ndarray) -> np.ndarray:

@@ -270,21 +270,9 @@ def second_derivative_bound_array(
 
     Every modulus is taken with np.hypot, so each element is bit-identical to
     the scalar bound of the same disc and the same rounding allowance holds.
-    The distances |center - r_j| are taken once per run of equal consecutive
-    centres (in array order), at each level that holds r_j, and repeated over
-    the run: a grid's batched points start from their jump's head root, so
-    each block of a grid's batched pass has one run per coarse jump in it.
     """
     radius = np.asarray(radius, dtype=float)
     if np.any(radius < 0):
         raise ValueError("radius must be nonnegative")
-    center = np.asarray(center, dtype=complex)
-    flat = center.reshape(-1)
-    starts = np.flatnonzero(np.r_[flat.size > 0, flat[1:] != flat[:-1]])
-    counts = np.diff(np.append(starts, flat.size))
-
-    def distance(offsets: np.ndarray) -> np.ndarray:
-        # offsets holds head - r_j, one per run; each point takes its run's
-        return np.repeat(_modulus(offsets), counts).reshape(center.shape)
-
-    return _bound(meq, _modulus(np.asarray(z, dtype=complex)), flat[starts], radius, distance)
+    z_modulus = _modulus(np.asarray(z, dtype=complex))
+    return _bound(meq, z_modulus, np.asarray(center, dtype=complex), radius, _modulus)

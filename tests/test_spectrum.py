@@ -268,6 +268,105 @@ def test_points_far_from_their_head_are_on_the_decaying_branch(monkeypatch):
         assert -((m + 1) / z).imag / math.pi >= -1e-10, (z, m)
 
 
+def test_branch_slope_is_the_derivative_of_the_root():
+    # dm/dz from the factors equals m/(z phi'(m)) at a root, up to the stop
+    # rule's residual, and a central difference of the solved branch, up to
+    # the roots' own error over the 2h step
+    rng = np.random.default_rng(25)
+    nls = list(Nonlinearity)
+    for _ in range(40):
+        spec = NetworkSpec(
+            layers=tuple(
+                LayerSpec(
+                    nonlinearity=nls[rng.integers(0, len(nls))],
+                    sigma_w_sq=float(rng.uniform(0.5, 2.5)),
+                    width_ratio=float(rng.choice([0.5, 1.0, 2.0])),
+                )
+                for _ in range(int(rng.integers(1, 9)))
+            )
+        )
+        meq = master_from_spec(spec)
+        for x in default_grid(meq, points=50)[::7].tolist():
+            z, h = complex(x, 1e-3), 1e-6
+            m = newton_lilypads(meq, z)
+            slope = complex(spectrum_module._branch_slope(meq, np.array([z]), np.array([m]))[0])
+            implicit = m / (z * eval_phi(meq, z, m)[1])
+            assert abs(slope - implicit) <= 1e-10 * abs(implicit), (spec, z)
+            central = newton_lilypads(meq, z + h, (z, m)) - newton_lilypads(meq, z - h, (z, m))
+            central /= 2 * h
+            assert abs(slope - central) <= 1e-5 * abs(slope), (spec, z)
+
+
+def record_grid_starts(monkeypatch):
+    """Install a recorder of the batched pass's starts; returns their list.
+
+    Each entry is (z, m0, certified) for one point the batched pass tested.
+    """
+    starts = []
+    original = spectrum_module.basin_certificates
+
+    def recording(meq, z, m0):
+        certs = original(meq, z, m0)
+        starts.extend(zip(z.tolist(), m0.tolist(), certs.certified.tolist()))
+        return certs
+
+    monkeypatch.setattr("freespectra.spectrum.basin_certificates", recording)
+    return starts
+
+
+@pytest.mark.parametrize("points", [2, 3, 65, 400, 4097, 20000])
+def test_every_batched_point_lies_between_two_sequential_solves(monkeypatch, points):
+    # a batched start interpolates between the solved ends of its interval,
+    # so the coarse pass must have solved a point on each side of it
+    coarse = []
+    original = spectrum_module.newton_lilypads
+
+    def recording(meq, z, *args):
+        if not starts:
+            coarse.append(z.real)
+        return original(meq, z, *args)
+
+    starts = record_grid_starts(monkeypatch)
+    monkeypatch.setattr("freespectra.spectrum.newton_lilypads", recording)
+    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=0.5),) * 2)
+    meq = master_from_spec(spec)
+    walk_grid(meq, points, 1e-6)
+    xs = default_grid(meq, points=points)
+    assert {xs[0], xs[-1]} <= set(coarse)
+    batched = np.array([z.real for z, _, _ in starts])
+    assert batched.size == points - len(coarse)
+    coarse = np.sort(coarse)
+    after = np.searchsorted(coarse, batched)
+    assert np.all((after > 0) & (after < coarse.size))
+    assert np.all((coarse[after - 1] < batched) & (batched < coarse[after]))
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        ((Nonlinearity.RELU, 2.0, 1.0),) * 4,
+        ((Nonlinearity.HARD_TANH, 1.5, 2.0),) * 3,
+    ],
+)
+def test_points_whose_start_lay_farthest_are_on_the_decaying_branch(monkeypatch, layers):
+    # criterion 4's test at the 64 batched points of a 20,000-point grid whose
+    # interpolated start lay farthest, relative to |m|, from their root
+    starts = record_grid_starts(monkeypatch)
+    solved = record_grid_roots(monkeypatch)
+    spec = NetworkSpec(layers=tuple(LayerSpec(n, gain, width_ratio=r) for n, gain, r in layers))
+    meq = master_from_spec(spec)
+    density_grid(meq, xs=default_grid(meq, points=20000), y=1e-6)
+    roots = {z: m for z, m, in_batch in solved if in_batch}
+    batched = [(z, m0, roots[z]) for z, m0, certified in starts if certified]
+    errors = np.array([abs(m0 - m) / abs(m) for _, m0, m in batched])
+    assert len(batched) > 15000
+    for i in np.argsort(errors)[-64:].tolist():
+        z, _, m = batched[i]
+        distance = min(abs(m - r) for r in all_roots(meq, z).roots)
+        assert distance <= 1e-9, (z, m, distance)
+        assert -((m + 1) / z).imag / math.pi >= -1e-10, (z, m)
+
+
 def sequential_walk_rhos(spec, xs, y):
     """Reference grid: every point solved by newton_lilypads from its
     neighbour, largest x first, with no coarse jumps and no batch."""

@@ -514,9 +514,8 @@ def test_second_derivative_bound_array_is_bitwise_the_scalar_bound():
 
 
 def test_second_derivative_bound_array_is_bitwise_the_scalar_bound_over_runs():
-    # centres that come in runs of equal values, as a grid's batched points
-    # share their segment's head root, take each |center - r_j| once per run;
-    # every bound is still bit-identical to the scalar one
+    # centres that repeat in runs of equal values, and an empty array: every
+    # bound is bit-identical to the scalar one of the same disc
     rng = np.random.default_rng(64)
     nls = list(Nonlinearity)
     for depth in range(1, 65):
