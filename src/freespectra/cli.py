@@ -114,6 +114,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"n0: {config.mc.n0}\n"
         f"seed: {config.mc.seed}\n"
         f"zeros: {int((emp.values == 0.0).sum())}\n"
+        f"censored: {emp.censored}\n"
+        f"floor: {emp.floor!r}\n"
         f"atom: {curve.atom_lower_bound!r}\n"
         f"ks_distance: {ks!r}\n"
         f"threshold: {_KS_THRESHOLD!r}\n"

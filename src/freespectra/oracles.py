@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -47,14 +48,23 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class EmpiricalSpectrum:
-    """Sorted squared singular values of one sampled Jacobian, one per input (n0 = values.size)."""
+    """Sorted squared singular values of one sampled Jacobian, one per input (n0 = values.size).
+
+    floor is the snap floor r eps lambda_max below which the sampler pinned
+    Gram eigenvalues to 0, and censored the number it pinned, which are among
+    the exact zeros; both are 0 for a sample built directly.
+    """
 
     values: np.ndarray
+    floor: float = 0.0
+    censored: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.sort(np.asarray(self.values, dtype=float)))
         if self.values.size and self.values[0] < 0:
             raise ValueError("squared singular values cannot be negative")
+        if not 0 <= self.censored <= np.count_nonzero(self.values == 0.0):
+            raise ValueError(f"censored must count exact zeros of the sample, got {self.censored}")
 
 
 @dataclass(frozen=True)
@@ -69,58 +79,80 @@ def _generator(seed: int, layer: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _bartlett_factor(seed: int, layer: int, rows: int, cols: int) -> np.ndarray:
-    """Lower-triangular r x r factor L of a rows x cols standard Gaussian block G.
+def _bartlett_factor(
+    seed: int, layer: int, rows: int, cols: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Lower-triangular r x r factor L of a rows x cols standard Gaussian block G,
+    written into out when it is given.
 
     r = min(rows, cols), and the entries below the diagonal are standard
-    normal.  A wide block (rows < cols) is G = L Q, Q with orthonormal rows:
-    L_ii^2 ~ chi^2_{cols - i} (0-based), so L L^T is Wishart_r(cols, I).
-    Otherwise G = Q L, Q with orthonormal columns: L_ii^2 ~
-    chi^2_{rows - r + 1 + i}, so L^T L is Wishart_r(rows, I).  Either way L has
-    the law of G's triangular factor, independent of Q (Bartlett; see Edelman,
-    SIAM J. Matrix Anal. Appl. 1988).
+    normal; the strict upper triangle is 0.  A wide block (rows < cols) is
+    G = L Q, Q with orthonormal rows: L_ii^2 ~ chi^2_{cols - i} (0-based), so
+    L L^T is Wishart_r(cols, I).  Otherwise G = Q L, Q with orthonormal
+    columns: L_ii^2 ~ chi^2_{rows - r + 1 + i}, so L^T L is Wishart_r(rows, I).
+    Either way L has the law of G's triangular factor, independent of Q
+    (Bartlett; see Edelman, SIAM J. Matrix Anal. Appl. 1988).  The normals
+    come one block of rows at a time, which continues the one row-major
+    stream of r (r - 1) / 2 draws.
     """
     r = min(rows, cols)
     degrees = cols - np.arange(r) if rows < cols else rows - r + 1 + np.arange(r)
-    factor = np.zeros((r, r))
-    below = _generator(seed, layer, _STREAM_WEIGHT).standard_normal(r * (r - 1) // 2)
-    factor[np.tri(r, k=-1, dtype=bool)] = below
-    factor.flat[:: r + 1] = np.sqrt(_generator(seed, layer, _STREAM_CHI).chisquare(degrees))
-    return factor
+    if out is None:
+        out = np.zeros((r, r))
+    else:
+        out.fill(0.0)
+    normal = _generator(seed, layer, _STREAM_WEIGHT).standard_normal
+    for block in _blocks(r):
+        # row i holds i normals, in columns 0 .. i - 1
+        below = np.arange(block.stop) < np.arange(block.start, block.stop)[:, None]
+        count = (block.stop * (block.stop - 1) - block.start * (block.start - 1)) // 2
+        out[block, : block.stop][below] = normal(count)
+    out.flat[:: r + 1] = np.sqrt(_generator(seed, layer, _STREAM_CHI).chisquare(degrees))
+    return out
 
 
 def _blocks(n: int) -> list:
     return [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
 
 
-def _lower_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for lower-triangular r x r a and b, over the lower half only.
+def _lower_product_inplace(a: np.ndarray, b: np.ndarray) -> None:
+    """b <- a @ b in place, for lower-triangular r x r a and b.
 
     Block (I, J) with J <= I sums a[I, K] b[K, J] over J <= K <= I, the only
-    blocks that are not zero; the strict upper triangle stays exactly 0.
+    blocks that are not zero, so block row I reads only the rows of b up to
+    the last of I.  The block rows are formed bottom up, each in one
+    block-row temporary before it overwrites its rows of b; the strict upper
+    triangle stays exactly 0.
     """
-    out = np.zeros_like(a)
-    blocks = _blocks(a.shape[0])
-    for i, rows in enumerate(blocks):
+    r = a.shape[0]
+    blocks = _blocks(r)
+    row = np.empty((min(_BLOCK, r), r))
+    for i, rows in reversed(list(enumerate(blocks))):
+        out = row[: rows.stop - rows.start]
         for cols in blocks[: i + 1]:
             inner = slice(cols.start, rows.stop)
-            np.matmul(a[rows, inner], b[inner, cols], out=out[rows, cols])
-    return out
+            np.matmul(a[rows, inner], b[inner, cols], out=out[:, cols])
+        b[rows, : rows.stop] = out[:, : rows.stop]
 
 
-def _lower_gram(j: np.ndarray) -> np.ndarray:
-    """j^T j for lower-triangular j, on and below the diagonal blocks only.
+def _lower_gram_inplace(j: np.ndarray) -> None:
+    """Overwrite the lower-triangular j with j^T j on and below its diagonal blocks.
 
-    Block (I, C) with C <= I is j[I:, I]^T j[I:, C], as j[K, I] = 0 for K < I.
-    The blocks above the diagonal stay 0, so only the lower half is the Gram.
+    Block (I, C) with C <= I is j[I:, I]^T j[I:, C], as j[K, I] = 0 for K < I,
+    so block row I reads only the rows of j from the first of I.  The block
+    rows are formed top down, each in one block-row temporary before it
+    overwrites its rows of j.  The blocks above the diagonal stay 0, so only
+    the lower half is the Gram.
     """
-    out = np.zeros_like(j)
-    blocks = _blocks(j.shape[0])
+    r = j.shape[0]
+    blocks = _blocks(r)
+    row = np.empty((min(_BLOCK, r), r))
     for i, rows in enumerate(blocks):
         below = j[rows.start :]
+        out = row[: rows.stop - rows.start]
         for cols in blocks[: i + 1]:
-            np.matmul(below[:, rows].T, below[:, cols], out=out[rows, cols])
-    return out
+            np.matmul(below[:, rows].T, below[:, cols], out=out[:, cols])
+        j[rows, : rows.stop] = out[:, : rows.stop]
 
 
 def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpectrum:
@@ -144,11 +176,14 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     G_{b+1} = Q_{b+1} L_{b+1}, G_{b+2} Q_{b+1} = Q_{b+2} L_{b+2}, ... (QL).  So
     J's nonzero spectrum is that of L_L ... L_1, a product of r x r
     triangles, each drawn as its Bartlett factor (Akemann, Burda & Kieburg,
-    J. Phys. A 47 (2014) 395202).  The triangles are multiplied block by
-    block over the lower half, and only the lower half of their r x r Gram is
-    formed, the half eigvalsh reads.  Its eigenvalues below r eps lambda_max,
-    the Gram's rounding floor, are pinned to zero; the other n0 - r are exact
-    zeros.
+    J. Phys. A 47 (2014) 395202).  Each later triangle is drawn into one
+    factor buffer and multiplied into the product in place, block by block
+    over the lower half, and the lower half of their r x r Gram, the half
+    eigvalsh reads, then overwrites the product.  So a sample holds two r x r
+    arrays at any depth, plus the copy eigvalsh makes, and one block row of
+    scratch.  The Gram's eigenvalues below r eps lambda_max, its rounding
+    floor, are pinned to zero and counted as censored; the other n0 - r are
+    exact zeros.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
@@ -171,21 +206,29 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
 
     r = min(live)
     b = live.index(r)
-    jac = None  # the product of the triangles so far
+    # two r x r buffers at any depth: the product of the triangles so far,
+    # and the factor each later layer is drawn into
+    jac = factor = None
     for ell, scale in enumerate(scales, start=1):
         block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
-        factor = _bartlett_factor(seed, ell, *block)
-        factor *= scale
-        jac = factor if jac is None else _lower_product(factor, jac)
+        if jac is None:
+            jac = _bartlett_factor(seed, ell, *block)
+            jac *= scale
+        else:
+            factor = _bartlett_factor(seed, ell, *block, out=factor)
+            factor *= scale
+            _lower_product_inplace(factor, jac)
+    del factor  # freed before eigvalsh makes its copy
 
-    gram = _lower_gram(jac)
-    del jac
+    _lower_gram_inplace(jac)
     values = np.zeros(n0)
-    values[:r] = np.clip(np.linalg.eigvalsh(gram, UPLO="L"), 0.0, None)
+    values[:r] = np.clip(np.linalg.eigvalsh(jac, UPLO="L"), 0.0, None)
     # eigvalsh resolves the Gram's eigenvalues to about r eps lambda_max; pin
     # those below that floor, which are rounding noise, to the atom.
-    values[values < r * np.finfo(float).eps * values.max()] = 0.0
-    return EmpiricalSpectrum(values=values)
+    floor = float(r * np.finfo(float).eps * values.max())
+    censored = int(np.count_nonzero(values[:r] < floor))
+    values[values < floor] = 0.0
+    return EmpiricalSpectrum(values=values, floor=floor, censored=censored)
 
 
 def _polish(meq: RationalMasterEq, z: complex, root: complex) -> complex:

@@ -98,7 +98,12 @@ class DensityCurve:
         if np.any(self.rhos < 0):
             raise ValueError("rhos must be nonnegative (clamp before constructing)")
         if self.total_mass > 1.02:
-            raise ValueError(f"total_mass {self.total_mass} exceeds 1.02; not a probability law")
+            window = f"[{float(self.xs[0])!r}, {float(self.xs[-1])!r}]"
+            raise ValueError(
+                f"total_mass {self.total_mass} exceeds 1.02: the trapezoid mass over "
+                f"{self.xs.size} grid points on {window} is more than a probability law "
+                "holds; either the law is wrong or the grid is too coarse"
+            )
 
 
 @dataclass(frozen=True)

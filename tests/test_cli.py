@@ -252,6 +252,54 @@ def test_validate_reports_the_zeros_and_the_atom(tmp_path, capsys):
     assert abs(int(fields["zeros"]) / 400 - atom) <= float(fields["ks_distance"])
 
 
+@pytest.mark.parametrize(
+    "nonlinearity, gain, depth, r, zeros, censored",
+    [("linear", 1.0, 8, 1000, 53, 53), ("relu", 2.0, 4, 474, 526, 0)],
+    ids=["linear_x8", "relu_x4"],
+)
+def test_validate_reports_the_censored_zeros_and_the_floor(
+    tmp_path, capsys, nonlinearity, gain, depth, r, zeros, censored
+):
+    # the floor r eps lambda_max pins rounding noise among the Gram's r
+    # eigenvalues to zero; linear x 8 (r = n0) has no other zeros, and the
+    # 526 zeros of ReLU x 4 are the n0 - r exact ones
+    layer = {"nonlinearity": nonlinearity, "sigma_w_sq": gain}
+    payload = {"network": {"layers": [layer] * depth}, "mc": {"n0": 1000, "seed": 3}}
+    cli.main(["validate", "--config", write_config(tmp_path, "mc.json", payload)])
+    report = capsys.readouterr().out
+    keys = [line.split(": ", 1)[0] for line in report.splitlines()]
+    assert keys[keys.index("zeros") :][:3] == ["zeros", "censored", "floor"]
+    fields = dict(line.split(": ", 1) for line in report.splitlines())
+    assert (int(fields["zeros"]), int(fields["censored"])) == (zeros, censored)
+    nl = network_model.Nonlinearity(nonlinearity)
+    spec = network_model.NetworkSpec(layers=(network_model.LayerSpec(nl, gain),) * depth)
+    sample = monte_carlo_spectrum(spec, 1000, seed=3)
+    assert float(fields["floor"]) == sample.floor == r * np.finfo(float).eps * sample.values[-1]
+    assert sample.censored == censored
+
+
+def test_density_names_the_grid_whose_trapezoid_mass_is_refused(tmp_path, capsys):
+    # ReLU then linear: 5 and 2 grid points over the default window hold
+    # more trapezoid mass than any law, while 3 points pass
+    payload = {
+        "network": {
+            "layers": [
+                {"nonlinearity": "relu", "sigma_w_sq": 2.0},
+                {"nonlinearity": "linear", "sigma_w_sq": 1.0},
+            ]
+        }
+    }
+    config = write_config(tmp_path, "coarse.json", payload)
+    out = str(tmp_path / "out.csv")
+    for points, mass in ((5, "1.29"), (2, "145.7")):
+        assert cli.main(["density", "--config", config, "--out", out, "--points", str(points)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: total_mass {mass}")
+        assert f"exceeds 1.02: the trapezoid mass over {points} grid points on [0.0001, " in err
+        assert "either the law is wrong or the grid is too coarse" in err
+    assert cli.main(["density", "--config", config, "--out", out, "--points", "3"]) == 0
+
+
 def test_validate_requires_mc(tmp_path, capsys):
     payload = dict(MP1)
     payload["mc"] = {"enabled": False}

@@ -1,6 +1,7 @@
 """Finite-size sampling, the all-roots baseline, and distribution distance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +35,8 @@ from freespectra.oracles import (
     _STREAM_WEIGHT,
     _bartlett_factor,
     _generator,
-    _lower_gram,
-    _lower_product,
+    _lower_gram_inplace,
+    _lower_product_inplace,
 )
 
 
@@ -84,6 +85,12 @@ def test_empirical_spectrum_validation():
             EmpiricalSpectrum(values=np.array([2.0, 1.0]), **stale)
     with pytest.raises(TypeError):
         EmpiricalSpectrum(np.array([2.0, 1.0]))
+    # a sample built directly pins nothing; the censored count is among the zeros
+    assert (emp.floor, emp.censored) == (0.0, 0)
+    assert EmpiricalSpectrum(values=np.array([0.0, 0.0, 1.0]), censored=2).censored == 2
+    for censored in (-1, 3):
+        with pytest.raises(ValueError, match="censored must count exact zeros"):
+            EmpiricalSpectrum(values=np.array([0.0, 0.0, 1.0]), censored=censored)
 
 
 def test_monte_carlo_is_deterministic_per_seed():
@@ -222,8 +229,8 @@ def live_counts(spec, n0, seed):
 
 def test_oracle_draws_only_live_weight_entries(monkeypatch):
     # every layer draws one r x r Bartlett factor, r the narrowest live width
-    # (n0 included): r (r - 1) / 2 normals from its weight stream and r
-    # chi-squares from its chi stream
+    # (n0 included): r (r - 1) / 2 normals from its weight stream, one call
+    # per block of _BLOCK rows, and r chi-squares from its chi stream
     drawn = []
 
     class Counting:
@@ -260,11 +267,13 @@ def test_oracle_draws_only_live_weight_entries(monkeypatch):
         r = min(live_counts(spec, n0, seed))
         expected = []
         for ell in range(1, len(spec.layers) + 1):
-            expected += [
-                ("normal", ell, _STREAM_WEIGHT, r * (r - 1) // 2),
-                ("chi2", ell, _STREAM_CHI, r),
-            ]
+            for start in range(0, r, _BLOCK):
+                stop = min(start + _BLOCK, r)
+                count = (stop * (stop - 1) - start * (start - 1)) // 2
+                expected.append(("normal", ell, _STREAM_WEIGHT, count))
+            expected.append(("chi2", ell, _STREAM_CHI, r))
         assert drawn == expected
+        assert sum(e[-1] for e in drawn if e[0] == "normal") == len(spec.layers) * r * (r - 1) // 2
     # ReLU x 4 draws about 4 (n0/2)^2 / 2 = n0^2 / 2 numbers, against 4 n0^2
     # for whole weight matrices
     drawn.clear()
@@ -420,20 +429,79 @@ def relative_gap(got, want):
 
 @pytest.mark.parametrize("r", KERNEL_SIZES)
 def test_lower_product_matches_the_dense_product(r):
+    # the product overwrites its right operand, block row by block row
     rng = np.random.default_rng(r)
-    a, b = rng.standard_normal((2, r, r))
-    product = _lower_product(np.tril(a), np.tril(b))
-    assert product.shape == (r, r)
+    a, b = np.tril(rng.standard_normal((2, r, r)))
+    product = b.copy()
+    _lower_product_inplace(a, product)
     assert np.all(np.triu(product, 1) == 0.0)
-    assert relative_gap(product, np.tril(a) @ np.tril(b)) <= 1e-13
+    assert relative_gap(product, a @ b) <= 1e-13
 
 
 @pytest.mark.parametrize("r", KERNEL_SIZES)
 def test_lower_gram_matches_the_dense_gram_below_the_diagonal(r):
+    # the Gram overwrites j's lower half; the blocks above the diagonal
+    # blocks keep j's zeros
     j = np.tril(np.random.default_rng(r).standard_normal((r, r)))
-    gram = _lower_gram(j)
-    assert gram.shape == (r, r)
+    gram = j.copy()
+    _lower_gram_inplace(gram)
     assert relative_gap(np.tril(gram), np.tril(j.T @ j)) <= 1e-13
+    block = np.arange(r) // _BLOCK
+    assert np.all(gram[block[:, None] < block[None, :]] == 0.0)
+
+
+@pytest.mark.parametrize("r", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+def test_bartlett_factor_draws_one_row_major_stream_of_normals(r, tall):
+    # one standard_normal call per block of rows continues one draw of all
+    # r (r - 1) / 2 normals below the diagonal, in row-major order; a buffer
+    # holding anything is overwritten with the same factor
+    seed, layer = 6, 2
+    rows, cols = (r + 3, r) if tall else (r, r + 3)
+    below = _generator(seed, layer, _STREAM_WEIGHT).standard_normal(r * (r - 1) // 2)
+    factor = _bartlett_factor(seed, layer, rows, cols)
+    assert np.array_equal(factor[np.tri(r, k=-1, dtype=bool)], below)
+    assert np.all(np.triu(factor, 1) == 0.0)
+    buffer = np.full((r, r), np.nan)
+    assert _bartlett_factor(seed, layer, rows, cols, out=buffer) is buffer
+    assert np.array_equal(buffer, factor)
+
+
+def traced_peak_doubles(spec, n0, seed):
+    """tracemalloc's peak over one monte_carlo_spectrum call, in doubles."""
+    tracemalloc.start()
+    try:
+        monte_carlo_spectrum(spec, n0, seed=seed)
+        return tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+
+
+# validate's "hard_sine:0.5 linear:2 relu:0.5" net: its narrowest live width
+# is n0 at seed 3
+VALIDATE_DEEP_NET = NetworkSpec(
+    layers=(
+        LayerSpec(Nonlinearity.HARD_SINE, 1.5, width_ratio=0.5),
+        LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=2.0),
+        LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=0.5),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0),) * 8), VALIDATE_DEEP_NET],
+    ids=["linear_x8", "validate_net"],
+)
+def test_monte_carlo_holds_two_triangles_at_any_depth(spec):
+    # the product and one factor buffer, r x r each, plus a block row of
+    # scratch and normals, and a few arrays of n0; a fresh array per factor,
+    # product and Gram peaked at 3.6 r^2 on these nets
+    n0, seed = 1000, 3
+    r = min(live_counts(spec, n0, seed))
+    assert r == n0
+    monte_carlo_spectrum(spec, 64, seed=seed)  # the generators' one-time set-up
+    assert traced_peak_doubles(spec, n0, seed) <= 2 * r * r + 2 * _BLOCK * r + 8 * n0
 
 
 def dense_kernel_spectrum(spec, n0, seed):
