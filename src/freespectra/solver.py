@@ -159,11 +159,11 @@ class BasinCertificates(NamedTuple):
 class SolveStats:
     """Mutable counters accumulated across a solve or a whole grid.
 
-    certificate_tests counts Kantorovich tests in the cold start, the descent
-    and a grid's coarse and batched passes, rejected_tests the ones that did
-    not certify, and lifts the descents that detoured over an apex instead of
-    halving their step (see _descend).  restarts stays 0: no solve falls back
-    to the all-roots oracle; the field keeps the density headers' keys.
+    Each is counted where its work is done: certificate_tests and
+    rejected_tests by _certify and basin_certificates, basins (Newton solves
+    from a certificate) by newton_raphson and newton_lockstep, and lifts
+    (descents that detoured over an apex) by _descend.  restarts stays 0: no
+    solve falls back to the all-roots oracle; it keeps the headers' keys.
     """
 
     newton_iterations: int = 0
@@ -215,10 +215,20 @@ def is_in_basin(
     return BasinCertificate(delta, kappa, lam, h, t_star, value, deriv)
 
 
+def _certify(meq, z: complex, m0: complex, stats: SolveStats) -> Optional[BasinCertificate]:
+    """is_in_basin, read from this module's globals, counted as a test and any rejection."""
+    stats.certificate_tests += 1
+    cert = is_in_basin(meq, z, m0)
+    if cert is None:
+        stats.rejected_tests += 1
+    return cert
+
+
 def basin_certificates(
     meq: RationalMasterEq,
     z: np.ndarray,
     m0: np.ndarray,
+    stats: Optional[SolveStats] = None,
 ) -> BasinCertificates:
     """is_in_basin elementwise over arrays of objectives z and starts m0.
 
@@ -226,7 +236,7 @@ def basin_certificates(
     or kappa not finite, and h not below 1/2.  Every modulus is hypot, as in
     Python's abs of a complex, so each verdict and h is the scalar one: |phi|,
     |phi'|, |z| and the lambda bound's |m0 - r_j| are all taken per point
-    (second_derivative_bound_array).
+    (second_derivative_bound_array); stats counts each test and rejection.
     """
     z = np.asarray(z, dtype=complex)
     m0 = np.asarray(m0, dtype=complex)
@@ -240,7 +250,11 @@ def basin_certificates(
         usable = (denom != 0.0) & np.isfinite(denom) & np.isfinite(delta) & np.isfinite(kappa)
         lam = second_derivative_bound_array(meq, z, m0, 2.0 * delta)
         h = np.where(usable, delta * kappa * lam, np.nan)
-    return BasinCertificates(usable & (h < 0.5), h, value, deriv)
+    certified = usable & (h < 0.5)
+    if stats is not None:
+        stats.certificate_tests += certified.size
+        stats.rejected_tests += certified.size - int(np.count_nonzero(certified))
+    return BasinCertificates(certified, h, value, deriv)
 
 
 def newton_raphson(
@@ -254,10 +268,11 @@ def newton_raphson(
     so an exact root is returned unchanged.
 
     A certificate from is_in_basin(meq, z, m0) supplies phi and phi' at m0, so
-    the first step costs no evaluation; the iterates are the same either way.
-    Stops by _converged: when |phi_z(m)| < _EPSILON and the next step
-    |phi/phi'| is at most _EPSILON * (1 + |m|), or when the residual falls below
-    its own floating-point evaluation floor (converged to working precision).
+    the first step costs no evaluation; the iterates are the same either way,
+    and only such a solve counts as a basin in stats.  Stops by _converged:
+    when |phi_z(m)| < _EPSILON and the next step |phi/phi'| is at most
+    _EPSILON * (1 + |m|), or when the residual falls below its own
+    floating-point evaluation floor (converged to working precision).
     """
     if z.imag == 0.0:
         raise _off_axis_error(z)
@@ -271,6 +286,8 @@ def newton_raphson(
         if _converged(value, deriv, m, degree):
             if stats is not None:
                 stats.newton_iterations += iteration
+                if certificate is not None:
+                    stats.basins += 1
             return m
         if iteration == _MAX_NEWTON_ITERS:
             break
@@ -300,8 +317,8 @@ def newton_lockstep(
     value and deriv are phi and phi' at m0 from basin_certificates(meq, z, m0),
     taken only where it certified; they make the first step.  Each point stops
     by newton_raphson's stop rule, with its moduli taken by np.abs
-    (_converged_array), and leaves the batch; stats.newton_iterations gains
-    each point's step count.  The first point, in array order, to hit one of
+    (_converged_array), and leaves the batch; stats counts each point as a
+    basin, with its steps.  The first point, in array order, to hit one of
     newton_raphson's errors raises it, naming that point's z.
     """
     z = np.asarray(z, dtype=complex)
@@ -322,6 +339,7 @@ def newton_lockstep(
         if live.size == 0:
             if stats is not None:
                 stats.newton_iterations += steps
+                stats.basins += out.size
             return out
         if iteration == _MAX_NEWTON_ITERS:
             break
@@ -368,8 +386,8 @@ def newton_lilypads(
     stats.lifts counts it (see _descend).  Every Newton solve starts from a
     certificate and reuses its evaluation.  A caller that has already tested
     the proxy's root at z_objective, is_in_basin(meq, z_objective, m), and
-    counted that test, passes the accepted certificate: the descent takes it
-    for its first, whole-gap step instead of testing again.
+    counted that test, passes the accepted certificate: the answer is then one
+    Newton solve from it, made here so that perfbench's Capture records it.
     """
     if z_objective.imag == 0.0:
         raise _off_axis_error(z_objective)
@@ -390,10 +408,8 @@ def newton_lilypads(
         )
         m = 0j
         doublings = 0
-        stats.certificate_tests += 1
-        cert = is_in_basin(meq, z, m)
+        cert = _certify(meq, z, m, stats)
         while cert is None:
-            stats.rejected_tests += 1
             if doublings >= _MAX_DOUBLINGS:
                 raise SolverError(
                     f"no certified start after {doublings} doublings of Im z "
@@ -402,17 +418,17 @@ def newton_lilypads(
                 )
             z = complex(z.real, 2.0 * z.imag)
             doublings += 1
-            stats.certificate_tests += 1
-            cert = is_in_basin(meq, z, m)
+            cert = _certify(meq, z, m, stats)
         stats.doublings += doublings
         m = newton_raphson(meq, z, m, stats, cert)
-        stats.basins += 1
         if z == z_objective:
             return m
+    elif certificate is not None:
+        return newton_raphson(meq, z_objective, proxy[1], stats, certificate)
     else:
         z, m = proxy
 
-    return _descend(meq, z, m, z_objective, stats, certificate=certificate)
+    return _descend(meq, z, m, z_objective, stats)
 
 
 def _descend(
@@ -422,7 +438,6 @@ def _descend(
     z_objective: complex,
     stats: SolveStats,
     leg_end: Optional[complex] = None,
-    certificate: Optional[BasinCertificate] = None,
 ) -> complex:
     """Walk the solved (z, m) to z_objective in certified steps and return m there.
 
@@ -437,8 +452,8 @@ def _descend(
     stay in the open half-plane of z, where the decaying branch is analytic,
     and each is this straight descent with leg_end set: it walks to leg_end,
     names z_objective in its errors and does not lift again, so a descent
-    lifts at most once and every leg keeps its step floor.  A certificate
-    already taken at the end from m stands in for the first, whole-gap test.
+    lifts at most once and every leg keeps its step floor.  _certify and
+    newton_raphson count its tests and solves, and stats.lifts the lift.
     """
     end = z_objective if leg_end is None else leg_end
     full_step = abs(end - z)
@@ -452,20 +467,14 @@ def _descend(
         else:
             dz *= 2.0 * step / gap
             target = z + dz
-        if certificate is None:
-            stats.certificate_tests += 1
-            cert = is_in_basin(meq, target, m)
-        else:
-            cert, certificate = certificate, None
+        cert = _certify(meq, target, m, stats)
         if cert is None and leg_end is None and abs(z.imag) < gap:
-            stats.rejected_tests += 1
             stats.lifts += 1
             height = 0.5 * gap + max(abs(z.imag), abs(z_objective.imag))
             apex = 0.5 * (z + z_objective) + complex(0.0, math.copysign(height, z.imag))
             m = _descend(meq, z, m, z_objective, stats, apex)
             return _descend(meq, apex, m, z_objective, stats, z_objective)
         while cert is None:
-            stats.rejected_tests += 1
             dz *= 0.5
             target = z + dz
             if abs(dz) < floor:
@@ -481,11 +490,9 @@ def _descend(
                     z=z_objective,
                     last_certified=(z, m),
                 )
-            stats.certificate_tests += 1
-            cert = is_in_basin(meq, target, m)
+            cert = _certify(meq, target, m, stats)
         step = abs(dz)
         z = target
         m = newton_raphson(meq, z, m, stats, cert)
-        stats.basins += 1
         if z == end:
             return m

@@ -258,9 +258,8 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     """Decaying-branch roots at the points zs, given in walk order.
 
     Coarse pass: from the root at its head, the walk tests its jump's end
-    once.  If that step certifies, newton_lilypads takes it from that
-    certificate (its descent tries the whole gap first, so the test is not
-    repeated), the end becomes the next head, and the next jump is twice
+    once.  If that step certifies, newton_lilypads solves there from that
+    certificate, the end becomes the next head, and the next jump is twice
     this one, up to max(_STRIDE, (n - 1) // 8) points; the first jump is
     _STRIDE.  A jump that does not certify is halved, down to single steps,
     which are walked from their neighbour without a test.  This is the
@@ -308,12 +307,8 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
         z_end = complex(zs[end])
         cert = None
         if jump > 1:
-            # called through the solver module, so that a wrapper installed at
-            # solver.is_in_basin sees the coarse tests too
-            stats.certificate_tests += 1
-            cert = solver.is_in_basin(meq, z_end, m)
+            cert = solver._certify(meq, z_end, m, stats)
             if cert is None:
-                stats.rejected_tests += 1
                 jump //= 2
                 continue
         m = walk(end, (z_head, m), cert)
@@ -350,17 +345,14 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
         m0 *= t
         m0 += m_heads[j]
         z = zs[fine]
-        certs = basin_certificates(meq, z, m0)
+        certs = basin_certificates(meq, z, m0, stats)
         ok = np.flatnonzero(certs.certified)
-        stats.certificate_tests += fine.size
-        stats.rejected_tests += fine.size - ok.size
         try:
             ms[fine[ok]] = newton_lockstep(
                 meq, z[ok], m0[ok], certs.value[ok], certs.deriv[ok], stats
             )
         except SolverError as err:
             raise SolverError(f"density solve failed at x={err.z.real!r}: {err}", z=err.z) from err
-        stats.basins += ok.size
         failed += fine[~certs.certified].tolist()
     for k in failed:
         walk(k, (complex(zs[k - 1]), complex(ms[k - 1])))

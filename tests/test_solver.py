@@ -396,6 +396,8 @@ def test_lilypads_from_a_handed_certificate_skips_its_test():
     assert newton_lilypads(meq, z_to, proxy, handed, cert) == m
     assert handed.certificate_tests == tested.certificate_tests - 1
     assert handed.newton_iterations == tested.newton_iterations
+    # the handed certificate makes one Newton solve and no test
+    assert (handed.basins, handed.certificate_tests) == (1, 0)
     with pytest.raises(ValueError, match="needs the proxy"):
         newton_lilypads(meq, z_to, certificate=cert)
 
@@ -427,17 +429,23 @@ def test_every_newton_solve_starts_from_a_certificate(monkeypatch, nonlinearity,
 
 
 @pytest.mark.parametrize(
-    "nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins",
+    "nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins, others",
     [
-        pytest.param(Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 1358, 449, 909, 407, id="relu4"),
         pytest.param(
-            Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 1240, 478, 762, 423, id="hard_sine3_ratio2"
+            Nonlinearity.RELU, 2.0, 1.0, 4, 1e-6, 1358, 449, 909, 407, (42, 2, 0), id="relu4"
         ),
-        pytest.param(Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 1387, 463, 924, 405, id="linear16"),
+        pytest.param(
+            Nonlinearity.HARD_SINE, 1.5, 2.0, 3, 1e-9, 1240, 478, 762, 423, (55, 5, 0),
+            id="hard_sine3_ratio2",
+        ),
+        pytest.param(
+            Nonlinearity.LINEAR, 1.0, 1.0, 16, 1e-6, 1387, 463, 924, 405, (58, 0, 0),
+            id="linear16",
+        ),
     ],
 )
 def test_grid_evaluates_phi_once_per_test_and_step(
-    monkeypatch, nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins
+    monkeypatch, nonlinearity, gain, ratio, depth, y, evals, tests, iterations, basins, others
 ):
     # Newton's first step reuses the certificate's evaluation, so phi is
     # evaluated at one point per certificate test and per Newton iteration,
@@ -470,6 +478,10 @@ def test_grid_evaluates_phi_once_per_test_and_step(
         iterations,
         basins,
     )
+    # others is (rejected_tests, lifts, doublings); every accepted test leads
+    # to exactly one Newton solve
+    assert (stats.rejected_tests, stats.lifts, stats.doublings) == others
+    assert stats.basins == stats.certificate_tests - stats.rejected_tests
 
 
 def test_newton_from_certificate_matches_fresh_evaluation():
@@ -555,8 +567,11 @@ def test_newton_lockstep_raises_newton_raphsons_errors(monkeypatch):
     meq = mp_meq()
     z = np.array([10j, 2 + 1j, 0.5 + 0.5j])
     m0 = np.array([0j, -0.5j, -1 + 1j])
-    certs = basin_certificates(meq, z, m0)
+    counted = SolveStats()
+    certs = basin_certificates(meq, z, m0, counted)
     assert certs.certified.all()
+    certified = int(np.count_nonzero(certs.certified))
+    assert (counted.certificate_tests, counted.rejected_tests) == (z.size, z.size - certified)
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "_MAX_NEWTON_ITERS", 1)
         with pytest.raises(SolverError, match="no convergence within 1 iterations") as info:
@@ -570,6 +585,7 @@ def test_newton_lockstep_raises_newton_raphsons_errors(monkeypatch):
         assert abs(m_i - newton_raphson(meq, z_i, m0_i, stats=scalar)) <= 1e-14
     assert ms[2] == m0[2]
     assert batched.newton_iterations == scalar.newton_iterations
+    assert batched.basins == z.size
 
 
 def test_lockstep_stop_rule_matches_newton_raphson_on_grid_batches(monkeypatch):

@@ -305,8 +305,8 @@ def record_grid_starts(monkeypatch):
     starts = []
     original = spectrum_module.basin_certificates
 
-    def recording(meq, z, m0):
-        certs = original(meq, z, m0)
+    def recording(meq, z, m0, stats=None):
+        certs = original(meq, z, m0, stats)
         starts.extend(zip(z.tolist(), m0.tolist(), certs.certified.tolist()))
         return certs
 
