@@ -11,6 +11,22 @@ created as a plain open creates it (mode 0666 less the umask at write time),
 then renamed.  A density's total_mass header is written for readers and
 recomputed from the rows on read.  Files spelled by `repr` and json.dumps,
 as quantile tables once were, read to the same doubles.
+
+Both directions hold about one buffer per artifact.  A CSV goes to its file
+as bytes while it is rendered: the header, then the rows in blocks of _BLOCK,
+each one orjson dump edited in place; a JSON document is orjson's bytes as
+they come.  Besides the stack of its columns, a write holds one block of
+text at a time: a 200,000-row density writes at a traced peak of half its
+file's size.  A file is read in binary: the header one line at a time, then
+the body whole, whose field counts come from the byte positions of its
+commas and newlines and whose floats are parsed in one C pass into
+contiguous columns, at a traced peak below three times the file's size.
+The line of column names must be the artifact's own, so a file that lost it
+does not lose its first row.  Bodies with blank lines, spaces or tabs, or
+with a malformed row, go to a reader that splits them line by line; it skips
+blank and white-space lines and names the line of a row with the wrong
+number of fields or a field that is not a float.  Line breaks are "\\n" or
+"\\r\\n".
 """
 
 from __future__ import annotations
@@ -19,7 +35,8 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional
+import warnings
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import orjson
@@ -44,116 +61,184 @@ _STAT_KEYS = tuple(field.name for field in dataclasses.fields(SolveStats))
 # Python float per element.
 _NUMPY = orjson.OPT_SERIALIZE_NUMPY
 
+# Rows per orjson dump of a CSV body: a few hundred kB of text, so a write
+# holds one block of it besides the column stack.
+_BLOCK = 4096
 
-def write_text(text: str, path: Optional[str] = None) -> None:
-    """Write to path atomically, or to stdout when path is None."""
+# Each artifact's CSV line of column names, by its JSON keys.
+_TITLES = {
+    ("x", "rho"): b"x,rho",
+    ("probs", "values", "log10_values"): b"prob,value,log10_value",
+}
+
+_COMMA, _NEWLINE = ord(","), ord("\n")
+# A row's line break read as one more field separator.
+_ROW_ENDS = bytes.maketrans(b"\n", b",")
+
+
+def _write(chunks: Iterable, path: Optional[str]) -> None:
+    """Write byte chunks to path atomically, each as it comes, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(b"".join(chunks).decode())
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-artifact-{os.urandom(8).hex()}")
     # "x" is O_EXCL: an existing name or link is refused, never written through
-    handle = open(tmp, "x", encoding="utf-8")
+    handle = open(tmp, "xb")
     try:
         with handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _render(header: dict, columns: dict, title: str, fmt: str) -> str:
-    """The artifact text of a header and its float columns.
+def write_text(text: str, path: Optional[str] = None) -> None:
+    """Write to path atomically, or to stdout when path is None."""
+    _write((text.encode(),), path)
 
-    columns maps each JSON key to its values; title is the CSV's line of
-    column names.  A dict-valued header entry, the solve counters, stays one
-    nested object in JSON and gives one CSV header line per entry; a None
-    entry gives no CSV line.
+
+def _chunks(header: dict, columns: dict, fmt: str) -> Iterator:
+    """The artifact of a header and its float columns, as byte chunks.
+
+    columns maps each JSON key to its values.  A dict-valued header entry,
+    the solve counters, stays one nested object in JSON and gives one CSV
+    header line per entry; a None entry gives no CSV line.
     """
     if fmt == "json":
         arrays = {key: np.ascontiguousarray(values, dtype=float) for key, values in columns.items()}
-        doc = {**header, **arrays}
-        return orjson.dumps(doc, option=_NUMPY | orjson.OPT_APPEND_NEWLINE).decode()
+        yield orjson.dumps({**header, **arrays}, option=_NUMPY | orjson.OPT_APPEND_NEWLINE)
+        return
     lines = []
     for key, value in header.items():
         for name, item in value.items() if isinstance(value, dict) else [(key, value)]:
             if item is not None:
-                lines.append(f"# {name}: {orjson.dumps(item, option=_NUMPY).decode()}")
-    # The (n, k) stack dumps row by row as one flat [a,b,a,b,...] in one C
-    # pass; every k-th comma, found as a byte, becomes a line break, and a
-    # memoryview drops the brackets without another copy.  orjson spells -inf
-    # null, the only non-finite float an artifact holds; no other spelling has
-    # an "n", and a one-byte search is a memchr, several times faster than a
-    # search for "null".
+                lines.append(b"# %s: %s" % (name.encode(), orjson.dumps(item, option=_NUMPY)))
+    lines += [_TITLES[tuple(columns)], b""]
+    yield b"\n".join(lines)
+    # Each block of the (n, k) stack dumps row by row as one flat [a,b,a,b,...]
+    # in one C pass.  In that buffer every k-th comma, found as a byte, becomes
+    # a line break and the closing bracket the last one; a memoryview drops
+    # the opening bracket.  orjson spells -inf null, the only non-finite float
+    # an artifact holds; no other spelling has an "n", and a one-byte search
+    # is a memchr, several times faster than a search for "null".
     stack = np.column_stack(tuple(columns.values()))
-    rows = bytearray(orjson.dumps(stack.ravel(), option=_NUMPY))
-    chars = np.frombuffer(rows, dtype=np.uint8)
     k = stack.shape[1]
-    chars[np.flatnonzero(chars == ord(","))[k - 1 :: k]] = ord("\n")
-    if b"n" in rows:
-        rows = rows.replace(b"null", b"-inf")
-    lines += [title, str(memoryview(rows)[1:-1], "ascii"), ""]
-    return "\n".join(lines)
+    for start in range(0, len(stack), _BLOCK):
+        rows = bytearray(orjson.dumps(stack[start : start + _BLOCK].ravel(), option=_NUMPY))
+        chars = np.frombuffer(rows, dtype=np.uint8)
+        chars[np.flatnonzero(chars == _COMMA)[k - 1 :: k]] = _NEWLINE
+        chars[-1] = _NEWLINE
+        if b"n" in rows:
+            rows = rows.replace(b"null", b"-inf")
+        yield memoryview(rows)[1:]
 
 
-def render_density(curve: DensityCurve, fmt: str = "csv") -> str:
+def _density(curve: DensityCurve) -> tuple[dict, dict]:
     header = {
         "y": curve.y,
         "total_mass": curve.total_mass,
         "atom_lower_bound": curve.atom_lower_bound,
         "stats": None if curve.stats is None else dataclasses.asdict(curve.stats),
     }
-    return _render(header, {"x": curve.xs, "rho": curve.rhos}, "x,rho", fmt)
+    return header, {"x": curve.xs, "rho": curve.rhos}
+
+
+def _quantiles(table: QuantileTable) -> tuple[dict, dict]:
+    header = {"atom_lower_bound": table.atom_lower_bound, "total_mass": table.total_mass}
+    columns = {"probs": table.probs, "values": table.values, "log10_values": table.log10_values}
+    return header, columns
+
+
+def render_density(curve: DensityCurve, fmt: str = "csv") -> str:
+    return b"".join(_chunks(*_density(curve), fmt)).decode()
 
 
 def render_quantiles(table: QuantileTable, fmt: str = "csv") -> str:
-    header = {"atom_lower_bound": table.atom_lower_bound, "total_mass": table.total_mass}
-    columns = {"probs": table.probs, "values": table.values, "log10_values": table.log10_values}
-    return _render(header, columns, "prob,value,log10_value", fmt)
+    return b"".join(_chunks(*_quantiles(table), fmt)).decode()
 
 
 def write_density(curve: DensityCurve, path: Optional[str] = None, fmt: str = "csv") -> None:
-    write_text(render_density(curve, fmt), path)
+    _write(_chunks(*_density(curve), fmt), path)
 
 
 def write_quantiles(table: QuantileTable, path: Optional[str] = None, fmt: str = "csv") -> None:
-    write_text(render_quantiles(table, fmt), path)
+    _write(_chunks(*_quantiles(table), fmt), path)
 
 
-def _split_artifact(text: str, fields: int) -> tuple[dict, list]:
-    """The "# key: value" header and the `fields` float columns of a CSV.
+def _parse_floats(text: bytes) -> Optional[np.ndarray]:
+    """The comma-separated floats of text, or None where one does not parse.
 
-    The header lines precede the column-name line; every nonblank line after
-    it is a row of exactly `fields` comma-separated floats, and a row with
-    any other count raises a ValueError naming its line.  The rows are split
-    in one pass, as one list of tokens, not one list per row, and each column
-    is parsed from its slice of it into its own array; float() spells each
-    token back into the double it was written from.
+    numpy before 2.0 warns on unparsable text, and returns what it read,
+    where later versions raise.
     """
-    lines = text.splitlines()
-    meta: dict = {}
-    body = len(lines)
-    for number, line in enumerate(lines):
-        line = line.strip()
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
-        elif line:
-            body = number + 1
-            break
-    rows = []
-    for number, line in enumerate(lines[body:], start=body + 1):
-        if line.count(",") == fields - 1:
-            rows.append(line)
-        elif line.strip():
-            raise ValueError(
-                f"line {number}: expected {fields} comma-separated fields, "
-                f"got {line.count(',') + 1}"
-            )
-    tokens = ",".join(rows).split(",") if rows else []
-    columns = (tokens[j::fields] for j in range(fields))
-    return meta, [np.fromiter(map(float, column), float, len(column)) for column in columns]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(text, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _parse_rows(body: bytes, fields: int, first: int) -> list:
+    """The columns of a CSV body, line by line; first is its first line's number.
+
+    A line that is empty or white space is skipped; any other line must hold
+    `fields` comma-separated floats, each with white space around it or none.
+    The fields, stripped, are parsed in one pass; where that fails, each is
+    parsed alone, and the first line that does not hold its floats raises a
+    ValueError naming it.
+    """
+    lines, numbers = [], []
+    for number, line in enumerate(body.split(b"\n"), start=first):
+        tokens = line.split(b",")
+        if len(tokens) != fields:
+            if line.strip():
+                raise ValueError(
+                    f"line {number}: expected {fields} comma-separated fields, got {len(tokens)}"
+                )
+            continue
+        lines.append(b",".join(token.strip() for token in tokens))
+        numbers.append(number)
+    values = _parse_floats(b",".join(lines))
+    if values is None or values.size != fields * len(lines):
+        for number, line in zip(numbers, lines):
+            for token in line.split(b","):
+                # numpy reads a field of white space as -1.0; a stripped one is empty
+                parsed = _parse_floats(token) if token else None
+                if parsed is None or parsed.size != 1:
+                    text = token.decode(errors="replace")
+                    raise ValueError(f"line {number}: could not convert string to float: {text!r}")
+    return [np.ascontiguousarray(values[j::fields]) for j in range(fields)]
+
+
+def _parse_body(body: bytes, fields: int, first: int) -> list:
+    """The `fields` float columns of a CSV body; first is its first line's number.
+
+    Each line's field count comes from the byte positions of its commas and
+    newlines.  When every line has `fields` fields and the body holds no
+    white space but its line breaks, a carriage return before each, the body
+    is one run of comma-separated floats once each line break reads as a
+    comma, and numpy parses it in one pass, with no Python object per row or
+    field.  Any other body, or one that does not parse, goes to _parse_rows,
+    which reads it or names its first bad line.
+    """
+    chars = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(chars == _NEWLINE)
+    if not body.endswith(b"\n"):
+        ends = np.append(ends, len(body))
+    counts = np.diff(np.searchsorted(np.flatnonzero(chars == _COMMA), ends), prepend=0)
+    rows, uniform = ends.size, bool(np.all(counts == fields - 1))
+    # freed before the parse, which holds the body, its translation and the floats
+    del chars, ends, counts
+    plain = not any(space in body for space in (b" ", b"\t", b"\x0b", b"\x0c", b",\r"))
+    if uniform and plain and body.count(b"\r") == body.count(b"\r\n"):
+        values = _parse_floats(body.translate(_ROW_ENDS))
+        if values is not None and values.size == fields * rows:
+            return [np.ascontiguousarray(values[j::fields]) for j in range(fields)]
+    return _parse_rows(body, fields, first)
 
 
 def _load(path: str, keys: tuple) -> tuple[dict, list]:
@@ -161,15 +246,30 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
 
     A JSON document's "stats" object folds into the header, as its counters
     are header lines in CSV; a CSV's columns are taken in the order of keys.
-    json.loads also reads the -Infinity that json.dumps once wrote.
+    The header lines of a CSV precede its line of column names, which must be
+    the artifact's own; json.loads also reads the -Infinity that json.dumps
+    once wrote.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if text.lstrip().startswith("{"):
-        meta = json.loads(text)
-        meta.update(meta.pop("stats", None) or {})
-        return meta, [np.array(meta.pop(key), dtype=float) for key in keys]
-    return _split_artifact(text, len(keys))
+    title = _TITLES[keys]
+    meta: dict = {}
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if stripped.startswith(b"#"):
+                key, _, value = stripped[1:].partition(b":")
+                meta[key.strip().decode()] = value.strip().decode()
+            elif stripped.startswith(b"{") and not meta:
+                meta = json.loads(line + handle.read())
+                meta.update(meta.pop("stats", None) or {})
+                return meta, [np.array(meta.pop(key), dtype=float) for key in keys]
+            elif stripped == title:
+                return meta, _parse_body(handle.read(), len(keys), number + 1)
+            elif stripped:
+                raise ValueError(
+                    f"line {number}: expected the column names {title.decode()!r}, "
+                    f"got {stripped.decode(errors='replace')!r}"
+                )
+    return meta, [np.empty(0) for _ in keys]
 
 
 def read_density(path: str) -> DensityCurve:

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import random
 import re
 import stat
+import tracemalloc
 
 import numpy as np
 import orjson
@@ -515,3 +517,179 @@ def test_write_text_refuses_a_temp_name_that_exists(tmp_path, monkeypatch):
         write_text("x\n", str(tmp_path / "artifact.csv"))
     assert victim.read_text() == "keep\n" and link.is_symlink()
     assert not (tmp_path / "artifact.csv").exists()
+
+
+def traced_peak(call):
+    """tracemalloc's peak over one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_codec_holds_about_one_buffer_per_artifact(tmp_path):
+    # the whole text as one str, then its lines, tokens and floats, peaked at
+    # 3.4 times the file's size to write and 8.6 times to read
+    rng = np.random.default_rng(11)
+    xs = np.cumsum(rng.uniform(1e-5, 2e-5, 200_000))
+    rhos = rng.uniform(0.0, 1.0, xs.size)
+    curve = DensityCurve(
+        xs=xs, rhos=rhos / (2.0 * xs[-1]), y=1e-6, stats=SolveStats(basins=xs.size)
+    )
+    path = tmp_path / "large.csv"
+    write_density(curve, str(path))
+    size = path.stat().st_size
+    assert size > 7_000_000
+    assert traced_peak(lambda: write_density(curve, str(path))) < size
+    assert traced_peak(lambda: read_density(str(path))) < 3 * size
+    back = read_density(str(path))
+    assert np.array_equal(back.xs, curve.xs) and np.array_equal(back.rhos, curve.rhos)
+
+
+def test_csv_with_crlf_line_ends_reads_bit_identical(tmp_path):
+    curve, table = awkward_curve(), zero_quantile_table()
+    density, quantile_path = tmp_path / "d.csv", tmp_path / "q.csv"
+    density.write_bytes(render_density(curve).replace("\n", "\r\n").encode())
+    quantile_path.write_bytes(render_quantiles(table).replace("\n", "\r\n").encode())
+    back = read_density(str(density))
+    assert np.array_equal(back.xs.view(np.uint64), curve.xs.view(np.uint64))
+    assert np.array_equal(back.rhos.view(np.uint64), curve.rhos.view(np.uint64))
+    assert back.stats == curve.stats and back.y == curve.y
+    assert read_quantiles(str(quantile_path)) == table
+
+
+@pytest.mark.parametrize("kind", ["density", "quantiles"])
+@pytest.mark.parametrize("edit", ["dropped", "reordered"])
+def test_csv_without_its_column_names_is_refused(tmp_path, kind, edit):
+    # a file that lost its column names once read back without its first row
+    if kind == "density":
+        text, read, title = render_density(awkward_curve()), read_density, "x,rho"
+    else:
+        text, read = render_quantiles(zero_quantile_table()), read_quantiles
+        title = "prob,value,log10_value"
+    lines = text.splitlines()
+    number = lines.index(title) + 1
+    if edit == "dropped":
+        del lines[number - 1]
+    else:
+        lines[number - 1] = ",".join(reversed(title.split(",")))
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"line {number}: expected the column names {title!r}, got {lines[number - 1]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(str(path))
+    # white space around the names is no other line
+    lines.insert(number - 1, f"  {title}\t")
+    if edit == "reordered":
+        del lines[number]
+    path.write_text("\n".join(lines) + "\n")
+    read(str(path))
+
+
+@pytest.mark.parametrize(
+    "field", ["abc", "1_0", "", " ", "0x10", "1 2", "1.0-2.0", "2.0\x00", "2.0\xff"]
+)
+def test_csv_with_a_field_that_is_not_a_float_names_its_line(tmp_path, field):
+    # float() raised without a line number, and it read "1_0" as 10.0
+    lines = render_density(awkward_curve(), "csv").splitlines()
+    number = lines.index("2.0,5e-324") + 1
+    lines[number - 1] = f"2.0,{field}"
+    path = tmp_path / "bad.csv"
+    # latin-1 writes "\xff" as the one byte, which is not UTF-8
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    quoted = field.encode("latin-1").decode(errors="replace").strip()
+    message = f"line {number}: could not convert string to float: {quoted!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_density(str(path))
+
+
+_FIELDS = (b"1.5", b"-2e3", b"5e-324", b"nan", b"-inf", b"+4", b"\r", b" ", b"\t", b"", b" 3 ")
+_FIELDS += (b"5\r", b"\r6", b"1 2", b"1_0", b"abc", b"1.0-2.0", b"\x00", b"7\x008")
+
+
+def random_body(rng):
+    """A CSV body of a few lines, most of them two floats, some malformed."""
+    lines = []
+    for _ in range(rng.randint(1, 5)):
+        count = rng.choice((2, 2, 2, 2, 1, 3, 0))
+        lines.append(b",".join(rng.choice(_FIELDS[:6] * 6 + _FIELDS) for _ in range(count)))
+    body = rng.choice((b"\n", b"\r\n")).join(lines)
+    return body + rng.choice((b"", b"\n", b"\r\n", b"\n\n"))
+
+
+def fieldwise_columns(body, fields, first):
+    """The reader's contract, with float() on each field alone and "1_0" refused.
+
+    A row with the wrong number of fields is named before a field that is
+    not a float, wherever each is.
+    """
+    rows = []
+    for number, line in enumerate(body.split(b"\n"), start=first):
+        tokens = line.split(b",")
+        if len(tokens) == fields:
+            rows.append((number, [token.strip() for token in tokens]))
+        elif line.strip():
+            message = f"expected {fields} comma-separated fields, got {len(tokens)}"
+            raise ValueError(f"line {number}: {message}")
+    values = []
+    for number, tokens in rows:
+        for token in tokens:
+            try:
+                if b"_" in token:
+                    raise ValueError(token)
+                values.append(float(token))
+            except ValueError:
+                text = token.decode(errors="replace")
+                message = f"line {number}: could not convert string to float: {text!r}"
+                raise ValueError(message) from None
+    table = np.array(values, dtype=float).reshape(-1, fields)
+    return [table[:, j] for j in range(fields)]
+
+
+def parsed(parse, body):
+    try:
+        return [column.view(np.uint64).tolist() for column in parse(body, 2, 3)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_csv_bodies_read_as_each_field_read_alone():
+    # numpy reads a field of white space as -1.0; both readers must read, or
+    # refuse with the same message, every body as float() on each field does
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(4000):
+        body = random_body(rng)
+        reference = parsed(fieldwise_columns, body)
+        assert parsed(artifacts._parse_body, body) == reference, body
+        assert parsed(artifacts._parse_rows, body) == reference, body
+        seen.add(isinstance(reference, str))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "rows", [1, artifacts._BLOCK - 1, artifacts._BLOCK, 2 * artifacts._BLOCK + 1]
+)
+def test_csv_blocks_join_as_one_dump(tmp_path, rows):
+    # the rows go out one block of _BLOCK at a time, as bytes; the file and
+    # the rendered text are the one nested dump
+    rng = np.random.default_rng(rows)
+    values = np.where(rng.random(rows) < 0.3, 0.0, random_doubles(rng, rows))
+    table = QuantileTable(
+        probs=np.sort(rng.uniform(0.0, 1.0, rows)),
+        values=values,
+        atom_lower_bound=0.25,
+        total_mass=0.75,
+    )
+    text = render_quantiles(table, "csv")
+    assert text.endswith(
+        "prob,value,log10_value\n"
+        + nested_csv_rows((table.probs, table.values, table.log10_values))
+        + "\n"
+    )
+    path = tmp_path / "q.csv"
+    write_quantiles(table, str(path))
+    assert path.read_bytes() == text.encode()
+    assert read_quantiles(str(path)) == table
