@@ -2,11 +2,12 @@
 
 Three cross-checks that share no code with the solver's continuation:
 finite-size Monte-Carlo sampling of the Jacobian Gram spectrum, with each
-layer's derivative diagonal drawn independent of its weights and each
-layer's weights drawn as one triangular Bartlett factor of the bottleneck's
-width, an all-roots polynomial baseline (companion-matrix eigenvalues, each
-polished by Newton steps on eval_phi), and a Kolmogorov-Smirnov distance that
-accounts for the point mass at zero.
+layer's derivative diagonal drawn independent of its weights, the layer at
+the bottleneck drawn as one lower-bidiagonal factor with the singular values
+of its Gaussian block, and each other layer's weights as one triangular
+Bartlett factor of the bottleneck's width; an all-roots polynomial baseline
+(companion-matrix eigenvalues, each polished by Newton steps on eval_phi);
+and a Kolmogorov-Smirnov distance that accounts for the point mass at zero.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ __all__ = [
 
 # Per-(seed, layer) substreams; keeps every draw independent of matrix
 # assembly order.  The sampler reads every layer's gain stream first, then
-# draws each layer's r x r Bartlett factor: the r chi-squared diagonal entries
-# from its chi stream, and the r (r - 1) / 2 normals below the diagonal from
-# its weight stream, in row-major order.  Each layer owns the four keys
+# draws each layer's r x r factor.  A Bartlett factor takes its r chi-squared
+# diagonal entries from the chi stream, and the r (r - 1) / 2 normals below
+# the diagonal from the weight stream, in row-major order; the bottleneck's
+# bidiagonal takes its r diagonal chi-squares from the chi stream and its
+# r - 1 subdiagonal ones from the weight stream.  Each layer owns the four keys
 # 4 layer + stream (see _generator), of which these three are drawn; a change
 # to that key would change every sample.
 _STREAM_WEIGHT = 0
@@ -111,6 +114,33 @@ def _bartlett_factor(
     return out
 
 
+def _bidiagonal_factor(
+    seed: int, layer: int, rows: int, cols: int, scale: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Lower-bidiagonal r x r factor B with the singular values of a rows x
+    cols standard Gaussian block, times scale, written into out when it is given.
+
+    r = min(rows, cols) and a = max(rows, cols).  B_ii^2 ~ chi^2_{a - i} and
+    B_{i+1, i}^2 ~ chi^2_{r - 1 - i} (0-based), and every other entry is 0, so
+    B B^T is Wishart_r(a, I) in its eigenvalues: B is the Householder
+    bidiagonal of the block, whose two orthogonal factors are dropped (the
+    beta = 1 Laguerre ensemble; Dumitriu & Edelman, J. Math. Phys. 43 (2002)
+    5830).  The diagonal comes from the layer's chi stream and the
+    subdiagonal from its weight stream.
+    """
+    r = min(rows, cols)
+    if out is None:
+        out = np.zeros((r, r))
+    else:
+        out.fill(0.0)
+    index = np.arange(r)
+    chi = _generator(seed, layer, _STREAM_CHI).chisquare(max(rows, cols) - index)
+    out[index, index] = scale * np.sqrt(chi)
+    chi = _generator(seed, layer, _STREAM_WEIGHT).chisquare(r - 1 - index[:-1])
+    out[index[1:], index[:-1]] = scale * np.sqrt(chi)
+    return out
+
+
 def _blocks(n: int) -> list:
     return [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
 
@@ -155,6 +185,61 @@ def _lower_gram_inplace(j: np.ndarray) -> None:
         j[rows, : rows.stop] = out[:, : rows.stop]
 
 
+def _bidiagonal_left_inplace(bidiagonal: np.ndarray, b: np.ndarray) -> None:
+    """b <- bidiagonal @ b in place, for lower-bidiagonal and lower-triangular r x r.
+
+    Row i of the product is d_i b[i] + s_{i-1} b[i - 1], with d the diagonal
+    and s the subdiagonal, so it reads b only up to column i.  The block rows
+    are formed bottom up, so the row above each block is still b's when the
+    block reads it; each block's s_{i-1} b[i - 1] terms go to one block-row
+    temporary before its rows of b are scaled by d.  The strict upper
+    triangle stays exactly 0.
+    """
+    d, s = np.diagonal(bidiagonal), np.diagonal(bidiagonal, -1)
+    row = np.empty((min(_BLOCK, b.shape[0]), b.shape[0]))
+    for rows in reversed(_blocks(b.shape[0])):
+        # rows below the first of the matrix add the row above them
+        lo = max(rows.start, 1)
+        out = row[: rows.stop - lo, : rows.stop]
+        np.multiply(s[lo - 1 : rows.stop - 1, None], b[lo - 1 : rows.stop - 1, : rows.stop], out=out)
+        b[rows, : rows.stop] *= d[rows, None]
+        b[lo : rows.stop, : rows.stop] += out
+
+
+def _bidiagonal_right_inplace(a: np.ndarray, bidiagonal: np.ndarray) -> None:
+    """bidiagonal <- a @ bidiagonal in place, for lower-triangular a and lower-bidiagonal r x r.
+
+    Column j of the product is d_j a[:, j] + s_j a[:, j + 1], with d the
+    diagonal and s the subdiagonal, so row i reads a only up to column i.  d
+    and s are copied out first; then each block of rows is d times a's rows,
+    plus the s_j a[:, j + 1] terms formed in one block-row temporary.  The
+    strict upper triangle stays exactly 0.
+    """
+    d, s = np.diagonal(bidiagonal).copy(), np.diagonal(bidiagonal, -1).copy()
+    row = np.empty((min(_BLOCK, a.shape[0]), a.shape[0]))
+    for rows in _blocks(a.shape[0]):
+        # a[i, j + 1] = 0 for j >= i, so the block's columns end at its last row
+        width = rows.stop - 1
+        out = row[: rows.stop - rows.start, :width]
+        np.multiply(a[rows, : rows.stop], d[: rows.stop], out=bidiagonal[rows, : rows.stop])
+        np.multiply(a[rows, 1 : rows.stop], s[:width], out=out)
+        bidiagonal[rows, :width] += out
+
+
+def _bidiagonal_gram_inplace(bidiagonal: np.ndarray) -> None:
+    """Overwrite the lower-bidiagonal B with the lower half of B^T B, which is
+    tridiagonal: d_j^2 + s_j^2 on the diagonal and d_{j+1} s_j below it, with
+    d the diagonal and s the subdiagonal of B.  The strict upper triangle
+    stays exactly 0."""
+    d, s = np.diagonal(bidiagonal), np.diagonal(bidiagonal, -1)
+    diagonal = d * d
+    diagonal[:-1] += s * s
+    below = d[1:] * s
+    index = np.arange(d.size)
+    bidiagonal[index, index] = diagonal
+    bidiagonal[index[1:], index[:-1]] = below
+
+
 def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpectrum:
     """Sample one Jacobian at base width n0 and return eigenvalues of J^T J.
 
@@ -176,14 +261,23 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     G_{b+1} = Q_{b+1} L_{b+1}, G_{b+2} Q_{b+1} = Q_{b+2} L_{b+2}, ... (QL).  So
     J's nonzero spectrum is that of L_L ... L_1, a product of r x r
     triangles, each drawn as its Bartlett factor (Akemann, Burda & Kieburg,
-    J. Phys. A 47 (2014) 395202).  Each later triangle is drawn into one
-    factor buffer and multiplied into the product in place, block by block
-    over the lower half, and the lower half of their r x r Gram, the half
-    eigvalsh reads, then overwrites the product.  So a sample holds two r x r
-    arrays at any depth, plus the copy eigvalsh makes, and one block row of
-    scratch.  The Gram's eigenvalues below r eps lambda_max, its rounding
-    floor, are pinned to zero and counted as censored; the other n0 - r are
-    exact zeros.
+    J. Phys. A 47 (2014) 395202).  The block at the bottleneck, layer
+    k = max(b, 1), is seen only through its singular values: each of its
+    orthogonal factors folds into the neighbouring Gaussian block (or, for
+    b = 0, drops off the input side) before the blocks beyond are reduced to
+    triangles, by LQ on its right and QL on its left, each Q on the side
+    away from it.  So layer k is drawn as a lower bidiagonal with those
+    singular values (Dumitriu & Edelman, J. Math. Phys. 43 (2002) 5830):
+    2r - 1 chi-squares in place of r (r + 1) / 2 draws, and an O(r^2)
+    product in place of an O(r^3 / 3) one.  Each later factor is drawn into
+    one factor buffer and multiplied into the product in place, block by
+    block over the lower half: B jac for k >= 2, and L_2 B for k = 1.  The
+    lower half of their r x r Gram, the half eigvalsh reads, then overwrites
+    the product; for a single layer it is the tridiagonal B^T B.  So a sample
+    holds two r x r arrays at any depth, plus the copy eigvalsh makes, and
+    one block row of scratch.  The Gram's eigenvalues below r eps
+    lambda_max, its rounding floor, are pinned to zero and counted as
+    censored; the other n0 - r are exact zeros.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
@@ -199,28 +293,39 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
         if not np.all(np.abs(signs) == 1.0):
             raise ValueError(
                 f"layer {ell} has a live derivative other than +-1; "
-                f"its Bartlett factor needs D_{ell} orthogonal on the live units"
+                f"folding it into a Gaussian block needs D_{ell} orthogonal on the live units"
             )
         live.append(signs.size)
         scales.append(math.sqrt(layer.sigma_w_sq / w))
 
     r = min(live)
     b = live.index(r)
-    # two r x r buffers at any depth: the product of the triangles so far,
-    # and the factor each later layer is drawn into
+    k = max(b, 1)  # the bottleneck's layer, drawn as a bidiagonal
+    # two r x r buffers at any depth: the product of the factors so far, and
+    # the factor each later layer is drawn into
     jac = factor = None
     for ell, scale in enumerate(scales, start=1):
         block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
-        if jac is None:
-            jac = _bartlett_factor(seed, ell, *block)
-            jac *= scale
+        if ell == k:
+            factor = _bidiagonal_factor(seed, ell, *block, scale, out=factor)
         else:
             factor = _bartlett_factor(seed, ell, *block, out=factor)
             factor *= scale
+        if jac is None:
+            jac, factor = factor, None
+        elif ell == k:
+            _bidiagonal_left_inplace(factor, jac)
+        elif k == 1 and ell == 2:
+            # jac holds layer 1's bidiagonal
+            _bidiagonal_right_inplace(factor, jac)
+        else:
             _lower_product_inplace(factor, jac)
     del factor  # freed before eigvalsh makes its copy
 
-    _lower_gram_inplace(jac)
+    if len(scales) == 1:
+        _bidiagonal_gram_inplace(jac)
+    else:
+        _lower_gram_inplace(jac)
     values = np.zeros(n0)
     values[:r] = np.clip(np.linalg.eigvalsh(jac, UPLO="L"), 0.0, None)
     # eigvalsh resolves the Gram's eigenvalues to about r eps lambda_max; pin

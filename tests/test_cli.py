@@ -254,7 +254,7 @@ def test_validate_reports_the_zeros_and_the_atom(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "nonlinearity, gain, depth, r, zeros, censored",
-    [("linear", 1.0, 8, 1000, 53, 53), ("relu", 2.0, 4, 474, 526, 0)],
+    [("linear", 1.0, 8, 1000, 54, 54), ("relu", 2.0, 4, 474, 526, 0)],
     ids=["linear_x8", "relu_x4"],
 )
 def test_validate_reports_the_censored_zeros_and_the_floor(

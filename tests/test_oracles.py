@@ -34,6 +34,10 @@ from freespectra.oracles import (
     _STREAM_GAIN,
     _STREAM_WEIGHT,
     _bartlett_factor,
+    _bidiagonal_factor,
+    _bidiagonal_gram_inplace,
+    _bidiagonal_left_inplace,
+    _bidiagonal_right_inplace,
     _generator,
     _lower_gram_inplace,
     _lower_product_inplace,
@@ -228,9 +232,12 @@ def live_counts(spec, n0, seed):
 
 
 def test_oracle_draws_only_live_weight_entries(monkeypatch):
-    # every layer draws one r x r Bartlett factor, r the narrowest live width
-    # (n0 included): r (r - 1) / 2 normals from its weight stream, one call
-    # per block of _BLOCK rows, and r chi-squares from its chi stream
+    # every layer but the bottleneck's draws one r x r Bartlett factor, r the
+    # narrowest live width (n0 included): r (r - 1) / 2 normals from its
+    # weight stream, one call per block of _BLOCK rows, and r chi-squares from
+    # its chi stream.  The bottleneck's layer k = max(b, 1), b the first index
+    # of r among the live widths, draws a bidiagonal: r chi-squares from its
+    # chi stream, r - 1 from its weight stream, and no normals
     drawn = []
 
     class Counting:
@@ -264,16 +271,22 @@ def test_oracle_draws_only_live_weight_entries(monkeypatch):
     ):
         drawn.clear()
         monte_carlo_spectrum(spec, n0, seed=seed)
-        r = min(live_counts(spec, n0, seed))
+        live = live_counts(spec, n0, seed)
+        r = min(live)
+        k = max(live.index(r), 1)
         expected = []
         for ell in range(1, len(spec.layers) + 1):
+            if ell == k:
+                expected += [("chi2", ell, _STREAM_CHI, r), ("chi2", ell, _STREAM_WEIGHT, r - 1)]
+                continue
             for start in range(0, r, _BLOCK):
                 stop = min(start + _BLOCK, r)
                 count = (stop * (stop - 1) - start * (start - 1)) // 2
                 expected.append(("normal", ell, _STREAM_WEIGHT, count))
             expected.append(("chi2", ell, _STREAM_CHI, r))
         assert drawn == expected
-        assert sum(e[-1] for e in drawn if e[0] == "normal") == len(spec.layers) * r * (r - 1) // 2
+        normals = sum(e[-1] for e in drawn if e[0] == "normal")
+        assert normals == (len(spec.layers) - 1) * r * (r - 1) // 2
     # ReLU x 4 draws about 4 (n0/2)^2 / 2 = n0^2 / 2 numbers, against 4 n0^2
     # for whole weight matrices
     drawn.clear()
@@ -308,6 +321,28 @@ def test_bartlett_factor_has_the_wishart_mean(rows, cols):
     else:
         mean = np.einsum("sji,sjk->ik", draws, draws) / 2000
     assert np.max(np.abs(mean - max(rows, cols) * np.eye(r))) <= 0.45
+
+
+@pytest.mark.parametrize("rows, cols", [(5, 8), (8, 5), (6, 6)])
+def test_bidiagonal_factor_has_the_wishart_moments(rows, cols):
+    # B B^T is Wishart_r(a, I) in its eigenvalues, a = max(rows, cols), so
+    # E tr(B B^T) = r a and E tr((B B^T)^2) = r a (r + a + 1).  Each mean is
+    # over 4000 draws; one chi-square degree off by one moves E tr(B B^T) by
+    # 1, about 7 of its standard errors
+    r, a = min(rows, cols), max(rows, cols)
+    draws = np.array([_bidiagonal_factor(seed, 1, rows, cols, 1.0) for seed in range(4000)])
+    assert draws.shape == (4000, r, r)
+    assert np.all(draws[:, ~(np.eye(r, dtype=bool) | np.eye(r, k=-1, dtype=bool))] == 0.0)
+    gram = np.einsum("sij,skj->sik", draws, draws)
+    traces = np.stack([np.trace(gram, axis1=1, axis2=2), np.sum(gram * gram, axis=(1, 2))])
+    error = traces.std(axis=1, ddof=1) / math.sqrt(4000)
+    gap = traces.mean(axis=1) - [r * a, r * a * (r + a + 1)]
+    assert np.all(np.abs(gap) <= 3.0 * error)
+    # the scale multiplies every entry, and a buffer holding anything is
+    # overwritten with the same factor
+    buffer = np.full((r, r), np.nan)
+    assert _bidiagonal_factor(0, 1, rows, cols, 0.5, out=buffer) is buffer
+    assert np.array_equal(buffer, 0.5 * draws[0])
 
 
 @pytest.mark.parametrize("layer", [1, 2], ids=lambda layer: f"layer{layer}")
@@ -450,6 +485,45 @@ def test_lower_gram_matches_the_dense_gram_below_the_diagonal(r):
     assert np.all(gram[block[:, None] < block[None, :]] == 0.0)
 
 
+def bidiagonal_and_triangle(r):
+    """A random lower bidiagonal and a random lower triangle, r x r."""
+    rng = np.random.default_rng(r)
+    bidiagonal = np.tril(np.triu(rng.standard_normal((r, r)), -1))
+    return bidiagonal, np.tril(rng.standard_normal((r, r)))
+
+
+@pytest.mark.parametrize("r", KERNEL_SIZES)
+def test_bidiagonal_left_product_matches_the_dense_product(r):
+    # B b overwrites b, block row by block row from the bottom
+    bidiagonal, b = bidiagonal_and_triangle(r)
+    product = b.copy()
+    _bidiagonal_left_inplace(bidiagonal, product)
+    assert np.all(np.triu(product, 1) == 0.0)
+    assert relative_gap(product, bidiagonal @ b) <= 1e-14
+
+
+@pytest.mark.parametrize("r", KERNEL_SIZES)
+def test_bidiagonal_right_product_matches_the_dense_product(r):
+    # a B overwrites B, block row by block row, and leaves a as it was
+    bidiagonal, a = bidiagonal_and_triangle(r)
+    product, kept = bidiagonal.copy(), a.copy()
+    _bidiagonal_right_inplace(a, product)
+    assert np.array_equal(a, kept)
+    assert np.all(np.triu(product, 1) == 0.0)
+    assert relative_gap(product, a @ bidiagonal) <= 1e-14
+
+
+@pytest.mark.parametrize("r", KERNEL_SIZES)
+def test_bidiagonal_gram_is_the_dense_tridiagonal_gram(r):
+    # B^T B is tridiagonal: its lower half overwrites B, whose strict upper
+    # triangle stays 0
+    bidiagonal, _ = bidiagonal_and_triangle(r)
+    gram = bidiagonal.copy()
+    _bidiagonal_gram_inplace(gram)
+    assert np.all(np.triu(gram, 1) == 0.0)
+    assert relative_gap(gram, np.tril(bidiagonal.T @ bidiagonal)) <= 1e-14
+
+
 @pytest.mark.parametrize("r", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3])
 @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
 def test_bartlett_factor_draws_one_row_major_stream_of_normals(r, tall):
@@ -505,8 +579,9 @@ def test_monte_carlo_holds_two_triangles_at_any_depth(spec):
 
 
 def dense_kernel_spectrum(spec, n0, seed):
-    """The oracle's sample with dense kernels: the same triangles multiplied
-    as full matrices, and eigvalsh of the whole Gram, unsnapped."""
+    """The oracle's sample with dense kernels: the same factors, the
+    bidiagonal at layer k = max(b, 1) and triangles elsewhere, multiplied as
+    full matrices, and eigvalsh of the whole Gram, unsnapped."""
     summaries = summarize(spec)
     live = live_counts(spec, n0, seed)
     r = min(live)
@@ -515,7 +590,11 @@ def dense_kernel_spectrum(spec, n0, seed):
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
         scale = math.sqrt(layer.sigma_w_sq / int(round(n0 / s.Lambda)))
-        jac = (scale * _bartlett_factor(seed, ell, *block)) @ jac
+        if ell == max(b, 1):
+            factor = _bidiagonal_factor(seed, ell, *block, scale)
+        else:
+            factor = scale * _bartlett_factor(seed, ell, *block)
+        jac = factor @ jac
     values = np.zeros(n0)
     values[:r] = np.linalg.eigvalsh(jac.T @ jac)
     return np.sort(np.clip(values, 0.0, None))
@@ -523,7 +602,9 @@ def dense_kernel_spectrum(spec, n0, seed):
 
 def test_triangle_kernels_keep_the_dense_kernel_sample():
     # at n0 = 300 the bottleneck r spans one to three blocks; the block
-    # kernels and the zero snap move each eigenvalue by rounding only
+    # kernels and the zero snap move each eigenvalue by rounding only.  The
+    # nets put the bidiagonal at each of its three places: alone (linear:2),
+    # at layer 1 before a triangle, and at a later layer after them
     widths = []
     for text in VALIDATE_NETS:
         spec = ratio_spec(text)
