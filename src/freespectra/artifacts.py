@@ -18,15 +18,13 @@ each one orjson dump edited in place; a JSON document is orjson's bytes as
 they come.  Besides the stack of its columns, a write holds one block of
 text at a time: a 200,000-row density writes at a traced peak of half its
 file's size.  A file is read in binary: the header one line at a time, then
-the body whole, whose field counts come from the byte positions of its
-commas and newlines and whose floats are parsed in one C pass into
-contiguous columns, at a traced peak below three times the file's size.
-The line of column names must be the artifact's own, so a file that lost it
-does not lose its first row.  Bodies with blank lines, spaces or tabs, or
-with a malformed row, go to a reader that splits them line by line; it skips
-blank and white-space lines and names the line of a row with the wrong
+the body straight from the file by numpy's C reader (np.loadtxt, numpy 1.23
+or later), at a traced peak below the file's size.  The line of column
+names must be the artifact's own, so a file that lost it does not lose its
+first row.  A body that reader refuses goes to one that splits it line by
+line, skips lines of white space and names the line of a row with the wrong
 number of fields or a field that is not a float.  Line breaks are "\\n" or
-"\\r\\n".
+"\\r\\n".  A header value that is missing or does not parse is named.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import json
 import os
 import sys
 import warnings
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 import numpy as np
 import orjson
@@ -72,8 +70,6 @@ _TITLES = {
 }
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
-# A row's line break read as one more field separator.
-_ROW_ENDS = bytes.maketrans(b"\n", b",")
 
 
 def _write(chunks: Iterable, path: Optional[str]) -> None:
@@ -214,31 +210,24 @@ def _parse_rows(body: bytes, fields: int, first: int) -> list:
     return [np.ascontiguousarray(values[j::fields]) for j in range(fields)]
 
 
-def _parse_body(body: bytes, fields: int, first: int) -> list:
-    """The `fields` float columns of a CSV body; first is its first line's number.
+def _read_body(handle: BinaryIO, fields: int, first: int) -> list:
+    """The `fields` float columns of the CSV body from handle's position on, parsed in C.
 
-    Each line's field count comes from the byte positions of its commas and
-    newlines.  When every line has `fields` fields and the body holds no
-    white space but its line breaks, a carriage return before each, the body
-    is one run of comma-separated floats once each line break reads as a
-    comma, and numpy parses it in one pass, with no Python object per row or
-    field.  Any other body, or one that does not parse, goes to _parse_rows,
-    which reads it or names its first bad line.
+    `comments=None`, or "2#x" reads as 2.  A body loadtxt refuses, or reads with other
+    than `fields` columns, goes to _parse_rows, which names its bad line from first.
     """
-    chars = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(chars == _NEWLINE)
-    if not body.endswith(b"\n"):
-        ends = np.append(ends, len(body))
-    counts = np.diff(np.searchsorted(np.flatnonzero(chars == _COMMA), ends), prepend=0)
-    rows, uniform = ends.size, bool(np.all(counts == fields - 1))
-    # freed before the parse, which holds the body, its translation and the floats
-    del chars, ends, counts
-    plain = not any(space in body for space in (b" ", b"\t", b"\x0b", b"\x0c", b",\r"))
-    if uniform and plain and body.count(b"\r") == body.count(b"\r\n"):
-        values = _parse_floats(body.translate(_ROW_ENDS))
-        if values is not None and values.size == fields * rows:
-            return [np.ascontiguousarray(values[j::fields]) for j in range(fields)]
-    return _parse_rows(body, fields, first)
+    start = handle.tell()
+    try:
+        with warnings.catch_warnings():
+            # an empty body warns, and reads as one column: _parse_rows reads it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] == fields:
+            return [np.ascontiguousarray(column) for column in table.T]
+    except ValueError:
+        pass
+    handle.seek(start)
+    return _parse_rows(handle.read(), fields, first)
 
 
 def _load(path: str, keys: tuple) -> tuple[dict, list]:
@@ -263,7 +252,7 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
                 meta.update(meta.pop("stats", None) or {})
                 return meta, [np.array(meta.pop(key), dtype=float) for key in keys]
             elif stripped == title:
-                return meta, _parse_body(handle.read(), len(keys), number + 1)
+                return meta, _read_body(handle, len(keys), number + 1)
             elif stripped:
                 raise ValueError(
                     f"line {number}: expected the column names {title.decode()!r}, "
@@ -272,17 +261,27 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
     return meta, [np.empty(0) for _ in keys]
 
 
+def _header(meta: dict, key: str, kind: type = float):
+    """meta[key] parsed from its text as kind, so a JSON 3.5 is no int; a ValueError names key."""
+    if key not in meta:
+        raise ValueError(f"the header has no {key}")
+    try:
+        return kind(str(meta[key]))
+    except ValueError:
+        raise ValueError(f"{key} must parse as {kind.__name__}, got {meta[key]!r}") from None
+
+
 def read_density(path: str) -> DensityCurve:
     meta, (xs, rhos) = _load(path, ("x", "rho"))
     # Files written before the certificate counters existed lack them; those
     # read as 0.  A key that is not a counter is ignored, so a counter can
     # leave SolveStats without making older files unreadable.
-    counters = {key: int(meta[key]) for key in _STAT_KEYS if key in meta}
+    counters = {key: _header(meta, key, int) for key in _STAT_KEYS if key in meta}
     return DensityCurve(
         xs=xs,
         rhos=rhos,
-        y=float(meta["y"]),
-        atom_lower_bound=float(meta["atom_lower_bound"]),
+        y=_header(meta, "y"),
+        atom_lower_bound=_header(meta, "atom_lower_bound"),
         stats=SolveStats(**counters) if counters else None,
     )
 
@@ -292,6 +291,6 @@ def read_quantiles(path: str) -> QuantileTable:
     return QuantileTable(
         probs=probs,
         values=values,
-        atom_lower_bound=float(meta["atom_lower_bound"]),
-        total_mass=float(meta["total_mass"]),
+        atom_lower_bound=_header(meta, "atom_lower_bound"),
+        total_mass=_header(meta, "total_mass"),
     )

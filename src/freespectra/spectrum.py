@@ -88,9 +88,8 @@ class DensityCurve:
             self.total_mass = float(_cell_masses(self.xs, self.rhos).sum())
         if not math.isfinite(self.total_mass):
             raise ValueError(f"total_mass must be finite, got {self.total_mass!r}")
-        # y = 0 marks a curve built directly, not solved; a solved one has y > 0
-        if not (math.isfinite(self.y) and self.y >= 0):
-            raise ValueError(f"y must be finite and nonnegative, got {self.y!r}")
+        if not (math.isfinite(self.y) and self.y > 0):
+            raise ValueError(f"y must be positive and finite, got {self.y!r}")
         if not 0.0 <= self.atom_lower_bound <= 1.0:
             raise ValueError(f"atom_lower_bound must lie in [0, 1], got {self.atom_lower_bound!r}")
         if self.xs[0] < 0 or np.any(np.diff(self.xs) <= 0):
@@ -377,8 +376,14 @@ def _branch_slope(meq: RationalMasterEq, z: np.ndarray, m: np.ndarray) -> np.nda
 
 
 def _cell_masses(xs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """The trapezoid mass of each grid cell; they sum to the curve's total_mass."""
-    return np.diff(xs) * (rhos[1:] + rhos[:-1]) / 2.0
+    """The trapezoid mass of each grid cell; they sum to the curve's total_mass.
+
+    Computed in place, so a long grid holds two temporaries, not three.
+    """
+    masses = rhos[1:] + rhos[:-1]
+    masses *= np.diff(xs)
+    masses /= 2.0
+    return masses
 
 
 def _cumulative_mass(curve: DensityCurve) -> np.ndarray:

@@ -614,9 +614,10 @@ def test_density_curve_names_an_overflowing_mass_before_any_warning():
 @pytest.mark.parametrize(
     "field, bad, message",
     [
-        ("y", math.nan, "y must be finite and nonnegative, got nan"),
-        ("y", math.inf, "y must be finite and nonnegative, got inf"),
-        ("y", -1e-6, "y must be finite and nonnegative, got -1e-06"),
+        ("y", math.nan, "y must be positive and finite, got nan"),
+        ("y", math.inf, "y must be positive and finite, got inf"),
+        ("y", -1e-6, "y must be positive and finite, got -1e-06"),
+        ("y", 0.0, "y must be positive and finite, got 0.0"),
         ("atom_lower_bound", math.nan, r"atom_lower_bound must lie in \[0, 1\], got nan"),
         ("atom_lower_bound", -0.25, r"atom_lower_bound must lie in \[0, 1\], got -0.25"),
         ("atom_lower_bound", 1.5, r"atom_lower_bound must lie in \[0, 1\], got 1.5"),
@@ -628,8 +629,8 @@ def test_density_curve_refuses_a_bad_y_or_atom(field, bad, message):
     fields = {"y": 1e-6, "atom_lower_bound": 0.5, field: bad}
     with pytest.raises(ValueError, match=f"^{message}$"):
         DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), **fields)
-    # the edges stay allowed: y = 0 for a curve built without a solve, atoms 0 and 1
-    for edge in ({"y": 0.0}, {"atom_lower_bound": 0.0}, {"atom_lower_bound": 1.0}):
+    # the edges stay allowed: atoms 0 and 1; y = 0 is refused, as no solve writes it
+    for edge in ({"atom_lower_bound": 0.0}, {"atom_lower_bound": 1.0}):
         fields = {"y": 1e-6, **edge}
         DensityCurve(xs=np.array([1.0, 2.0]), rhos=np.array([0.1, 0.1]), **fields)
 
