@@ -23,8 +23,12 @@ or later), at a traced peak below the file's size.  The line of column
 names must be the artifact's own, so a file that lost it does not lose its
 first row.  A body that reader refuses goes to one that splits it line by
 line, skips lines of white space and names the line of a row with the wrong
-number of fields or a field that is not a float.  Line breaks are "\\n" or
-"\\r\\n".  A header value that is missing or does not parse is named.
+number of fields or a field that is not a float.  So does a body holding a
+byte that Unicode, but not bytes.strip, counts as white space when read as
+Latin-1, which the C reader would strip from a field; the body is scanned
+for those bytes in chunks first.  Line breaks are "\\n" or "\\r\\n".  A
+header value or a JSON column that is missing, or a header value that does
+not parse, is named.
 """
 
 from __future__ import annotations
@@ -70,6 +74,12 @@ _TITLES = {
 }
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
+
+# The bytes that loadtxt, which decodes a body as Latin-1, strips from a field
+# as white space, and float() and _parse_rows refuse; a body is scanned for
+# them in chunks of _SCAN bytes.
+_PADDING = tuple(bytes([byte]) for byte in b"\x1c\x1d\x1e\x1f\x85\xa0")
+_SCAN = 1 << 16
 
 
 def _write(chunks: Iterable, path: Optional[str]) -> None:
@@ -210,22 +220,39 @@ def _parse_rows(body: bytes, fields: int, first: int) -> list:
     return [np.ascontiguousarray(values[j::fields]) for j in range(fields)]
 
 
+def _padded(handle: BinaryIO) -> bool:
+    """Whether handle holds a byte of _PADDING from its position on, where it is left.
+
+    No read asks for more than _SCAN bytes or more than is left, as a file's
+    read allocates all it asks for.
+    """
+    start = handle.tell()
+    end = handle.seek(0, os.SEEK_END)
+    handle.seek(start)
+    chunks = iter(lambda: handle.read(min(_SCAN, end - handle.tell())), b"")
+    found = any(byte in chunk for chunk in chunks for byte in _PADDING)
+    handle.seek(start)
+    return found
+
+
 def _read_body(handle: BinaryIO, fields: int, first: int) -> list:
     """The `fields` float columns of the CSV body from handle's position on, parsed in C.
 
-    `comments=None`, or "2#x" reads as 2.  A body loadtxt refuses, or reads with other
-    than `fields` columns, goes to _parse_rows, which names its bad line from first.
+    `comments=None`, or "2#x" reads as 2.  A body that holds a byte of _PADDING,
+    or that loadtxt refuses or reads with other than `fields` columns, goes to
+    _parse_rows, which names its bad line from first.
     """
     start = handle.tell()
-    try:
-        with warnings.catch_warnings():
-            # an empty body warns, and reads as one column: _parse_rows reads it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-        if table.shape[1] == fields:
-            return [np.ascontiguousarray(column) for column in table.T]
-    except ValueError:
-        pass
+    if not _padded(handle):
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns, and reads as one column: _parse_rows reads it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            if table.shape[1] == fields:
+                return [np.ascontiguousarray(column) for column in table.T]
+        except ValueError:
+            pass
     handle.seek(start)
     return _parse_rows(handle.read(), fields, first)
 
@@ -250,6 +277,9 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
             elif stripped.startswith(b"{") and not meta:
                 meta = json.loads(line + handle.read())
                 meta.update(meta.pop("stats", None) or {})
+                for key in keys:
+                    if key not in meta:
+                        raise ValueError(f"the artifact has no column {key}")
                 return meta, [np.array(meta.pop(key), dtype=float) for key in keys]
             elif stripped == title:
                 return meta, _read_body(handle, len(keys), number + 1)

@@ -53,6 +53,8 @@ _RESIDUAL_TOL = 1e-10
 class EmpiricalSpectrum:
     """Sorted squared singular values of one sampled Jacobian, one per input (n0 = values.size).
 
+    A sample holds at least one value, and none is NaN or negative.
+
     floor is the snap floor r eps lambda_max below which the sampler pinned
     Gram eigenvalues to 0, and censored the number it pinned, which are among
     the exact zeros; both are 0 for a sample built directly.
@@ -64,7 +66,12 @@ class EmpiricalSpectrum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.sort(np.asarray(self.values, dtype=float)))
-        if self.values.size and self.values[0] < 0:
+        if not self.values.size:
+            raise ValueError("a sample needs at least one value")
+        # np.sort puts NaN last
+        if np.isnan(self.values[-1]):
+            raise ValueError("squared singular values cannot be NaN")
+        if self.values[0] < 0:
             raise ValueError("squared singular values cannot be negative")
         if not 0 <= self.censored <= np.count_nonzero(self.values == 0.0):
             raise ValueError(f"censored must count exact zeros of the sample, got {self.censored}")
@@ -94,9 +101,9 @@ def _bartlett_factor(
     L L^T is Wishart_r(cols, I).  Otherwise G = Q L, Q with orthonormal
     columns: L_ii^2 ~ chi^2_{rows - r + 1 + i}, so L^T L is Wishart_r(rows, I).
     Either way L has the law of G's triangular factor, independent of Q
-    (Bartlett; see Edelman, SIAM J. Matrix Anal. Appl. 1988).  The normals
-    come one block of rows at a time, which continues the one row-major
-    stream of r (r - 1) / 2 draws.
+    (Bartlett; see Edelman, SIAM J. Matrix Anal. Appl. 1988).  Row i's i
+    normals are drawn straight into it, top row first, which continues the
+    one row-major stream of r (r - 1) / 2 draws.
     """
     r = min(rows, cols)
     degrees = cols - np.arange(r) if rows < cols else rows - r + 1 + np.arange(r)
@@ -105,40 +112,30 @@ def _bartlett_factor(
     else:
         out.fill(0.0)
     normal = _generator(seed, layer, _STREAM_WEIGHT).standard_normal
-    for block in _blocks(r):
-        # row i holds i normals, in columns 0 .. i - 1
-        below = np.arange(block.stop) < np.arange(block.start, block.stop)[:, None]
-        count = (block.stop * (block.stop - 1) - block.start * (block.start - 1)) // 2
-        out[block, : block.stop][below] = normal(count)
+    for i in range(1, r):
+        normal(out=out[i, :i])
     out.flat[:: r + 1] = np.sqrt(_generator(seed, layer, _STREAM_CHI).chisquare(degrees))
     return out
 
 
 def _bidiagonal_factor(
-    seed: int, layer: int, rows: int, cols: int, scale: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Lower-bidiagonal r x r factor B with the singular values of a rows x
-    cols standard Gaussian block, times scale, written into out when it is given.
+    seed: int, layer: int, rows: int, cols: int, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal d and subdiagonal s of a lower-bidiagonal r x r factor B
+    with the singular values of a rows x cols standard Gaussian block, times scale.
 
-    r = min(rows, cols) and a = max(rows, cols).  B_ii^2 ~ chi^2_{a - i} and
-    B_{i+1, i}^2 ~ chi^2_{r - 1 - i} (0-based), and every other entry is 0, so
-    B B^T is Wishart_r(a, I) in its eigenvalues: B is the Householder
-    bidiagonal of the block, whose two orthogonal factors are dropped (the
-    beta = 1 Laguerre ensemble; Dumitriu & Edelman, J. Math. Phys. 43 (2002)
-    5830).  The diagonal comes from the layer's chi stream and the
-    subdiagonal from its weight stream.
+    r = min(rows, cols) and a = max(rows, cols).  d_i^2 ~ chi^2_{a - i} and
+    s_i^2 ~ chi^2_{r - 1 - i} (0-based), s_i being B_{i+1, i}, and every
+    other entry of B is 0, so B B^T is Wishart_r(a, I) in its eigenvalues: B
+    is the Householder bidiagonal of the block, whose two orthogonal factors
+    are dropped (the beta = 1 Laguerre ensemble; Dumitriu & Edelman, J. Math.
+    Phys. 43 (2002) 5830).  d comes from the layer's chi stream and s from
+    its weight stream.
     """
     r = min(rows, cols)
-    if out is None:
-        out = np.zeros((r, r))
-    else:
-        out.fill(0.0)
-    index = np.arange(r)
-    chi = _generator(seed, layer, _STREAM_CHI).chisquare(max(rows, cols) - index)
-    out[index, index] = scale * np.sqrt(chi)
-    chi = _generator(seed, layer, _STREAM_WEIGHT).chisquare(r - 1 - index[:-1])
-    out[index[1:], index[:-1]] = scale * np.sqrt(chi)
-    return out
+    d = np.sqrt(_generator(seed, layer, _STREAM_CHI).chisquare(max(rows, cols) - np.arange(r)))
+    s = np.sqrt(_generator(seed, layer, _STREAM_WEIGHT).chisquare(np.arange(r - 1, 0, -1)))
+    return scale * d, scale * s
 
 
 def _blocks(n: int) -> list:
@@ -185,17 +182,16 @@ def _lower_gram_inplace(j: np.ndarray) -> None:
         j[rows, : rows.stop] = out[:, : rows.stop]
 
 
-def _bidiagonal_left_inplace(bidiagonal: np.ndarray, b: np.ndarray) -> None:
-    """b <- bidiagonal @ b in place, for lower-bidiagonal and lower-triangular r x r.
+def _bidiagonal_left_inplace(d: np.ndarray, s: np.ndarray, b: np.ndarray) -> None:
+    """b <- B @ b in place, for the lower bidiagonal B of diagonal d and
+    subdiagonal s and a lower-triangular r x r b.
 
-    Row i of the product is d_i b[i] + s_{i-1} b[i - 1], with d the diagonal
-    and s the subdiagonal, so it reads b only up to column i.  The block rows
-    are formed bottom up, so the row above each block is still b's when the
-    block reads it; each block's s_{i-1} b[i - 1] terms go to one block-row
-    temporary before its rows of b are scaled by d.  The strict upper
-    triangle stays exactly 0.
+    Row i of the product is d_i b[i] + s_{i-1} b[i - 1], so it reads b only
+    up to column i.  The block rows are formed bottom up, so the row above
+    each block is still b's when the block reads it; each block's
+    s_{i-1} b[i - 1] terms go to one block-row temporary before its rows of
+    b are scaled by d.  The strict upper triangle stays exactly 0.
     """
-    d, s = np.diagonal(bidiagonal), np.diagonal(bidiagonal, -1)
     row = np.empty((min(_BLOCK, b.shape[0]), b.shape[0]))
     for rows in reversed(_blocks(b.shape[0])):
         # rows below the first of the matrix add the row above them
@@ -206,38 +202,36 @@ def _bidiagonal_left_inplace(bidiagonal: np.ndarray, b: np.ndarray) -> None:
         b[lo : rows.stop, : rows.stop] += out
 
 
-def _bidiagonal_right_inplace(a: np.ndarray, bidiagonal: np.ndarray) -> None:
-    """bidiagonal <- a @ bidiagonal in place, for lower-triangular a and lower-bidiagonal r x r.
+def _bidiagonal_right_inplace(a: np.ndarray, d: np.ndarray, s: np.ndarray) -> None:
+    """a <- a @ B in place, for a lower-triangular r x r a and the lower
+    bidiagonal B of diagonal d and subdiagonal s.
 
-    Column j of the product is d_j a[:, j] + s_j a[:, j + 1], with d the
-    diagonal and s the subdiagonal, so row i reads a only up to column i.  d
-    and s are copied out first; then each block of rows is d times a's rows,
-    plus the s_j a[:, j + 1] terms formed in one block-row temporary.  The
-    strict upper triangle stays exactly 0.
+    Column j of the product is d_j a[:, j] + s_j a[:, j + 1], so row i reads
+    a only up to column i.  Each block of rows has its s_j a[:, j + 1] terms
+    formed in one block-row temporary before its rows of a are scaled by d.
+    The strict upper triangle stays exactly 0.
     """
-    d, s = np.diagonal(bidiagonal).copy(), np.diagonal(bidiagonal, -1).copy()
     row = np.empty((min(_BLOCK, a.shape[0]), a.shape[0]))
     for rows in _blocks(a.shape[0]):
         # a[i, j + 1] = 0 for j >= i, so the block's columns end at its last row
         width = rows.stop - 1
         out = row[: rows.stop - rows.start, :width]
-        np.multiply(a[rows, : rows.stop], d[: rows.stop], out=bidiagonal[rows, : rows.stop])
         np.multiply(a[rows, 1 : rows.stop], s[:width], out=out)
-        bidiagonal[rows, :width] += out
+        a[rows, : rows.stop] *= d[: rows.stop]
+        a[rows, :width] += out
 
 
-def _bidiagonal_gram_inplace(bidiagonal: np.ndarray) -> None:
-    """Overwrite the lower-bidiagonal B with the lower half of B^T B, which is
-    tridiagonal: d_j^2 + s_j^2 on the diagonal and d_{j+1} s_j below it, with
-    d the diagonal and s the subdiagonal of B.  The strict upper triangle
-    stays exactly 0."""
-    d, s = np.diagonal(bidiagonal), np.diagonal(bidiagonal, -1)
+def _bidiagonal_gram(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The lower half of B^T B, for the lower bidiagonal B of diagonal d and
+    subdiagonal s, in a new r x r array: it is tridiagonal, d_j^2 + s_j^2 on
+    the diagonal and d_{j+1} s_j below it.  The strict upper triangle is 0."""
+    r = d.size
     diagonal = d * d
     diagonal[:-1] += s * s
-    below = d[1:] * s
-    index = np.arange(d.size)
-    bidiagonal[index, index] = diagonal
-    bidiagonal[index[1:], index[:-1]] = below
+    gram = np.zeros((r, r))
+    gram.flat[:: r + 1] = diagonal
+    gram.flat[r :: r + 1] = d[1:] * s
+    return gram
 
 
 def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpectrum:
@@ -268,16 +262,18 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     triangles, by LQ on its right and QL on its left, each Q on the side
     away from it.  So layer k is drawn as a lower bidiagonal with those
     singular values (Dumitriu & Edelman, J. Math. Phys. 43 (2002) 5830):
-    2r - 1 chi-squares in place of r (r + 1) / 2 draws, and an O(r^2)
-    product in place of an O(r^3 / 3) one.  Each later factor is drawn into
-    one factor buffer and multiplied into the product in place, block by
-    block over the lower half: B jac for k >= 2, and L_2 B for k = 1.  The
-    lower half of their r x r Gram, the half eigvalsh reads, then overwrites
-    the product; for a single layer it is the tridiagonal B^T B.  So a sample
-    holds two r x r arrays at any depth, plus the copy eigvalsh makes, and
-    one block row of scratch.  The Gram's eigenvalues below r eps
-    lambda_max, its rounding floor, are pinned to zero and counted as
-    censored; the other n0 - r are exact zeros.
+    2r - 1 chi-squares in place of r (r + 1) / 2 draws, held as B's diagonal
+    and subdiagonal, and an O(r^2) product in place of an O(r^3 / 3) one.
+    The first triangle's buffer holds the product; each later triangle is
+    drawn into one factor buffer and multiplied into the product in place,
+    block by block over the lower half.  B multiplies the product in place
+    too: B jac for k >= 2, and L_2 B in L_2's buffer for k = 1.  The lower
+    half of their r x r Gram, the half eigvalsh reads, then overwrites the
+    product; for a single layer it is the tridiagonal B^T B, in a new zeroed
+    array.  So a sample holds one r x r array up to depth 2 and two beyond,
+    plus the copy eigvalsh makes, and one block row of scratch.  The Gram's
+    eigenvalues below r eps lambda_max, its rounding floor, are pinned to
+    zero and counted as censored; the other n0 - r are exact zeros.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
@@ -301,29 +297,29 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     r = min(live)
     b = live.index(r)
     k = max(b, 1)  # the bottleneck's layer, drawn as a bidiagonal
-    # two r x r buffers at any depth: the product of the factors so far, and
-    # the factor each later layer is drawn into
+    # at most two r x r arrays at any depth: the product of the factors so
+    # far, and the buffer each later triangle is drawn into
     jac = factor = None
     for ell, scale in enumerate(scales, start=1):
         block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
         if ell == k:
-            factor = _bidiagonal_factor(seed, ell, *block, scale, out=factor)
-        else:
-            factor = _bartlett_factor(seed, ell, *block, out=factor)
-            factor *= scale
-        if jac is None:
-            jac, factor = factor, None
-        elif ell == k:
-            _bidiagonal_left_inplace(factor, jac)
-        elif k == 1 and ell == 2:
-            # jac holds layer 1's bidiagonal
-            _bidiagonal_right_inplace(factor, jac)
-        else:
+            bidiagonal = _bidiagonal_factor(seed, ell, *block, scale)
+            if jac is not None:
+                _bidiagonal_left_inplace(*bidiagonal, jac)
+            continue
+        factor = _bartlett_factor(seed, ell, *block, out=factor)
+        factor *= scale
+        if jac is not None:
             _lower_product_inplace(factor, jac)
+            continue
+        if ell == 2:
+            # k = 1: the product so far is layer 1's bidiagonal
+            _bidiagonal_right_inplace(factor, *bidiagonal)
+        jac, factor = factor, None
     del factor  # freed before eigvalsh makes its copy
 
-    if len(scales) == 1:
-        _bidiagonal_gram_inplace(jac)
+    if jac is None:  # a single layer, the bidiagonal alone
+        jac = _bidiagonal_gram(*bidiagonal)
     else:
         _lower_gram_inplace(jac)
     values = np.zeros(n0)

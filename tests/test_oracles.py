@@ -35,7 +35,7 @@ from freespectra.oracles import (
     _STREAM_WEIGHT,
     _bartlett_factor,
     _bidiagonal_factor,
-    _bidiagonal_gram_inplace,
+    _bidiagonal_gram,
     _bidiagonal_left_inplace,
     _bidiagonal_right_inplace,
     _generator,
@@ -95,6 +95,13 @@ def test_empirical_spectrum_validation():
     for censored in (-1, 3):
         with pytest.raises(ValueError, match="censored must count exact zeros"):
             EmpiricalSpectrum(values=np.array([0.0, 0.0, 1.0]), censored=censored)
+    # ks_distance divided by the size of an empty sample, and scored
+    # [nan, nan] as the atom against any curve
+    with pytest.raises(ValueError, match="^a sample needs at least one value$"):
+        EmpiricalSpectrum(values=np.array([]))
+    for values in ([np.nan, np.nan], [1.0, np.nan], [np.nan, 0.0, 2.0]):
+        with pytest.raises(ValueError, match="^squared singular values cannot be NaN$"):
+            EmpiricalSpectrum(values=np.array(values))
 
 
 def test_monte_carlo_is_deterministic_per_seed():
@@ -234,7 +241,7 @@ def live_counts(spec, n0, seed):
 def test_oracle_draws_only_live_weight_entries(monkeypatch):
     # every layer but the bottleneck's draws one r x r Bartlett factor, r the
     # narrowest live width (n0 included): r (r - 1) / 2 normals from its
-    # weight stream, one call per block of _BLOCK rows, and r chi-squares from
+    # weight stream, one call per row straight into it, and r chi-squares from
     # its chi stream.  The bottleneck's layer k = max(b, 1), b the first index
     # of r among the live widths, draws a bidiagonal: r chi-squares from its
     # chi stream, r - 1 from its weight stream, and no normals
@@ -245,8 +252,8 @@ def test_oracle_draws_only_live_weight_entries(monkeypatch):
             self.generator = generator
             self.key = (layer, stream)
 
-        def standard_normal(self, size):
-            out = self.generator.standard_normal(size)
+        def standard_normal(self, *, out):
+            self.generator.standard_normal(out=out)
             drawn.append(("normal", *self.key, out.size))
             return out
 
@@ -279,10 +286,7 @@ def test_oracle_draws_only_live_weight_entries(monkeypatch):
             if ell == k:
                 expected += [("chi2", ell, _STREAM_CHI, r), ("chi2", ell, _STREAM_WEIGHT, r - 1)]
                 continue
-            for start in range(0, r, _BLOCK):
-                stop = min(start + _BLOCK, r)
-                count = (stop * (stop - 1) - start * (start - 1)) // 2
-                expected.append(("normal", ell, _STREAM_WEIGHT, count))
+            expected += [("normal", ell, _STREAM_WEIGHT, i) for i in range(1, r)]
             expected.append(("chi2", ell, _STREAM_CHI, r))
         assert drawn == expected
         normals = sum(e[-1] for e in drawn if e[0] == "normal")
@@ -323,6 +327,13 @@ def test_bartlett_factor_has_the_wishart_mean(rows, cols):
     assert np.max(np.abs(mean - max(rows, cols) * np.eye(r))) <= 0.45
 
 
+def dense_bidiagonal(d, s):
+    """The r x r lower bidiagonal of diagonal d and subdiagonal s."""
+    dense = np.diag(d)
+    dense[np.arange(1, d.size), np.arange(d.size - 1)] = s
+    return dense
+
+
 @pytest.mark.parametrize("rows, cols", [(5, 8), (8, 5), (6, 6)])
 def test_bidiagonal_factor_has_the_wishart_moments(rows, cols):
     # B B^T is Wishart_r(a, I) in its eigenvalues, a = max(rows, cols), so
@@ -330,19 +341,17 @@ def test_bidiagonal_factor_has_the_wishart_moments(rows, cols):
     # over 4000 draws; one chi-square degree off by one moves E tr(B B^T) by
     # 1, about 7 of its standard errors
     r, a = min(rows, cols), max(rows, cols)
-    draws = np.array([_bidiagonal_factor(seed, 1, rows, cols, 1.0) for seed in range(4000)])
-    assert draws.shape == (4000, r, r)
-    assert np.all(draws[:, ~(np.eye(r, dtype=bool) | np.eye(r, k=-1, dtype=bool))] == 0.0)
+    factors = [_bidiagonal_factor(seed, 1, rows, cols, 1.0) for seed in range(4000)]
+    assert all(d.shape == (r,) and s.shape == (r - 1,) for d, s in factors)
+    draws = np.array([dense_bidiagonal(d, s) for d, s in factors])
     gram = np.einsum("sij,skj->sik", draws, draws)
     traces = np.stack([np.trace(gram, axis1=1, axis2=2), np.sum(gram * gram, axis=(1, 2))])
     error = traces.std(axis=1, ddof=1) / math.sqrt(4000)
     gap = traces.mean(axis=1) - [r * a, r * a * (r + a + 1)]
     assert np.all(np.abs(gap) <= 3.0 * error)
-    # the scale multiplies every entry, and a buffer holding anything is
-    # overwritten with the same factor
-    buffer = np.full((r, r), np.nan)
-    assert _bidiagonal_factor(0, 1, rows, cols, 0.5, out=buffer) is buffer
-    assert np.array_equal(buffer, 0.5 * draws[0])
+    # the scale multiplies every entry
+    scaled = dense_bidiagonal(*_bidiagonal_factor(0, 1, rows, cols, 0.5))
+    assert np.array_equal(scaled, 0.5 * draws[0])
 
 
 @pytest.mark.parametrize("layer", [1, 2], ids=lambda layer: f"layer{layer}")
@@ -486,40 +495,40 @@ def test_lower_gram_matches_the_dense_gram_below_the_diagonal(r):
 
 
 def bidiagonal_and_triangle(r):
-    """A random lower bidiagonal and a random lower triangle, r x r."""
+    """The diagonal and subdiagonal of a random r x r lower bidiagonal, and a
+    random lower triangle, r x r."""
     rng = np.random.default_rng(r)
-    bidiagonal = np.tril(np.triu(rng.standard_normal((r, r)), -1))
-    return bidiagonal, np.tril(rng.standard_normal((r, r)))
+    d, s = rng.standard_normal(r), rng.standard_normal(max(r - 1, 0))
+    return d, s, np.tril(rng.standard_normal((r, r)))
 
 
 @pytest.mark.parametrize("r", KERNEL_SIZES)
 def test_bidiagonal_left_product_matches_the_dense_product(r):
     # B b overwrites b, block row by block row from the bottom
-    bidiagonal, b = bidiagonal_and_triangle(r)
+    d, s, b = bidiagonal_and_triangle(r)
     product = b.copy()
-    _bidiagonal_left_inplace(bidiagonal, product)
+    _bidiagonal_left_inplace(d, s, product)
     assert np.all(np.triu(product, 1) == 0.0)
-    assert relative_gap(product, bidiagonal @ b) <= 1e-14
+    assert relative_gap(product, dense_bidiagonal(d, s) @ b) <= 1e-14
 
 
 @pytest.mark.parametrize("r", KERNEL_SIZES)
 def test_bidiagonal_right_product_matches_the_dense_product(r):
-    # a B overwrites B, block row by block row, and leaves a as it was
-    bidiagonal, a = bidiagonal_and_triangle(r)
-    product, kept = bidiagonal.copy(), a.copy()
-    _bidiagonal_right_inplace(a, product)
-    assert np.array_equal(a, kept)
+    # a B overwrites a, block row by block row
+    d, s, a = bidiagonal_and_triangle(r)
+    product = a.copy()
+    _bidiagonal_right_inplace(product, d, s)
     assert np.all(np.triu(product, 1) == 0.0)
-    assert relative_gap(product, a @ bidiagonal) <= 1e-14
+    assert relative_gap(product, a @ dense_bidiagonal(d, s)) <= 1e-14
 
 
 @pytest.mark.parametrize("r", KERNEL_SIZES)
 def test_bidiagonal_gram_is_the_dense_tridiagonal_gram(r):
-    # B^T B is tridiagonal: its lower half overwrites B, whose strict upper
-    # triangle stays 0
-    bidiagonal, _ = bidiagonal_and_triangle(r)
-    gram = bidiagonal.copy()
-    _bidiagonal_gram_inplace(gram)
+    # B^T B is tridiagonal: its lower half goes to a new array whose strict
+    # upper triangle is 0
+    d, s, _ = bidiagonal_and_triangle(r)
+    bidiagonal = dense_bidiagonal(d, s)
+    gram = _bidiagonal_gram(d, s)
     assert np.all(np.triu(gram, 1) == 0.0)
     assert relative_gap(gram, np.tril(bidiagonal.T @ bidiagonal)) <= 1e-14
 
@@ -527,9 +536,9 @@ def test_bidiagonal_gram_is_the_dense_tridiagonal_gram(r):
 @pytest.mark.parametrize("r", [1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3])
 @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
 def test_bartlett_factor_draws_one_row_major_stream_of_normals(r, tall):
-    # one standard_normal call per block of rows continues one draw of all
-    # r (r - 1) / 2 normals below the diagonal, in row-major order; a buffer
-    # holding anything is overwritten with the same factor
+    # one standard_normal call per row continues one draw of all r (r - 1) / 2
+    # normals below the diagonal, in row-major order; a buffer holding
+    # anything is overwritten with the same factor
     seed, layer = 6, 2
     rows, cols = (r + 3, r) if tall else (r, r + 3)
     below = _generator(seed, layer, _STREAM_WEIGHT).standard_normal(r * (r - 1) // 2)
@@ -569,13 +578,34 @@ VALIDATE_DEEP_NET = NetworkSpec(
 )
 def test_monte_carlo_holds_two_triangles_at_any_depth(spec):
     # the product and one factor buffer, r x r each, plus a block row of
-    # scratch and normals, and a few arrays of n0; a fresh array per factor,
-    # product and Gram peaked at 3.6 r^2 on these nets
+    # scratch and a few arrays of n0; a fresh array per factor, product and
+    # Gram peaked at 3.6 r^2 on these nets
     n0, seed = 1000, 3
     r = min(live_counts(spec, n0, seed))
     assert r == n0
     monte_carlo_spectrum(spec, 64, seed=seed)  # the generators' one-time set-up
     assert traced_peak_doubles(spec, n0, seed) <= 2 * r * r + 2 * _BLOCK * r + 8 * n0
+
+
+# the CI smoke's late.json net: at seed 3 its ReLU leaves r = 541 of layer
+# 2's n0 units live, the narrowest width, so layer 2 is the bidiagonal
+LATE_BOTTLENECK_NET = NetworkSpec(
+    layers=(
+        LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=0.5),
+        LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=2.0),
+    )
+)
+
+
+def test_monte_carlo_holds_one_triangle_when_the_bottleneck_is_the_output():
+    # layer 1's triangle holds the product and the bidiagonal multiplies it
+    # in place; the bidiagonal held as a dense r x r array peaked at 2.33 r^2
+    n0, seed = 1000, 3
+    live = live_counts(LATE_BOTTLENECK_NET, n0, seed)
+    r = min(live)
+    assert (r, live.index(r)) == (541, 2)
+    monte_carlo_spectrum(LATE_BOTTLENECK_NET, 64, seed=seed)  # the generators' one-time set-up
+    assert traced_peak_doubles(LATE_BOTTLENECK_NET, n0, seed) <= r * r + 2 * _BLOCK * r + 8 * n0
 
 
 def dense_kernel_spectrum(spec, n0, seed):
@@ -591,7 +621,7 @@ def dense_kernel_spectrum(spec, n0, seed):
         block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
         scale = math.sqrt(layer.sigma_w_sq / int(round(n0 / s.Lambda)))
         if ell == max(b, 1):
-            factor = _bidiagonal_factor(seed, ell, *block, scale)
+            factor = dense_bidiagonal(*_bidiagonal_factor(seed, ell, *block, scale))
         else:
             factor = scale * _bartlett_factor(seed, ell, *block)
         jac = factor @ jac
