@@ -90,7 +90,10 @@ def _write(chunks: Iterable, path: Optional[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-artifact-{os.urandom(8).hex()}")
     # "x" is O_EXCL: an existing name or link is refused, never written through
-    handle = open(tmp, "xb")
+    try:
+        handle = open(tmp, "xb")
+    except OSError as err:  # named by the path asked for, not the temp file's
+        raise type(err)(err.errno, err.strerror, path) from None
     try:
         with handle:
             for chunk in chunks:

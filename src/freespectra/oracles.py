@@ -273,7 +273,9 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     array.  So a sample holds one r x r array up to depth 2 and two beyond,
     plus the copy eigvalsh makes, and one block row of scratch.  The Gram's
     eigenvalues below r eps lambda_max, its rounding floor, are pinned to
-    zero and counted as censored; the other n0 - r are exact zeros.
+    zero and counted as censored; the other n0 - r are exact zeros.  A layer
+    width or a rank whose arrays cannot be allocated raises a ValueError
+    naming it and n0, not numpy's MemoryError.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
@@ -283,7 +285,12 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
         w = int(round(n0 / s.Lambda))
         if w < 1:
             raise ValueError(f"layer {ell} width rounds to zero (n0={n0}, Lambda={s.Lambda})")
-        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(w)
+        try:
+            pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(w)
+        except MemoryError:
+            raise ValueError(
+                f"layer {ell} is too wide to sample: n0={n0} gives it {w} units"
+            ) from None
         diag = activation_derivative(layer.nonlinearity, pre)
         signs = diag[diag != 0.0]
         if not np.all(np.abs(signs) == 1.0):
@@ -297,33 +304,38 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     r = min(live)
     b = live.index(r)
     k = max(b, 1)  # the bottleneck's layer, drawn as a bidiagonal
-    # at most two r x r arrays at any depth: the product of the factors so
-    # far, and the buffer each later triangle is drawn into
-    jac = factor = None
-    for ell, scale in enumerate(scales, start=1):
-        block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
-        if ell == k:
-            bidiagonal = _bidiagonal_factor(seed, ell, *block, scale)
+    try:
+        # at most two r x r arrays at any depth: the product of the factors so
+        # far, and the buffer each later triangle is drawn into
+        jac = factor = None
+        for ell, scale in enumerate(scales, start=1):
+            block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
+            if ell == k:
+                bidiagonal = _bidiagonal_factor(seed, ell, *block, scale)
+                if jac is not None:
+                    _bidiagonal_left_inplace(*bidiagonal, jac)
+                continue
+            factor = _bartlett_factor(seed, ell, *block, out=factor)
+            factor *= scale
             if jac is not None:
-                _bidiagonal_left_inplace(*bidiagonal, jac)
-            continue
-        factor = _bartlett_factor(seed, ell, *block, out=factor)
-        factor *= scale
-        if jac is not None:
-            _lower_product_inplace(factor, jac)
-            continue
-        if ell == 2:
-            # k = 1: the product so far is layer 1's bidiagonal
-            _bidiagonal_right_inplace(factor, *bidiagonal)
-        jac, factor = factor, None
-    del factor  # freed before eigvalsh makes its copy
+                _lower_product_inplace(factor, jac)
+                continue
+            if ell == 2:
+                # k = 1: the product so far is layer 1's bidiagonal
+                _bidiagonal_right_inplace(factor, *bidiagonal)
+            jac, factor = factor, None
+        del factor  # freed before eigvalsh makes its copy
 
-    if jac is None:  # a single layer, the bidiagonal alone
-        jac = _bidiagonal_gram(*bidiagonal)
-    else:
-        _lower_gram_inplace(jac)
-    values = np.zeros(n0)
-    values[:r] = np.clip(np.linalg.eigvalsh(jac, UPLO="L"), 0.0, None)
+        if jac is None:  # a single layer, the bidiagonal alone
+            jac = _bidiagonal_gram(*bidiagonal)
+        else:
+            _lower_gram_inplace(jac)
+        values = np.zeros(n0)
+        values[:r] = np.clip(np.linalg.eigvalsh(jac, UPLO="L"), 0.0, None)
+    except MemoryError:
+        raise ValueError(
+            f"rank {r} is too large to sample: n0={n0} needs {r} x {r} arrays"
+        ) from None
     # eigvalsh resolves the Gram's eigenvalues to about r eps lambda_max; pin
     # those below that floor, which are rounding noise, to the atom.
     floor = float(r * np.finfo(float).eps * values.max())

@@ -98,33 +98,6 @@ def _converged(value, deriv, m, degree: int):
     )
 
 
-def _converged_array(
-    value: np.ndarray, deriv: np.ndarray, m: np.ndarray, degree: int
-) -> np.ndarray:
-    """_converged on arrays, taking the floor clause's |value + m| only where it can pass.
-
-    |value + m| <= |value| + |m|, and twice that also covers the rounding of
-    the three moduli, so where resid is not below the floor with
-    2 (|value| + |m|) in its place, it is not below the true floor either:
-    every operation of the bound rounds monotonically.  Every verdict is
-    _converged's, at the cost of one complex sum and modulus per candidate
-    instead of one per point.
-    """
-    resid = np.abs(value)
-    slope = np.abs(deriv)
-    size = np.abs(m)
-    done = (resid < _EPSILON) & (resid <= _EPSILON * slope * (1.0 + size))
-    bound = resid + size
-    bound *= 2.0 * degree
-    bound += size
-    bound += slope * size
-    bound *= _NOISE_SCALE
-    maybe = np.flatnonzero(resid < bound)
-    if maybe.size:
-        done[maybe] = _converged(value[maybe], deriv[maybe], m[maybe], degree)
-    return done
-
-
 class BasinCertificate(NamedTuple):
     """delta = |phi/phi'|, kappa = 1/|phi'|, lambda_bound >= sup |phi''|, h = delta*kappa*lambda.
 
@@ -316,10 +289,10 @@ def newton_lockstep(
 
     value and deriv are phi and phi' at m0 from basin_certificates(meq, z, m0),
     taken only where it certified; they make the first step.  Each point stops
-    by newton_raphson's stop rule, with its moduli taken by np.abs
-    (_converged_array), and leaves the batch; stats counts each point as a
-    basin, with its steps.  The first point, in array order, to hit one of
-    newton_raphson's errors raises it, naming that point's z.
+    by newton_raphson's stop rule, _converged applied elementwise, and leaves
+    the batch; stats counts each point as a basin, with its steps.  The first
+    point, in array order, to hit one of newton_raphson's errors raises it,
+    naming that point's z.
     """
     z = np.asarray(z, dtype=complex)
     m = np.broadcast_to(np.asarray(m0, dtype=complex), z.shape).copy()
@@ -328,7 +301,7 @@ def newton_lockstep(
     live = np.arange(z.size)
     steps = 0
     for iteration in range(_MAX_NEWTON_ITERS + 1):
-        done = _converged_array(value, deriv, m, degree)
+        done = _converged(value, deriv, m, degree)
         if done.any():
             finished = np.flatnonzero(done)
             out[live[finished]] = m[finished]

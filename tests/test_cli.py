@@ -308,6 +308,25 @@ def test_validate_requires_mc(tmp_path, capsys):
     assert "validation requires mc.enabled" in capsys.readouterr().err
 
 
+def test_validate_on_a_layer_too_wide_to_sample_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # lambda 1e-8 makes layer 1 1e11 units wide at n0 = 1000, whose 745 GiB
+    # derivative draw raised a bare MemoryError; the draw is faked, since a
+    # real one can end in the OOM killer where memory is overcommitted
+    def exhausted(seed, layer, stream):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr("freespectra.oracles._generator", exhausted)
+    payload = {
+        "network": {"layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0, "lambda": 1e-8}]},
+        "mc": {"n0": 1000},
+    }
+    config = write_config(tmp_path, "wide.json", payload)
+    assert cli.main(["validate", "--config", config]) == 1
+    assert capsys.readouterr().err == (
+        "error: layer 1 is too wide to sample: n0=1000 gives it 100000000000 units\n"
+    )
+
+
 def test_validate_seed_override(tmp_path, capsys):
     payload = dict(MP1)
     payload["mc"] = {"n0": 500, "seed": 42}
@@ -479,7 +498,10 @@ def test_solve_failure_exits_1_and_names_it(tmp_path, capsys, monkeypatch):
     assert captured.err.endswith(": step rounds to zero\n")
 
 
-def test_unwritable_out_path_fails_cleanly(tmp_path):
+def test_unwritable_out_path_fails_cleanly(tmp_path, capsys):
     config = write_config(tmp_path, "mp.json", MP1)
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert cli.main(["density", "--config", config, "--out", str(missing_dir)]) == 1
+    # the error names the path asked for, not the temp file written first
+    err = capsys.readouterr().err
+    assert "no/such/dir/x.csv" in err and ".tmp-artifact-" not in err

@@ -159,6 +159,35 @@ def test_monte_carlo_width_validation():
         monte_carlo_spectrum(skinny, 4, seed=0)
 
 
+RANK_TOO_LARGE = "rank {r} is too large to sample: n0=64 needs {r} x {r} arrays"
+
+
+@pytest.mark.parametrize(
+    "site, spec, message",
+    [
+        ("_generator", mp_spec(), "layer 1 is too wide to sample: n0=64 gives it 64 units"),
+        ("_bartlett_factor", relu4_spec(), RANK_TOO_LARGE),
+        ("_bidiagonal_factor", relu4_spec(), RANK_TOO_LARGE),
+        ("_bidiagonal_gram", mp_spec(), RANK_TOO_LARGE),
+    ],
+    ids=["derivative_draw", "bartlett_factor", "bidiagonal_factor", "bidiagonal_gram"],
+)
+def test_monte_carlo_names_what_it_cannot_allocate(monkeypatch, site, spec, message):
+    # numpy's MemoryError, from a layer's derivative draw or an r x r factor,
+    # product or Gram, becomes a ValueError naming n0 and the width or the
+    # rank; the failure is faked, since a real allocation that size can end in
+    # the OOM killer where memory is overcommitted
+    r = min(live_counts(spec, 64, 2))
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(f"freespectra.oracles.{site}", exhausted)
+    with pytest.raises(ValueError) as caught:
+        monte_carlo_spectrum(spec, 64, seed=2)
+    assert str(caught.value) == message.format(r=r)
+
+
 def test_monte_carlo_mean_tracks_first_moment():
     rng = np.random.default_rng(21)
     nls = list(Nonlinearity)
