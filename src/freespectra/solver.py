@@ -358,9 +358,12 @@ def newton_lilypads(
     detours once over an apex at height about gap/2 instead of halving, and
     stats.lifts counts it (see _descend).  Every Newton solve starts from a
     certificate and reuses its evaluation.  A caller that has already tested
-    the proxy's root at z_objective, is_in_basin(meq, z_objective, m), and
-    counted that test, passes the accepted certificate: the answer is then one
-    Newton solve from it, made here so that perfbench's Capture records it.
+    a start m at z_objective, is_in_basin(meq, z_objective, m), and counted
+    that test, passes the accepted certificate with the proxy (z, m): the
+    answer is then one Newton solve from m, made here so that perfbench's
+    Capture records it.  That m is the start its caller tested, not
+    necessarily a root at z; the density grid's coarse pass predicts it
+    along the branch tangent.
     """
     if z_objective.imag == 0.0:
         raise _off_axis_error(z_objective)

@@ -162,6 +162,21 @@ def test_density_points_override(tmp_path):
     assert read_density(str(out)).xs.size == 50
 
 
+def test_density_on_a_grid_too_large_to_allocate_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # 1e11 points of np.logspace need 745 GiB; the allocation is faked,
+    # since a real one can end in the OOM killer where memory is overcommitted
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr("freespectra.spectrum.np.logspace", exhausted)
+    config = write_config(tmp_path, "mp.json", MP1)
+    out = str(tmp_path / "huge.csv")
+    assert cli.main(["density", "--config", config, "--out", out, "--points", "100000000000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: a grid of 100000000000 points is too large to allocate\n"
+    )
+
+
 # ------------------------------------------------------------------ quantiles
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import freespectra.solver as solver_module
 import freespectra.spectrum as spectrum_module
 from _curves import uniform_density_curve
 from _grid_moments import grid_moments, layer_moments, support_upper_bound
@@ -292,9 +293,23 @@ def test_branch_slope_is_the_derivative_of_the_root():
             slope = complex(spectrum_module._branch_slope(meq, np.array([z]), np.array([m]))[0])
             implicit = m / (z * eval_phi(meq, z, m)[1])
             assert abs(slope - implicit) <= 1e-10 * abs(implicit), (spec, z)
+            scalar = spectrum_module._branch_slope_at(meq, z, m)
+            assert abs(scalar - slope) <= 1e-14 * abs(slope), (spec, z)
             central = newton_lilypads(meq, z + h, (z, m)) - newton_lilypads(meq, z - h, (z, m))
             central /= 2 * h
             assert abs(slope - central) <= 1e-5 * abs(slope), (spec, z)
+
+
+@pytest.mark.parametrize("m", [1.0, -1.0, 0.0, complex(math.nan, 0.0), complex(math.inf, 0.0)])
+def test_branch_slope_is_zero_where_it_is_not_finite(m):
+    # Marchenko-Pastur's P(m) = (m + 1)^2 has dz/dm = 0 at its branch point
+    # m = 1 and a pole of the rate at its root -1 and at 0; a NaN or an
+    # infinite m has no slope either.  Both forms take 0, so a predicted
+    # start falls back to the head's root and an interpolant stays finite
+    meq = master_from_spec(mp_spec())
+    z = complex(4.0, 1e-6)
+    assert spectrum_module._branch_slope_at(meq, z, complex(m)) == 0j
+    assert spectrum_module._branch_slope(meq, np.array([z]), np.array([complex(m)]))[0] == 0j
 
 
 def record_grid_starts(monkeypatch):
@@ -367,39 +382,109 @@ def test_points_whose_start_lay_farthest_are_on_the_decaying_branch(monkeypatch,
         assert -((m + 1) / z).imag / math.pi >= -1e-10, (z, m)
 
 
-def sequential_walk_rhos(spec, xs, y):
-    """Reference grid: every point solved by newton_lilypads from its
-    neighbour, largest x first, with no coarse jumps and no batch."""
-    meq = master_from_spec(spec)
+def sequential_walk_roots(meq, xs, y):
+    """Reference roots in grid order: every point solved by newton_lilypads
+    from its neighbour, largest x first, with no coarse jumps and no batch."""
     zs = (xs + 1j * y).tolist()[::-1]
     m = newton_lilypads(meq, zs[0])
     ms = [m]
     for previous, z in zip(zs, zs[1:]):
         m = newton_lilypads(meq, z, (previous, m))
         ms.append(m)
-    ms = np.array(ms[::-1])
-    return np.maximum(-((ms + 1.0) / (xs + 1j * y)).imag / math.pi, 0.0)
+    return np.array(ms[::-1])
 
 
-@pytest.mark.parametrize(
-    "nonlinearity, gain, depth, ratio, y",
-    [
-        (Nonlinearity.LINEAR, 1.0, 8, 2.0, 1e-3),
-        (Nonlinearity.HARD_SINE, 1.5, 16, 1.0, 1e-9),
-        (Nonlinearity.HARD_TANH, 1.5, 32, 0.5, 1e-9),
-        (Nonlinearity.RELU, 2.0, 64, 1.0, 1e-6),
-    ],
-)
+DEEP_NETS = [
+    (Nonlinearity.LINEAR, 1.0, 8, 2.0, 1e-3),
+    (Nonlinearity.HARD_SINE, 1.5, 16, 1.0, 1e-9),
+    (Nonlinearity.HARD_TANH, 1.5, 32, 0.5, 1e-9),
+    (Nonlinearity.RELU, 2.0, 64, 1.0, 1e-6),
+]
+
+
+@pytest.mark.parametrize("nonlinearity, gain, depth, ratio, y", DEEP_NETS)
 def test_deep_grid_matches_the_sequential_walk(nonlinearity, gain, depth, ratio, y):
+    # Each solve stops by _converged, within about its last Newton step,
+    # _EPSILON (1 + |m|), of the root, so two solves of one point from
+    # different starts may differ by 2 _EPSILON (1 + |m|).  rho is
+    # -Im((m + 1)/z)/pi, so that moves it by up to 2 _EPSILON (1 + |m|)/(pi |z|),
+    # about 4e-12 next to a density of 3.5e-10 at x = 0.353 on hard_tanh x32;
+    # beyond that, the two may differ only in their last digits, 1e-8 rho.
     spec = NetworkSpec(
         layers=tuple(LayerSpec(nonlinearity, gain, width_ratio=ratio) for _ in range(depth))
     )
     meq = master_from_spec(spec)
     xs = default_grid(meq, points=400)
-    reference = sequential_walk_rhos(spec, xs, y)
+    zs = xs + 1j * y
+    ms = sequential_walk_roots(meq, xs, y)
+    reference = np.maximum(-((ms + 1.0) / zs).imag / math.pi, 0.0)
     curve = density_grid(meq, xs=xs, y=y)
-    scale = np.maximum(reference, 1e-12 * reference.max())
-    assert np.max(np.abs(curve.rhos - reference) / scale) <= 1e-8
+    stop = 2 * solver_module._EPSILON * (1 + np.abs(ms))
+    bound = 1e-8 * reference + stop / (math.pi * np.abs(zs))
+    assert np.max(np.abs(curve.rhos - reference) / bound) <= 1.0
+
+
+def test_only_jumps_of_at_most_the_stride_start_from_the_branch_tangent(monkeypatch):
+    # the coarse pass's jumps grow to 2,499 points on a 20,000-point grid;
+    # predicting those longer than _STRIDE spreads the heads apart and
+    # worsens the batched pass's Hermite starts, so they start from the
+    # head's root
+    solved, jumps = {}, []
+    original = spectrum_module.newton_lilypads
+
+    def recording(meq, z, proxy=None, stats=None, certificate=None):
+        m = original(meq, z, proxy, stats, certificate)
+        if certificate is not None:
+            jumps.append((walk_index[z] - walk_index[proxy[0]], proxy[1] != solved[proxy[0]]))
+        solved[z] = m
+        return m
+
+    monkeypatch.setattr("freespectra.spectrum.newton_lilypads", recording)
+    spec = NetworkSpec(
+        layers=(
+            LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=0.5),
+            LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=2.0),
+        )
+    )
+    meq = master_from_spec(spec)
+    xs = default_grid(meq, points=20000)
+    walk_index = {z: k for k, z in enumerate((xs[::-1] + 1j * 1e-6).tolist())}
+    density_grid(meq, xs=xs, y=1e-6)
+    stride = spectrum_module._STRIDE
+    assert min(length for length, _ in jumps) <= stride < max(length for length, _ in jumps)
+    assert all(predicted == (length <= stride) for length, predicted in jumps), jumps
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, gain, depth, ratio",
+    [net[:4] for net in DEEP_NETS]
+    + [(Nonlinearity.RELU, 2.0, 4, 2.0), (Nonlinearity.HARD_SINE, 1.5, 3, 2.0)],
+)
+def test_predicted_heads_are_on_the_decaying_branch(monkeypatch, nonlinearity, gain, depth, ratio):
+    # criterion 4's test at every head of the coarse pass that was solved
+    # from a start predicted along the branch tangent, not from the root of
+    # the head before it
+    solved, predicted = {}, []
+    original = spectrum_module.newton_lilypads
+
+    def recording(meq, z, proxy=None, stats=None, certificate=None):
+        m = original(meq, z, proxy, stats, certificate)
+        if certificate is not None and proxy[1] != solved[proxy[0]]:
+            predicted.append((z, m))
+        solved[z] = m
+        return m
+
+    monkeypatch.setattr("freespectra.spectrum.newton_lilypads", recording)
+    spec = NetworkSpec(
+        layers=tuple(LayerSpec(nonlinearity, gain, width_ratio=ratio) for _ in range(depth))
+    )
+    meq = master_from_spec(spec)
+    density_grid(meq, xs=default_grid(meq, points=400), y=1e-9)
+    assert len(predicted) >= 4
+    for z, m in predicted:
+        distance = min(abs(m - r) for r in all_roots(meq, z).roots)
+        assert distance <= 1e-9, (z, m, distance)
+        assert -((m + 1) / z).imag / math.pi >= -1e-10, (z, m)
 
 
 def test_density_grid_leaves_no_reference_cycles():
@@ -425,7 +510,7 @@ def test_noise_floor_next_to_a_root_of_p():
     xs = default_grid(meq, points=400, x_min=1e-12 * closed_form_moments(meq).m1)
     curve = density_grid(meq, xs=xs, y=1e-9)
     assert np.all(np.isfinite(curve.rhos))
-    assert curve.stats.basins == 406
+    assert curve.stats.basins == 405
 
 
 @pytest.mark.parametrize(
@@ -539,6 +624,27 @@ def test_default_grid_names_an_overflowing_first_moment():
     spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.HARD_TANH, 1e10) for _ in range(80)))
     with pytest.raises(ValueError, match=r"m1 = inf and variance = inf"):
         default_grid(master_from_spec(spec))
+
+
+def exhausted(*args, **kwargs):
+    """Stands in for an allocation that fails; a real one of this size can
+    end in the OOM killer where memory is overcommitted."""
+    raise MemoryError("cannot allocate")
+
+
+@pytest.mark.parametrize("log_spaced, allocation", [(True, "logspace"), (False, "linspace")])
+def test_default_grid_names_a_point_count_it_cannot_allocate(monkeypatch, log_spaced, allocation):
+    monkeypatch.setattr(spectrum_module.np, allocation, exhausted)
+    meq = master_from_spec(mp_spec())
+    with pytest.raises(ValueError, match=r"^a grid of 100000000000 points is too large"):
+        default_grid(meq, points=10**11, log_spaced=log_spaced)
+
+
+def test_density_grid_names_a_point_count_whose_work_arrays_it_cannot_allocate(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "_walk_roots", exhausted)
+    meq = master_from_spec(mp_spec())
+    with pytest.raises(ValueError, match=r"^a grid of 50 points is too large to allocate$"):
+        density_grid(meq, xs=default_grid(meq, points=50))
 
 
 def test_density_failure_names_the_grid_point(monkeypatch):
