@@ -4,11 +4,11 @@ The density at x is recovered from the decaying-branch solution m(x + iy) of the
 master equation through rho = -Im((m+1)/z)/pi, evaluated at a small smoothing
 offset y > 0.  A grid is solved in two passes: a sequential walk that jumps
 64 points first, doubles a jump that certifies and halves one that does not,
-starting a jump of at most 64 points from the branch tangent at its head (an
-Euler predictor) and a longer one from the head's root, then batched
-certificate tests and lockstep Newton solves, in blocks, for the points
-jumped over, each started from the cubic Hermite interpolant of the branch
-between the two solved points that bracket it (see _walk_roots).
+starting each jump from the branch tangent at its head (an Euler
+predictor), then batched certificate tests and lockstep Newton solves, in
+blocks, for the points jumped over, each started from the cubic Hermite
+interpolant of the branch between the two solved points that bracket it
+(see _walk_roots).
 Every function here reads the law from the master equation's factors (a
 RationalMasterEq) alone, never from the layers.
 """
@@ -51,8 +51,7 @@ _NEGATIVE_DENSITY_TOL = 1e-10
 # doubles a jump that certifies and halves one that does not.  Jumps stay at
 # most max(_STRIDE, (n - 1) // 8) points, so an n-point grid makes at least 8
 # sequential solves, the sample perfbench's branch check draws from; a failed
-# long jump costs one certificate test.  A jump of at most _STRIDE points
-# starts from the branch tangent at its head, a longer one from its root.
+# long jump costs one certificate test.
 _STRIDE = 64
 
 # The batched pass takes the grid in blocks of _BLOCK points, so that each of
@@ -212,6 +211,18 @@ def _grid_too_large(points: int) -> ValueError:
     return ValueError(f"a grid of {points} points is too large to allocate")
 
 
+def _grid_array(points: int, dtype) -> np.ndarray:
+    """An uninitialized work array of one entry per grid point.
+
+    An allocation that fails raises a ValueError naming the point count, not
+    numpy's MemoryError; a MemoryError anywhere else in a solve propagates.
+    """
+    try:
+        return np.empty(points, dtype=dtype)
+    except MemoryError:
+        raise _grid_too_large(points) from None
+
+
 def density_grid(
     meq: RationalMasterEq,
     xs: Optional[Sequence[float]] = None,
@@ -222,11 +233,10 @@ def density_grid(
     xs defaults to default_grid(meq).  The grid is walked from its largest x
     downward.  The walk jumps 64 points first, doubles a jump that certifies,
     up to an eighth of the grid, and halves one that does not; it solves each
-    jump's end in sequence from the previous one, from the branch tangent
-    there for a jump of at most _STRIDE points and from its root for a longer
-    one.  The points jumped over are then certified and solved in blocks,
-    each from the cubic Hermite interpolant of the branch between the two
-    roots that bracket it (see _walk_roots).
+    jump's end in sequence from the branch tangent at the previous one.  The
+    points jumped over are then certified and solved in blocks, each from
+    the cubic Hermite interpolant of the branch between the two roots that
+    bracket it (see _walk_roots).
     The solver's tolerance and caps are the solver module's constants.  Work
     arrays too large to allocate raise a ValueError naming the point count.
     """
@@ -246,18 +256,15 @@ def density_grid(
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly increasing and nonnegative")
     stats = SolveStats()
-    try:
-        zs = np.empty(xs.size, dtype=complex)
-        zs.real = xs[::-1]
-        zs.imag = y
-        # (m + 1)/z in place, in walk order (zs is exactly xs + iy reversed);
-        # a division by -pi rounds as a division by pi, negated
-        ms = _walk_roots(meq, zs, stats)
-        ms += 1.0
-        ms /= zs
-        rhos = np.divide(ms.imag[::-1], -math.pi)
-    except MemoryError:
-        raise _grid_too_large(xs.size) from None
+    zs = _grid_array(xs.size, complex)
+    zs.real = xs[::-1]
+    zs.imag = y
+    # (m + 1)/z in place, in walk order (zs is exactly xs + iy reversed);
+    # a division by -pi rounds as a division by pi, negated
+    ms = _walk_roots(meq, zs, stats)
+    ms += 1.0
+    ms /= zs
+    rhos = np.divide(ms.imag[::-1], -math.pi)
     bad = np.flatnonzero(rhos < -_NEGATIVE_DENSITY_TOL)
     if bad.size:
         x = float(xs[bad[0]])
@@ -276,13 +283,10 @@ def density_grid(
 def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.ndarray:
     """Decaying-branch roots at the points zs, given in walk order.
 
-    Coarse pass: the walk tests its jump's end once, from a start taken at
-    the head.  A jump of at most _STRIDE points starts from the branch
-    tangent, m_head + (z_end - z_head) dm/dz, with the slope at the head from
-    _branch_slope_at (an Euler predictor; m_head where the slope is not
-    finite); a longer one starts from m_head, since predicting long jumps
-    lets the heads spread apart and worsens the batched pass's Hermite
-    starts.  If that step certifies, newton_lilypads solves there from that
+    Coarse pass: the walk tests its jump's end once, from the branch tangent
+    at the head, m_head + (z_end - z_head) dm/dz, with the slope at the head
+    from _branch_slope (an Euler predictor; m_head where the slope is not
+    finite).  If that step certifies, newton_lilypads solves there from that
     start and certificate, the end becomes the next head, and the next jump
     is twice this one, up to max(_STRIDE, (n - 1) // 8) points; the first
     jump is _STRIDE.  A jump that does not certify is halved, down to single
@@ -292,8 +296,8 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     interval it jumped: point 0, point n - 1 and each head in between.
     Batched pass: every point jumped over starts from the cubic Hermite
     interpolant of m between the two solved points that bracket it, with
-    the slopes dm/dz there from the factors (_branch_slope), so no
-    evaluation of phi is added.  In blocks of _BLOCK grid points, those starts are tested by
+    the slopes dm/dz there that the coarse pass took from the factors, so
+    no evaluation of phi is added.  In blocks of _BLOCK grid points, those starts are tested by
     basin_certificates, and the certified ones are solved by
     newton_lockstep; the arithmetic is per point, so the blocks change no
     root or counter.  The rest are walked afterwards, in order, from their
@@ -302,8 +306,9 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     steps from one.
     """
     n = zs.size
-    ms = np.empty(n, dtype=complex)
-    sequential = np.zeros(n, dtype=bool)
+    ms = _grid_array(n, complex)
+    sequential = _grid_array(n, bool)
+    sequential.fill(False)
 
     def walk(
         k: int, proxy: Optional[tuple], certificate: Optional[solver.BasinCertificate] = None
@@ -325,22 +330,22 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     head, jump = 0, _STRIDE
     z_head = complex(zs[0])
     m = walk(0, None)
-    slope = _branch_slope_at(meq, z_head, m)
+    # dm/dz at each head, in walk order, for the predictor and the interpolant
+    slopes = [_branch_slope(meq, z_head, m)]
     while head < n - 1:
         end = min(head + jump, n - 1)
         jump = end - head
         z_end = complex(zs[end])
         start, cert = m, None
         if jump > 1:
-            if jump <= _STRIDE:
-                start = m + (z_end - z_head) * slope
+            start = m + (z_end - z_head) * slopes[-1]
             cert = solver._certify(meq, z_end, start, stats)
             if cert is None:
                 jump //= 2
                 continue
         m = walk(end, (z_head, start), cert)
         head, z_head = end, z_end
-        slope = _branch_slope_at(meq, z_head, m)
+        slopes.append(_branch_slope(meq, z_head, m))
         jump = min(2 * jump, cap)
 
     # the cubic Hermite interpolant of m between consecutive sequential
@@ -349,7 +354,7 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     heads = np.flatnonzero(sequential)
     x_heads, m_heads = zs.real[heads], ms[heads]
     widths = np.diff(x_heads)
-    slopes = _branch_slope(meq, zs[heads], m_heads)
+    slopes = np.array(slopes)
     rises = np.diff(m_heads)
     s_head, s_next = slopes[:-1] * widths, slopes[1:] * widths
     c = 3.0 * rises - 2.0 * s_head - s_next
@@ -387,38 +392,21 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     return ms
 
 
-def _branch_rate(meq: RationalMasterEq, m):
-    """sum_j k_j / (m - r_j) - 1/m, for a Python complex or elementwise for an array.
+def _branch_slope(meq: RationalMasterEq, z: complex, m: complex) -> complex:
+    """dm/dz along the branch through the root m at z, 0 where it is not finite.
 
-    z = P(m)/m gives dz/dm = z times this rate, which at a root equals
-    z phi_z'(m) / m; no evaluation of phi is needed.
-    """
-    rate = -1.0 / m
-    for r, k in zip(meq.roots, meq.multiplicities):
-        rate += k / (m - r)
-    return rate
-
-
-def _branch_slope(meq: RationalMasterEq, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """dm/dz = 1/(z rate) along the branch through the roots m at z (see _branch_rate).
-
-    A slope that is not finite (a root at a branch point) is taken as 0, so
-    the interpolant through it stays finite.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = 1.0 / (z * _branch_rate(meq, m))
-    slope[~np.isfinite(slope)] = 0.0
-    return slope
-
-
-def _branch_slope_at(meq: RationalMasterEq, z: complex, m: complex) -> complex:
-    """_branch_slope at one point, on Python complex scalars, 0 where it is not finite.
-
-    A one-element array call costs about ten times this one, more than the
-    certificate test a predicted start saves.
+    z = P(m)/m gives dz/dm = z (sum_j k_j / (m - r_j) - 1/m), which at a
+    root equals z phi_z'(m) / m; no evaluation of phi is needed.  A slope
+    that is not finite (a root at a branch point) is taken as 0, so a
+    predicted start falls back to the head's root and the interpolant
+    through it stays finite.  Python complex scalars, since a one-element
+    array call costs about ten times as much.
     """
     try:
-        slope = 1.0 / (z * _branch_rate(meq, m))
+        rate = -1.0 / m
+        for r, k in zip(meq.roots, meq.multiplicities):
+            rate += k / (m - r)
+        slope = 1.0 / (z * rate)
     except ZeroDivisionError:
         return 0j
     return slope if cisfinite(slope) else 0j

@@ -290,11 +290,9 @@ def test_branch_slope_is_the_derivative_of_the_root():
         for x in default_grid(meq, points=50)[::7].tolist():
             z, h = complex(x, 1e-3), 1e-6
             m = newton_lilypads(meq, z)
-            slope = complex(spectrum_module._branch_slope(meq, np.array([z]), np.array([m]))[0])
+            slope = spectrum_module._branch_slope(meq, z, m)
             implicit = m / (z * eval_phi(meq, z, m)[1])
             assert abs(slope - implicit) <= 1e-10 * abs(implicit), (spec, z)
-            scalar = spectrum_module._branch_slope_at(meq, z, m)
-            assert abs(scalar - slope) <= 1e-14 * abs(slope), (spec, z)
             central = newton_lilypads(meq, z + h, (z, m)) - newton_lilypads(meq, z - h, (z, m))
             central /= 2 * h
             assert abs(slope - central) <= 1e-5 * abs(slope), (spec, z)
@@ -304,12 +302,10 @@ def test_branch_slope_is_the_derivative_of_the_root():
 def test_branch_slope_is_zero_where_it_is_not_finite(m):
     # Marchenko-Pastur's P(m) = (m + 1)^2 has dz/dm = 0 at its branch point
     # m = 1 and a pole of the rate at its root -1 and at 0; a NaN or an
-    # infinite m has no slope either.  Both forms take 0, so a predicted
+    # infinite m has no slope either.  It is taken as 0, so a predicted
     # start falls back to the head's root and an interpolant stays finite
     meq = master_from_spec(mp_spec())
-    z = complex(4.0, 1e-6)
-    assert spectrum_module._branch_slope_at(meq, z, complex(m)) == 0j
-    assert spectrum_module._branch_slope(meq, np.array([z]), np.array([complex(m)]))[0] == 0j
+    assert spectrum_module._branch_slope(meq, complex(4.0, 1e-6), complex(m)) == 0j
 
 
 def record_grid_starts(monkeypatch):
@@ -422,37 +418,6 @@ def test_deep_grid_matches_the_sequential_walk(nonlinearity, gain, depth, ratio,
     stop = 2 * solver_module._EPSILON * (1 + np.abs(ms))
     bound = 1e-8 * reference + stop / (math.pi * np.abs(zs))
     assert np.max(np.abs(curve.rhos - reference) / bound) <= 1.0
-
-
-def test_only_jumps_of_at_most_the_stride_start_from_the_branch_tangent(monkeypatch):
-    # the coarse pass's jumps grow to 2,499 points on a 20,000-point grid;
-    # predicting those longer than _STRIDE spreads the heads apart and
-    # worsens the batched pass's Hermite starts, so they start from the
-    # head's root
-    solved, jumps = {}, []
-    original = spectrum_module.newton_lilypads
-
-    def recording(meq, z, proxy=None, stats=None, certificate=None):
-        m = original(meq, z, proxy, stats, certificate)
-        if certificate is not None:
-            jumps.append((walk_index[z] - walk_index[proxy[0]], proxy[1] != solved[proxy[0]]))
-        solved[z] = m
-        return m
-
-    monkeypatch.setattr("freespectra.spectrum.newton_lilypads", recording)
-    spec = NetworkSpec(
-        layers=(
-            LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=0.5),
-            LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=2.0),
-        )
-    )
-    meq = master_from_spec(spec)
-    xs = default_grid(meq, points=20000)
-    walk_index = {z: k for k, z in enumerate((xs[::-1] + 1j * 1e-6).tolist())}
-    density_grid(meq, xs=xs, y=1e-6)
-    stride = spectrum_module._STRIDE
-    assert min(length for length, _ in jumps) <= stride < max(length for length, _ in jumps)
-    assert all(predicted == (length <= stride) for length, predicted in jumps), jumps
 
 
 @pytest.mark.parametrize(
@@ -641,10 +606,20 @@ def test_default_grid_names_a_point_count_it_cannot_allocate(monkeypatch, log_sp
 
 
 def test_density_grid_names_a_point_count_whose_work_arrays_it_cannot_allocate(monkeypatch):
-    monkeypatch.setattr(spectrum_module, "_walk_roots", exhausted)
     meq = master_from_spec(mp_spec())
+    xs = default_grid(meq, points=50)
+    monkeypatch.setattr(spectrum_module.np, "empty", exhausted)
     with pytest.raises(ValueError, match=r"^a grid of 50 points is too large to allocate$"):
-        density_grid(meq, xs=default_grid(meq, points=50))
+        density_grid(meq, xs=xs)
+
+
+def test_density_grid_passes_on_a_memory_error_raised_inside_its_solve(monkeypatch):
+    # only the per-point work arrays are the grid's size; a failure in the
+    # solve itself is not reported as one
+    monkeypatch.setattr(spectrum_module, "basin_certificates", exhausted)
+    meq = master_from_spec(mp_spec())
+    with pytest.raises(MemoryError, match="cannot allocate"):
+        density_grid(meq, xs=default_grid(meq, points=400))
 
 
 def test_density_failure_names_the_grid_point(monkeypatch):
