@@ -8,9 +8,12 @@ as `repr`, so a parsed artifact reconstructs bit-identical doubles.  The log10
 of a zero quantile is written null in JSON, which is valid JSON, and -inf in
 CSV.  Files are written atomically: a new temp file in the same directory,
 created as a plain open creates it (mode 0666 less the umask at write time),
-then renamed.  A density's total_mass header is written for readers and
-recomputed from the rows on read.  Files spelled by `repr` and json.dumps,
-as quantile tables once were, read to the same doubles.
+then renamed.  A symbolic link is written through, its target replaced in the
+target's own directory, and an existing path that is not a regular file (a
+FIFO, a device, a directory) is refused, never replaced.  A density's
+total_mass header is written for readers and recomputed from the rows on
+read.  Files spelled by `repr` and json.dumps, as quantile tables once were,
+read to the same doubles.
 
 Both directions hold about one buffer per artifact.  A CSV goes to its file
 as bytes while it is rendered: the header, then the rows in blocks of _BLOCK,
@@ -34,6 +37,7 @@ not parse, is named.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -83,13 +87,19 @@ _SCAN = 1 << 16
 
 
 def _write(chunks: Iterable, path: Optional[str]) -> None:
-    """Write byte chunks to path atomically, each as it comes, or to stdout when path is None."""
+    """Write byte chunks to path atomically, each as it comes, or to stdout when path is None.
+
+    An OSError naming path refuses an existing path that is not a regular file.
+    """
     if path is None:
         sys.stdout.write(b"".join(chunks).decode())
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-artifact-{os.urandom(8).hex()}")
-    # "x" is O_EXCL: an existing name or link is refused, never written through
+    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO, a device, a directory
+        raise OSError(errno.EEXIST, "not a regular file; omit --out to write to stdout", path)
+    # a link is written through: its target is replaced in its own directory
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".tmp-artifact-{os.urandom(8).hex()}")
+    # "x" is O_EXCL: a file or link already at the temp name is refused, never written through
     try:
         handle = open(tmp, "xb")
     except OSError as err:  # named by the path asked for, not the temp file's
@@ -98,7 +108,7 @@ def _write(chunks: Iterable, path: Optional[str]) -> None:
         with handle:
             for chunk in chunks:
                 handle.write(chunk)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

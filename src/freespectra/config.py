@@ -1,10 +1,11 @@
 """Run configuration: a single JSON document describing network, grid and outputs.
 
-Parsing is strict — unknown fields are rejected with their full path so typos
-surface immediately instead of silently falling back to defaults.  Every
-object is read by _read from a table of its fields, and every setting is
-checked once, where its dataclass is built, so a command-line override meets
-the same check as the file.
+Parsing is strict — unknown fields are rejected with their full path and a
+key repeated in one object is rejected by name, so typos surface immediately
+instead of silently falling back to defaults or to the last of two values.
+Every object is read by _read from a table of its fields, and every setting
+is checked once, where its dataclass is built, so a command-line override
+meets the same check as the file.
 """
 
 from __future__ import annotations
@@ -221,9 +222,18 @@ def parse_run_config(data: Any) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    def unique_keys(pairs: list) -> dict:
+        # json.load keeps the last of a repeated key; refuse it instead
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigError(f"config: parse error in {path}: repeated key {key!r}")
+            data[key] = value
+        return data
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as err:
         raise ConfigError(f"config: cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:

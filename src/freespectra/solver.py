@@ -37,9 +37,7 @@ from .transform_algebra import (
     RationalMasterEq,
     _modulus,
     eval_phi,
-    eval_phi_array,
     second_derivative_bound,
-    second_derivative_bound_array,
 )
 
 __all__ = [
@@ -209,19 +207,19 @@ def basin_certificates(
     or kappa not finite, and h not below 1/2.  Every modulus is hypot, as in
     Python's abs of a complex, so each verdict and h is the scalar one: |phi|,
     |phi'|, |z| and the lambda bound's |m0 - r_j| are all taken per point
-    (second_derivative_bound_array); stats counts each test and rejection.
+    (second_derivative_bound on the arrays); stats counts each test and rejection.
     """
     z = np.asarray(z, dtype=complex)
     m0 = np.asarray(m0, dtype=complex)
     if np.any(z.imag == 0.0):
         raise _off_axis_error(complex(z[z.imag == 0.0][0]))
-    value, deriv = eval_phi_array(meq, z, m0)
+    value, deriv = eval_phi(meq, z, m0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denom = _modulus(deriv)
         delta = _modulus(value) / denom
         kappa = 1.0 / denom
         usable = (denom != 0.0) & np.isfinite(denom) & np.isfinite(delta) & np.isfinite(kappa)
-        lam = second_derivative_bound_array(meq, z, m0, 2.0 * delta)
+        lam = second_derivative_bound(meq, z, m0, 2.0 * delta)
         h = np.where(usable, delta * kappa * lam, np.nan)
     certified = usable & (h < 0.5)
     if stats is not None:
@@ -330,7 +328,7 @@ def newton_lockstep(
                 raise SolverError(
                     f"iterate diverged to {complex(m[i])} (z={complex(z[i])})", z=complex(z[i])
                 )
-            value, deriv = eval_phi_array(meq, z, m)
+            value, deriv = eval_phi(meq, z, m)
     raise SolverError(
         f"no convergence within {_MAX_NEWTON_ITERS} iterations at z={complex(z[0])} "
         f"(residual {abs(complex(value[0])):.3e})",

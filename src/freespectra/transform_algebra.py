@@ -14,16 +14,18 @@ for bit wherever layers share c_l/Lambda_l (ReLU has c = 1/2, and linear and
 hard_sine layers c = 1, at every gain), so a homogeneous net at width ratio 1
 has at most two distinct roots at any depth.
 
-phi, phi' and the bound on phi'' are all taken from the factors, each in a
-scalar form and an array form that runs the same arithmetic elementwise over
-numpy arrays of z and m.  Each forms the powers by one binary powering of the
-whole product: from the top bit of the largest multiplicity down, square the
-partial product, then multiply in each factor whose multiplicity has that
-bit (RationalMasterEq.first_level and later_levels), carrying the derivatives
-along by the product rule.  For g distinct roots that is
-O(g log max_j k_j) multiplies, against O(d) for a product taken factor by
-factor, and every partial product is prod_j T_j^floor(k_j / 2^b), about
-P^(2^-b), so no power overflows where P itself does not.  A net whose roots
+phi, phi' and the bound on phi'' are all taken from the factors, each by one
+function, eval_phi and second_derivative_bound, that takes complex scalars or
+numpy arrays alike and runs the same arithmetic elementwise over arrays: there
+is one phi kernel for the scalar walk and the batched pass.  Each forms the
+powers by one binary powering of the whole product: from the top bit of the
+largest multiplicity down, square the partial product, then multiply in each
+factor whose multiplicity has that bit (RationalMasterEq.first_level and
+later_levels), carrying the derivatives along by the product rule.  For g
+distinct roots that is O(g log max_j k_j) multiplies, against O(d) for a
+product taken factor by factor, and every partial product is
+prod_j T_j^floor(k_j / 2^b), about P^(2^-b), so no power overflows where P
+itself does not.  A net whose roots
 are all distinct has one level, and its arithmetic is the factor-by-factor
 product's.
 """
@@ -43,9 +45,7 @@ __all__ = [
     "master_from_summary",
     "master_from_spec",
     "eval_phi",
-    "eval_phi_array",
     "second_derivative_bound",
-    "second_derivative_bound_array",
 ]
 
 # Machine epsilon (twice the unit roundoff of round-to-nearest doubles).
@@ -135,50 +135,30 @@ def master_from_spec(spec: NetworkSpec) -> RationalMasterEq:
     return master_from_summary(summarize(spec))
 
 
-def eval_phi(meq: RationalMasterEq, z: complex, m: complex) -> tuple[complex, complex]:
+def eval_phi(meq: RationalMasterEq, z, m):
     """(phi_z(m), phi_z'(m)) with phi_z(m) = P(m)/z - m, P and P' by the product rule.
 
-    The recurrence runs in the scaled variable gain * m, whose factors are
-    gain (m - r_j); P' is its derivative times gain.  The powers come from one
-    binary powering over meq's levels: (p, p') -> (p^2, 2 p p') before each
-    later level, and (p, p') -> (p t, p' t + p) for each factor t of a level.
+    z and m are complex scalars, or complex numpy arrays that broadcast
+    together, over which the same arithmetic runs elementwise: this is the one
+    phi kernel of the package.  The recurrence runs in the scaled variable
+    gain * m, whose factors are gain (m - r_j); P' is its derivative times
+    gain.  The powers come from one binary powering over meq's levels:
+    (p, p') -> (p^2, 2 p p') before each later level, and
+    (p, p') -> (p t, p' t + p) for each factor t of a level.  Every update is
+    an augmented assignment, so on arrays it is made in place; p and p' start
+    as scalars and become new arrays at the first factor, so z and m are
+    never written.  Scalars rebind through Python's complex arithmetic.
+    numpy's complex products may round differently from Python's, so an
+    array's values can differ from the scalar ones in the last bits.
     """
-    if z == 0:
+    # type(z) is complex is the cheap test for the scalar walk's calls; an
+    # isinstance test of np.ndarray costs about a tenth of a small net's call
+    if not (z if type(z) is complex else np.all(z)):
         raise ValueError("z must be nonzero")
     gain = meq.gain
-    p = 1.0 + 0j
-    dp = 0j
+    p, dp = 1.0 + 0j, 0j
     # the first level has its own loop, without a squaring or a per-level
     # test, so a net whose roots are all simple pays nothing for the powering
-    for r in meq.first_level:
-        t = (m - r) * gain
-        dp = dp * t + p
-        p = p * t
-    for level in meq.later_levels:
-        dp = (p + p) * dp
-        p = p * p
-        for r in level:
-            t = (m - r) * gain
-            dp = dp * t + p
-            p = p * t
-    return p / z - m, dp * gain / z - 1.0
-
-
-def eval_phi_array(
-    meq: RationalMasterEq, z: np.ndarray, m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """eval_phi elementwise over complex arrays z and m (broadcast together).
-
-    numpy's complex products may round differently from Python's, so values
-    can differ from the scalar ones in the last bits.
-    """
-    z = np.asarray(z, dtype=complex)
-    m = np.asarray(m, dtype=complex)
-    if not z.all():
-        raise ValueError("z must be nonzero")
-    gain = meq.gain
-    p = np.ones(np.broadcast(z, m).shape, dtype=complex)
-    dp = np.zeros_like(p)
     for r in meq.first_level:
         t = m - r
         t *= gain
@@ -203,31 +183,14 @@ def _modulus(c: np.ndarray) -> np.ndarray:
     return np.hypot(c.real, c.imag)
 
 
-def _bound(meq: RationalMasterEq, z_modulus, center, radius, distance):
-    # M''(radius)/|z| with its rounding allowance; distance(center - r_j) is |a_j|
-    gain = meq.gain
-    v, d1, d2 = 1.0, 0.0, 0.0
-    for r in meq.first_level:
-        t = (radius + distance(center - r)) * gain
-        d2 = d2 * t + 2.0 * d1
-        d1 = d1 * t + v
-        v = v * t
-    for level in meq.later_levels:
-        d2 = 2.0 * (d1 * d1 + v * d2)
-        d1 = 2.0 * v * d1
-        v = v * v
-        for r in level:
-            t = (radius + distance(center - r)) * gain
-            d2 = d2 * t + 2.0 * d1
-            d1 = d1 * t + v
-            v = v * t
-    return d2 * gain * gain / z_modulus * (1.0 + (7 * meq.degree - 4) // 2 * _EPS)
-
-
-def second_derivative_bound(
-    meq: RationalMasterEq, z: complex, center: complex, radius: float
-) -> float:
+def second_derivative_bound(meq: RationalMasterEq, z, center, radius):
     """Upper bound on sup |phi_z''| over the closed disc |m - center| <= radius.
+
+    z, center and radius are scalars, or numpy arrays (complex, complex and
+    float) that broadcast together, one disc per element.  Unless z is a
+    Python complex, every modulus is taken with np.hypot, so each element of
+    an array is bit-identical to the scalar bound of the same disc (Python's
+    abs of a complex is hypot) and the same rounding allowance holds.
 
     About the centre, P(center + w) = prod_j (gain (w + a_j))^k_j with
     a_j = center - r_j, so its Taylor coefficients are gain^d times elementary
@@ -258,21 +221,24 @@ def second_derivative_bound(
     allowance 1 + k 2^-52 covers that when 2k >= n + 1 (for n (n + 1) <= 2^53),
     so k = (7d - 4) // 2.  For d = 1, M'' is 0 exactly.
     """
-    if radius < 0:
+    scalar = type(z) is complex  # the cheap test, as in eval_phi
+    if radius < 0 if scalar else np.any(radius < 0):
         raise ValueError("radius must be nonnegative")
-    return _bound(meq, abs(z), center, radius, abs)
-
-
-def second_derivative_bound_array(
-    meq: RationalMasterEq, z: np.ndarray, center: np.ndarray, radius: np.ndarray
-) -> np.ndarray:
-    """second_derivative_bound elementwise over arrays of discs.
-
-    Every modulus is taken with np.hypot, so each element is bit-identical to
-    the scalar bound of the same disc and the same rounding allowance holds.
-    """
-    radius = np.asarray(radius, dtype=float)
-    if np.any(radius < 0):
-        raise ValueError("radius must be nonnegative")
-    z_modulus = _modulus(np.asarray(z, dtype=complex))
-    return _bound(meq, z_modulus, np.asarray(center, dtype=complex), radius, _modulus)
+    modulus = abs if scalar else _modulus
+    gain = meq.gain
+    v, d1, d2 = 1.0, 0.0, 0.0
+    for r in meq.first_level:
+        t = (radius + modulus(center - r)) * gain
+        d2 = d2 * t + 2.0 * d1
+        d1 = d1 * t + v
+        v = v * t
+    for level in meq.later_levels:
+        d2 = 2.0 * (d1 * d1 + v * d2)
+        d1 = 2.0 * v * d1
+        v = v * v
+        for r in level:
+            t = (radius + modulus(center - r)) * gain
+            d2 = d2 * t + 2.0 * d1
+            d1 = d1 * t + v
+            v = v * t
+    return d2 * gain * gain / modulus(z) * (1.0 + (7 * meq.degree - 4) // 2 * _EPS)

@@ -638,6 +638,36 @@ def test_write_text_refuses_a_temp_name_that_exists(tmp_path, monkeypatch):
     assert not (tmp_path / "artifact.csv").exists()
 
 
+
+def test_write_text_refuses_a_fifo_and_leaves_it_a_fifo(tmp_path):
+    # renaming over a FIFO would leave its reader with nothing to read
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError, match="omit --out to write to stdout") as info:
+        write_text("x\n", str(fifo))
+    assert info.value.filename == str(fifo)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
+def test_write_text_writes_through_a_symlink_into_its_target_directory(tmp_path):
+    store = tmp_path / "store"
+    store.mkdir()
+    real = store / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    write_text("new\n", str(link))
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == "new\n"
+    # a dangling link gets its target made
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to(store / "made.csv")
+    write_text("made\n", str(dangling))
+    assert dangling.is_symlink() and (store / "made.csv").read_text() == "made\n"
+    leftovers = [p for p in (*tmp_path.iterdir(), *store.iterdir()) if ".tmp-artifact-" in p.name]
+    assert leftovers == []
+
 def traced_peak(call):
     """tracemalloc's peak over one call, in bytes."""
     tracemalloc.start()

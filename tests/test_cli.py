@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -511,6 +513,23 @@ def test_solve_failure_exits_1_and_names_it(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: density solve failed at x=")
     assert captured.err.endswith(": step rounds to zero\n")
+
+
+def test_out_onto_a_fifo_exits_1_and_leaves_the_fifo(tmp_path, capsys):
+    config = write_config(tmp_path, "mp.json", MP1)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    assert cli.main(["density", "--config", config, "--out", str(fifo)]) == 1
+    err = capsys.readouterr().err
+    assert "out.fifo" in err and "omit --out" in err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(MP1)[:-1] + ', "y": 1e-6, "y": 1e-3}')
+    assert cli.main(["density", "--config", str(path)]) == 2
+    assert "repeated key 'y'" in capsys.readouterr().err
 
 
 def test_unwritable_out_path_fails_cleanly(tmp_path, capsys):

@@ -302,3 +302,21 @@ def test_load_config_errors(tmp_path):
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps(MINIMAL))
     assert load_config(str(ok)).network.depth == 1
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"network": {"layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0}]},'
+         ' "y": 1e-6, "y": 1e-3}', "y"),
+        ('{"network": {"layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0,'
+         ' "sigma_w_sq": 1.0}]}}', "sigma_w_sq"),
+    ],
+    ids=["top-level", "layer"],
+)
+def test_load_config_refuses_a_repeated_key(tmp_path, text, key):
+    # json.load alone keeps the last value of a repeated key
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+        load_config(str(path))

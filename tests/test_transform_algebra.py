@@ -28,11 +28,7 @@ from freespectra import (
     summarize,
 )
 from freespectra.network_model import LayerSummary
-from freespectra.transform_algebra import (
-    eval_phi_array,
-    second_derivative_bound,
-    second_derivative_bound_array,
-)
+from freespectra.transform_algebra import second_derivative_bound
 
 
 def mp_meq():
@@ -299,11 +295,28 @@ def test_eval_phi_array_rejects_a_zero_z_and_passes_a_nan_one(zero):
     # a zero anywhere in z is refused; NaN is not zero, so it is evaluated
     meq = mp_meq()
     with pytest.raises(ValueError, match="z must be nonzero"):
-        eval_phi_array(meq, np.array([1j, zero, 2 + 1j]), np.zeros(3, dtype=complex))
+        eval_phi(meq, np.array([1j, zero, 2 + 1j]), np.zeros(3, dtype=complex))
     nan = complex(math.nan, 0.0)
     with np.errstate(invalid="ignore"):
-        value, _ = eval_phi_array(meq, np.array([1j, nan]), np.zeros(2, dtype=complex))
+        value, _ = eval_phi(meq, np.array([1j, nan]), np.zeros(2, dtype=complex))
     assert value[0] == eval_phi(meq, 1j, 0j)[0] and np.isnan(value[1])
+
+
+def test_eval_phi_leaves_read_only_arrays_untouched():
+    # the updates are made in place, on arrays of eval_phi's own only
+    meq = homogeneous(Nonlinearity.RELU, 2.0, 3)
+    assert meq.later_levels
+    z = np.array([1j, 2 + 0.5j, -1 + 3j])
+    m = np.array([0.1j, -0.4 + 0.2j, 0.3 - 0.1j])
+    z_before, m_before = z.copy(), m.copy()
+    z.flags.writeable = False
+    m.flags.writeable = False
+    values, derivs = eval_phi(meq, z, m)
+    assert (z == z_before).all() and (m == m_before).all()
+    for value, deriv, zi, mi in zip(values, derivs, z_before, m_before):
+        scalar = eval_phi(meq, complex(zi), complex(mi))
+        assert abs(value - scalar[0]) <= 1e-14 * (1 + abs(scalar[0]))
+        assert abs(deriv - scalar[1]) <= 1e-14 * (1 + abs(scalar[1]))
 
 
 def test_eval_phi_derivative_matches_finite_differences():
@@ -351,7 +364,7 @@ def test_grouped_eval_phi_matches_mpmath_on_the_expanded_factors(k):
         ms = root + np.concatenate([far, near]) * np.exp(1j * angles)
         zs = 10 ** rng.uniform(-1, 1, 24) * np.exp(1j * rng.uniform(0.05, math.pi - 0.05, 24))
         zs *= rng.choice([-1, 1], 24)
-        values, derivs = eval_phi_array(meq, zs, ms)
+        values, derivs = eval_phi(meq, zs, ms)
         for z, m, array_value, array_deriv in zip(zs, ms, values, derivs):
             z, m = complex(z), complex(m)
             computed = [eval_phi(meq, z, m), (complex(array_value), complex(array_deriv))]
@@ -425,7 +438,7 @@ def test_second_derivative_bound_is_sound_against_mpmath():
         radius = float(10 ** rng.uniform(-6, 0))
         bound = second_derivative_bound(meq, z, center, radius)
         array_bound = float(
-            second_derivative_bound_array(meq, np.array([z]), np.array([center]), radius)[0]
+            second_derivative_bound(meq, np.array([z]), np.array([center]), radius)[0]
         )
         angles = [0.0] + list(rng.uniform(0, 2 * math.pi, size=6))
         with mpmath.workprec(120):
@@ -469,7 +482,7 @@ def test_second_derivative_bound_is_sound_at_high_multiplicity(nonlinearity, gai
             z = complex(rng.uniform(-3, 30), rng.choice([-1, 1]) * 10 ** rng.uniform(-9, 1))
             bound = second_derivative_bound(meq, z, center, radius)
             array_bound = float(
-                second_derivative_bound_array(meq, np.array([z]), np.array([center]), radius)[0]
+                second_derivative_bound(meq, np.array([z]), np.array([center]), radius)[0]
             )
             assert math.isfinite(bound) and bound > 0
             with mpmath.workprec(120):
@@ -505,7 +518,7 @@ def test_second_derivative_bound_array_is_bitwise_the_scalar_bound():
         z = rng.uniform(-3, 30, 100) + 1j * rng.choice([-1, 1], 100) * 10 ** rng.uniform(-9, 1, 100)
         center = rng.uniform(-2.5, 2.0, 100) + 1j * rng.uniform(-1.5, 1.5, 100)
         radius = 10 ** rng.uniform(-6, 0, 100)
-        bounds = second_derivative_bound_array(meq, z, center, radius)
+        bounds = second_derivative_bound(meq, z, center, radius)
         expected = [
             second_derivative_bound(meq, complex(zi), complex(ci), float(ri))
             for zi, ci, ri in zip(z, center, radius)
@@ -537,10 +550,10 @@ def test_second_derivative_bound_array_is_bitwise_the_scalar_bound_over_runs():
         z = rng.uniform(-3, 30, n) + 1j * rng.choice([-1, 1], n) * 10 ** rng.uniform(-9, 1, n)
         radius = 10 ** rng.uniform(-6, 0, n)
         for center in (np.repeat(heads, lengths), np.full(n, heads[0])):
-            bounds = second_derivative_bound_array(meq, z, center, radius)
+            bounds = second_derivative_bound(meq, z, center, radius)
             expected = [
                 second_derivative_bound(meq, complex(zi), complex(ci), float(ri))
                 for zi, ci, ri in zip(z, center, radius)
             ]
             assert bounds.tolist() == expected, depth
-        assert second_derivative_bound_array(meq, z[:0], heads[:0], radius[:0]).size == 0
+        assert second_derivative_bound(meq, z[:0], heads[:0], radius[:0]).size == 0
