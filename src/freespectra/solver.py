@@ -18,9 +18,11 @@ numpy arrays and newton_lockstep iterates every certified point together
 under newton_raphson's stop rule, iteration cap and errors; a density grid uses
 them for the points it can reach in one certified step from a solved point.
 
-The stop rule's tolerance (_EPSILON), Newton's iteration cap, the cap on Im z
-doublings and the descent's step floor, as a fraction of its first gap, are
-module constants: they are part of the method, not settings of a run.
+The stop rule's tolerance (_EPSILON) and Newton's iteration cap are module
+constants: they are part of the method, not settings of a run.  The
+continuation has no cap of its own.  The cold start doubles Im z until it
+certifies or 2 Im z overflows, and a descent halves its step until it
+certifies or z + dz rounds to z; only those two raise.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ _NOISE_SCALE = 4.0 * 2.0**-52
 
 _EPSILON = 1e-12
 _MAX_NEWTON_ITERS = 100
-_MAX_DOUBLINGS = 60
-_MIN_STEP_FRACTION = 2.0**-60
 
 
 def _converged(value, deriv, m, degree: int):
@@ -346,9 +346,10 @@ def newton_lilypads(
     """Solve phi_{z_objective}(m) = 0 on the decaying branch (m -> 0 as z -> infinity).
 
     Without a proxy, start at m=0 and Im z = max(|Im z|, |Re z|) (the sign of
-    Im z kept) and double Im z until certified; when that start is z_objective
-    itself (|Re z| <= |Im z|, no doubling), its solve is the answer.  With a
-    proxy (z, m) from a neighboring solve, skip straight to the descent.  The
+    Im z kept) and double Im z until certified, or raise SolverError once
+    2 Im z is no longer finite; when that start is z_objective itself
+    (|Re z| <= |Im z|, no doubling), its solve is the answer.  With a proxy
+    (z, m) from a neighboring solve, skip straight to the descent.  The
     descent tries at most twice its last accepted step toward z_objective and
     halves it until the current solution certifies at the shifted point, then
     advances and re-solves.  At its first rejected step while |Im z| is below
@@ -361,7 +362,9 @@ def newton_lilypads(
     answer is then one Newton solve from m, made here so that perfbench's
     Capture records it.  That m is the start its caller tested, not
     necessarily a root at z; the density grid's coarse pass predicts it
-    along the branch tangent.
+    along the branch tangent.  A proxy that is not finite, or whose z is not
+    in z_objective's open half-plane, is refused with a ValueError: its
+    descent would not end, or would reach another branch.
     """
     if z_objective.imag == 0.0:
         raise _off_axis_error(z_objective)
@@ -370,12 +373,20 @@ def newton_lilypads(
         raise ValueError(f"z must be finite, got {z_objective}")
     if certificate is not None and proxy is None:
         raise ValueError("a certificate needs the proxy whose root it tested")
+    if proxy is not None:
+        z_proxy, m_proxy = proxy
+        if not (cisfinite(z_proxy) and cisfinite(m_proxy)):
+            # a NaN or infinite proxy z would halve the descent's step without end
+            raise ValueError(f"proxy must be finite, got {proxy}")
+        if z_proxy.imag == 0.0 or (z_proxy.imag > 0.0) != (z_objective.imag > 0.0):
+            # across the real axis the descent would land on another branch
+            raise ValueError(f"proxy z must lie in the half-plane of z={z_objective}, got {proxy}")
     if stats is None:
         stats = SolveStats()
 
     if proxy is None:
-        # From a tiny Im z at large Re z the climb can outrun max_doublings
-        # (1e-6 doubled 60 times is only 1.2e12); from |Re z| it takes a few.
+        # From a tiny Im z at large Re z the climb would take dozens of
+        # doublings (60 to lift 1e-6 to 1.2e12); from |Re z| it takes a few.
         z = complex(
             z_objective.real,
             math.copysign(max(abs(z_objective.imag), abs(z_objective.real)), z_objective.imag),
@@ -384,7 +395,7 @@ def newton_lilypads(
         doublings = 0
         cert = _certify(meq, z, m, stats)
         while cert is None:
-            if doublings >= _MAX_DOUBLINGS:
+            if not isfinite(2.0 * z.imag):
                 raise SolverError(
                     f"no certified start after {doublings} doublings of Im z "
                     f"(reached z={z})",
@@ -398,9 +409,9 @@ def newton_lilypads(
         if z == z_objective:
             return m
     elif certificate is not None:
-        return newton_raphson(meq, z_objective, proxy[1], stats, certificate)
+        return newton_raphson(meq, z_objective, m_proxy, stats, certificate)
     else:
-        z, m = proxy
+        z, m = z_proxy, m_proxy
 
     return _descend(meq, z, m, z_objective, stats)
 
@@ -426,13 +437,13 @@ def _descend(
     stay in the open half-plane of z, where the decaying branch is analytic,
     and each is this straight descent with leg_end set: it walks to leg_end,
     names z_objective in its errors and does not lift again, so a descent
-    lifts at most once and every leg keeps its step floor.  _certify and
-    newton_raphson count its tests and solves, and stats.lifts the lift.
+    lifts at most once.  Halving stops only where z + dz rounds to z, a limit
+    relative to |z| that ends any descent from a finite start: it raises
+    SolverError with the last certified (z, m).  _certify and newton_raphson
+    count its tests and solves, and stats.lifts the lift.
     """
     end = z_objective if leg_end is None else leg_end
-    full_step = abs(end - z)
-    floor = _MIN_STEP_FRACTION * full_step
-    step = full_step
+    step = abs(end - z)
     while True:
         dz = end - z
         gap = abs(dz)
@@ -451,13 +462,6 @@ def _descend(
         while cert is None:
             dz *= 0.5
             target = z + dz
-            if abs(dz) < floor:
-                raise SolverError(
-                    f"continuation stalled at z={z} (step below "
-                    f"{_MIN_STEP_FRACTION:.3g} of the initial gap)",
-                    z=z_objective,
-                    last_certified=(z, m),
-                )
             if target == z:
                 raise SolverError(
                     f"continuation stalled at z={z} (step {abs(dz):.3g} rounds to zero)",

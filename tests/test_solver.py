@@ -13,6 +13,7 @@ from freespectra import (
     NetworkSpec,
     closed_form_moments,
     Nonlinearity,
+    RationalMasterEq,
     SolverError,
     SolveStats,
     default_grid,
@@ -113,6 +114,38 @@ def test_newton_iteration_cap_raises(monkeypatch):
         newton_raphson(mp_meq(), 2 + 1j, 50 + 50j)
 
 
+def handed_certificate(value, deriv):
+    """A certificate carrying only phi and phi' at the start, for Newton's error paths."""
+    return BasinCertificate(0.0, 0.0, 0.0, 0.0, 0.0, value, deriv)
+
+
+def test_newton_raises_on_a_zero_derivative():
+    with pytest.raises(SolverError, match="derivative underflow") as info:
+        newton_raphson(mp_meq(), 2 + 1j, 0j, certificate=handed_certificate(1 + 0j, 0j))
+    assert info.value.z == 2 + 1j
+
+
+def test_newton_raises_when_an_iterate_overflows():
+    # P(m) = m + 1 has degree 1, so phi = 1e308 is far above its rounding
+    # floor and Newton steps to m = -inf
+    meq = RationalMasterEq(gain=1.0, roots=(-1.0,), multiplicities=(1,))
+    certificate = handed_certificate(1e308 + 0j, 1e-308 + 0j)
+    with pytest.raises(SolverError, match="iterate diverged") as info:
+        newton_raphson(meq, 2 + 1j, 0j, certificate=certificate)
+    assert info.value.z == 2 + 1j
+
+
+def test_newton_lockstep_names_the_first_point_with_a_zero_derivative():
+    # points 1 and 2 both fail; the error names point 1, the first in array order
+    z = np.array([10j, 2 + 1j, 3 + 1j])
+    m0 = np.zeros(3, dtype=complex)
+    value = np.ones(3, dtype=complex)
+    deriv = np.array([1 + 0j, 0j, complex(math.nan, 0.0)])
+    with pytest.raises(SolverError, match="derivative underflow") as info:
+        newton_lockstep(mp_meq(), z, m0, value, deriv)
+    assert info.value.z == z[1]
+
+
 def test_lilypads_cold_start():
     stats = SolveStats()
     m = newton_lilypads(mp_meq(), 2 + 1j, stats=stats)
@@ -164,6 +197,54 @@ def test_lilypads_rejects_a_non_finite_objective():
             newton_lilypads(meq, z, proxy=proxy)
 
 
+def patch_is_in_basin(monkeypatch, refused=lambda z: False, limit=10_000):
+    """Make the solver's Kantorovich test reject every z where refused(z) holds,
+    and raise after limit tests, so that a loop fails instead of hanging."""
+    original = solver_module.is_in_basin
+    calls = {"n": 0}
+
+    def patched(meq, z, m0):
+        calls["n"] += 1
+        if calls["n"] > limit:
+            raise AssertionError(f"more than {limit} certificate tests")
+        return None if refused(z) else original(meq, z, m0)
+
+    monkeypatch.setattr(solver_module, "is_in_basin", patched)
+
+
+@pytest.mark.parametrize(
+    "z_proxy, m_proxy",
+    [
+        (complex(math.nan, 1.0), -0.5j),
+        (complex(math.inf, 1.0), -0.5j),
+        (2 + 1j, complex(math.nan, 0.0)),
+        (2 + 1j, complex(0.0, math.inf)),
+    ],
+    ids=["nan-z", "inf-z", "nan-m", "inf-m"],
+)
+def test_lilypads_refuses_a_non_finite_proxy(monkeypatch, z_proxy, m_proxy):
+    # a NaN or infinite proxy z kept the descent halving its step without
+    # end; a NaN m failed every test and stalled as if the step rounded to zero
+    patch_is_in_basin(monkeypatch)
+    with pytest.raises(ValueError, match="proxy must be finite") as info:
+        newton_lilypads(mp_meq(), 2 + 1e-3j, proxy=(z_proxy, m_proxy))
+    assert repr(m_proxy) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "z_objective, z_proxy", [(2 + 1j, 2 + 0j), (2 + 1j, 2 - 1j), (2 - 1j, 2 + 1j)],
+    ids=["real", "lower", "upper"],
+)
+def test_lilypads_refuses_a_proxy_across_the_real_axis(monkeypatch, z_objective, z_proxy):
+    # from 2 + 1j, the descent to 2 - 1j returned -1.618i, a root on another
+    # branch, where the decaying root is 0.618i
+    m_proxy = newton_lilypads(mp_meq(), complex(z_proxy.real, z_proxy.imag or 1.0))
+    patch_is_in_basin(monkeypatch)
+    with pytest.raises(ValueError, match="half-plane") as info:
+        newton_lilypads(mp_meq(), z_objective, proxy=(z_proxy, m_proxy))
+    assert repr(z_proxy) in str(info.value)
+
+
 def test_lilypads_lower_half_plane_schwarz():
     meq = mp_meq()
     for z in (2 + 1e-3j, 3.5 + 0.2j, 0.5 + 1j):
@@ -182,9 +263,10 @@ def test_lilypads_is_deterministic():
 
 
 def test_lilypads_stall_reports_last_certified(monkeypatch):
-    # a coarse dichotomy floor forces a stall near the spectral edge
-    monkeypatch.setattr(solver_module, "_MIN_STEP_FRACTION", 0.5)
-    with pytest.raises(SolverError) as info:
+    # no test certifies below Im z = 1e-3, so the vertical descent toward the
+    # spectral edge halves its step until it rounds to zero above that height
+    patch_is_in_basin(monkeypatch, lambda z: z.imag < 1e-3)
+    with pytest.raises(SolverError, match="rounds to zero") as info:
         newton_lilypads(mp_meq(), 3.9999 + 1e-13j)
     err = info.value
     assert err.last_certified is not None
@@ -243,15 +325,71 @@ def test_vertical_descent_does_not_lift():
 
 
 def test_descent_leg_stall_names_the_objective(monkeypatch):
-    # a leg that stalls reports the descent's objective, not its apex
-    monkeypatch.setattr(solver_module, "_MIN_STEP_FRACTION", 0.5)
+    # a leg that stalls reports the descent's objective, not its apex: no
+    # test certifies above Im z = 1e-2, so the leg up to the apex at about
+    # 0.2i stalls there
+    patch_is_in_basin(monkeypatch, lambda z: z.imag > 1e-2)
     z_from, z_to = 4.2 + 1e-9j, 3.8 + 1e-9j
-    with pytest.raises(SolverError) as info:
+    with pytest.raises(SolverError, match="rounds to zero") as info:
         newton_lilypads(mp_meq(), z_to, proxy=(z_from, mp_root(z_from)))
     assert info.value.z == z_to
     z_last, m_last = info.value.last_certified
     assert z_last.imag > 0
     assert abs(eval_phi(mp_meq(), z_last, m_last)[0]) < 1e-9
+
+
+def deep_meq(name):
+    nonlinearity, gain, depth = {
+        "linear4": (Nonlinearity.LINEAR, 1.0, 4),
+        "linear16": (Nonlinearity.LINEAR, 1.0, 16),
+        "relu16": (Nonlinearity.RELU, 2.0, 16),
+        "relu64": (Nonlinearity.RELU, 2.0, 64),
+    }[name]
+    spec = NetworkSpec(layers=tuple(LayerSpec(nonlinearity, gain) for _ in range(depth)))
+    return master_from_spec(spec)
+
+
+@pytest.mark.parametrize("k", [16, 20, 40, 60, 100])
+@pytest.mark.parametrize("name", ["linear16", "relu16", "relu64"])
+def test_deep_ray_point_solves_from_a_cold_start_and_from_the_ray(name, k):
+    # at z = x(1 + 1e-12 i), x = 1e-k m1, a cap of 60 doublings of Im z
+    # once stopped the cold start, and a step floor of 2^-60 of the first gap
+    # its descent; the cold start's vertical descent and a ray descent from
+    # m1 (1 + 1e-12 i), which lifts over an apex, land on the same root
+    meq = deep_meq(name)
+    m1 = closed_form_moments(meq).m1
+    z = 10.0**-k * m1 * (1 + 1e-12j)
+    m = newton_lilypads(meq, z)
+    z_from = m1 * (1 + 1e-12j)
+    along = newton_lilypads(meq, z, proxy=(z_from, newton_lilypads(meq, z_from)))
+    assert abs(along - m) <= 1e-14 * (1 + abs(m))
+    assert -((m + 1) / z).imag >= 0
+
+
+def test_deep_ray_descent_stops_where_its_step_rounds_to_zero():
+    # linear x4 at 1e-100 m1: the multiplicity-5 root -1 shrinks the basins
+    # faster than |z|, so the descent stops near Im z = 7e-71, loudly
+    meq = deep_meq("linear4")
+    z = 1e-100 * closed_form_moments(meq).m1 * (1 + 1e-12j)
+    with pytest.raises(SolverError, match="rounds to zero") as info:
+        newton_lilypads(meq, z)
+    assert info.value.z == z
+    z_last, m_last = info.value.last_certified
+    assert z_last.real == z.real and z.imag < z_last.imag < 1e-60
+    # m_last is Newton's answer at z_last: phi is at its rounding floor there
+    value, deriv = eval_phi(meq, z_last, m_last)
+    assert solver_module._converged(value, deriv, m_last, meq.degree)
+
+
+def test_cold_start_that_never_certifies_stops_where_im_z_overflows():
+    # with gain 1e300 no start m = 0 certifies at any height: the climb from
+    # Im z = 1 stops at 2^1023, the last power of two below overflow
+    meq = RationalMasterEq(gain=1e300, roots=(-1.0,), multiplicities=(3,))
+    stats = SolveStats()
+    with pytest.raises(SolverError, match="no certified start after 1023 doublings") as info:
+        newton_lilypads(meq, 1 + 1j, stats=stats)
+    assert info.value.z == 1 + 1j and info.value.last_certified is None
+    assert (stats.certificate_tests, stats.rejected_tests) == (1024, 1024)
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,19 @@ def record_grid_roots(monkeypatch):
     return solved
 
 
+def test_density_grid_refuses_a_negative_density(monkeypatch):
+    # roots on the conjugate branch give rho < 0; the grid names the first x
+    original = spectrum_module._walk_roots
+    monkeypatch.setattr(
+        spectrum_module, "_walk_roots", lambda meq, zs, stats: np.conj(original(meq, zs, stats))
+    )
+    meq = master_from_spec(mp_spec())
+    xs = np.linspace(0.5, 3.5, 50)
+    with pytest.raises(SolverError, match="negative density .* at x=") as info:
+        density_grid(meq, xs=xs, y=1e-6)
+    assert info.value.z == complex(xs[0], 1e-6)
+
+
 def test_density_assembly_matches_per_point_division(monkeypatch):
     # rho is assembled with numpy's complex division; the per-point Python
     # division is the reference, up to a few ulps of either rounding
