@@ -2,8 +2,8 @@
 
 Three cross-checks that share no code with the solver's continuation:
 finite-size Monte-Carlo sampling of the Jacobian Gram spectrum, with each
-layer's derivative diagonal drawn independent of its weights, the layer at
-the bottleneck drawn as one lower-bidiagonal factor with the singular values
+layer's live count drawn independent of its weights, the layer at the
+bottleneck drawn as one lower-bidiagonal factor with the singular values
 of its Gaussian block, and each other layer's weights as one triangular
 Bartlett factor of the bottleneck's width; an all-roots polynomial baseline
 (companion-matrix eigenvalues, each polished by Newton steps on eval_phi);
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network_model import NetworkSpec, activation_derivative, summarize
+from .network_model import NetworkSpec, summarize
 from .spectrum import DensityCurve, _cumulative_mass
 from .transform_algebra import RationalMasterEq, eval_phi
 
@@ -31,16 +31,17 @@ __all__ = [
 ]
 
 # Per-(seed, layer) substreams; keeps every draw independent of matrix
-# assembly order.  The sampler reads every layer's gain stream first, then
-# draws each layer's r x r factor.  A Bartlett factor takes its r chi-squared
-# diagonal entries from the chi stream, and the r (r - 1) / 2 normals below
-# the diagonal from the weight stream, in row-major order; the bottleneck's
-# bidiagonal takes its r diagonal chi-squares from the chi stream and its
-# r - 1 subdiagonal ones from the weight stream.  Each layer owns the four keys
-# 4 layer + stream (see _generator), of which these three are drawn; a change
-# to that key would change every sample.
+# assembly order.  The sampler draws every layer's live count first, one
+# binomial from its live stream, then each layer's r x r factor.  A Bartlett
+# factor takes its r chi-squared diagonal entries from the chi stream, and
+# the r (r - 1) / 2 normals below the diagonal from the weight stream, in
+# row-major order; the bottleneck's bidiagonal takes its r diagonal
+# chi-squares from the chi stream and its r - 1 subdiagonal ones from the
+# weight stream.  Each layer owns the four keys 4 layer + stream (see
+# _generator), of which these three are drawn; a change to that key would
+# change every sample.
 _STREAM_WEIGHT = 0
-_STREAM_GAIN = 1
+_STREAM_LIVE = 1
 _STREAM_CHI = 2
 
 # Side of the square blocks the triangle kernels multiply; 64-192 time alike.
@@ -243,12 +244,17 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     independent of the weights: the swapped model, whose limit is the free
     multiplicative convolution the master equation describes.
 
-    No weight matrix is drawn.  A zero derivative zeroes its row of the
-    product, so J's nonzero singular values are those of S_L G_L ... S_1 G_1,
-    G_ell being the d_ell x d_{ell-1} Gaussian block between live units
-    (d_0 = n0, d_ell = live_ell) and S_ell the live derivatives.  Every live
-    derivative is +-1 (a ValueError names a layer where one is not), so each
-    S_ell is orthogonal and folds into the neighbouring Gaussian block.  Let
+    No weight matrix and no derivative is drawn.  A zero derivative zeroes
+    its row of the product, so J's nonzero singular values are those of
+    S_L G_L ... S_1 G_1, G_ell being the d_ell x d_{ell-1} Gaussian block
+    between live units (d_0 = n0, d_ell = live_ell) and S_ell the live
+    derivatives.  Every live derivative of the four nonlinearities is +-1,
+    so each S_ell is orthogonal and folds into the neighbouring Gaussian
+    block, and D_ell reaches the spectrum only through live_ell, the number
+    of its nonzero entries.  That is Binomial(N_ell, c_ell), c_ell being
+    P(phi'(sqrt(q_ell) g) != 0), the layer's coefficient in the master
+    equation, and it is drawn as one binomial; a width past numpy's int64
+    count raises a ValueError naming the layer.  Let
     r = min(d) and b the first index with d_b = r.  From the bottleneck out,
     G_b = L_b Q_b, Q_b G_{b-1} = L_{b-1} Q_{b-1}, ... (LQ, each Q with
     orthonormal rows, each product again Gaussian and independent), and
@@ -273,33 +279,24 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     array.  So a sample holds one r x r array up to depth 2 and two beyond,
     plus the copy eigvalsh makes, and one block row of scratch.  The Gram's
     eigenvalues below r eps lambda_max, its rounding floor, are pinned to
-    zero and counted as censored; the other n0 - r are exact zeros.  A layer
-    width or a rank whose arrays cannot be allocated raises a ValueError
-    naming it and n0, not numpy's MemoryError.
+    zero and counted as censored; the other n0 - r are exact zeros.  A rank
+    whose arrays cannot be allocated raises a ValueError naming it and n0,
+    not numpy's MemoryError.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
-    summaries = summarize(spec)
     live, scales = [n0], []
-    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
+    for ell, s in enumerate(summarize(spec), start=1):
         w = int(round(n0 / s.Lambda))
         if w < 1:
             raise ValueError(f"layer {ell} width rounds to zero (n0={n0}, Lambda={s.Lambda})")
-        try:
-            pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(w)
-        except MemoryError:
+        if w >= 2**63:  # numpy's binomial counts in int64, and raises OverflowError past it
             raise ValueError(
-                f"layer {ell} is too wide to sample: n0={n0} gives it {w} units"
-            ) from None
-        diag = activation_derivative(layer.nonlinearity, pre)
-        signs = diag[diag != 0.0]
-        if not np.all(np.abs(signs) == 1.0):
-            raise ValueError(
-                f"layer {ell} has a live derivative other than +-1; "
-                f"folding it into a Gaussian block needs D_{ell} orthogonal on the live units"
+                f"layer {ell} has {w} units at n0={n0}, more than the 2**63 - 1 "
+                "a binomial draw counts"
             )
-        live.append(signs.size)
-        scales.append(math.sqrt(layer.sigma_w_sq / w))
+        live.append(int(_generator(seed, ell, _STREAM_LIVE).binomial(w, s.c)))
+        scales.append(math.sqrt(s.sigma_w_sq / w))
 
     r = min(live)
     b = live.index(r)

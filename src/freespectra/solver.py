@@ -91,8 +91,10 @@ def _converged(value, deriv, m, degree: int):
     resid = abs(value)
     slope = abs(deriv)
     size = abs(m)
+    floor = _NOISE_SCALE * (degree * abs(value + m) + size + slope * size)
+    # a floor that overflowed bounds nothing
     return ((resid < _EPSILON) & (resid <= _EPSILON * slope * (1.0 + size))) | (
-        resid < _NOISE_SCALE * (degree * abs(value + m) + size + slope * size)
+        (resid < floor) & (floor < math.inf)
     )
 
 
@@ -275,6 +277,9 @@ def newton_raphson(
     )
 
 
+# overflow is checked, not warned of: a step to inf raises, and an overflowed
+# rounding floor in _converged accepts nothing
+@np.errstate(over="ignore", invalid="ignore")
 def newton_lockstep(
     meq: RationalMasterEq,
     z: np.ndarray,
@@ -320,15 +325,14 @@ def newton_lockstep(
             raise SolverError(
                 f"derivative underflow at m={complex(m[i])} (z={complex(z[i])})", z=complex(z[i])
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = m - value / deriv
-            finite = np.isfinite(m)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise SolverError(
-                    f"iterate diverged to {complex(m[i])} (z={complex(z[i])})", z=complex(z[i])
-                )
-            value, deriv = eval_phi(meq, z, m)
+        m = m - value / deriv
+        finite = np.isfinite(m)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise SolverError(
+                f"iterate diverged to {complex(m[i])} (z={complex(z[i])})", z=complex(z[i])
+            )
+        value, deriv = eval_phi(meq, z, m)
     raise SolverError(
         f"no convergence within {_MAX_NEWTON_ITERS} iterations at z={complex(z[0])} "
         f"(residual {abs(complex(value[0])):.3e})",

@@ -16,6 +16,7 @@ RationalMasterEq) alone, never from the layers.
 from __future__ import annotations
 
 import math
+import sys
 from cmath import isfinite as cisfinite
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -180,7 +181,14 @@ def default_grid(
     if auto_min:
         x_min = m1 * 1e-4
     if auto_max:
-        x_max = m1 + 10.0 * math.sqrt(var)
+        # var = m1 m1 spread, whose m1 m1 leaves the normal floats at
+        # m1 < 1.5e-154 or m1 > 1.3e154; sigma = m1 sqrt(spread) keeps the
+        # window's shape there, as the law only scales with m1
+        if sys.float_info.min <= m1 * m1 < math.inf:
+            sigma = math.sqrt(var)
+        else:
+            sigma = m1 * math.sqrt(_spread(meq))
+        x_max = m1 + 10.0 * sigma
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(
             f"grid window [{x_min!r}, {x_max!r}] is not finite: the closed-form moments give "
@@ -483,6 +491,10 @@ def closed_form_moments(meq: RationalMasterEq) -> Moments:
     """
     m1 = eval_phi(meq, 1, 0)[0].real
     m1 = math.inf if math.isnan(m1) else m1  # an overflowed P(0) comes out as nan
+    return Moments(m1=m1, variance=m1 * m1 * _spread(meq))
+
+
+def _spread(meq: RationalMasterEq) -> float:
+    """The variance over m1^2, (k_{-1} - 1) + sum_{r_j != -1} k_j / (-r_j)."""
     counts = dict(zip(meq.roots, meq.multiplicities))
-    spread = sum((k / -r for r, k in counts.items() if r != -1.0), counts.get(-1.0, 0) - 1)
-    return Moments(m1=m1, variance=m1 * m1 * spread)
+    return sum((k / -r for r, k in counts.items() if r != -1.0), counts.get(-1.0, 0) - 1)

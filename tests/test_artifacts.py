@@ -639,6 +639,22 @@ def test_write_text_refuses_a_temp_name_that_exists(tmp_path, monkeypatch):
 
 
 
+def test_write_removes_its_temp_file_when_a_chunk_raises(tmp_path):
+    # chunks are written as they come, so one can fail with the temp file
+    # half written: it is removed, and the target keeps what it held
+    path = tmp_path / "artifact.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield b"x,rho\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="^chunk failed$"):
+        artifacts._write(chunks(), str(path))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
 def test_write_text_refuses_a_fifo_and_leaves_it_a_fifo(tmp_path):
     # renaming over a FIFO would leave its reader with nothing to read
     fifo = tmp_path / "out.fifo"

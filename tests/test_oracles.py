@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _activations import activation_derivative
 from _curves import uniform_density_curve
 from _s_transform import factor_coefficients
 from freespectra import (
@@ -27,11 +28,11 @@ from freespectra import (
     quantiles,
 )
 from freespectra.network_model import Nonlinearity as NL
-from freespectra.network_model import activation_derivative, summarize
+from freespectra.network_model import summarize
 from freespectra.oracles import (
     _BLOCK,
     _STREAM_CHI,
-    _STREAM_GAIN,
+    _STREAM_LIVE,
     _STREAM_WEIGHT,
     _bartlett_factor,
     _bidiagonal_factor,
@@ -143,11 +144,9 @@ def test_monte_carlo_relu_kills_half_the_rows():
     spec = relu4_spec()
     seed = 11
     emp = monte_carlo_spectrum(spec, 1000, seed=seed)
-    # reconstruct each layer's derivative diagonal from its dedicated stream
-    for ell in range(1, 5):
-        pre = math.sqrt(2.0) * _generator(seed, ell, _STREAM_GAIN).standard_normal(1000)
-        frac = np.mean(activation_derivative(NL.RELU, pre) == 0.0)
-        assert abs(frac - 0.5) <= 0.05
+    # each layer's live count, read off its dedicated stream
+    for live in live_counts(spec, 1000, seed)[1:]:
+        assert abs(live / 1000 - 0.5) <= 0.05
     assert np.mean(emp.values == 0.0) >= 0.45  # rank deficiency shows up at zero
 
 
@@ -157,6 +156,16 @@ def test_monte_carlo_width_validation():
     skinny = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0, width_ratio=1000.0),))
     with pytest.raises(ValueError, match="width rounds to zero"):
         monte_carlo_spectrum(skinny, 4, seed=0)
+    # numpy's binomial counts up to 2**63 - 1 and raises OverflowError past
+    # it: 2**62 units are counted, and 2**63 are refused naming the layer
+    def wide(exponent):
+        return NetworkSpec(
+            layers=(LayerSpec(Nonlinearity.HARD_TANH, 1.5, width_ratio=2.0**-(exponent - 2)),)
+        )
+
+    assert monte_carlo_spectrum(wide(62), 4, seed=0).values.size == 4
+    with pytest.raises(ValueError, match=rf"^layer 1 has {2**63} units at n0=4, more than the 2"):
+        monte_carlo_spectrum(wide(63), 4, seed=0)
 
 
 RANK_TOO_LARGE = "rank {r} is too large to sample: n0=64 needs {r} x {r} arrays"
@@ -165,18 +174,17 @@ RANK_TOO_LARGE = "rank {r} is too large to sample: n0=64 needs {r} x {r} arrays"
 @pytest.mark.parametrize(
     "site, spec, message",
     [
-        ("_generator", mp_spec(), "layer 1 is too wide to sample: n0=64 gives it 64 units"),
         ("_bartlett_factor", relu4_spec(), RANK_TOO_LARGE),
         ("_bidiagonal_factor", relu4_spec(), RANK_TOO_LARGE),
         ("_bidiagonal_gram", mp_spec(), RANK_TOO_LARGE),
     ],
-    ids=["derivative_draw", "bartlett_factor", "bidiagonal_factor", "bidiagonal_gram"],
+    ids=["bartlett_factor", "bidiagonal_factor", "bidiagonal_gram"],
 )
 def test_monte_carlo_names_what_it_cannot_allocate(monkeypatch, site, spec, message):
-    # numpy's MemoryError, from a layer's derivative draw or an r x r factor,
-    # product or Gram, becomes a ValueError naming n0 and the width or the
-    # rank; the failure is faked, since a real allocation that size can end in
-    # the OOM killer where memory is overcommitted
+    # numpy's MemoryError, from an r x r factor, product or Gram, becomes a
+    # ValueError naming n0 and the rank; the failure is faked, since a real
+    # allocation that size can end in the OOM killer where memory is
+    # overcommitted
     r = min(live_counts(spec, 64, 2))
 
     def exhausted(*args, **kwargs):
@@ -257,13 +265,11 @@ BIASED_NET = "hard_tanh:0.5 hard_tanh:2"
 
 
 def live_counts(spec, n0, seed):
-    """live_0 = n0, then each layer's live units, read off its gain stream."""
-    summaries = summarize(spec)
+    """live_0 = n0, then each layer's live units, the oracle's binomial draw
+    read off the layer's live stream."""
     live = [n0]
-    for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
-        n_out = int(round(n0 / s.Lambda))
-        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
-        live.append(int(np.count_nonzero(activation_derivative(layer.nonlinearity, pre))))
+    for ell, s in enumerate(summarize(spec), start=1):
+        live.append(int(_generator(seed, ell, _STREAM_LIVE).binomial(round(n0 / s.Lambda), s.c)))
     return live
 
 
@@ -293,7 +299,7 @@ def test_oracle_draws_only_live_weight_entries(monkeypatch):
 
     def counting(seed, layer, stream):
         generator = _generator(seed, layer, stream)
-        return generator if stream == _STREAM_GAIN else Counting(generator, layer, stream)
+        return generator if stream == _STREAM_LIVE else Counting(generator, layer, stream)
 
     monkeypatch.setattr("freespectra.oracles._generator", counting)
     # the narrowest width is the last layer's in ReLU x 4, n0 in the tall
@@ -383,36 +389,39 @@ def test_bidiagonal_factor_has_the_wishart_moments(rows, cols):
     assert np.array_equal(scaled, 0.5 * draws[0])
 
 
-@pytest.mark.parametrize("layer", [1, 2], ids=lambda layer: f"layer{layer}")
-def test_bartlett_factors_need_unit_derivatives(monkeypatch, layer):
-    # each D_ell is folded into a neighbouring Gaussian block only when every
-    # live derivative is +-1; the oracle reads one derivative diagonal per
-    # layer, in order, and this halves the one of the given layer
-    calls = []
+# the fourth of each layer's four generator keys, which the oracle never draws
+_STREAM_SPARE = 3
 
-    def halved(nl, h):
-        calls.append(nl)
-        derivative = activation_derivative(nl, h)
-        return 0.5 * derivative if len(calls) == layer else derivative
 
-    monkeypatch.setattr("freespectra.oracles.activation_derivative", halved)
-    with pytest.raises(ValueError, match=rf"^layer {layer} has a live derivative other than"):
-        monte_carlo_spectrum(relu4_spec(), 64, seed=0)
+def derivative_diagonal(nl, q, width, live, generator):
+    """width derivatives phi'(sqrt(q) g), g standard normal, given that live
+    of them are nonzero: the first live nonzero ones of a stream of draws,
+    at live places drawn at random, and 0 elsewhere."""
+    found = np.empty(0)
+    while found.size < live:
+        derivative = activation_derivative(nl, math.sqrt(q) * generator.standard_normal(width))
+        found = np.concatenate([found, derivative[derivative != 0.0]])
+    diagonal = np.zeros(width)
+    diagonal[generator.permutation(width)[:live]] = found[:live]
+    return diagonal
 
 
 def full_draw_spectrum(spec, n0, seed):
     """Reference sampler of the swapped model: every layer's whole weight
     matrix and derivative diagonal, the n_L x n0 product, and eigenvalues of
-    the n0 x n0 J^T J.  Nothing is dropped, factored or compressed."""
+    the n0 x n0 J^T J.  Nothing is dropped, factored or compressed.  Each
+    diagonal has the oracle's live count, so the two samples are paired."""
     summaries = summarize(spec)
     widths = [n0] + [int(round(n0 / s.Lambda)) for s in summaries]
+    live = live_counts(spec, n0, seed)
     jac = np.eye(n0)
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         n_out, n_in = widths[ell], widths[ell - 1]
         weight = _generator(seed, ell, _STREAM_WEIGHT).standard_normal((n_out, n_in))
         weight *= math.sqrt(layer.sigma_w_sq / n_out)
-        pre = math.sqrt(s.q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(n_out)
-        jac = activation_derivative(layer.nonlinearity, pre)[:, None] * (weight @ jac)
+        spare = _generator(seed, ell, _STREAM_SPARE)
+        diagonal = derivative_diagonal(layer.nonlinearity, s.q, n_out, live[ell], spare)
+        jac = diagonal[:, None] * (weight @ jac)
     values = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
     values[values < n0 * np.finfo(float).eps * values.max()] = 0.0
     return np.sort(values)
@@ -484,9 +493,7 @@ def test_all_dead_layer_gives_only_zeros(order):
     spec = NetworkSpec(layers=layers)
     ell = layers.index(dead) + 1
     seed = 3
-    q = summarize(spec)[ell - 1].q
-    pre = math.sqrt(q) * _generator(seed, ell, _STREAM_GAIN).standard_normal(64)
-    assert not np.any(activation_derivative(NL.HARD_TANH, pre))
+    assert live_counts(spec, 64, seed)[ell] == 0
     emp = monte_carlo_spectrum(spec, 64, seed=seed)
     assert np.array_equal(emp.values, np.zeros(64))
     assert np.array_equal(full_draw_spectrum(spec, 64, seed), np.zeros(64))
@@ -589,8 +596,9 @@ def traced_peak_doubles(spec, n0, seed):
         tracemalloc.stop()
 
 
-# validate's "hard_sine:0.5 linear:2 relu:0.5" net: its narrowest live width
-# is n0 at seed 3
+# validate's "hard_sine:0.5 linear:2 relu:0.5" net: at seed 3 its ReLU
+# leaves 988 of layer 3's 2 n0 units live, the narrowest width, so layers 1
+# and 2 are triangles
 VALIDATE_DEEP_NET = NetworkSpec(
     layers=(
         LayerSpec(Nonlinearity.HARD_SINE, 1.5, width_ratio=0.5),
@@ -601,22 +609,36 @@ VALIDATE_DEEP_NET = NetworkSpec(
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0),) * 8), VALIDATE_DEEP_NET],
+    "spec, bottleneck",
+    [(NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0),) * 8), (1000, 0)),
+     (VALIDATE_DEEP_NET, (988, 3))],
     ids=["linear_x8", "validate_net"],
 )
-def test_monte_carlo_holds_two_triangles_at_any_depth(spec):
+def test_monte_carlo_holds_two_triangles_at_any_depth(spec, bottleneck):
     # the product and one factor buffer, r x r each, plus a block row of
     # scratch and a few arrays of n0; a fresh array per factor, product and
     # Gram peaked at 3.6 r^2 on these nets
     n0, seed = 1000, 3
-    r = min(live_counts(spec, n0, seed))
-    assert r == n0
+    live = live_counts(spec, n0, seed)
+    r = min(live)
+    assert (r, live.index(r)) == bottleneck
     monte_carlo_spectrum(spec, 64, seed=seed)  # the generators' one-time set-up
     assert traced_peak_doubles(spec, n0, seed) <= 2 * r * r + 2 * _BLOCK * r + 8 * n0
 
 
-# the CI smoke's late.json net: at seed 3 its ReLU leaves r = 541 of layer
+def test_monte_carlo_samples_a_layer_of_1e11_units_in_arrays_of_n0():
+    # lambda 1e-8 makes layer 1 1e11 units wide at n0 = 1000; its live count
+    # is one binomial draw, where each unit's pre-activation took 745 GiB.
+    # About 5e10 of them are live, so the n0 squared singular values sit at
+    # sigma_w^2 c = 1, within the Marchenko-Pastur edges 1 +- 2 sqrt(n0 / 5e10)
+    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.RELU, 2.0, width_ratio=1e-8),))
+    monte_carlo_spectrum(spec, 64, seed=0)  # the generators' one-time set-up
+    assert traced_peak_doubles(spec, 1000, 0) * 8 < 64 * 2**20
+    values = monte_carlo_spectrum(spec, 1000, seed=0).values
+    assert np.max(np.abs(values - 1.0)) <= 1e-3
+
+
+# the CI smoke's late.json net: at seed 3 its ReLU leaves r = 517 of layer
 # 2's n0 units live, the narrowest width, so layer 2 is the bidiagonal
 LATE_BOTTLENECK_NET = NetworkSpec(
     layers=(
@@ -632,7 +654,7 @@ def test_monte_carlo_holds_one_triangle_when_the_bottleneck_is_the_output():
     n0, seed = 1000, 3
     live = live_counts(LATE_BOTTLENECK_NET, n0, seed)
     r = min(live)
-    assert (r, live.index(r)) == (541, 2)
+    assert (r, live.index(r)) == (517, 2)
     monte_carlo_spectrum(LATE_BOTTLENECK_NET, 64, seed=seed)  # the generators' one-time set-up
     assert traced_peak_doubles(LATE_BOTTLENECK_NET, n0, seed) <= r * r + 2 * _BLOCK * r + 8 * n0
 

@@ -135,6 +135,35 @@ def test_newton_raises_when_an_iterate_overflows():
     assert info.value.z == 2 + 1j
 
 
+def test_newton_refuses_a_residual_whose_rounding_floor_overflows():
+    # on Marchenko-Pastur (degree 2) the floor's d |P(m)/z| term is 2e308,
+    # which overflows: an infinite floor accepted phi = 1e308 and returned
+    # the start.  A floor that is not finite bounds nothing, so Newton steps
+    # to m = -inf
+    certificate = handed_certificate(1e308 + 0j, 1e-308 + 0j)
+    with pytest.raises(SolverError, match="^iterate diverged to"):
+        newton_raphson(mp_meq(), 2 + 1j, 0j, certificate=certificate)
+
+
+def test_newton_lockstep_names_the_first_point_whose_iterate_diverges():
+    # points 1 and 2 both step to m = -inf, from a residual whose rounding
+    # floor overflows (which accepted them once); the error names point 1,
+    # the first in array order
+    z = np.array([10j, 2 + 1j, 3 + 1j])
+    m0 = np.zeros(3, dtype=complex)
+    value = np.array([1.0, 1e308, 1e308], dtype=complex)
+    deriv = np.array([1.0, 1e-308, 1e-308], dtype=complex)
+    with pytest.raises(SolverError, match=r"^iterate diverged to .* \(z=\(2\+1j\)\)$") as info:
+        newton_lockstep(mp_meq(), z, m0, value, deriv)
+    assert info.value.z == z[1]
+
+
+def test_basin_certificates_name_the_first_real_z():
+    z = np.array([1 + 1j, 2 + 0j, 3 + 0j])
+    with pytest.raises(ValueError, match=r"^z must have nonzero imaginary part, got \(2\+0j\)$"):
+        basin_certificates(mp_meq(), z, np.zeros(3, dtype=complex))
+
+
 def test_newton_lockstep_names_the_first_point_with_a_zero_derivative():
     # points 1 and 2 both fail; the error names point 1, the first in array order
     z = np.array([10j, 2 + 1j, 3 + 1j])

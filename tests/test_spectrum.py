@@ -584,16 +584,41 @@ def test_density_refuses_a_grid_that_does_not_increase_before_solving(monkeypatc
         density_grid(meq, xs=xs, y=1e-6)
 
 
+def assert_window_scales_with_m1(meq, unit):
+    """meq's law is unit's, of first moment 1, scaled by m1: the default
+    window is unit's times m1 to 1e-12, and the density solved over it at
+    y = 1e-6 m1 is unit's over m1 to 1e-9."""
+    m1 = closed_form_moments(meq).m1
+    xs, unit_xs = default_grid(meq, points=50), default_grid(unit, points=50)
+    assert np.all(np.isfinite(xs))
+    assert np.max(np.abs(xs / m1 - unit_xs)) <= 1e-12 * unit_xs[-1]
+    rhos, unit_rhos = density_grid(meq, xs=xs, y=1e-6 * m1).rhos, density_grid(unit, xs=unit_xs).rhos
+    assert np.max(np.abs(rhos * m1 - unit_rhos)) <= 1e-9 * np.max(unit_rhos)
+
+
 def test_default_grid_names_an_overflowing_window():
-    # m1 = 1e250 and its variance 25 * 1e500 overflows, so the default x_max
-    # would be inf and the solve would fail far from the cause
-    spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.LINEAR, 1e10) for _ in range(25)))
-    meq = master_from_spec(spec)
-    with pytest.raises(ValueError, match=r"m1 = 9\.99+\d*e\+249 and variance = inf") as info:
-        default_grid(meq)
-    assert "grid.x_min and grid.x_max" in str(info.value)
-    xs = default_grid(meq, points=50, x_min=1e246, x_max=1e251)
-    assert np.all(np.isfinite(density_grid(meq, xs=xs).rhos))
+    # m1 = 1e250, whose variance 25 * 1e500 overflows: the window was refused
+    # as "variance = inf", and its sigma is now m1 sqrt(25)
+    def linear(gain):
+        return master_from_spec(
+            NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.LINEAR, gain) for _ in range(25)))
+        )
+
+    assert closed_form_moments(linear(1e10)).variance == math.inf
+    assert_window_scales_with_m1(linear(1e10), linear(1.0))
+
+
+def test_default_grid_keeps_the_window_of_an_underflowing_variance():
+    # ReLU x 600 at sigma_w^2 = 1 has m1 = 2^-600, whose square underflows to
+    # a variance of 0, and the window collapsed to [1e-4 m1, m1]; at
+    # sigma_w^2 = 2 the same law has m1 = 1 and reaches 347 m1
+    def relu(gain):
+        return master_from_spec(
+            NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, gain) for _ in range(600)))
+        )
+
+    assert closed_form_moments(relu(1.0)).variance == 0.0
+    assert_window_scales_with_m1(relu(1.0), relu(2.0))
 
 
 def test_default_grid_names_an_overflowing_first_moment():
@@ -642,6 +667,22 @@ def test_density_failure_names_the_grid_point(monkeypatch):
     monkeypatch.setattr("freespectra.spectrum.newton_lilypads", explode)
     with pytest.raises(SolverError, match="density solve failed at x="):
         density_grid(master_from_spec(mp_spec()), xs=np.array([1.0, 2.0]), y=1e-6)
+
+
+def test_density_failure_in_the_batched_pass_names_the_grid_point(monkeypatch):
+    # the points the walk jumps over are solved together; the one that fails
+    # is named by its x in the error the grid raises
+    def explode(meq, z, m0, value, deriv, stats=None):
+        raise SolverError("synthetic failure", z=complex(z[1]))
+
+    monkeypatch.setattr("freespectra.spectrum.newton_lockstep", explode)
+    meq = master_from_spec(mp_spec())
+    xs = default_grid(meq, points=400)
+    with pytest.raises(SolverError) as info:
+        density_grid(meq, xs=xs, y=1e-6)
+    x = info.value.z.real
+    assert x in xs
+    assert str(info.value) == f"density solve failed at x={x!r}: synthetic failure"
 
 
 def test_mass_sanity_on_edge_separated_laws():
