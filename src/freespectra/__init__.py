@@ -29,6 +29,7 @@ from .spectrum import (
     Moments,
     QuantileTable,
     atom_lower_bound,
+    cdf,
     closed_form_moments,
     default_grid,
     density_grid,
@@ -66,6 +67,7 @@ __all__ = [
     "Moments",
     "QuantileTable",
     "atom_lower_bound",
+    "cdf",
     "closed_form_moments",
     "default_grid",
     "density_grid",

@@ -1,13 +1,15 @@
 """Independent validators for the analytic pipeline.
 
-Three cross-checks that share no code with the solver's continuation:
+Two cross-checks that share no code with the solver's continuation:
 finite-size Monte-Carlo sampling of the Jacobian Gram spectrum, with each
 layer's live count drawn independent of its weights, the layer at the
 bottleneck drawn as one lower-bidiagonal factor with the singular values
 of its Gaussian block, and each other layer's weights as one triangular
-Bartlett factor of the bottleneck's width; an all-roots polynomial baseline
-(companion-matrix eigenvalues, each polished by Newton steps on eval_phi);
-and a Kolmogorov-Smirnov distance that accounts for the point mass at zero.
+Bartlett factor of the bottleneck's width; and an all-roots polynomial
+baseline (companion-matrix eigenvalues, each polished by Newton steps on
+eval_phi).  A Kolmogorov-Smirnov distance compares a sample with the law's
+exact CDF, atom included, which it reads through the continuation
+(spectrum.cdf).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .network_model import NetworkSpec, summarize
-from .spectrum import DensityCurve, _cumulative_mass
+from .spectrum import cdf
 from .transform_algebra import RationalMasterEq, eval_phi
 
 __all__ = [
@@ -389,32 +391,24 @@ def all_roots(meq: RationalMasterEq, z: complex) -> RootSet:
     return RootSet(roots=tuple(roots.tolist()))
 
 
-def ks_distance(emp: EmpiricalSpectrum, curve: DensityCurve) -> float:
-    """sup_x |F_emp(x) - F_curve(x)| over the sample points.
+def ks_distance(emp: EmpiricalSpectrum, meq: RationalMasterEq) -> float:
+    """sup over x >= emp.floor of |F_emp(x) - F(x)|, F the law's exact CDF (spectrum.cdf).
 
-    F_curve places atom_lower_bound at zero and renormalizes the trapezoid CDF
-    of the grid to the remaining mass.  Sample points exactly at zero are
-    compared against the atom alone; at positive points both one-sided limits
-    of the empirical CDF are used, which keeps ties at zero from inflating the
-    distance.  A curve whose window misses the bulk, or holds no mass, is
-    refused, as quantiles refuses it.
+    F holds the atom at zero, and is read from one cdf call at the floor and
+    the sample's positive values.  The sample's zeros, those the sampler
+    pinned below its floor among them, are compared at the floor: zeros/n0
+    against F(floor), which is the atom for a sample built directly (floor
+    0).  At each positive value both one-sided limits of the empirical CDF
+    are compared with F, which keeps ties from inflating the distance.  F is
+    the limit law, solved on the ray x (1 + 1e-12 i), not the y-smoothed law
+    a density grid samples, since the sample is not smoothed.
     """
     values = emp.values
     n = values.size
-    cum = _cumulative_mass(curve)
-    grid_cdf = cum / cum[-1]
-    atom = curve.atom_lower_bound
-
     zeros = int(np.count_nonzero(values == 0.0))
-    dist = abs(zeros / n - atom)
-    positive = values[values > 0.0]
-    if positive.size:
-        model = atom + (1.0 - atom) * np.interp(positive, curve.xs, grid_cdf, left=0.0, right=1.0)
-        upper = (zeros + 1 + np.arange(positive.size)) / n
-        lower = (zeros + np.arange(positive.size)) / n
-        dist = max(
-            dist,
-            float(np.max(np.abs(upper - model))),
-            float(np.max(np.abs(model - lower))),
-        )
-    return float(dist)
+    positive = values[zeros:]  # values are sorted and nonnegative
+    model = cdf(meq, np.r_[emp.floor, positive])
+    # F_emp is (zeros + k)/n from the floor up to the k-th positive value,
+    # which each model[k] also meets from the left as (zeros + k - 1)/n
+    steps = (zeros + np.arange(positive.size + 1)) / n
+    return float(max(np.abs(steps - model).max(), np.abs(model[1:] - steps[:-1]).max(initial=0.0)))

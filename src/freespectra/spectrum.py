@@ -8,7 +8,9 @@ starting each jump from the branch tangent at its head (an Euler
 predictor), then batched certificate tests and lockstep Newton solves, in
 blocks, for the points jumped over, each started from the cubic Hermite
 interpolant of the branch between the two solved points that bracket it
-(see _walk_roots).
+(see _walk_roots).  The same walk, on the ray z = x (1 + 1e-12 i), gives the
+law's exact CDF, atom included, at any points (cdf), from the closed-form
+primitive of (m + 1)/z dz in m.
 Every function here reads the law from the master equation's factors (a
 RationalMasterEq) alone, never from the layers.
 """
@@ -40,6 +42,7 @@ __all__ = [
     "QuantileTable",
     "Moments",
     "atom_lower_bound",
+    "cdf",
     "default_grid",
     "density_grid",
     "quantiles",
@@ -58,6 +61,10 @@ _STRIDE = 64
 # The batched pass takes the grid in blocks of _BLOCK points, so that each of
 # its complex arrays holds at most 64 KiB, below glibc's mmap threshold.
 _BLOCK = 4096
+
+# cdf solves each positive point on the ray z = x (1 + i _RAY_EPS); far above
+# the support that offset leaves 1 - F at about _RAY_EPS / pi
+_RAY_EPS = 1e-12
 
 
 @dataclass(eq=False, kw_only=True)
@@ -420,6 +427,51 @@ def _branch_slope(meq: RationalMasterEq, z: complex, m: complex) -> complex:
     return slope if cisfinite(slope) else 0j
 
 
+def cdf(meq: RationalMasterEq, xs: Sequence[float]) -> np.ndarray:
+    """The law's exact CDF F(x) = P(X <= x), atom included, at the points xs, in their order.
+
+    On the branch z = P(m)/m, so G = (m + 1)/z, whose density is
+    rho = -Im G/pi, has G dz = (m + 1)(sum_j k_j/(m - r_j) - 1/m) dm, a
+    rational function of m with simple poles.  As (m + 1)/(m - r_j) =
+    1 + (1 + r_j)/(m - r_j), its primitive is
+    Phi(m) = (d - 1) m + sum_j k_j (1 + r_j) log(m - r_j) - log m,
+    d = sum_j k_j; the gain drops out, and so does the root -1's log.  As
+    x -> infinity, m -> 0 and Im Phi -> 0, so
+    F(x) = 1 - integral_x^inf rho = 1 - Im Phi(m(x + i0))/pi.
+    m(x + i0) lies in the closed lower half-plane, and so does each m - r_j,
+    as every root is real; each log is continued from m = 0 inside it, so
+    every argument lies in [-pi, 0]: arctan2 where Im w < 0, otherwise -pi
+    for Re w < 0 and 0.  (The principal branch gives +pi on the negative
+    axis, which puts F above 1 where m - r_j is real and negative.)  F(0)
+    is the atom, atom_lower_bound(meq).  Each distinct positive x is solved
+    once, by _walk_roots from the largest down, on the ray z = x (1 + i eps),
+    eps = _RAY_EPS: no grid, window, y or quadrature enters.  The ray's
+    offset leaves 1 - F at about eps/pi far above the support, where
+    m ~ m1/z and -arg m ~ eps.  A negative, NaN or infinite x raises a
+    ValueError naming it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    bad = ~(np.isfinite(xs) & (xs >= 0.0))
+    if bad.any():
+        raise ValueError(f"cdf needs finite x >= 0, got {float(xs[bad][0])!r}")
+    points, inverse = np.unique(xs, return_inverse=True)
+    # F(0) is the atom; points is sorted, so a zero can only come first
+    out = np.full(points.size, atom_lower_bound(meq))
+    start = np.count_nonzero(points == 0.0)
+    if start < points.size:
+        ms = _walk_roots(meq, points[start:][::-1] * complex(1.0, _RAY_EPS), SolveStats())
+        im = (meq.degree - 1) * ms.imag - _lower_arg(ms)
+        for r, k in zip(meq.roots, meq.multiplicities):
+            im += k * (1.0 + r) * _lower_arg(ms - r)
+        out[start:] = 1.0 - im[::-1] / math.pi
+    return out[inverse].reshape(xs.shape)
+
+
+def _lower_arg(w: np.ndarray) -> np.ndarray:
+    """The argument of each w of the closed lower half-plane, in [-pi, 0]."""
+    return np.where(w.imag < 0.0, np.arctan2(w.imag, w.real), np.where(w.real < 0.0, -math.pi, 0.0))
+
+
 def _cell_masses(xs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """The trapezoid mass of each grid cell; they sum to the curve's total_mass.
 
@@ -431,33 +483,22 @@ def _cell_masses(xs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _cumulative_mass(curve: DensityCurve) -> np.ndarray:
-    """The trapezoid CDF of the curve over its grid window, from 0.
-
-    A window whose mass, the atom included, is below one half misses the
-    bulk, and one with no mass at all has no CDF to normalize; both are
-    refused.
-    """
-    mass = float(curve.total_mass + curve.atom_lower_bound)
-    if mass < 0.5:
-        raise ValueError(f"grid window misses the bulk: total_mass + atom = {mass!r} below 0.5")
-    out = np.empty(curve.xs.size, dtype=float)
-    out[0] = 0.0
-    np.cumsum(_cell_masses(curve.xs, curve.rhos), out=out[1:])
-    if not (out[-1] > 0.0):
-        raise ValueError("curve carries no mass on its grid window")
-    return out
-
-
 def quantiles(curve: DensityCurve, probs: Sequence[float]) -> QuantileTable:
     """Invert the curve's trapezoid CDF, conditional on the absolutely continuous part.
 
     The returned values satisfy G(v) = p with G renormalized to [0, 1] over the
-    grid window; the atom at zero is reported alongside, never folded in.
+    grid window; the atom at zero is reported alongside, never folded in.  A
+    window whose mass, the atom included, is below one half misses the bulk,
+    and one with no mass at all has no CDF to invert; both are refused.
     """
     probs = tuple(float(p) for p in probs)
-    cum = _cumulative_mass(curve)
+    held = float(curve.total_mass + curve.atom_lower_bound)
+    if held < 0.5:
+        raise ValueError(f"grid window misses the bulk: total_mass + atom = {held!r} below 0.5")
+    cum = np.concatenate(([0.0], np.cumsum(_cell_masses(curve.xs, curve.rhos))))
     mass = cum[-1]
+    if not (mass > 0.0):
+        raise ValueError("curve carries no mass on its grid window")
     # Exact inversion of the trapezoid CDF: within a cell the density is linear,
     # so the cumulative is quadratic in t = v - x0 and the stable root is
     # t = 2T / (rho0 + sqrt(rho0^2 + 2sT)); the discriminant telescopes to

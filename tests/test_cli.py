@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from freespectra import cli, monte_carlo_spectrum, network_model, quantiles
+from freespectra import (
+    atom_lower_bound,
+    cdf,
+    cli,
+    master_from_spec,
+    monte_carlo_spectrum,
+    network_model,
+    quantiles,
+)
 from freespectra.artifacts import read_density, read_quantiles
 from freespectra.solver import SolverError
 
@@ -251,8 +259,12 @@ def test_validate_relu4_passes(tmp_path, capsys):
 
 
 def test_validate_reports_the_zeros_and_the_atom(tmp_path, capsys):
-    # zeros: the sample's exact zeros, atom: the curve's atom_lower_bound; the
-    # KS distance compares their shares at zero, so it is at least their gap
+    # zeros: the sample's exact zeros, atom: the master equation's
+    # atom_lower_bound; the KS distance compares the zeros' share with the
+    # law's CDF at the sample's floor, so it is at least that gap.  Here
+    # zeros/n0 = 0.52, the atom 0.5 and F(floor) 0.50043, so the gap to
+    # the atom itself, 0.02, exceeds the distance, 0.0196.  F(floor) solved
+    # alone and among the sample's values agree to rounding.
     payload = dict(RELU4)
     payload["mc"] = {"n0": 400, "seed": 5}
     config = write_config(tmp_path, "relu4_mc.json", payload)
@@ -264,9 +276,10 @@ def test_validate_reports_the_zeros_and_the_atom(tmp_path, capsys):
     )
     sample = monte_carlo_spectrum(spec, 400, seed=5)
     assert int(fields["zeros"]) == np.count_nonzero(sample.values == 0.0) > 0
-    atom = float(fields["atom"])
-    assert 0.0 < atom < 1.0
-    assert abs(int(fields["zeros"]) / 400 - atom) <= float(fields["ks_distance"])
+    meq = master_from_spec(spec)
+    assert float(fields["atom"]) == atom_lower_bound(meq) == 0.5
+    at_floor = cdf(meq, [float(fields["floor"])])[0]
+    assert abs(int(fields["zeros"]) / 400 - at_floor) <= float(fields["ks_distance"]) + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -317,6 +330,46 @@ def test_density_names_the_grid_whose_trapezoid_mass_is_refused(tmp_path, capsys
     assert cli.main(["density", "--config", config, "--out", out, "--points", "3"]) == 0
 
 
+@pytest.mark.parametrize(
+    "layer, depth",
+    [
+        ({"nonlinearity": "linear", "sigma_w_sq": 1.0}, 4),
+        ({"nonlinearity": "linear", "sigma_w_sq": 1.0}, 16),
+        ({"nonlinearity": "relu", "sigma_w_sq": 2.0}, 16),
+        ({"nonlinearity": "relu", "sigma_w_sq": 2.0}, 64),
+        ({"nonlinearity": "relu", "sigma_w_sq": 1.978}, 1),
+        ({"nonlinearity": "relu", "sigma_w_sq": 2.0, "lambda": 1e-8}, 1),
+    ],
+    ids=["linear_x4", "linear_x16", "relu_x16", "relu_x64", "relu_x1", "relu_1e11_units"],
+)
+def test_validate_passes_deep_and_wide_nets_at_its_defaults(tmp_path, capsys, layer, depth):
+    # against a 400-point grid's trapezoid CDF these read KS 0.1457, a
+    # refusal ("grid window misses the bulk"), 0.2660, 0.4180, 0.1546 (at
+    # y = 1e-3, whose smoothing spread the atom over the window) and a
+    # refusal; the last net's layer is 1e11 units wide at n0 = 1000
+    payload = {"network": {"layers": [layer] * depth}, "y": 1e-3 if depth == 1 else 1e-6}
+    assert cli.main(["validate", "--config", write_config(tmp_path, "deep.json", payload)]) == 0
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert fields["result"] == "pass"
+    assert float(fields["ks_distance"]) <= 0.02
+
+
+def test_validate_reads_neither_the_grid_nor_y(tmp_path, capsys):
+    # the KS distance compares the sample with the law's exact CDF, so no
+    # grid field, y, --points or --y changes the report
+    reports = []
+    for extra, flags in [
+        ({}, []),
+        ({"grid": {"points": 3, "x_min": 5.0, "x_max": 6.0, "log_spaced": False}, "y": 0.5}, []),
+        ({}, ["--points", "2", "--y", "1e-300"]),
+    ]:
+        payload = dict(RELU4, mc={"n0": 300, "seed": 1}, **extra)
+        config = write_config(tmp_path, "relu4_mc.json", payload)
+        assert cli.main(["validate", "--config", config, *flags]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_validate_requires_mc(tmp_path, capsys):
     payload = dict(MP1)
     payload["mc"] = {"enabled": False}
@@ -328,8 +381,7 @@ def test_validate_requires_mc(tmp_path, capsys):
 def test_validate_names_a_layer_too_wide_to_count(tmp_path, capsys):
     # lambda 1e-17 makes layer 1 1e20 units wide at n0 = 1000, more than
     # numpy's binomial counts (2**63 - 1), whose OverflowError the CLI does
-    # not catch; the law's bulk is within 1e-8 of m1 = 1, so a window around
-    # it, smoothed at y = 1e-3, solves before the sampler runs
+    # not catch; the grid and y play no part in validate
     payload = {
         "network": {"layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0, "lambda": 1e-17}]},
         "grid": {"x_min": 0.99, "x_max": 1.01, "points": 400, "log_spaced": False},

@@ -7,25 +7,22 @@ import numpy as np
 import pytest
 
 from _activations import activation_derivative
-from _curves import uniform_density_curve
 from _s_transform import factor_coefficients
 from freespectra import (
-    DensityCurve,
     EmpiricalSpectrum,
     LayerSpec,
     NetworkSpec,
     Nonlinearity,
     RationalMasterEq,
     all_roots,
+    atom_lower_bound,
+    cdf,
     closed_form_moments,
-    default_grid,
-    density_grid,
     g_moment,
     ks_distance,
     master_from_spec,
     monte_carlo_spectrum,
     newton_lilypads,
-    quantiles,
 )
 from freespectra.network_model import Nonlinearity as NL
 from freespectra.network_model import summarize
@@ -768,64 +765,65 @@ def test_lilypads_sits_on_the_branch_root():
 
 
 def test_ks_distance_of_inverse_cdf_samples_is_small():
-    curve = uniform_density_curve(0.0, 4.0)
+    # Marchenko-Pastur samples drawn through its closed-form CDF, inverted
+    # by bisection to well below the sample's resolution
     rng = np.random.default_rng(31)
-    samples = 4.0 * rng.uniform(size=1000)
-    emp = EmpiricalSpectrum(values=np.sort(samples))
-    assert ks_distance(emp, curve) <= 0.05
+    samples = []
+    for u in rng.uniform(size=1000):
+        lo, hi = 0.0, 4.0
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mp_cdf(mid) < u else (lo, mid)
+        samples.append(hi)
+    emp = EmpiricalSpectrum(values=np.array(samples))
+    assert ks_distance(emp, master_from_spec(mp_spec())) <= 0.05
 
 
 def test_ks_distance_all_zeros_vs_atomless_curve():
-    meq = master_from_spec(mp_spec())
-    curve = density_grid(meq, xs=default_grid(meq, points=120), y=1e-6)
+    # Marchenko-Pastur has no atom, so a sample of zeros misses all of it
     emp = EmpiricalSpectrum(values=np.zeros(50))
-    assert ks_distance(emp, curve) >= 0.99
+    assert ks_distance(emp, master_from_spec(mp_spec())) == 1.0
 
 
 def test_ks_distance_credits_the_atom():
     spec = relu4_spec()
-    meq = master_from_spec(spec)
-    curve = density_grid(meq, xs=default_grid(meq, points=200), y=1e-6)
     emp = monte_carlo_spectrum(spec, 500, seed=0)
-    assert ks_distance(emp, curve) <= 0.1
+    assert ks_distance(emp, master_from_spec(spec)) <= 0.1
 
 
-def test_ks_distance_rejects_starved_curve():
-    xs = np.linspace(1.0, 2.0, 8)
-    starved = DensityCurve(xs=xs, rhos=np.full(8, 1e-9), y=1e-6)
-    emp = EmpiricalSpectrum(values=np.linspace(0, 1, 16))
-    with pytest.raises(ValueError, match="mass"):
-        ks_distance(emp, starved)
+def test_ks_distance_compares_the_zeros_with_the_cdf_at_the_floor():
+    # nine zeros and one positive value, at floor 0 and at a positive floor:
+    # the zeros' share, 0.9, meets the atom 0.5 at floor 0 and F(0.25) =
+    # 0.7547 above it, and that gap is the distance; at 2.0, F = 0.8738 is
+    # within 0.13 of both one-sided limits, 0.9 and 1.  Each point's root,
+    # and so F, depends on the points walked with it to within rounding.
+    meq = master_from_spec(relu4_spec())
+    values = np.r_[np.zeros(9), 2.0]
+    for floor in (0.0, 0.25):
+        model = cdf(meq, [floor, 2.0])
+        emp = EmpiricalSpectrum(values=values, floor=floor, censored=1)
+        assert abs(0.9 - model[0]) > max(abs(1.0 - model[1]), abs(model[1] - 0.9))
+        assert ks_distance(emp, meq) == pytest.approx(abs(0.9 - model[0]), abs=1e-14)
+    assert cdf(meq, [0.0])[0] == atom_lower_bound(meq) == 0.5
 
 
-@pytest.mark.parametrize("atom", [0.375, np.nextafter(0.375, 0.0)])
-def test_quantiles_and_ks_distance_share_one_mass_check(atom):
-    # total_mass + atom exactly 0.5 passes both, and the next double below
-    # fails both with one message; ks_distance once refused 0.5 itself, with
-    # a message of its own.  Eight cells of width and density 1/8 hold
-    # exactly 1/8.
-    xs = np.linspace(1.0, 2.0, 9)
-    curve = DensityCurve(xs=xs, rhos=np.full(9, 0.125), y=1e-6, atom_lower_bound=atom)
-    assert curve.total_mass == 0.125
-    emp = EmpiricalSpectrum(values=np.r_[np.zeros(4), 1.1, 1.4, 1.6, 1.9])
-    mass = float(0.125 + atom)
-    if mass == 0.5:
-        assert quantiles(curve, (0.5,)).values[0] == pytest.approx(1.5, rel=1e-12)
-        assert 0.0 <= ks_distance(emp, curve) <= 1.0
-        return
-    assert mass == np.nextafter(0.5, 0.0)
-    message = rf"^grid window misses the bulk: total_mass \+ atom = {mass!r} below 0.5$"
-    with pytest.raises(ValueError, match=message):
-        quantiles(curve, (0.5,))
-    with pytest.raises(ValueError, match=message):
-        ks_distance(emp, curve)
+def test_ks_distance_meets_each_value_from_the_left():
+    # one value near Marchenko-Pastur's upper edge: the sample's CDF is 0
+    # just below it, where F is 0.99, and 1 at it
+    meq = master_from_spec(mp_spec())
+    emp = EmpiricalSpectrum(values=np.array([3.9]))
+    at_value = cdf(meq, [0.0, 3.9])[1]
+    assert ks_distance(emp, meq) == at_value == pytest.approx(mp_cdf(3.9), abs=1e-12)
 
 
-def test_ks_distance_refuses_a_curve_with_no_mass_on_its_window():
-    # the atom alone passes the mass check, and the window's CDF was 0/0:
-    # NaN, which max dropped, so this pair scored KS 0.0
-    xs = np.linspace(1.0, 2.0, 8)
-    empty = DensityCurve(xs=xs, rhos=np.zeros(8), y=1e-6, atom_lower_bound=0.6)
-    emp = EmpiricalSpectrum(values=np.r_[np.zeros(6), 1.0, 1.2, 1.5, 1.9])
-    with pytest.raises(ValueError, match="^curve carries no mass on its grid window$"):
-        ks_distance(emp, empty)
+def test_censored_share_meets_the_cdf_at_the_floor():
+    # linear x 16 has no atom, but its law puts about 0.22 of its mass below
+    # the sample's rounding floor, where the sampler pins it as censored
+    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0),) * 16)
+    emp = monte_carlo_spectrum(spec, 1000, seed=0)
+    meq = master_from_spec(spec)
+    assert atom_lower_bound(meq) == 0.0
+    at_floor = cdf(meq, [emp.floor])[0]
+    share = emp.censored / 1000
+    assert 0.2 < share < 0.25
+    assert abs(share - at_floor) <= 3 * math.sqrt(at_floor * (1 - at_floor) / 1000)

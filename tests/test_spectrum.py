@@ -22,11 +22,14 @@ from freespectra import (
     SolverError,
     SolveStats,
     atom_lower_bound,
+    cdf,
     closed_form_moments,
     default_grid,
     density_grid,
     eval_phi,
+    ks_distance,
     master_from_spec,
+    monte_carlo_spectrum,
     newton_lilypads,
     quantiles,
 )
@@ -816,6 +819,99 @@ def test_quantiles_reject_empty_window():
     starved = DensityCurve(xs=xs, rhos=np.full(10, 1e-9), y=1e-6)
     with pytest.raises(ValueError, match="grid window misses the bulk"):
         quantiles(starved, np.array([0.5]))
+
+
+@pytest.mark.parametrize("atom", [0.375, np.nextafter(0.375, 0.0)])
+def test_quantiles_refuse_a_window_below_half_its_mass(atom):
+    # total_mass + atom exactly 0.5 passes, and the next double below fails
+    # by name.  Eight cells of width and density 1/8 hold exactly 1/8.
+    xs = np.linspace(1.0, 2.0, 9)
+    curve = DensityCurve(xs=xs, rhos=np.full(9, 0.125), y=1e-6, atom_lower_bound=atom)
+    assert curve.total_mass == 0.125
+    mass = float(0.125 + atom)
+    if mass == 0.5:
+        assert quantiles(curve, (0.5,)).values[0] == pytest.approx(1.5, rel=1e-12)
+        return
+    assert mass == np.nextafter(0.5, 0.0)
+    message = rf"^grid window misses the bulk: total_mass \+ atom = {mass!r} below 0.5$"
+    with pytest.raises(ValueError, match=message):
+        quantiles(curve, (0.5,))
+
+
+def test_quantiles_refuse_a_curve_with_no_mass_on_its_window():
+    # the atom alone passes the mass check, and the window's CDF would be 0/0
+    xs = np.linspace(1.0, 2.0, 8)
+    empty = DensityCurve(xs=xs, rhos=np.zeros(8), y=1e-6, atom_lower_bound=0.6)
+    with pytest.raises(ValueError, match="^curve carries no mass on its grid window$"):
+        quantiles(empty, (0.5,))
+
+
+# ------------------------------------------------------------------------ cdf
+
+
+def test_cdf_matches_marchenko_pastur():
+    xs = [1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.5, 3.999]
+    got = cdf(master_from_spec(mp_spec()), xs)
+    assert max(abs(f - mp_cdf(x)) for f, x in zip(got, xs)) <= 1e-12
+
+
+def test_cdf_above_the_edge_is_one_but_for_the_ray():
+    # far above the support the ray's offset leaves 1 - F at about 1e-12/pi
+    tails = 1.0 - cdf(master_from_spec(mp_spec()), [4.001, 5.0, 50.0, 1e3])
+    assert np.all(np.abs(tails) < 1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        mp_spec(),
+        relu4_spec(),
+        NetworkSpec(layers=(LayerSpec(Nonlinearity.RELU, 2.0, 0.0, 0.5),) * 2),
+        NetworkSpec(layers=(LayerSpec(Nonlinearity.HARD_TANH, 1.5),) * 3),
+    ],
+    ids=["mp", "relu_x4", "relu_x2_wide", "hard_tanh_x3"],
+)
+def test_cdf_at_zero_is_the_atom(spec):
+    meq = master_from_spec(spec)
+    assert cdf(meq, [0.0])[0] == atom_lower_bound(meq)
+    # just above zero F has barely left the atom; ReLU x 4's root -1/2 of
+    # multiplicity 4 makes F - atom about 0.045 x^(1/5) there, 1.4e-4 at 1e-14
+    assert 0.0 <= cdf(meq, [1e-14])[0] - atom_lower_bound(meq) < 1e-3
+
+
+def test_cdf_reads_unsorted_and_tied_points_as_sorted_distinct_ones():
+    meq = master_from_spec(relu4_spec())
+    distinct = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 8.0])
+    shuffled = np.array([2.0, 0.1, 8.0, 0.0, 1.0, 0.1, 1e-3, 0.5, 2.0, 0.0])
+    sorted_f = cdf(meq, distinct)
+    got = cdf(meq, shuffled)
+    assert np.array_equal(got, sorted_f[np.searchsorted(distinct, shuffled)])
+    assert np.all(np.diff(sorted_f) > 0)
+    assert cdf(meq, []).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -0.0 - 1e-300, math.nan, math.inf, -math.inf])
+def test_cdf_refuses_a_point_that_is_negative_or_not_finite(bad):
+    meq = master_from_spec(mp_spec())
+    with pytest.raises(ValueError, match=rf"^cdf needs finite x >= 0, got {bad!r}$"):
+        cdf(meq, [1.0, bad, 2.0])
+
+
+def test_cdf_takes_every_argument_in_the_closed_lower_half_plane():
+    # ReLU at ratio 0.5 then hard_tanh at ratio 2: m - r_j crosses the
+    # negative real axis, where the principal branch's +pi put F near 1.4
+    spec = NetworkSpec(
+        layers=(
+            LayerSpec(Nonlinearity.RELU, 2.0, 0.0, 0.5),
+            LayerSpec(Nonlinearity.HARD_TANH, 1.5, 0.0, 2.0),
+        )
+    )
+    meq = master_from_spec(spec)
+    emp = monte_carlo_spectrum(spec, 1000, seed=0)
+    f = cdf(meq, np.r_[emp.floor, emp.values])
+    atom = atom_lower_bound(meq)
+    assert np.all(f >= atom - 1e-12) and np.all(f <= 1.0 + 1e-12)
+    assert ks_distance(emp, meq) <= 0.03
 
 
 # -------------------------------------------------------------------- moments
