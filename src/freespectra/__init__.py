@@ -29,6 +29,7 @@ from .spectrum import (
     Moments,
     QuantileTable,
     atom_lower_bound,
+    branch_roots,
     cdf,
     closed_form_moments,
     default_grid,
@@ -67,6 +68,7 @@ __all__ = [
     "Moments",
     "QuantileTable",
     "atom_lower_bound",
+    "branch_roots",
     "cdf",
     "closed_form_moments",
     "default_grid",

@@ -17,6 +17,7 @@ or command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from typing import Optional
@@ -25,6 +26,7 @@ from . import spectrum
 from .artifacts import write_density, write_quantiles, write_text
 from .config import ConfigError, RunConfig, apply_overrides, load_config
 from .oracles import all_roots, ks_distance, monte_carlo_spectrum
+from .solver import SolveStats
 from .spectrum import default_grid, density_grid, quantiles
 
 __all__ = ["main"]
@@ -110,8 +112,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # called through the spectrum module, as in _window
     meq = spectrum.master_from_spec(config.network)
     emp = monte_carlo_spectrum(config.network, config.mc.n0, config.mc.seed)
-    ks = ks_distance(emp, meq)
+    stats = SolveStats()
+    ks = ks_distance(emp, meq, stats)
     passed = ks <= _KS_THRESHOLD
+    counters = "".join(f"{key}: {value}\n" for key, value in dataclasses.asdict(stats).items())
     _report(
         f"n0: {config.mc.n0}\n"
         f"seed: {config.mc.seed}\n"
@@ -121,7 +125,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"atom: {spectrum.atom_lower_bound(meq)!r}\n"
         f"ks_distance: {ks!r}\n"
         f"threshold: {_KS_THRESHOLD!r}\n"
-        f"result: {'pass' if passed else 'fail'}\n",
+        f"result: {'pass' if passed else 'fail'}\n" + counters,
         config,
     )
     return 0 if passed else 1

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .network_model import NetworkSpec, summarize
+from .solver import SolveStats
 from .spectrum import cdf
 from .transform_algebra import RationalMasterEq, eval_phi
 
@@ -391,7 +392,9 @@ def all_roots(meq: RationalMasterEq, z: complex) -> RootSet:
     return RootSet(roots=tuple(roots.tolist()))
 
 
-def ks_distance(emp: EmpiricalSpectrum, meq: RationalMasterEq) -> float:
+def ks_distance(
+    emp: EmpiricalSpectrum, meq: RationalMasterEq, stats: Optional[SolveStats] = None
+) -> float:
     """sup over x >= emp.floor of |F_emp(x) - F(x)|, F the law's exact CDF (spectrum.cdf).
 
     F holds the atom at zero, and is read from one cdf call at the floor and
@@ -401,13 +404,14 @@ def ks_distance(emp: EmpiricalSpectrum, meq: RationalMasterEq) -> float:
     0).  At each positive value both one-sided limits of the empirical CDF
     are compared with F, which keeps ties from inflating the distance.  F is
     the limit law, solved on the ray x (1 + 1e-12 i), not the y-smoothed law
-    a density grid samples, since the sample is not smoothed.
+    a density grid samples, since the sample is not smoothed.  The ray
+    walk's counters are added to stats when it is given.
     """
     values = emp.values
     n = values.size
     zeros = int(np.count_nonzero(values == 0.0))
     positive = values[zeros:]  # values are sorted and nonnegative
-    model = cdf(meq, np.r_[emp.floor, positive])
+    model = cdf(meq, np.r_[emp.floor, positive], stats)
     # F_emp is (zeros + k)/n from the floor up to the k-th positive value,
     # which each model[k] also meets from the left as (zeros + k - 1)/n
     steps = (zeros + np.arange(positive.size + 1)) / n

@@ -1,16 +1,17 @@
 """Density curves, quantiles and closed-form moments of limiting squared-singular-value laws.
 
-The density at x is recovered from the decaying-branch solution m(x + iy) of the
-master equation through rho = -Im((m+1)/z)/pi, evaluated at a small smoothing
-offset y > 0.  A grid is solved in two passes: a sequential walk that jumps
-64 points first, doubles a jump that certifies and halves one that does not,
-starting each jump from the branch tangent at its head (an Euler
+branch_roots solves the master equation's decaying branch m(z) at any
+points of the upper half-plane, in the caller's order: it walks the
+distinct points by decreasing Re z in two passes, a sequential walk that
+jumps 64 points first, doubles a jump that certifies and halves one that
+does not, starting each jump from the branch tangent at its head (an Euler
 predictor), then batched certificate tests and lockstep Newton solves, in
 blocks, for the points jumped over, each started from the cubic Hermite
 interpolant of the branch between the two solved points that bracket it
-(see _walk_roots).  The same walk, on the ray z = x (1 + 1e-12 i), gives the
-law's exact CDF, atom included, at any points (cdf), from the closed-form
-primitive of (m + 1)/z dz in m.
+(see _walk_roots).  The density at x is rho = -Im((m+1)/z)/pi at
+z = x + iy, a small smoothing offset y > 0 (density_grid); on the ray
+z = x (1 + 1e-12 i) the closed-form primitive of (m + 1)/z dz in m gives
+the law's exact CDF, atom included (cdf).
 Every function here reads the law from the master equation's factors (a
 RationalMasterEq) alone, never from the layers.
 """
@@ -42,6 +43,7 @@ __all__ = [
     "QuantileTable",
     "Moments",
     "atom_lower_bound",
+    "branch_roots",
     "cdf",
     "default_grid",
     "density_grid",
@@ -65,6 +67,9 @@ _BLOCK = 4096
 # cdf solves each positive point on the ray z = x (1 + i _RAY_EPS); far above
 # the support that offset leaves 1 - F at about _RAY_EPS / pi
 _RAY_EPS = 1e-12
+
+# _walk_order's mark of points given in exactly the reverse of walk order
+_REVERSED = slice(None, None, -1)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -272,14 +277,13 @@ def density_grid(
         raise ValueError("xs must be strictly increasing and nonnegative")
     stats = SolveStats()
     zs = _grid_array(xs.size, complex)
-    zs.real = xs[::-1]
+    zs.real = xs
     zs.imag = y
-    # (m + 1)/z in place, in walk order (zs is exactly xs + iy reversed);
-    # a division by -pi rounds as a division by pi, negated
-    ms = _walk_roots(meq, zs, stats)
+    # (m + 1)/z in place; a division by -pi rounds as a division by pi, negated
+    ms = branch_roots(meq, zs, stats)
     ms += 1.0
     ms /= zs
-    rhos = np.divide(ms.imag[::-1], -math.pi)
+    rhos = np.divide(ms.imag, -math.pi)
     bad = np.flatnonzero(rhos < -_NEGATIVE_DENSITY_TOL)
     if bad.size:
         x = float(xs[bad[0]])
@@ -295,8 +299,79 @@ def density_grid(
     )
 
 
+def branch_roots(
+    meq: RationalMasterEq, zs: Sequence[complex], stats: Optional[SolveStats] = None
+) -> np.ndarray:
+    """Decaying-branch roots m(z) at the points zs, in their order and shape.
+
+    The points may come in any order and may repeat; each must be finite with
+    Im z > 0.  They are walked by decreasing Re z, and each distinct point is
+    solved once (see _walk_roots), so points that share Re z must be one
+    point.  The walk's counters are added to stats when it is given.  A
+    strictly monotone input is walked as it is or reversed, with no sort.
+    The points walked and the roots returned are contiguous arrays, never
+    reversed views, since numpy's complex loops and arctan2 round
+    differently on a strided view.  Per-point arrays too large to allocate
+    raise a ValueError naming the point count.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    flat = zs.ravel()
+    if flat.size == 0:
+        return np.empty(zs.shape, dtype=complex)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise ValueError(f"branch_roots needs finite points, got {complex(flat[~finite][0])!r}")
+    lower = flat.imag <= 0.0
+    if lower.any():
+        raise ValueError(f"branch_roots needs Im z > 0, got {complex(flat[lower][0])!r}")
+    try:
+        walk, index = _walk_order(flat)
+    except MemoryError:
+        raise _grid_too_large(flat.size) from None
+    ms = _walk_roots(meq, walk, SolveStats() if stats is None else stats)
+    if index is _REVERSED:
+        # walk is a reversed copy made for this call alone, so it takes the roots
+        np.copyto(walk, ms[::-1])
+        ms = walk
+    elif index is not None:
+        try:
+            ms = np.take(ms, index)
+        except MemoryError:
+            raise _grid_too_large(flat.size) from None
+    return ms.reshape(zs.shape)
+
+
+def _walk_order(zs: np.ndarray) -> tuple:
+    """The distinct points of zs by decreasing Re z, and where each point of zs lies among them.
+
+    The first is a contiguous array.  The second is None where zs is in that
+    order already, _REVERSED where it is in the reverse order, and otherwise
+    each point's index into the first.  Copies are taken by
+    np.ascontiguousarray, np.take and np.compress, so that a test can fail
+    their allocation without making one.
+    """
+    steps = np.diff(zs.real)
+    if (steps < 0.0).all():
+        return np.ascontiguousarray(zs), None
+    if (steps > 0.0).all():
+        return np.ascontiguousarray(zs[::-1]), _REVERSED
+    order = np.argsort(zs.real, kind="stable")[::-1]
+    walk = np.take(zs, order)
+    tied = walk.real[1:] == walk.real[:-1]
+    clash = np.flatnonzero(tied & (walk.imag[1:] != walk.imag[:-1]))
+    if clash.size:
+        a, b = complex(walk[clash[0]]), complex(walk[clash[0] + 1])
+        raise ValueError(f"branch_roots: points {a!r} and {b!r} share Re z but differ in Im z")
+    # each sorted point's place among the distinct ones, scattered back
+    rank = np.zeros(zs.size, dtype=np.intp)
+    np.cumsum(~tied, out=rank[1:])
+    index = np.empty(zs.size, dtype=np.intp)
+    index[order] = rank
+    return np.compress(np.concatenate(([True], ~tied)), walk), index
+
+
 def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.ndarray:
-    """Decaying-branch roots at the points zs, given in walk order.
+    """Decaying-branch roots at the points zs, given distinct, in walk order.
 
     Coarse pass: the walk tests its jump's end once, from the branch tangent
     at the head, m_head + (z_end - z_head) dm/dz, with the slope at the head
@@ -333,7 +408,7 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
             m = newton_lilypads(meq, z, proxy, stats, certificate)
         except SolverError as err:
             raise SolverError(
-                f"density solve failed at x={z.real!r}: {err}",
+                f"branch solve failed at x={z.real!r}: {err}",
                 z=z,
                 last_certified=err.last_certified,
             ) from err
@@ -400,7 +475,7 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
                 meq, z[ok], m0[ok], certs.value[ok], certs.deriv[ok], stats
             )
         except SolverError as err:
-            raise SolverError(f"density solve failed at x={err.z.real!r}: {err}", z=err.z) from err
+            raise SolverError(f"branch solve failed at x={err.z.real!r}: {err}", z=err.z) from err
         failed += fine[~certs.certified].tolist()
     for k in failed:
         walk(k, (complex(zs[k - 1]), complex(ms[k - 1])))
@@ -427,7 +502,9 @@ def _branch_slope(meq: RationalMasterEq, z: complex, m: complex) -> complex:
     return slope if cisfinite(slope) else 0j
 
 
-def cdf(meq: RationalMasterEq, xs: Sequence[float]) -> np.ndarray:
+def cdf(
+    meq: RationalMasterEq, xs: Sequence[float], stats: Optional[SolveStats] = None
+) -> np.ndarray:
     """The law's exact CDF F(x) = P(X <= x), atom included, at the points xs, in their order.
 
     On the branch z = P(m)/m, so G = (m + 1)/z, whose density is
@@ -443,28 +520,25 @@ def cdf(meq: RationalMasterEq, xs: Sequence[float]) -> np.ndarray:
     every argument lies in [-pi, 0]: arctan2 where Im w < 0, otherwise -pi
     for Re w < 0 and 0.  (The principal branch gives +pi on the negative
     axis, which puts F above 1 where m - r_j is real and negative.)  F(0)
-    is the atom, atom_lower_bound(meq).  Each distinct positive x is solved
-    once, by _walk_roots from the largest down, on the ray z = x (1 + i eps),
-    eps = _RAY_EPS: no grid, window, y or quadrature enters.  The ray's
-    offset leaves 1 - F at about eps/pi far above the support, where
-    m ~ m1/z and -arg m ~ eps.  A negative, NaN or infinite x raises a
-    ValueError naming it.
+    is the atom, atom_lower_bound(meq).  The positive x are solved by
+    branch_roots on the ray z = x (1 + i eps), eps = _RAY_EPS, which counts
+    its walk into stats when given: no grid, window, y or quadrature
+    enters.  The ray's offset leaves 1 - F at about eps/pi far above the
+    support, where m ~ m1/z and -arg m ~ eps.  A negative, NaN or infinite
+    x raises a ValueError naming it.
     """
     xs = np.asarray(xs, dtype=float)
     bad = ~(np.isfinite(xs) & (xs >= 0.0))
     if bad.any():
         raise ValueError(f"cdf needs finite x >= 0, got {float(xs[bad][0])!r}")
-    points, inverse = np.unique(xs, return_inverse=True)
-    # F(0) is the atom; points is sorted, so a zero can only come first
-    out = np.full(points.size, atom_lower_bound(meq))
-    start = np.count_nonzero(points == 0.0)
-    if start < points.size:
-        ms = _walk_roots(meq, points[start:][::-1] * complex(1.0, _RAY_EPS), SolveStats())
-        im = (meq.degree - 1) * ms.imag - _lower_arg(ms)
-        for r, k in zip(meq.roots, meq.multiplicities):
-            im += k * (1.0 + r) * _lower_arg(ms - r)
-        out[start:] = 1.0 - im[::-1] / math.pi
-    return out[inverse].reshape(xs.shape)
+    out = np.full(xs.shape, atom_lower_bound(meq))
+    positive = xs > 0.0
+    ms = branch_roots(meq, xs[positive] * complex(1.0, _RAY_EPS), stats)
+    im = (meq.degree - 1) * ms.imag - _lower_arg(ms)
+    for r, k in zip(meq.roots, meq.multiplicities):
+        im += k * (1.0 + r) * _lower_arg(ms - r)
+    out[positive] = 1.0 - im / math.pi
+    return out
 
 
 def _lower_arg(w: np.ndarray) -> np.ndarray:

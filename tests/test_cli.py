@@ -1,5 +1,6 @@
 """End-to-end command surface: configs in, artifacts and exit codes out."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,13 +15,14 @@ from freespectra import (
     atom_lower_bound,
     cdf,
     cli,
+    ks_distance,
     master_from_spec,
     monte_carlo_spectrum,
     network_model,
     quantiles,
 )
 from freespectra.artifacts import read_density, read_quantiles
-from freespectra.solver import SolverError
+from freespectra.solver import SolveStats, SolverError
 
 MP1 = {"network": {"layers": [{"nonlinearity": "linear", "sigma_w_sq": 1.0}]}}
 RELU4 = {
@@ -280,6 +282,28 @@ def test_validate_reports_the_zeros_and_the_atom(tmp_path, capsys):
     assert float(fields["atom"]) == atom_lower_bound(meq) == 0.5
     at_floor = cdf(meq, [float(fields["floor"])])[0]
     assert abs(int(fields["zeros"]) / 400 - at_floor) <= float(fields["ks_distance"]) + 1e-12
+
+
+def test_validate_reports_the_counters_of_its_ray_walk(tmp_path, capsys):
+    # one line per SolveStats field after the result, each the count of the
+    # KS distance's own ray walk, as a direct ks_distance call counts it
+    payload = dict(RELU4)
+    payload["mc"] = {"n0": 400, "seed": 5}
+    config = write_config(tmp_path, "relu4_mc.json", payload)
+    assert cli.main(["validate", "--config", config]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = [line.split(": ", 1)[0] for line in lines]
+    names = [field.name for field in dataclasses.fields(SolveStats)]
+    assert keys[keys.index("result") + 1 :] == names
+    fields = dict(line.split(": ", 1) for line in lines)
+    spec = network_model.NetworkSpec(
+        layers=(network_model.LayerSpec(network_model.Nonlinearity.RELU, 2.0),) * 4
+    )
+    stats = SolveStats()
+    ks = ks_distance(monte_carlo_spectrum(spec, 400, seed=5), master_from_spec(spec), stats)
+    assert float(fields["ks_distance"]) == ks
+    assert {name: int(fields[name]) for name in names} == dataclasses.asdict(stats)
+    assert stats.certificate_tests > 0 and stats.basins > 0
 
 
 @pytest.mark.parametrize(
@@ -563,7 +587,7 @@ def test_solve_failure_exits_1_and_names_it(tmp_path, capsys, monkeypatch):
     assert cli.main(["density", "--config", config]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: density solve failed at x=")
+    assert captured.err.startswith("error: branch solve failed at x=")
     assert captured.err.endswith(": step rounds to zero\n")
 
 

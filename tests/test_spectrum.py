@@ -22,6 +22,7 @@ from freespectra import (
     SolverError,
     SolveStats,
     atom_lower_bound,
+    branch_roots,
     cdf,
     closed_form_moments,
     default_grid,
@@ -668,7 +669,7 @@ def test_density_failure_names_the_grid_point(monkeypatch):
         raise SolverError("synthetic failure")
 
     monkeypatch.setattr("freespectra.spectrum.newton_lilypads", explode)
-    with pytest.raises(SolverError, match="density solve failed at x="):
+    with pytest.raises(SolverError, match="branch solve failed at x="):
         density_grid(master_from_spec(mp_spec()), xs=np.array([1.0, 2.0]), y=1e-6)
 
 
@@ -685,7 +686,7 @@ def test_density_failure_in_the_batched_pass_names_the_grid_point(monkeypatch):
         density_grid(meq, xs=xs, y=1e-6)
     x = info.value.z.real
     assert x in xs
-    assert str(info.value) == f"density solve failed at x={x!r}: synthetic failure"
+    assert str(info.value) == f"branch solve failed at x={x!r}: synthetic failure"
 
 
 def test_mass_sanity_on_edge_separated_laws():
@@ -912,6 +913,130 @@ def test_cdf_takes_every_argument_in_the_closed_lower_half_plane():
     atom = atom_lower_bound(meq)
     assert np.all(f >= atom - 1e-12) and np.all(f <= 1.0 + 1e-12)
     assert ks_distance(emp, meq) <= 0.03
+
+
+def test_cdf_counts_each_distinct_point_of_its_ray_walk_once():
+    meq = master_from_spec(relu4_spec())
+    distinct, tied = SolveStats(), SolveStats()
+    cdf(meq, [0.0, 0.1, 0.5, 2.0], distinct)
+    cdf(meq, [2.0, 0.5, 0.0, 0.1, 2.0, 0.5], tied)
+    assert distinct == tied and distinct.certificate_tests > 0 and distinct.basins >= 3
+    # with no stats the walk still runs and counts into a throwaway
+    assert np.array_equal(cdf(meq, [0.1, 2.0]), cdf(meq, [0.1, 2.0], SolveStats()))
+
+
+def test_cdf_failure_names_the_point_on_the_ray(monkeypatch):
+    def explode(meq, z_objective, proxy=None, stats=None, certificate=None):
+        raise SolverError("synthetic failure")
+
+    monkeypatch.setattr("freespectra.spectrum.newton_lilypads", explode)
+    with pytest.raises(SolverError) as info:
+        cdf(master_from_spec(mp_spec()), [0.0, 0.5, 2.0])
+    assert str(info.value) == "branch solve failed at x=2.0: synthetic failure"
+    assert info.value.z == complex(2.0, 2e-12)
+
+
+# --------------------------------------------------------------- branch_roots
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("walked points that are refused")
+
+
+def test_branch_roots_read_shuffled_tied_and_2d_points_as_sorted_distinct_ones():
+    meq = master_from_spec(relu4_spec())
+    distinct = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 8.0]) + 1e-6j
+    expected_stats = SolveStats()
+    expected = branch_roots(meq, distinct, expected_stats)
+    picks = np.array([3, 0, 5, 1, 3, 4, 2, 0])
+    stats = SolveStats()
+    assert np.array_equal(branch_roots(meq, distinct[picks], stats), expected[picks])
+    assert stats == expected_stats
+    square = distinct[picks].reshape(2, 4)
+    assert np.array_equal(branch_roots(meq, square), expected[picks].reshape(2, 4))
+    assert np.array_equal(branch_roots(meq, square.T), expected[picks].reshape(2, 4).T)
+    assert np.array_equal(branch_roots(meq, distinct[::-1]), expected[::-1])
+    # one point, given once or three times
+    alone = branch_roots(meq, distinct[4:5])
+    assert np.array_equal(branch_roots(meq, distinct[[4, 4, 4]]), np.repeat(alone, 3))
+    assert branch_roots(meq, []).shape == (0,)
+    assert branch_roots(meq, np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("points", [400, 9000])
+def test_branch_roots_of_a_grid_are_the_walk_of_its_reversed_copy(points):
+    # 9000 points span three blocks of the batched pass
+    meq = master_from_spec(relu4_spec())
+    zs = default_grid(meq, points=points) + 1e-6j
+    stats, walk_stats = SolveStats(), SolveStats()
+    walked = spectrum_module._walk_roots(meq, zs[::-1].copy(), walk_stats)
+    given = zs.copy()
+    got = branch_roots(meq, zs, stats)
+    assert np.array_equal(got, walked[::-1]) and got.flags.c_contiguous
+    assert stats == walk_stats
+    assert np.array_equal(zs, given)
+    assert np.array_equal(branch_roots(meq, zs[::-1]), walked)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (complex(math.nan, 1e-6), "branch_roots needs finite points, got (nan+1e-06j)"),
+        (complex(1.5, math.inf), "branch_roots needs finite points, got (1.5+infj)"),
+        (complex(1.5, 0.0), "branch_roots needs Im z > 0, got (1.5+0j)"),
+        (complex(1.5, -1e-6), "branch_roots needs Im z > 0, got (1.5-1e-06j)"),
+        (
+            complex(2.0, 1e-3),
+            "branch_roots: points (2+1e-06j) and (2+0.001j) share Re z but differ in Im z",
+        ),
+    ],
+    ids=["nan", "inf", "real", "lower", "same_re"],
+)
+def test_branch_roots_refuse_a_point_by_name(monkeypatch, bad, message):
+    monkeypatch.setattr(spectrum_module, "_walk_roots", unreachable)
+    meq = master_from_spec(mp_spec())
+    with pytest.raises(ValueError) as info:
+        branch_roots(meq, [1.0 + 1e-6j, bad, 2.0 + 1e-6j])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "order, allocation",
+    [
+        ("increasing", "diff"),
+        ("increasing", "ascontiguousarray"),
+        ("shuffled", "argsort"),
+        ("shuffled", "take"),
+        ("shuffled", "zeros"),
+        ("shuffled", "cumsum"),
+        ("shuffled", "empty"),
+        ("shuffled", "concatenate"),
+        ("shuffled", "compress"),
+    ],
+)
+def test_branch_roots_name_a_point_count_whose_order_they_cannot_allocate(
+    monkeypatch, order, allocation
+):
+    monkeypatch.setattr(spectrum_module, "_walk_roots", unreachable)
+    monkeypatch.setattr(spectrum_module.np, allocation, exhausted)
+    xs = [0.5, 1.0, 2.0, 3.0, 4.0] if order == "increasing" else [2.0, 0.5, 4.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match=r"^a grid of 5 points is too large to allocate$"):
+        branch_roots(master_from_spec(mp_spec()), np.array(xs) + 1e-6j)
+
+
+def test_branch_roots_name_a_point_count_whose_roots_they_cannot_reorder(monkeypatch):
+    # the walk's roots are gathered back into the caller's order afterwards;
+    # a reversed input needs no new array, as its reversed copy takes them
+    original = spectrum_module._walk_roots
+
+    def walk_then_exhaust(meq, zs, stats):
+        ms = original(meq, zs, stats)
+        monkeypatch.setattr(spectrum_module.np, "take", exhausted)
+        return ms
+
+    monkeypatch.setattr(spectrum_module, "_walk_roots", walk_then_exhaust)
+    with pytest.raises(ValueError, match=r"^a grid of 5 points is too large to allocate$"):
+        branch_roots(master_from_spec(mp_spec()), np.array([2.0, 0.5, 4.0, 1.0, 2.0]) + 1e-6j)
 
 
 # -------------------------------------------------------------------- moments
