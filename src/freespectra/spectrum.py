@@ -68,9 +68,6 @@ _BLOCK = 4096
 # the support that offset leaves 1 - F at about _RAY_EPS / pi
 _RAY_EPS = 1e-12
 
-# _walk_order's mark of points given in exactly the reverse of walk order
-_REVERSED = slice(None, None, -1)
-
 
 @dataclass(eq=False, kw_only=True)
 class DensityCurve:
@@ -308,10 +305,10 @@ def branch_roots(
     Im z > 0.  They are walked by decreasing Re z, and each distinct point is
     solved once (see _walk_roots), so points that share Re z must be one
     point.  The walk's counters are added to stats when it is given.  A
-    strictly monotone input is walked as it is or reversed, with no sort.
-    The points walked and the roots returned are contiguous arrays, never
-    reversed views, since numpy's complex loops and arctan2 round
-    differently on a strided view.  Per-point arrays too large to allocate
+    strictly increasing input, a grid in x order, is walked reversed with
+    no sort.  The points walked and the roots returned are contiguous
+    arrays, never reversed views, since numpy's complex loops and arctan2
+    round differently on a strided view.  Per-point arrays too large to allocate
     raise a ValueError naming the point count.
     """
     zs = np.asarray(zs, dtype=complex)
@@ -329,11 +326,11 @@ def branch_roots(
     except MemoryError:
         raise _grid_too_large(flat.size) from None
     ms = _walk_roots(meq, walk, SolveStats() if stats is None else stats)
-    if index is _REVERSED:
+    if index is None:
         # walk is a reversed copy made for this call alone, so it takes the roots
         np.copyto(walk, ms[::-1])
         ms = walk
-    elif index is not None:
+    else:
         try:
             ms = np.take(ms, index)
         except MemoryError:
@@ -344,17 +341,15 @@ def branch_roots(
 def _walk_order(zs: np.ndarray) -> tuple:
     """The distinct points of zs by decreasing Re z, and where each point of zs lies among them.
 
-    The first is a contiguous array.  The second is None where zs is in that
-    order already, _REVERSED where it is in the reverse order, and otherwise
-    each point's index into the first.  Copies are taken by
-    np.ascontiguousarray, np.take and np.compress, so that a test can fail
-    their allocation without making one.
+    The first is a contiguous array.  The second is None where zs holds two
+    or more points strictly increasing in Re z, so that the first is its
+    reversed copy, and otherwise each point's index into the first.  (One
+    point reversed is zs itself, which np.ascontiguousarray would not copy.)
+    Copies are taken by np.ascontiguousarray, np.take and np.compress, so
+    that a test can fail their allocation without making one.
     """
-    steps = np.diff(zs.real)
-    if (steps < 0.0).all():
-        return np.ascontiguousarray(zs), None
-    if (steps > 0.0).all():
-        return np.ascontiguousarray(zs[::-1]), _REVERSED
+    if zs.size > 1 and (np.diff(zs.real) > 0.0).all():
+        return np.ascontiguousarray(zs[::-1]), None
     order = np.argsort(zs.real, kind="stable")[::-1]
     walk = np.take(zs, order)
     tied = walk.real[1:] == walk.real[:-1]

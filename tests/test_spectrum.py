@@ -956,8 +956,9 @@ def test_branch_roots_read_shuffled_tied_and_2d_points_as_sorted_distinct_ones()
     assert np.array_equal(branch_roots(meq, square), expected[picks].reshape(2, 4))
     assert np.array_equal(branch_roots(meq, square.T), expected[picks].reshape(2, 4).T)
     assert np.array_equal(branch_roots(meq, distinct[::-1]), expected[::-1])
-    # one point, given once or three times
+    # one point, given once or three times; its roots never land in the caller's array
     alone = branch_roots(meq, distinct[4:5])
+    assert distinct[4] == 2.0 + 1e-6j
     assert np.array_equal(branch_roots(meq, distinct[[4, 4, 4]]), np.repeat(alone, 3))
     assert branch_roots(meq, []).shape == (0,)
     assert branch_roots(meq, np.empty((0, 3))).shape == (0, 3)
