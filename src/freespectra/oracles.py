@@ -35,14 +35,14 @@ __all__ = [
 
 # Per-(seed, layer) substreams; keeps every draw independent of matrix
 # assembly order.  The sampler draws every layer's live count first, one
-# binomial from its live stream, then each layer's r x r factor.  A Bartlett
-# factor takes its r chi-squared diagonal entries from the chi stream, and
-# the r (r - 1) / 2 normals below the diagonal from the weight stream, in
-# row-major order; the bottleneck's bidiagonal takes its r diagonal
-# chi-squares from the chi stream and its r - 1 subdiagonal ones from the
-# weight stream.  Each layer owns the four keys 4 layer + stream (see
-# _generator), of which these three are drawn; a change to that key would
-# change every sample.
+# binomial from its live stream, then each layer's r x r factor, last layer
+# first where it builds P J^T P.  A Bartlett factor takes its r chi-squared
+# diagonal entries from the chi stream, and the r (r - 1) / 2 normals below
+# the diagonal from the weight stream, in row-major order; the bottleneck's
+# bidiagonal takes its r diagonal chi-squares from the chi stream and its
+# r - 1 subdiagonal ones from the weight stream.  Each layer owns the four
+# keys 4 layer + stream (see _generator), of which these three are drawn; a
+# change to that key would change every sample.
 _STREAM_WEIGHT = 0
 _STREAM_LIVE = 1
 _STREAM_CHI = 2
@@ -94,7 +94,12 @@ def _generator(seed: int, layer: int, stream: int) -> np.random.Generator:
 
 
 def _bartlett_factor(
-    seed: int, layer: int, rows: int, cols: int, out: Optional[np.ndarray] = None
+    seed: int,
+    layer: int,
+    rows: int,
+    cols: int,
+    out: Optional[np.ndarray] = None,
+    reverse: bool = False,
 ) -> np.ndarray:
     """Lower-triangular r x r factor L of a rows x cols standard Gaussian block G,
     written into out when it is given.
@@ -105,12 +110,15 @@ def _bartlett_factor(
     L L^T is Wishart_r(cols, I).  Otherwise G = Q L, Q with orthonormal
     columns: L_ii^2 ~ chi^2_{rows - r + 1 + i}, so L^T L is Wishart_r(rows, I).
     Either way L has the law of G's triangular factor, independent of Q
-    (Bartlett; see Edelman, SIAM J. Matrix Anal. Appl. 1988).  Row i's i
-    normals are drawn straight into it, top row first, which continues the
-    one row-major stream of r (r - 1) / 2 draws.
+    (Bartlett; see Edelman, SIAM J. Matrix Anal. Appl. 1988).  reverse draws
+    the degrees in reverse order, which is P L^T P in law, P the reversal.
+    Row i's i normals are drawn straight into it, top row first, which
+    continues the one row-major stream of r (r - 1) / 2 draws.
     """
     r = min(rows, cols)
     degrees = cols - np.arange(r) if rows < cols else rows - r + 1 + np.arange(r)
+    if reverse:
+        degrees = degrees[::-1]
     if out is None:
         out = np.zeros((r, r))
     else:
@@ -206,25 +214,6 @@ def _bidiagonal_left_inplace(d: np.ndarray, s: np.ndarray, b: np.ndarray) -> Non
         b[lo : rows.stop, : rows.stop] += out
 
 
-def _bidiagonal_right_inplace(a: np.ndarray, d: np.ndarray, s: np.ndarray) -> None:
-    """a <- a @ B in place, for a lower-triangular r x r a and the lower
-    bidiagonal B of diagonal d and subdiagonal s.
-
-    Column j of the product is d_j a[:, j] + s_j a[:, j + 1], so row i reads
-    a only up to column i.  Each block of rows has its s_j a[:, j + 1] terms
-    formed in one block-row temporary before its rows of a are scaled by d.
-    The strict upper triangle stays exactly 0.
-    """
-    row = np.empty((min(_BLOCK, a.shape[0]), a.shape[0]))
-    for rows in _blocks(a.shape[0]):
-        # a[i, j + 1] = 0 for j >= i, so the block's columns end at its last row
-        width = rows.stop - 1
-        out = row[: rows.stop - rows.start, :width]
-        np.multiply(a[rows, 1 : rows.stop], s[:width], out=out)
-        a[rows, : rows.stop] *= d[: rows.stop]
-        a[rows, :width] += out
-
-
 def _bidiagonal_gram(d: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The lower half of B^T B, for the lower bidiagonal B of diagonal d and
     subdiagonal s, in a new r x r array: it is tridiagonal, d_j^2 + s_j^2 on
@@ -273,18 +262,21 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     singular values (Dumitriu & Edelman, J. Math. Phys. 43 (2002) 5830):
     2r - 1 chi-squares in place of r (r + 1) / 2 draws, held as B's diagonal
     and subdiagonal, and an O(r^2) product in place of an O(r^3 / 3) one.
-    The first triangle's buffer holds the product; each later triangle is
-    drawn into one factor buffer and multiplied into the product in place,
-    block by block over the lower half.  B multiplies the product in place
-    too: B jac for k >= 2, and L_2 B in L_2's buffer for k = 1.  The lower
-    half of their r x r Gram, the half eigvalsh reads, then overwrites the
-    product; for a single layer it is the tridiagonal B^T B, in a new zeroed
-    array.  So a sample holds one r x r array up to depth 2 and two beyond,
-    plus the copy eigvalsh makes, and one block row of scratch.  The Gram's
-    eigenvalues below r eps lambda_max, its rounding floor, are pinned to
-    zero and counted as censored; the other n0 - r are exact zeros.  A rank
-    whose arrays cannot be allocated raises a ValueError naming it and n0,
-    not numpy's MemoryError.
+    Every factor multiplies the product from the left, in place: the first
+    triangle's buffer holds it, each later triangle is drawn into one factor
+    buffer and multiplied in block by block over the lower half, and B in
+    O(r^2).  Where B would end J = L_L ... L_2 B (k = 1, two or more layers)
+    the sampler builds P J^T P, P the reversal, with J's singular values:
+    P L_ell^T P is in law a Bartlett triangle with its degrees reversed, and
+    P B^T P is B with d and s reversed, so the layers are walked last first.
+    The lower half of the product's r x r Gram, the half eigvalsh reads,
+    then overwrites it; for a single layer it is the tridiagonal B^T B, in
+    a new zeroed array.  So a sample holds one r x r array up to depth 2 and
+    two beyond, plus the copy eigvalsh makes, and one block row of scratch.
+    The Gram's eigenvalues below r eps lambda_max, its rounding floor, are
+    pinned to zero and counted as censored; the other n0 - r are exact
+    zeros.  A rank whose arrays cannot be allocated raises a ValueError
+    naming it and n0, not numpy's MemoryError.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
@@ -304,26 +296,27 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     r = min(live)
     b = live.index(r)
     k = max(b, 1)  # the bottleneck's layer, drawn as a bidiagonal
+    # B would stand at the right end of J = L_L ... L_2 B: build P J^T P
+    flip = k == 1 and len(scales) > 1
     try:
         # at most two r x r arrays at any depth: the product of the factors so
         # far, and the buffer each later triangle is drawn into
         jac = factor = None
-        for ell, scale in enumerate(scales, start=1):
+        for ell in range(len(scales), 0, -1) if flip else range(1, len(scales) + 1):
             block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
             if ell == k:
-                bidiagonal = _bidiagonal_factor(seed, ell, *block, scale)
+                bidiagonal = _bidiagonal_factor(seed, ell, *block, scales[ell - 1])
+                if flip:  # P B^T P, copied so that the kernel reads unit strides
+                    bidiagonal = tuple(v[::-1].copy() for v in bidiagonal)
                 if jac is not None:
                     _bidiagonal_left_inplace(*bidiagonal, jac)
                 continue
-            factor = _bartlett_factor(seed, ell, *block, out=factor)
-            factor *= scale
-            if jac is not None:
+            factor = _bartlett_factor(seed, ell, *block, out=factor, reverse=flip)
+            factor *= scales[ell - 1]
+            if jac is None:
+                jac, factor = factor, None
+            else:
                 _lower_product_inplace(factor, jac)
-                continue
-            if ell == 2:
-                # k = 1: the product so far is layer 1's bidiagonal
-                _bidiagonal_right_inplace(factor, *bidiagonal)
-            jac, factor = factor, None
         del factor  # freed before eigvalsh makes its copy
 
         if jac is None:  # a single layer, the bidiagonal alone

@@ -249,11 +249,11 @@ def density_grid(
 
     xs defaults to default_grid(meq).  The grid is walked from its largest x
     downward.  The walk jumps 64 points first, doubles a jump that certifies,
-    up to an eighth of the grid, and halves one that does not; it solves each
-    jump's end in sequence from the branch tangent at the previous one.  The
-    points jumped over are then certified and solved in blocks, each from
-    the cubic Hermite interpolant of the branch between the two roots that
-    bracket it (see _walk_roots).
+    up to max(64, (n - 1) // 8) points of n (64 on a 400-point grid), and
+    halves one that does not; it solves each jump's end in sequence from the
+    branch tangent at the previous one.  The points jumped over are then
+    certified and solved in blocks, each from the cubic Hermite interpolant
+    of the branch between the two roots that bracket it (see _walk_roots).
     The solver's tolerance and caps are the solver module's constants.  Work
     arrays too large to allocate raise a ValueError naming the point count.
     """
@@ -519,8 +519,10 @@ def cdf(
     branch_roots on the ray z = x (1 + i eps), eps = _RAY_EPS, which counts
     its walk into stats when given: no grid, window, y or quadrature
     enters.  The ray's offset leaves 1 - F at about eps/pi far above the
-    support, where m ~ m1/z and -arg m ~ eps.  A negative, NaN or infinite
-    x raises a ValueError naming it.
+    support, where m ~ m1/z and -arg m ~ eps, and F about atom eps/pi below
+    the atom just above 0.  A negative, NaN or infinite x raises a
+    ValueError naming it, as does an x whose m lies within 4 eps |r_j| of a
+    root r_j != -1, where arg(m - r_j) is rounding noise.
     """
     xs = np.asarray(xs, dtype=float)
     bad = ~(np.isfinite(xs) & (xs >= 0.0))
@@ -531,6 +533,10 @@ def cdf(
     ms = branch_roots(meq, xs[positive] * complex(1.0, _RAY_EPS), stats)
     im = (meq.degree - 1) * ms.imag - _lower_arg(ms)
     for r, k in zip(meq.roots, meq.multiplicities):
+        lost = np.abs(ms - r) <= 4.0 * np.finfo(float).eps * abs(r)
+        if r != -1.0 and lost.any():
+            x = float(xs[positive][lost][0])
+            raise ValueError(f"cdf cannot resolve x={x!r}: m rounds onto the root {r!r}")
         im += k * (1.0 + r) * _lower_arg(ms - r)
     out[positive] = 1.0 - im / math.pi
     return out

@@ -35,7 +35,6 @@ from freespectra.oracles import (
     _bidiagonal_factor,
     _bidiagonal_gram,
     _bidiagonal_left_inplace,
-    _bidiagonal_right_inplace,
     _generator,
     _lower_gram_inplace,
     _lower_product_inplace,
@@ -299,8 +298,9 @@ def test_oracle_draws_only_live_weight_entries(monkeypatch):
         return generator if stream == _STREAM_LIVE else Counting(generator, layer, stream)
 
     monkeypatch.setattr("freespectra.oracles._generator", counting)
-    # the narrowest width is the last layer's in ReLU x 4, n0 in the tall
-    # single layer, and in the middle of the other two
+    # the narrowest width is layer 1's in ReLU x 4 and hard_sine x 2 (both
+    # draw their layers last first), n0 in the tall single layer, and layer
+    # 2's in the last net
     n0, seed = 400, 11
     for spec in (
         relu4_spec(),
@@ -313,8 +313,12 @@ def test_oracle_draws_only_live_weight_entries(monkeypatch):
         live = live_counts(spec, n0, seed)
         r = min(live)
         k = max(live.index(r), 1)
+        depth = len(spec.layers)
+        # with the bidiagonal at layer 1 of two or more, the layers are
+        # drawn last first
+        order = range(depth, 0, -1) if k == 1 and depth > 1 else range(1, depth + 1)
         expected = []
-        for ell in range(1, len(spec.layers) + 1):
+        for ell in order:
             if ell == k:
                 expected += [("chi2", ell, _STREAM_CHI, r), ("chi2", ell, _STREAM_WEIGHT, r - 1)]
                 continue
@@ -340,19 +344,28 @@ def test_oracle_never_compresses_a_bottleneck(monkeypatch):
         monte_carlo_spectrum(ratio_spec(text), 200, seed=5)
 
 
-@pytest.mark.parametrize("rows, cols", [(5, 8), (8, 5), (6, 6)])
-def test_bartlett_factor_has_the_wishart_mean(rows, cols):
+@pytest.mark.parametrize(
+    "rows, cols, reverse",
+    [(5, 8, False), (8, 5, False), (6, 6, False), (5, 8, True), (8, 5, True), (6, 6, True)],
+    ids=["5-8", "8-5", "6-6", "5-8-reversed", "8-5-reversed", "6-6-reversed"],
+)
+def test_bartlett_factor_has_the_wishart_mean(rows, cols, reverse):
     # a wide block's LQ factor has E[L L^T] = cols I, and a tall or square
     # block's QL factor E[L^T L] = rows I: the Gram's diagonal entry i holds
-    # a chi-square and i (LQ) or r - 1 - i (QL) normal squares.  Each diagonal
-    # entry averages 2000 draws of standard deviation sqrt(2 max(rows, cols))
-    # <= 4, so a chi-square degree off by one moves it at least 11 standard
-    # errors, against a tolerance of about 5
+    # a chi-square and i (LQ) or r - 1 - i (QL) normal squares.  A reversed
+    # draw has the law of P L^T P, P the reversal, so its other Gram has
+    # that mean: on the square block the reversal turns the QL degrees
+    # 1 + i into the LQ degrees r - i.  Each diagonal entry averages 2000
+    # draws of standard deviation sqrt(2 max(rows, cols)) <= 4, so a
+    # chi-square degree off by one moves it at least 11 standard errors,
+    # against a tolerance of about 5
     r = min(rows, cols)
-    draws = np.array([_bartlett_factor(seed, 1, rows, cols) for seed in range(2000)])
+    draws = np.array(
+        [_bartlett_factor(seed, 1, rows, cols, reverse=reverse) for seed in range(2000)]
+    )
     assert draws.shape == (2000, r, r)
     assert np.all(np.triu(draws, 1) == 0.0)
-    if rows < cols:
+    if (rows < cols) != reverse:
         mean = np.einsum("sij,skj->ik", draws, draws) / 2000
     else:
         mean = np.einsum("sji,sjk->ik", draws, draws) / 2000
@@ -546,16 +559,6 @@ def test_bidiagonal_left_product_matches_the_dense_product(r):
 
 
 @pytest.mark.parametrize("r", KERNEL_SIZES)
-def test_bidiagonal_right_product_matches_the_dense_product(r):
-    # a B overwrites a, block row by block row
-    d, s, a = bidiagonal_and_triangle(r)
-    product = a.copy()
-    _bidiagonal_right_inplace(product, d, s)
-    assert np.all(np.triu(product, 1) == 0.0)
-    assert relative_gap(product, a @ dense_bidiagonal(d, s)) <= 1e-14
-
-
-@pytest.mark.parametrize("r", KERNEL_SIZES)
 def test_bidiagonal_gram_is_the_dense_tridiagonal_gram(r):
     # B^T B is tridiagonal: its lower half goes to a new array whose strict
     # upper triangle is 0
@@ -657,13 +660,16 @@ def test_monte_carlo_holds_one_triangle_when_the_bottleneck_is_the_output():
 
 
 def dense_kernel_spectrum(spec, n0, seed):
-    """The oracle's sample with dense kernels: the same factors, the
-    bidiagonal at layer k = max(b, 1) and triangles elsewhere, multiplied as
-    full matrices, and eigvalsh of the whole Gram, unsnapped."""
+    """The oracle's sample with dense kernels: J itself, the same factors,
+    the bidiagonal at layer k = max(b, 1) and triangles elsewhere, multiplied
+    as full matrices in layer order, and eigvalsh of the whole Gram,
+    unsnapped.  Where the oracle builds P J^T P (k = 1 on two or more
+    layers), each of its triangles F is drawn reversed, so J's is P F^T P."""
     summaries = summarize(spec)
     live = live_counts(spec, n0, seed)
     r = min(live)
     b = live.index(r)
+    flip = b <= 1 and len(spec.layers) > 1
     jac = np.eye(r)
     for ell, (s, layer) in enumerate(zip(summaries, spec.layers), start=1):
         block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
@@ -671,18 +677,52 @@ def dense_kernel_spectrum(spec, n0, seed):
         if ell == max(b, 1):
             factor = dense_bidiagonal(*_bidiagonal_factor(seed, ell, *block, scale))
         else:
-            factor = scale * _bartlett_factor(seed, ell, *block)
+            factor = scale * _bartlett_factor(seed, ell, *block, reverse=flip)
+            if flip:
+                factor = factor.T[::-1, ::-1]
         jac = factor @ jac
     values = np.zeros(n0)
     values[:r] = np.linalg.eigvalsh(jac.T @ jac)
     return np.sort(np.clip(values, 0.0, None))
 
 
+@pytest.mark.parametrize(
+    "text, seed, bottleneck",
+    [("hard_sine:2 hard_sine:0.5", 4, 1), ("hard_sine:0.5 linear:2 relu:0.5", 6, 0)],
+    ids=["b1", "b0"],
+)
+def test_bidiagonal_at_layer_1_multiplies_as_its_flip(monkeypatch, text, seed, bottleneck):
+    # with the bottleneck at layer 1 of two or more (at seed 6 the ReLU
+    # leaves 308 of its 600 units live, so b = 0), the kernel gets the
+    # diagonal and subdiagonal of P B^T P, P the reversal and B the same
+    # draw, exactly, in contiguous arrays
+    spec, n0 = ratio_spec(text), 300
+    live = live_counts(spec, n0, seed)
+    r = min(live)
+    assert live.index(r) == bottleneck
+    seen = []
+    kernel = _bidiagonal_left_inplace
+
+    def capture(d, s, b):
+        seen.append((d.copy(), s.copy(), d.flags.c_contiguous and s.flags.c_contiguous))
+        kernel(d, s, b)
+
+    monkeypatch.setattr("freespectra.oracles._bidiagonal_left_inplace", capture)
+    monte_carlo_spectrum(spec, n0, seed=seed)
+    block = (r, n0) if bottleneck else (live[1], r)
+    scale = math.sqrt(spec.layers[0].sigma_w_sq / int(round(n0 / summarize(spec)[0].Lambda)))
+    bidiagonal = dense_bidiagonal(*_bidiagonal_factor(seed, 1, *block, scale))
+    [(d, s, contiguous)] = seen
+    assert contiguous
+    assert np.array_equal(dense_bidiagonal(d, s), bidiagonal.T[::-1, ::-1])
+
+
 def test_triangle_kernels_keep_the_dense_kernel_sample():
     # at n0 = 300 the bottleneck r spans one to three blocks; the block
     # kernels and the zero snap move each eigenvalue by rounding only.  The
     # nets put the bidiagonal at each of its three places: alone (linear:2),
-    # at layer 1 before a triangle, and at a later layer after them
+    # at layer 1 before triangles, where the oracle builds P J^T P and the
+    # reference J, and at a later layer after them
     widths = []
     for text in VALIDATE_NETS:
         spec = ratio_spec(text)

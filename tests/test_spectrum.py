@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import warnings
 
 import numpy as np
@@ -889,6 +890,44 @@ def test_cdf_reads_unsorted_and_tied_points_as_sorted_distinct_ones():
     assert np.array_equal(got, sorted_f[np.searchsorted(distinct, shuffled)])
     assert np.all(np.diff(sorted_f) > 0)
     assert cdf(meq, []).shape == (0,)
+
+
+RELU_LAYER = NetworkSpec(layers=(LayerSpec(Nonlinearity.RELU, 2.0),))
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        (RELU_LAYER, 1e-16),
+        (RELU_LAYER, 1e-20),
+        (NetworkSpec(layers=(LayerSpec(Nonlinearity.HARD_TANH, 1.5),) * 3), 1e-20),
+    ],
+    ids=["relu_1e-16", "relu_1e-20", "hard_tanh_x3_1e-20"],
+)
+def test_cdf_refuses_a_point_where_m_rounds_onto_a_root(spec, x):
+    # m - r_max shrinks like x near 0, so below about 1e-16 it is lost in the
+    # rounding of m, and F read from it fell to 0, below the atom
+    meq = master_from_spec(spec)
+    message = f"cdf cannot resolve x={x!r}: m rounds onto the root {max(meq.roots)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cdf(meq, [1.0, x])
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        (RELU_LAYER, 1e-12),
+        (NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0, 0.0, 0.5),)), 1e-20),
+    ],
+    ids=["relu_1e-12", "linear_wide_1e-20"],
+)
+def test_cdf_just_above_zero_sits_below_the_atom_by_the_ray_offset(spec, x):
+    # one ReLU layer's m - r_max is about 4500 eps |r_max| at 1e-12, above
+    # the refusal, and F is about atom eps/pi = 1.6e-13 below the atom.  The
+    # wide linear layer's m rounds onto the root -1, whose log drops out of
+    # Phi, so F keeps its atom 0
+    meq = master_from_spec(spec)
+    assert abs(cdf(meq, [x])[0] - atom_lower_bound(meq)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [-1.0, -0.0 - 1e-300, math.nan, math.inf, -math.inf])
