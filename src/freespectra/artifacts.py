@@ -24,14 +24,14 @@ file's size.  A file is read in binary: the header one line at a time, then
 the body straight from the file by numpy's C reader (np.loadtxt, numpy 1.23
 or later), at a traced peak below the file's size.  The line of column
 names must be the artifact's own, so a file that lost it does not lose its
-first row.  A body that reader refuses goes to one that splits it line by
-line, skips lines of white space and names the line of a row with the wrong
-number of fields or a field that is not a float.  So does a body holding a
-byte that Unicode, but not bytes.strip, counts as white space when read as
-Latin-1, which the C reader would strip from a field; the body is scanned
-for those bytes in chunks first.  Line breaks are "\\n" or "\\r\\n".  A
-header value or a JSON column that is missing, or a header value that does
-not parse, is named.
+first row, and a file that ends before it is refused.  A body that reader
+refuses goes to one that splits it line by line, skips lines of white space
+and names the line of a row with the wrong number of fields or a field that
+is not a float.  So does a body holding a byte that Unicode, but not
+bytes.strip, counts as white space when read as Latin-1, which the C reader
+would strip from a field; the body is scanned for those bytes in chunks
+first.  Line breaks are "\\n" or "\\r\\n".  A header value or a JSON column
+that is missing, or a header value that does not parse, is named.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
                     f"line {number}: expected the column names {title.decode()!r}, "
                     f"got {stripped.decode(errors='replace')!r}"
                 )
-    return meta, [np.empty(0) for _ in keys]
+    raise ValueError(f"expected the column names {title.decode()!r}, got the end of the file")
 
 
 def _header(meta: dict, key: str, kind: type = float):

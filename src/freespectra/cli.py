@@ -10,8 +10,8 @@ method,wall_ms,points,newton_iterations,basins,degree, with one row each for
 lilypads_grid, all_roots_grid and, when mc.enabled, monte_carlo (points = n0);
 wall_ms is informational, the Newton count shows the warm-start savings.  A
 validate report or bench table written to output.path is echoed to stdout.
-Exit status: 0 success, 1 runtime or validation failure, 2 bad configuration
-or command line.
+Exit status: 0 success, 1 runtime or validation failure (an allocation
+that fails included), 2 bad configuration or command line.
 """
 
 from __future__ import annotations
@@ -186,6 +186,9 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except (RuntimeError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # numpy's names the array's size, shape and dtype
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

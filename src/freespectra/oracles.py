@@ -275,8 +275,7 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     two beyond, plus the copy eigvalsh makes, and one block row of scratch.
     The Gram's eigenvalues below r eps lambda_max, its rounding floor, are
     pinned to zero and counted as censored; the other n0 - r are exact
-    zeros.  A rank whose arrays cannot be allocated raises a ValueError
-    naming it and n0, not numpy's MemoryError.
+    zeros.
     """
     if n0 < 4:
         raise ValueError("n0 must be at least 4")
@@ -298,37 +297,32 @@ def monte_carlo_spectrum(spec: NetworkSpec, n0: int, seed: int) -> EmpiricalSpec
     k = max(b, 1)  # the bottleneck's layer, drawn as a bidiagonal
     # B would stand at the right end of J = L_L ... L_2 B: build P J^T P
     flip = k == 1 and len(scales) > 1
-    try:
-        # at most two r x r arrays at any depth: the product of the factors so
-        # far, and the buffer each later triangle is drawn into
-        jac = factor = None
-        for ell in range(len(scales), 0, -1) if flip else range(1, len(scales) + 1):
-            block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
-            if ell == k:
-                bidiagonal = _bidiagonal_factor(seed, ell, *block, scales[ell - 1])
-                if flip:  # P B^T P, copied so that the kernel reads unit strides
-                    bidiagonal = tuple(v[::-1].copy() for v in bidiagonal)
-                if jac is not None:
-                    _bidiagonal_left_inplace(*bidiagonal, jac)
-                continue
-            factor = _bartlett_factor(seed, ell, *block, out=factor, reverse=flip)
-            factor *= scales[ell - 1]
-            if jac is None:
-                jac, factor = factor, None
-            else:
-                _lower_product_inplace(factor, jac)
-        del factor  # freed before eigvalsh makes its copy
-
-        if jac is None:  # a single layer, the bidiagonal alone
-            jac = _bidiagonal_gram(*bidiagonal)
+    # at most two r x r arrays at any depth: the product of the factors so
+    # far, and the buffer each later triangle is drawn into
+    jac = factor = None
+    for ell in range(len(scales), 0, -1) if flip else range(1, len(scales) + 1):
+        block = (r, live[ell - 1]) if ell <= b else (live[ell], r)
+        if ell == k:
+            bidiagonal = _bidiagonal_factor(seed, ell, *block, scales[ell - 1])
+            if flip:  # P B^T P, copied so that the kernel reads unit strides
+                bidiagonal = tuple(v[::-1].copy() for v in bidiagonal)
+            if jac is not None:
+                _bidiagonal_left_inplace(*bidiagonal, jac)
+            continue
+        factor = _bartlett_factor(seed, ell, *block, out=factor, reverse=flip)
+        factor *= scales[ell - 1]
+        if jac is None:
+            jac, factor = factor, None
         else:
-            _lower_gram_inplace(jac)
-        values = np.zeros(n0)
-        values[:r] = np.clip(np.linalg.eigvalsh(jac, UPLO="L"), 0.0, None)
-    except MemoryError:
-        raise ValueError(
-            f"rank {r} is too large to sample: n0={n0} needs {r} x {r} arrays"
-        ) from None
+            _lower_product_inplace(factor, jac)
+    del factor  # freed before eigvalsh makes its copy
+
+    if jac is None:  # a single layer, the bidiagonal alone
+        jac = _bidiagonal_gram(*bidiagonal)
+    else:
+        _lower_gram_inplace(jac)
+    values = np.zeros(n0)
+    values[:r] = np.clip(np.linalg.eigvalsh(jac, UPLO="L"), 0.0, None)
     # eigvalsh resolves the Gram's eigenvalues to about r eps lambda_max; pin
     # those below that floor, which are rounding noise, to the atom.
     floor = float(r * np.finfo(float).eps * values.max())

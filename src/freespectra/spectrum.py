@@ -178,11 +178,7 @@ def default_grid(
     x_max: Optional[float] = None,
     log_spaced: bool = True,
 ) -> np.ndarray:
-    """Grid bracketing the bulk, 1e-4 m1 to m1 + 10 sigma of the moments; log-spaced by default.
-
-    A grid too large to allocate raises a ValueError naming its point count,
-    not numpy's MemoryError.
-    """
+    """Grid bracketing the bulk, 1e-4 m1 to m1 + 10 sigma of the moments; log-spaced by default."""
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     m1, var = closed_form_moments(meq)
@@ -216,28 +212,9 @@ def default_grid(
         )
     if not (0.0 < x_min < x_max):
         raise ValueError(f"invalid grid bracket [{x_min}, {x_max}]")
-    try:
-        if log_spaced:
-            return np.logspace(math.log10(x_min), math.log10(x_max), points)
-        return np.linspace(x_min, x_max, points)
-    except MemoryError:
-        raise _grid_too_large(points) from None
-
-
-def _grid_too_large(points: int) -> ValueError:
-    return ValueError(f"a grid of {points} points is too large to allocate")
-
-
-def _grid_array(points: int, dtype) -> np.ndarray:
-    """An uninitialized work array of one entry per grid point.
-
-    An allocation that fails raises a ValueError naming the point count, not
-    numpy's MemoryError; a MemoryError anywhere else in a solve propagates.
-    """
-    try:
-        return np.empty(points, dtype=dtype)
-    except MemoryError:
-        raise _grid_too_large(points) from None
+    if log_spaced:
+        return np.logspace(math.log10(x_min), math.log10(x_max), points)
+    return np.linspace(x_min, x_max, points)
 
 
 def density_grid(
@@ -254,8 +231,7 @@ def density_grid(
     branch tangent at the previous one.  The points jumped over are then
     certified and solved in blocks, each from the cubic Hermite interpolant
     of the branch between the two roots that bracket it (see _walk_roots).
-    The solver's tolerance and caps are the solver module's constants.  Work
-    arrays too large to allocate raise a ValueError naming the point count.
+    The solver's tolerance and caps are the solver module's constants.
     """
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"y must be positive and finite, got {y!r}")
@@ -273,7 +249,7 @@ def density_grid(
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly increasing and nonnegative")
     stats = SolveStats()
-    zs = _grid_array(xs.size, complex)
+    zs = np.empty(xs.size, dtype=complex)
     zs.real = xs
     zs.imag = y
     # (m + 1)/z in place; a division by -pi rounds as a division by pi, negated
@@ -308,8 +284,7 @@ def branch_roots(
     strictly increasing input, a grid in x order, is walked reversed with
     no sort.  The points walked and the roots returned are contiguous
     arrays, never reversed views, since numpy's complex loops and arctan2
-    round differently on a strided view.  Per-point arrays too large to allocate
-    raise a ValueError naming the point count.
+    round differently on a strided view.
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
@@ -321,20 +296,14 @@ def branch_roots(
     lower = flat.imag <= 0.0
     if lower.any():
         raise ValueError(f"branch_roots needs Im z > 0, got {complex(flat[lower][0])!r}")
-    try:
-        walk, index = _walk_order(flat)
-    except MemoryError:
-        raise _grid_too_large(flat.size) from None
+    walk, index = _walk_order(flat)
     ms = _walk_roots(meq, walk, SolveStats() if stats is None else stats)
     if index is None:
         # walk is a reversed copy made for this call alone, so it takes the roots
         np.copyto(walk, ms[::-1])
         ms = walk
     else:
-        try:
-            ms = np.take(ms, index)
-        except MemoryError:
-            raise _grid_too_large(flat.size) from None
+        ms = np.take(ms, index)
     return ms.reshape(zs.shape)
 
 
@@ -345,8 +314,6 @@ def _walk_order(zs: np.ndarray) -> tuple:
     or more points strictly increasing in Re z, so that the first is its
     reversed copy, and otherwise each point's index into the first.  (One
     point reversed is zs itself, which np.ascontiguousarray would not copy.)
-    Copies are taken by np.ascontiguousarray, np.take and np.compress, so
-    that a test can fail their allocation without making one.
     """
     if zs.size > 1 and (np.diff(zs.real) > 0.0).all():
         return np.ascontiguousarray(zs[::-1]), None
@@ -391,9 +358,8 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     steps from one.
     """
     n = zs.size
-    ms = _grid_array(n, complex)
-    sequential = _grid_array(n, bool)
-    sequential.fill(False)
+    ms = np.empty(n, dtype=complex)
+    sequential = np.zeros(n, dtype=bool)
 
     def walk(
         k: int, proxy: Optional[tuple], certificate: Optional[solver.BasinCertificate] = None

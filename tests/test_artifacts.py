@@ -765,8 +765,30 @@ def test_csv_without_its_column_names_is_refused(tmp_path, kind, edit):
     read(str(path))
 
 
+@pytest.mark.parametrize("kind", ["density", "quantiles"])
+@pytest.mark.parametrize("kept", ["header", "nothing", "white_space"])
+def test_csv_that_ends_before_its_column_names_is_refused(tmp_path, kind, kept):
+    # such a file once read as zero rows, or as a missing header value when empty
+    if kind == "density":
+        text, read, title = render_density(awkward_curve()), read_density, "x,rho"
+    else:
+        text, read = render_quantiles(zero_quantile_table()), read_quantiles
+        title = "prob,value,log10_value"
+    lines = text.splitlines()
+    kept_text = {
+        "header": "\n".join(lines[: lines.index(title)]) + "\n",
+        "nothing": "",
+        "white_space": " \n\t\r\n\n",
+    }[kept]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(kept_text)
+    message = f"expected the column names {title!r}, got the end of the file"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(str(path))
+
+
 @pytest.mark.parametrize(
-    "field", ["abc", "1_0", "", " ", "0x10", "1 2", "1.0-2.0", "2.0\x00", "2.0\xff"]
+    "field",["abc", "1_0", "", " ", "0x10", "1 2", "1.0-2.0", "2.0\x00", "2.0\xff"]
 )
 def test_csv_with_a_field_that_is_not_a_float_names_its_line(tmp_path, field):
     # float() raised without a line number, and it read "1_0" as 10.0

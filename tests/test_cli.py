@@ -174,19 +174,42 @@ def test_density_points_override(tmp_path):
     assert read_density(str(out)).xs.size == 50
 
 
-def test_density_on_a_grid_too_large_to_allocate_fails_cleanly(tmp_path, capsys, monkeypatch):
-    # 1e11 points of np.logspace need 745 GiB; the allocation is faked,
-    # since a real one can end in the OOM killer where memory is overcommitted
-    def exhausted(*args, **kwargs):
-        raise MemoryError("cannot allocate")
+def exhausted(*args, **kwargs):
+    """Stands in for an allocation that fails; a real one of this size can
+    end in the OOM killer where memory is overcommitted."""
+    raise MemoryError("cannot allocate")
 
+
+def test_density_on_a_grid_too_large_to_allocate_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # 1e11 points of np.logspace need 745 GiB; numpy's MemoryError names
+    # them ("Unable to allocate 745. GiB for an array with shape ..."), and
+    # the command line reports that message
     monkeypatch.setattr("freespectra.spectrum.np.logspace", exhausted)
     config = write_config(tmp_path, "mp.json", MP1)
-    out = str(tmp_path / "huge.csv")
-    assert cli.main(["density", "--config", config, "--out", out, "--points", "100000000000"]) == 1
-    assert capsys.readouterr().err == (
-        "error: a grid of 100000000000 points is too large to allocate\n"
-    )
+    out = tmp_path / "huge.csv"
+    argv = ["density", "--config", config, "--out", str(out), "--points", "100000000000"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: out of memory: cannot allocate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, site, payload",
+    [
+        ("validate", "freespectra.oracles._bartlett_factor", {**RELU4, "mc": {"n0": 64}}),
+        ("density", "freespectra.spectrum.basin_certificates", MP1),
+    ],
+    ids=["validate_sample", "density_solve"],
+)
+def test_out_of_memory_anywhere_exits_1_and_names_it(
+    tmp_path, capsys, monkeypatch, command, site, payload
+):
+    monkeypatch.setattr(site, exhausted)
+    config = write_config(tmp_path, "run.json", payload)
+    assert cli.main([command, "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: cannot allocate\n"
 
 
 # ------------------------------------------------------------------ quantiles

@@ -59,6 +59,13 @@ def test_propagate_variances_single_linear():
     assert propagate_variances(spec) == [1.0]
 
 
+def test_propagate_variances_names_the_layer_whose_variance_overflows():
+    # q^1 = 1e200, and q^2 = 1e200 * 1e200 is past the doubles
+    spec = NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1e200),) * 2)
+    with pytest.raises(ValueError, match=r"^nonpositive or nonfinite variance q=inf at layer 2$"):
+        propagate_variances(spec)
+
+
 def test_propagate_variances_hard_tanh_with_bias():
     spec = NetworkSpec(
         layers=(
@@ -128,6 +135,12 @@ def test_layer_coefficient_values():
     got = layer_coefficient(Nonlinearity.HARD_TANH, 1.0)
     assert got == pytest.approx(0.6826894921370859, rel=1e-12)
     assert got == pytest.approx(0.682689, abs=1e-6)
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+def test_layer_coefficient_refuses_a_q_that_is_not_positive_and_finite(q):
+    with pytest.raises(ValueError, match=rf"^q must be a positive finite real, got {q}$"):
+        layer_coefficient(Nonlinearity.RELU, q)
 
 
 def test_layer_coefficient_hard_tanh_against_normal_cdf():

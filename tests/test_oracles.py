@@ -164,34 +164,6 @@ def test_monte_carlo_width_validation():
         monte_carlo_spectrum(wide(63), 4, seed=0)
 
 
-RANK_TOO_LARGE = "rank {r} is too large to sample: n0=64 needs {r} x {r} arrays"
-
-
-@pytest.mark.parametrize(
-    "site, spec, message",
-    [
-        ("_bartlett_factor", relu4_spec(), RANK_TOO_LARGE),
-        ("_bidiagonal_factor", relu4_spec(), RANK_TOO_LARGE),
-        ("_bidiagonal_gram", mp_spec(), RANK_TOO_LARGE),
-    ],
-    ids=["bartlett_factor", "bidiagonal_factor", "bidiagonal_gram"],
-)
-def test_monte_carlo_names_what_it_cannot_allocate(monkeypatch, site, spec, message):
-    # numpy's MemoryError, from an r x r factor, product or Gram, becomes a
-    # ValueError naming n0 and the rank; the failure is faked, since a real
-    # allocation that size can end in the OOM killer where memory is
-    # overcommitted
-    r = min(live_counts(spec, 64, 2))
-
-    def exhausted(*args, **kwargs):
-        raise MemoryError("cannot allocate")
-
-    monkeypatch.setattr(f"freespectra.oracles.{site}", exhausted)
-    with pytest.raises(ValueError) as caught:
-        monte_carlo_spectrum(spec, 64, seed=2)
-    assert str(caught.value) == message.format(r=r)
-
-
 def test_monte_carlo_mean_tracks_first_moment():
     rng = np.random.default_rng(21)
     nls = list(Nonlinearity)
@@ -781,6 +753,13 @@ def test_all_roots_names_coefficient_overflow():
     spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(1100)))
     with pytest.raises(ValueError, match="coefficients overflow"):
         all_roots(master_from_spec(spec), 1.0 + 1e-6j)
+
+
+def test_all_roots_refuses_a_root_whose_residual_stays_large(monkeypatch):
+    # a polish that moves each root off P(m) = z m leaves residuals the check names
+    monkeypatch.setattr("freespectra.oracles._polish", lambda meq, z, root: root + 0.5)
+    with pytest.raises(RuntimeError, match=r"^root .* kept relative residual above 1e-10$"):
+        all_roots(master_from_spec(mp_spec()), 2 + 1j)
 
 
 def test_all_roots_rejects_real_z():

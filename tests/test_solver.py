@@ -69,6 +69,17 @@ def test_is_in_basin_rejects_real_z():
         is_in_basin(mp_meq(), 2.0 + 0j, 0j)
 
 
+def test_is_in_basin_not_certified_where_kappa_overflows(monkeypatch):
+    # phi' = 1e-320 is nonzero and finite, but kappa = 1/|phi'| is inf
+    monkeypatch.setattr(solver_module, "eval_phi", lambda meq, z, m: (0j, 1e-320 + 0j))
+    assert is_in_basin(mp_meq(), 10j, 0j) is None
+
+
+def test_newton_raphson_rejects_real_z():
+    with pytest.raises(ValueError, match=r"^z must have nonzero imaginary part, got \(2\+0j\)$"):
+        newton_raphson(mp_meq(), 2.0 + 0j, 0j)
+
+
 def test_newton_mp1_from_origin():
     stats = SolveStats()
     m = newton_raphson(mp_meq(), 10j, 0j, stats=stats)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import freespectra.oracles as oracles_module
 import freespectra.solver as solver_module
 import freespectra.spectrum as spectrum_module
 from _curves import uniform_density_curve
@@ -634,35 +635,51 @@ def test_default_grid_names_an_overflowing_first_moment():
         default_grid(master_from_spec(spec))
 
 
+def test_default_grid_refuses_one_point_and_a_bracket_that_is_not_increasing():
+    meq = master_from_spec(mp_spec())
+    with pytest.raises(ValueError, match=r"^grid needs at least 2 points$"):
+        default_grid(meq, points=1)
+    for x_min, x_max in ((2.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match=rf"^invalid grid bracket \[{x_min}, {x_max}\]$"):
+            default_grid(meq, x_min=x_min, x_max=x_max)
+
+
+OUT_OF_MEMORY = MemoryError("cannot allocate")
+
+
 def exhausted(*args, **kwargs):
     """Stands in for an allocation that fails; a real one of this size can
     end in the OOM killer where memory is overcommitted."""
-    raise MemoryError("cannot allocate")
-
-
-@pytest.mark.parametrize("log_spaced, allocation", [(True, "logspace"), (False, "linspace")])
-def test_default_grid_names_a_point_count_it_cannot_allocate(monkeypatch, log_spaced, allocation):
-    monkeypatch.setattr(spectrum_module.np, allocation, exhausted)
-    meq = master_from_spec(mp_spec())
-    with pytest.raises(ValueError, match=r"^a grid of 100000000000 points is too large"):
-        default_grid(meq, points=10**11, log_spaced=log_spaced)
-
-
-def test_density_grid_names_a_point_count_whose_work_arrays_it_cannot_allocate(monkeypatch):
-    meq = master_from_spec(mp_spec())
-    xs = default_grid(meq, points=50)
-    monkeypatch.setattr(spectrum_module.np, "empty", exhausted)
-    with pytest.raises(ValueError, match=r"^a grid of 50 points is too large to allocate$"):
-        density_grid(meq, xs=xs)
+    raise OUT_OF_MEMORY
 
 
 def test_density_grid_passes_on_a_memory_error_raised_inside_its_solve(monkeypatch):
-    # only the per-point work arrays are the grid's size; a failure in the
-    # solve itself is not reported as one
+    # numpy's MemoryError names the array it could not allocate; the library
+    # passes it on as it is, and the command line reports it
     monkeypatch.setattr(spectrum_module, "basin_certificates", exhausted)
     meq = master_from_spec(mp_spec())
-    with pytest.raises(MemoryError, match="cannot allocate"):
+    with pytest.raises(MemoryError) as caught:
         density_grid(meq, xs=default_grid(meq, points=400))
+    assert caught.value is OUT_OF_MEMORY
+
+
+@pytest.mark.parametrize(
+    "owner, allocation, call",
+    [
+        (np, "logspace", lambda meq: default_grid(meq, points=10**11)),
+        (np, "empty", lambda meq: density_grid(meq, xs=[0.5, 1.0, 2.0])),
+        (np, "argsort", lambda meq: branch_roots(meq, [2.0 + 1e-6j, 0.5 + 1e-6j])),
+        (oracles_module, "_bartlett_factor", lambda meq: monte_carlo_spectrum(relu4_spec(), 64, 2)),
+    ],
+    ids=["default_grid", "density_grid", "branch_roots", "monte_carlo"],
+)
+def test_each_entry_point_passes_on_numpy_memory_error_as_it_is(
+    monkeypatch, owner, allocation, call
+):
+    monkeypatch.setattr(owner, allocation, exhausted)
+    with pytest.raises(MemoryError) as caught:
+        call(master_from_spec(mp_spec()))
+    assert caught.value is OUT_OF_MEMORY
 
 
 def test_density_failure_names_the_grid_point(monkeypatch):
@@ -1038,45 +1055,6 @@ def test_branch_roots_refuse_a_point_by_name(monkeypatch, bad, message):
     with pytest.raises(ValueError) as info:
         branch_roots(meq, [1.0 + 1e-6j, bad, 2.0 + 1e-6j])
     assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "order, allocation",
-    [
-        ("increasing", "diff"),
-        ("increasing", "ascontiguousarray"),
-        ("shuffled", "argsort"),
-        ("shuffled", "take"),
-        ("shuffled", "zeros"),
-        ("shuffled", "cumsum"),
-        ("shuffled", "empty"),
-        ("shuffled", "concatenate"),
-        ("shuffled", "compress"),
-    ],
-)
-def test_branch_roots_name_a_point_count_whose_order_they_cannot_allocate(
-    monkeypatch, order, allocation
-):
-    monkeypatch.setattr(spectrum_module, "_walk_roots", unreachable)
-    monkeypatch.setattr(spectrum_module.np, allocation, exhausted)
-    xs = [0.5, 1.0, 2.0, 3.0, 4.0] if order == "increasing" else [2.0, 0.5, 4.0, 1.0, 2.0]
-    with pytest.raises(ValueError, match=r"^a grid of 5 points is too large to allocate$"):
-        branch_roots(master_from_spec(mp_spec()), np.array(xs) + 1e-6j)
-
-
-def test_branch_roots_name_a_point_count_whose_roots_they_cannot_reorder(monkeypatch):
-    # the walk's roots are gathered back into the caller's order afterwards;
-    # a reversed input needs no new array, as its reversed copy takes them
-    original = spectrum_module._walk_roots
-
-    def walk_then_exhaust(meq, zs, stats):
-        ms = original(meq, zs, stats)
-        monkeypatch.setattr(spectrum_module.np, "take", exhausted)
-        return ms
-
-    monkeypatch.setattr(spectrum_module, "_walk_roots", walk_then_exhaust)
-    with pytest.raises(ValueError, match=r"^a grid of 5 points is too large to allocate$"):
-        branch_roots(master_from_spec(mp_spec()), np.array([2.0, 0.5, 4.0, 1.0, 2.0]) + 1e-6j)
 
 
 # -------------------------------------------------------------------- moments

@@ -179,6 +179,11 @@ def test_master_builds_where_one_layer_scale_overflows():
     assert meq.roots == (-1.0, -1e-10) and meq.multiplicities == (1, 1)
 
 
+def test_master_from_summary_needs_a_layer():
+    with pytest.raises(ValueError, match="^need at least one layer summary$"):
+        master_from_summary([])
+
+
 def test_master_names_a_gain_or_root_that_is_not_a_float():
     # scales 1, 1e600 and 1e600: the geometric mean 1e400 overflows
     big = LayerSummary(q=1.0, c=1.0, Lambda=1e300, sigma_w_sq=1e300)
@@ -381,6 +386,14 @@ def test_second_derivative_bound_mp1_constant():
     meq = mp_meq()
     for center, radius in ((0j, 0.0), (1 + 1j, 2.0), (-3j, 10.0)):
         assert second_derivative_bound(meq, 10j, center, radius) == pytest.approx(0.2, rel=1e-15)
+
+
+def test_second_derivative_bound_refuses_a_negative_radius():
+    meq = mp_meq()
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        second_derivative_bound(meq, 10j, 0j, -1.0)
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        second_derivative_bound(meq, np.full(2, 10j), np.zeros(2, complex), np.array([1.0, -1.0]))
 
 
 def test_second_derivative_bound_degree_one_is_zero():
