@@ -31,7 +31,9 @@ is not a float.  So does a body holding a byte that Unicode, but not
 bytes.strip, counts as white space when read as Latin-1, which the C reader
 would strip from a field; the body is scanned for those bytes in chunks
 first.  Line breaks are "\\n" or "\\r\\n".  A header value or a JSON column
-that is missing, or a header value that does not parse, is named.
+that is missing, a header value that does not parse, a repeated header key,
+a JSON stats that is not an object and a JSON column that is not an array of
+numbers are named.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ _TITLES = {
 }
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
+
+# The types json.loads gives a JSON number and null, the entries of a column
+_NUMBERS = {int, float, type(None)}
 
 # The bytes that loadtxt, which decodes a body as Latin-1, strips from a field
 # as white space, and float() and _parse_rows refuse; a body is scanned for
@@ -270,14 +275,24 @@ def _read_body(handle: BinaryIO, fields: int, first: int) -> list:
     return _parse_rows(handle.read(), fields, first)
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads keeps the last of a repeated key; refuse it instead
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load(path: str, keys: tuple) -> tuple[dict, list]:
     """The header and the float columns named by keys, from either format.
 
-    A JSON document's "stats" object folds into the header, as its counters
-    are header lines in CSV; a CSV's columns are taken in the order of keys.
-    The header lines of a CSV precede its line of column names, which must be
-    the artifact's own; json.loads also reads the -Infinity that json.dumps
-    once wrote.
+    A JSON document's "stats" object gives the header its counters alone, as
+    they are header lines in CSV; a JSON column holds numbers or nulls.  A
+    CSV's columns are taken in the order of keys.  The header lines of a CSV
+    precede its line of column names, which must be the artifact's own;
+    json.loads also reads the -Infinity that json.dumps once wrote.
     """
     title = _TITLES[keys]
     meta: dict = {}
@@ -286,13 +301,22 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
             stripped = line.strip()
             if stripped.startswith(b"#"):
                 key, _, value = stripped[1:].partition(b":")
-                meta[key.strip().decode()] = value.strip().decode()
+                key = key.strip().decode()
+                if key in meta:
+                    raise ValueError(f"line {number}: repeated key {key!r}")
+                meta[key] = value.strip().decode()
             elif stripped.startswith(b"{") and not meta:
-                meta = json.loads(line + handle.read())
-                meta.update(meta.pop("stats", None) or {})
+                meta = json.loads(line + handle.read(), object_pairs_hook=_unique_keys)
+                stats = meta.pop("stats", None)
+                if not isinstance(stats, (dict, type(None))):
+                    raise ValueError(f"the artifact's stats must be an object, got {stats!r}")
+                counters = [(key, stats[key]) for key in _STAT_KEYS if key in (stats or {})]
+                meta = _unique_keys([*meta.items(), *counters])
                 for key in keys:
                     if key not in meta:
                         raise ValueError(f"the artifact has no column {key}")
+                    if not (isinstance(meta[key], list) and set(map(type, meta[key])) <= _NUMBERS):
+                        raise ValueError(f"the artifact's column {key} must be an array of numbers")
                 return meta, [np.array(meta.pop(key), dtype=float) for key in keys]
             elif stripped == title:
                 return meta, _read_body(handle, len(keys), number + 1)

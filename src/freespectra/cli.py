@@ -3,9 +3,9 @@
 Subcommands: density (solve and tabulate the smoothed density), quantiles
 (invert the CDF, printing log10 of each quantile), validate (a Monte-Carlo
 sample against the law's exact CDF, KS threshold; it solves no grid, so the
-grid fields, y, --points and --y do not change it), bench (timing and
-solver-statistics table).  Each reads its run from the JSON file named by
---config, which is required.  The bench table's columns are
+grid fields and y do not change it), bench (timing and solver-statistics
+table).  Each reads its run from the JSON file named by --config, which is
+required; --out replaces output.path.  The bench table's columns are
 method,wall_ms,points,newton_iterations,basins,degree, with one row each for
 lilypads_grid, all_roots_grid and, when mc.enabled, monte_carlo (points = n0);
 wall_ms is informational, the Newton count shows the warm-start savings.  A
@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import spectrum
 from .artifacts import write_density, write_quantiles, write_text
-from .config import ConfigError, RunConfig, apply_overrides, load_config
+from .config import ConfigError, RunConfig, load_config
 from .oracles import all_roots, ks_distance, monte_carlo_spectrum
 from .solver import SolveStats
 from .spectrum import default_grid, density_grid, quantiles
@@ -44,21 +44,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output path (default: config output.path, else stdout)")
-        p.add_argument("--points", type=int, help="override grid point count")
-        p.add_argument("--y", type=float, help="override the smoothing offset y > 0")
-        p.add_argument("--seed", type=int, help="override the Monte-Carlo seed")
         p.set_defaults(func=func)
     return parser
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    return apply_overrides(
-        load_config(args.config),
-        points=args.points,
-        y=args.y,
-        seed=args.seed,
-        out=args.out,
-    )
+    config = load_config(args.config)
+    if args.out is None:
+        return config
+    return dataclasses.replace(config, output=dataclasses.replace(config.output, path=args.out))
 
 
 def _window(config: RunConfig):

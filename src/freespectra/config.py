@@ -4,13 +4,11 @@ Parsing is strict — unknown fields are rejected with their full path and a
 key repeated in one object is rejected by name, so typos surface immediately
 instead of silently falling back to defaults or to the last of two values.
 Every object is read by _read from a table of its fields, and every setting
-is checked once, where its dataclass is built, so a command-line override
-meets the same check as the file.
+is checked once, where its dataclass is built.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from math import isfinite
@@ -26,7 +24,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "parse_run_config",
-    "apply_overrides",
 ]
 
 DEFAULT_PROBS = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -241,22 +238,3 @@ def load_config(path: str) -> RunConfig:
             f"config: parse error in {path} at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
     return parse_run_config(data)
-
-
-def apply_overrides(
-    config: RunConfig,
-    points: Optional[int] = None,
-    y: Optional[float] = None,
-    seed: Optional[int] = None,
-    out: Optional[str] = None,
-) -> RunConfig:
-    """Fold command-line flags over a loaded configuration; each meets its field's check."""
-    if points is not None:
-        config = dataclasses.replace(config, grid=dataclasses.replace(config.grid, points=points))
-    if y is not None:
-        config = dataclasses.replace(config, y=y)
-    if seed is not None:
-        config = dataclasses.replace(config, mc=dataclasses.replace(config.mc, seed=seed))
-    if out is not None:
-        config = dataclasses.replace(config, output=dataclasses.replace(config.output, path=out))
-    return config

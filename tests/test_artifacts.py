@@ -123,6 +123,79 @@ def test_density_json_ignores_keys_that_are_not_counters(tmp_path):
     assert read_density(str(path)).stats == curve.stats
 
 
+@pytest.mark.parametrize(
+    "fmt, old, new, message",
+    [
+        ("csv", "# y: 1e-6\n", "# y: 1e-6\n# y: 0.5\n", "line 2: repeated key 'y'"),
+        ("json", '"y":1e-6,', '"y":1e-6,"y":0.5,', "repeated key 'y'"),
+        ("json", '"basins":4,', '"basins":4,"basins":5,', "repeated key 'basins'"),
+        ("json", '"y":1e-6,', '"y":1e-6,"basins":5,', "repeated key 'basins'"),
+    ],
+    ids=["csv", "json", "json_stats", "json_stats_and_top"],
+)
+def test_density_header_with_a_repeated_key_is_refused(tmp_path, fmt, old, new, message):
+    # the last of the two values was read, with no error
+    text = render_density(awkward_curve(), fmt)
+    assert text.count(old) == 1
+    path = tmp_path / f"repeated.{fmt}"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_density(str(path))
+
+
+@pytest.mark.parametrize(
+    "stats, message",
+    [
+        (5, "the artifact's stats must be an object, got 5"),
+        ([["y", "7"]], "the artifact's stats must be an object, got [['y', '7']]"),
+        ("", "the artifact's stats must be an object, got ''"),
+    ],
+    ids=["number", "pairs", "empty_string"],
+)
+def test_density_json_with_stats_that_is_not_an_object_is_refused(tmp_path, stats, message):
+    # 5 raised a TypeError, and the pairs read as y = 7.0 over the header's 1e-6
+    doc = json.loads(render_density(awkward_curve(), "json"))
+    doc["stats"] = stats
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_density(str(path))
+
+
+def test_density_json_stats_cannot_replace_a_header_value(tmp_path):
+    curve = awkward_curve()
+    doc = json.loads(render_density(curve, "json"))
+    doc["stats"].update(y=7.0, atom_lower_bound=0.0, x=[1.0, 2.0])
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(doc))
+    back = read_density(str(path))
+    assert (back.y, back.atom_lower_bound, back.stats) == (curve.y, 0.5, curve.stats)
+    assert np.array_equal(back.xs, curve.xs)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("x", {"a": 1}),
+        ("rho", 5),
+        ("x", ["0.3", "0.4", "2.0", "3.0"]),
+        ("rho", [True, 0.1, 0.0, 0.0]),
+        ("x", [[0.3, 0.4], [2.0, 3.0]]),
+        ("x", None),
+    ],
+    ids=["object", "number", "strings", "bool", "nested", "null"],
+)
+def test_json_column_that_is_not_an_array_of_numbers_is_refused(tmp_path, key, value):
+    # an object column raised a TypeError from numpy, and strings read as floats
+    doc = json.loads(render_density(awkward_curve(), "json"))
+    doc[key] = value
+    path = tmp_path / "column.json"
+    path.write_text(json.dumps(doc))
+    message = f"the artifact's column {key} must be an array of numbers"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_density(str(path))
+
+
 def test_density_csv_holding_nan_is_refused(tmp_path):
     path = tmp_path / "nan.csv"
     text = render_density(awkward_curve(), "csv").replace("\n2.0,5e-324\n", "\n2.0,nan\n")

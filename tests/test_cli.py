@@ -104,12 +104,6 @@ def test_density_rejects_nonpositive_y(tmp_path, capsys):
     assert "y must be positive" in capsys.readouterr().err
 
 
-def test_density_rejects_nan_y_from_the_command_line(tmp_path, capsys):
-    config = write_config(tmp_path, "mp.json", MP1)
-    assert cli.main(["density", "--config", config, "--y", "nan"]) == 2
-    assert capsys.readouterr().err == "error: config: y: y must be positive and finite, got nan\n"
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -167,13 +161,6 @@ def test_density_relu4_nonnegative(tmp_path):
     assert curve.atom_lower_bound == 0.5
 
 
-def test_density_points_override(tmp_path):
-    config = write_config(tmp_path, "mp.json", MP1)
-    out = tmp_path / "small.csv"
-    assert cli.main(["density", "--config", config, "--out", str(out), "--points", "50"]) == 0
-    assert read_density(str(out)).xs.size == 50
-
-
 def exhausted(*args, **kwargs):
     """Stands in for an allocation that fails; a real one of this size can
     end in the OOM killer where memory is overcommitted."""
@@ -185,10 +172,9 @@ def test_density_on_a_grid_too_large_to_allocate_fails_cleanly(tmp_path, capsys,
     # them ("Unable to allocate 745. GiB for an array with shape ..."), and
     # the command line reports that message
     monkeypatch.setattr("freespectra.spectrum.np.logspace", exhausted)
-    config = write_config(tmp_path, "mp.json", MP1)
+    config = write_config(tmp_path, "huge.json", {**MP1, "grid": {"points": 100000000000}})
     out = tmp_path / "huge.csv"
-    argv = ["density", "--config", config, "--out", str(out), "--points", "100000000000"]
-    assert cli.main(argv) == 1
+    assert cli.main(["density", "--config", config, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: out of memory: cannot allocate\n"
     assert not out.exists()
 
@@ -221,6 +207,26 @@ def test_quantiles_requires_a_config(capsys):
         cli.main(["quantiles"])
     assert exit_info.value.code == 2
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["density", "quantiles", "validate", "bench"])
+@pytest.mark.parametrize(
+    "flag", [["--points", "50"], ["--y", "1e-3"], ["--seed", "3"]], ids=["points", "y", "seed"]
+)
+def test_a_run_is_its_config_and_out_path(tmp_path, capsys, command, flag):
+    # grid.points, y and mc.seed are set in the config file alone; argparse
+    # refuses a flag for them with its usage exit status
+    config = write_config(tmp_path, "mp.json", MP1)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--config", config, *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    options = [line.split("  ")[1] for line in lines if line.startswith("  -")]
+    assert options == ["-h, --help", "--config CONFIG", "--out OUT"]
 
 
 def test_quantiles_mp_median_vs_oracle(tmp_path):
@@ -358,23 +364,25 @@ def test_validate_reports_the_censored_zeros_and_the_floor(
 def test_density_names_the_grid_whose_trapezoid_mass_is_refused(tmp_path, capsys):
     # ReLU then linear: 5 and 2 grid points over the default window hold
     # more trapezoid mass than any law, while 3 points pass
-    payload = {
-        "network": {
-            "layers": [
-                {"nonlinearity": "relu", "sigma_w_sq": 2.0},
-                {"nonlinearity": "linear", "sigma_w_sq": 1.0},
-            ]
-        }
+    network = {
+        "layers": [
+            {"nonlinearity": "relu", "sigma_w_sq": 2.0},
+            {"nonlinearity": "linear", "sigma_w_sq": 1.0},
+        ]
     }
-    config = write_config(tmp_path, "coarse.json", payload)
-    out = str(tmp_path / "out.csv")
+
+    def density(points):
+        payload = {"network": network, "grid": {"points": points}}
+        config = write_config(tmp_path, f"coarse_{points}.json", payload)
+        return cli.main(["density", "--config", config, "--out", str(tmp_path / "out.csv")])
+
     for points, mass in ((5, "1.29"), (2, "145.7")):
-        assert cli.main(["density", "--config", config, "--out", out, "--points", str(points)]) == 1
+        assert density(points) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: total_mass {mass}")
         assert f"exceeds 1.02: the trapezoid mass over {points} grid points on [0.0001, " in err
         assert "either the law is wrong or the grid is too coarse" in err
-    assert cli.main(["density", "--config", config, "--out", out, "--points", "3"]) == 0
+    assert density(3) == 0
 
 
 @pytest.mark.parametrize(
@@ -403,18 +411,17 @@ def test_validate_passes_deep_and_wide_nets_at_its_defaults(tmp_path, capsys, la
 
 def test_validate_reads_neither_the_grid_nor_y(tmp_path, capsys):
     # the KS distance compares the sample with the law's exact CDF, so no
-    # grid field, y, --points or --y changes the report
+    # grid field or y changes the report
     reports = []
-    for extra, flags in [
-        ({}, []),
-        ({"grid": {"points": 3, "x_min": 5.0, "x_max": 6.0, "log_spaced": False}, "y": 0.5}, []),
-        ({}, ["--points", "2", "--y", "1e-300"]),
+    for extra in [
+        {},
+        {"grid": {"points": 3, "x_min": 5.0, "x_max": 6.0, "log_spaced": False}, "y": 0.5},
     ]:
         payload = dict(RELU4, mc={"n0": 300, "seed": 1}, **extra)
         config = write_config(tmp_path, "relu4_mc.json", payload)
-        assert cli.main(["validate", "--config", config, *flags]) == 0
+        assert cli.main(["validate", "--config", config]) == 0
         reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
 
 
 def test_validate_requires_mc(tmp_path, capsys):
@@ -444,12 +451,11 @@ def test_validate_names_a_layer_too_wide_to_count(tmp_path, capsys):
 
 
 def test_validate_seed_override(tmp_path, capsys):
-    payload = dict(MP1)
-    payload["mc"] = {"n0": 500, "seed": 42}
-    config = write_config(tmp_path, "mp_mc.json", payload)
     distances = []
-    for seed in ("3", "4"):
-        assert cli.main(["validate", "--config", config, "--seed", seed]) == 0
+    for seed in (3, 4):
+        payload = {**MP1, "mc": {"n0": 500, "seed": seed}}
+        config = write_config(tmp_path, f"mp_mc_{seed}.json", payload)
+        assert cli.main(["validate", "--config", config]) == 0
         report = capsys.readouterr().out
         line = next(l for l in report.splitlines() if l.startswith("ks_distance"))
         distances.append(float(line.split(":")[1]))

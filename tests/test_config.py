@@ -1,4 +1,4 @@
-"""Config ingestion: strict schema, defaults, and flag overrides."""
+"""Config ingestion: strict schema and defaults."""
 
 import json
 import math
@@ -6,12 +6,7 @@ import math
 import pytest
 
 from freespectra import Nonlinearity
-from freespectra.config import (
-    ConfigError,
-    apply_overrides,
-    load_config,
-    parse_run_config,
-)
+from freespectra.config import ConfigError, load_config, parse_run_config
 
 MINIMAL = {"network": {"layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0}]}}
 LAYER = MINIMAL["network"]["layers"][0]
@@ -281,19 +276,6 @@ def test_error_messages_are_exact(payload, message):
     with pytest.raises(ConfigError) as info:
         parse_run_config(payload)
     assert str(info.value) == message
-
-
-def test_apply_overrides():
-    cfg = parse_run_config(MINIMAL)
-    out = apply_overrides(cfg, points=77, y=1e-4, seed=9, out="a.csv")
-    assert out.grid.points == 77
-    assert out.y == 1e-4
-    assert out.mc.seed == 9
-    assert out.output.path == "a.csv"
-    untouched = apply_overrides(cfg)
-    assert untouched == cfg
-    with pytest.raises(ConfigError, match="y must be positive"):
-        apply_overrides(cfg, y=-2.0)
 
 
 def test_load_config_errors(tmp_path):

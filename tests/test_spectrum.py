@@ -992,6 +992,40 @@ def test_cdf_failure_names_the_point_on_the_ray(monkeypatch):
     assert info.value.z == complex(2.0, 2e-12)
 
 
+@pytest.mark.parametrize("nonlinearity, gain", [("linear", 1.0), ("relu", 2.0)])
+@pytest.mark.parametrize("depth", [1, 4, 16])
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+def test_cdf_at_a_scaled_gain_is_the_cdf_at_the_scaled_point(nonlinearity, gain, depth, scale):
+    # with no bias the roots do not move with the gain and P scales by
+    # s^L, so F at gain s sigma_w^2 and x s^L is F at sigma_w^2 and x
+    # (ROADMAP item 21); measured to within 1e-15
+    def law(sigma_w_sq):
+        layer = LayerSpec(Nonlinearity(nonlinearity), sigma_w_sq)
+        return master_from_spec(NetworkSpec(layers=(layer,) * depth))
+
+    xs = np.logspace(-6, 1.5, 40)
+    scaled = cdf(law(scale * gain), xs * scale**depth)
+    assert np.max(np.abs(scaled - cdf(law(gain), xs))) <= 1e-14
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4, 8, 16])
+def test_cdf_of_a_linear_net_near_zero_has_the_log_slope_of_one_over_depth_plus_one(depth):
+    # (m + 1)^(L + 1) = z m, so near 0 m + 1 ~ (-z)^(1/(L + 1)), and the
+    # log-slope of F tends to 1/(L + 1) (ROADMAP item 15).  Its relative
+    # error over [1e-14, 1e-12] is 7e-10, -8.5e-6, -4.2e-4, -3.9e-3 and
+    # -1.2e-2 for L = 1, 2, 4, 8 and 16, and over [1e-10, 1e-8] it is larger
+    meq = master_from_spec(NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1.0),) * depth))
+
+    def slope_error(lo, hi):
+        f_lo, f_hi = cdf(meq, [lo, hi])
+        return abs(math.log(f_hi / f_lo) / math.log(hi / lo) * (depth + 1) - 1.0)
+
+    near = slope_error(1e-14, 1e-12)
+    assert near <= 0.02
+    if depth >= 2:
+        assert near < slope_error(1e-10, 1e-8)
+
+
 # --------------------------------------------------------------- branch_roots
 
 
