@@ -33,7 +33,8 @@ would strip from a field; the body is scanned for those bytes in chunks
 first.  Line breaks are "\\n" or "\\r\\n".  A header value or a JSON column
 that is missing, a header value that does not parse, a repeated header key,
 a JSON stats that is not an object and a JSON column that is not an array of
-numbers are named.
+numbers are named, and so are the file and the line of a byte that is not
+UTF-8 in a CSV header or a JSON document.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from typing import BinaryIO, Iterable, Iterator, Optional
 import numpy as np
 import orjson
 
+from .config import _unique_keys
 from .solver import SolveStats
 from .spectrum import DensityCurve, QuantileTable
 
@@ -275,14 +277,14 @@ def _read_body(handle: BinaryIO, fields: int, first: int) -> list:
     return _parse_rows(handle.read(), fields, first)
 
 
-def _unique_keys(pairs: list) -> dict:
-    # json.loads keeps the last of a repeated key; refuse it instead
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise ValueError(f"repeated key {key!r}")
-        data[key] = value
-    return data
+def _utf8(raw: bytes, path: str, number: int) -> str:
+    """raw, read from path at line `number` on, as UTF-8; a ValueError names a bad byte's line."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as err:
+        line = number + raw.count(b"\n", 0, err.start)
+        bad = raw[err.start : err.end]
+        raise ValueError(f"{path}: line {line}: {bad!r} is not UTF-8") from None
 
 
 def _load(path: str, keys: tuple) -> tuple[dict, list]:
@@ -301,12 +303,13 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
             stripped = line.strip()
             if stripped.startswith(b"#"):
                 key, _, value = stripped[1:].partition(b":")
-                key = key.strip().decode()
+                key = _utf8(key.strip(), path, number)
                 if key in meta:
                     raise ValueError(f"line {number}: repeated key {key!r}")
-                meta[key] = value.strip().decode()
+                meta[key] = _utf8(value.strip(), path, number)
             elif stripped.startswith(b"{") and not meta:
-                meta = json.loads(line + handle.read(), object_pairs_hook=_unique_keys)
+                text = _utf8(line + handle.read(), path, number)
+                meta = json.loads(text, object_pairs_hook=_unique_keys)
                 stats = meta.pop("stats", None)
                 if not isinstance(stats, (dict, type(None))):
                     raise ValueError(f"the artifact's stats must be an object, got {stats!r}")

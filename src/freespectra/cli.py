@@ -59,14 +59,8 @@ def _window(config: RunConfig):
     """The run's master equation and the grid its config asks for."""
     # called through the spectrum module, so that a wrapper installed there sees it
     meq = spectrum.master_from_spec(config.network)
-    xs = default_grid(
-        meq,
-        points=config.grid.points,
-        x_min=config.grid.x_min,
-        x_max=config.grid.x_max,
-        log_spaced=config.grid.log_spaced,
-    )
-    return meq, xs
+    grid = config.grid
+    return meq, default_grid(meq, points=grid.points, x_min=grid.x_min, x_max=grid.x_max)
 
 
 def _solve_curve(config: RunConfig):

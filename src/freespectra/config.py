@@ -1,8 +1,9 @@
 """Run configuration: a single JSON document describing network, grid and outputs.
 
-Parsing is strict — unknown fields are rejected with their full path and a
-key repeated in one object is rejected by name, so typos surface immediately
-instead of silently falling back to defaults or to the last of two values.
+Parsing is strict — unknown fields are rejected with their full path, and a
+key repeated in one object and a file that is not UTF-8 are rejected by
+name, so typos surface immediately instead of silently falling back to
+defaults or to the last of two values.
 Every object is read by _read from a table of its fields, and every setting
 is checked once, where its dataclass is built.
 """
@@ -45,7 +46,6 @@ class GridConfig:
     x_min: Optional[float] = None
     x_max: Optional[float] = None
     points: int = 200
-    log_spaced: bool = True
 
     def __post_init__(self) -> None:
         if self.points < 2:
@@ -200,7 +200,6 @@ _GRID_FIELDS = {
     "x_min": ("x_min", _as_real),
     "x_max": ("x_max", _as_real),
     "points": ("points", _as_int),
-    "log_spaced": ("log_spaced", _as_bool),
 }
 _MC_FIELDS = {"n0": ("n0", _as_int), "seed": ("seed", _as_int), "enabled": ("enabled", _as_bool)}
 _OUTPUT_FIELDS = {"format": ("format", _as_str), "path": ("path", _as_path)}
@@ -218,23 +217,26 @@ def parse_run_config(data: Any) -> RunConfig:
     return _read(data, "", RunConfig, _RUN_FIELDS, ("network",))
 
 
-def load_config(path: str) -> RunConfig:
-    def unique_keys(pairs: list) -> dict:
-        # json.load keeps the last of a repeated key; refuse it instead
-        data = {}
-        for key, value in pairs:
-            if key in data:
-                raise ConfigError(f"config: parse error in {path}: repeated key {key!r}")
-            data[key] = value
-        return data
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; json keeps the last of a repeated key, this refuses it."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
 
+
+def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, object_pairs_hook=unique_keys)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"config: cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"config: parse error in {path} at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except ValueError as err:  # a repeated key, or bytes that are not UTF-8
+        raise ConfigError(f"config: parse error in {path}: {err}") from None
     return parse_run_config(data)

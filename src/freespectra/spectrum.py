@@ -2,13 +2,9 @@
 
 branch_roots solves the master equation's decaying branch m(z) at any
 points of the upper half-plane, in the caller's order: it walks the
-distinct points by decreasing Re z in two passes, a sequential walk that
-jumps 64 points first, doubles a jump that certifies and halves one that
-does not, starting each jump from the branch tangent at its head (an Euler
-predictor), then batched certificate tests and lockstep Newton solves, in
-blocks, for the points jumped over, each started from the cubic Hermite
-interpolant of the branch between the two solved points that bracket it
-(see _walk_roots).  The density at x is rho = -Im((m+1)/z)/pi at
+distinct points by decreasing Re z in a sequential pass of certified jumps
+and a batched pass over the points jumped over, by the rule that
+_walk_roots states.  The density at x is rho = -Im((m+1)/z)/pi at
 z = x + iy, a small smoothing offset y > 0 (density_grid); on the ray
 z = x (1 + 1e-12 i) the closed-form primitive of (m + 1)/z dz in m gives
 the law's exact CDF, atom included (cdf).
@@ -19,7 +15,6 @@ RationalMasterEq) alone, never from the layers.
 from __future__ import annotations
 
 import math
-import sys
 from cmath import isfinite as cisfinite
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -53,11 +48,8 @@ __all__ = [
 
 _NEGATIVE_DENSITY_TOL = 1e-10
 
-# The coarse pass of a grid first tries to jump _STRIDE points of the walk,
-# doubles a jump that certifies and halves one that does not.  Jumps stay at
-# most max(_STRIDE, (n - 1) // 8) points, so an n-point grid makes at least 8
-# sequential solves, the sample perfbench's branch check draws from; a failed
-# long jump costs one certificate test.
+# The coarse pass's first jump, in points of the walk, and the least cap on
+# its jumps (see _walk_roots); a failed long jump costs one certificate test.
 _STRIDE = 64
 
 # The batched pass takes the grid in blocks of _BLOCK points, so that each of
@@ -176,9 +168,13 @@ def default_grid(
     points: int = 200,
     x_min: Optional[float] = None,
     x_max: Optional[float] = None,
-    log_spaced: bool = True,
 ) -> np.ndarray:
-    """Grid bracketing the bulk, 1e-4 m1 to m1 + 10 sigma of the moments; log-spaced by default."""
+    """Log-spaced grid bracketing the bulk, 1e-4 m1 to m1 + 10 sigma of the moments.
+
+    sigma = m1 sqrt(spread) is the variance's root taken without m1 m1, which
+    leaves the normal floats at m1 < 1.5e-154 or m1 > 1.3e154; the window thus
+    keeps its shape there, as the law only scales with m1.
+    """
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     m1, var = closed_form_moments(meq)
@@ -186,14 +182,7 @@ def default_grid(
     if auto_min:
         x_min = m1 * 1e-4
     if auto_max:
-        # var = m1 m1 spread, whose m1 m1 leaves the normal floats at
-        # m1 < 1.5e-154 or m1 > 1.3e154; sigma = m1 sqrt(spread) keeps the
-        # window's shape there, as the law only scales with m1
-        if sys.float_info.min <= m1 * m1 < math.inf:
-            sigma = math.sqrt(var)
-        else:
-            sigma = m1 * math.sqrt(_spread(meq))
-        x_max = m1 + 10.0 * sigma
+        x_max = m1 + 10.0 * m1 * math.sqrt(_spread(meq))
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(
             f"grid window [{x_min!r}, {x_max!r}] is not finite: the closed-form moments give "
@@ -212,31 +201,19 @@ def default_grid(
         )
     if not (0.0 < x_min < x_max):
         raise ValueError(f"invalid grid bracket [{x_min}, {x_max}]")
-    if log_spaced:
-        return np.logspace(math.log10(x_min), math.log10(x_max), points)
-    return np.linspace(x_min, x_max, points)
+    return np.logspace(math.log10(x_min), math.log10(x_max), points)
 
 
-def density_grid(
-    meq: RationalMasterEq,
-    xs: Optional[Sequence[float]] = None,
-    y: float = 1e-6,
-) -> DensityCurve:
-    """Solve the master equation at z = x + iy over the grid and return the curve.
+def density_grid(meq: RationalMasterEq, xs: Sequence[float], y: float = 1e-6) -> DensityCurve:
+    """Solve the master equation at z = x + iy over the grid xs and return the curve.
 
-    xs defaults to default_grid(meq).  The grid is walked from its largest x
-    downward.  The walk jumps 64 points first, doubles a jump that certifies,
-    up to max(64, (n - 1) // 8) points of n (64 on a 400-point grid), and
-    halves one that does not; it solves each jump's end in sequence from the
-    branch tangent at the previous one.  The points jumped over are then
-    certified and solved in blocks, each from the cubic Hermite interpolant
-    of the branch between the two roots that bracket it (see _walk_roots).
-    The solver's tolerance and caps are the solver module's constants.
+    xs is strictly increasing and positive; default_grid builds one.  The
+    roots come from branch_roots, which walks the grid from its largest x
+    down (see _walk_roots); the solver's tolerance and caps are the solver
+    module's constants.
     """
     if not (math.isfinite(y) and y > 0):
         raise ValueError(f"y must be positive and finite, got {y!r}")
-    if xs is None:
-        xs = default_grid(meq)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError(
@@ -344,8 +321,9 @@ def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.
     jump is _STRIDE.  A jump that does not certify is halved, down to single
     steps, which are walked from their neighbour's root without a test.
     This is the descent's own rule, and the cap keeps at least 8 sequential
-    solves per grid.  The coarse pass thus solves both ends of every
-    interval it jumped: point 0, point n - 1 and each head in between.
+    solves per grid, the sample perfbench's branch check draws from.  The
+    coarse pass thus solves both ends of every interval it jumped: point 0,
+    point n - 1 and each head in between.
     Batched pass: every point jumped over starts from the cubic Hermite
     interpolant of m between the two solved points that bracket it, with
     the slopes dm/dz there that the coarse pass took from the factors, so

@@ -144,6 +144,26 @@ def test_density_header_with_a_repeated_key_is_refused(tmp_path, fmt, old, new, 
 
 
 @pytest.mark.parametrize(
+    "fmt, old, new, line",
+    [
+        ("csv", "# y: 1e-6\n", "# y: 1e-6\xff\n", 1),
+        ("csv", "# basins: 4\n", "# basins\xff: 4\n", 5),
+        ("json", '"y":1e-6,', '"y":1e-6,\n\n"note":"\xff",', 3),
+    ],
+    ids=["csv_value", "csv_key", "json"],
+)
+def test_density_with_bytes_that_are_not_utf8_is_refused(tmp_path, fmt, old, new, line):
+    # a bare UnicodeDecodeError named neither the file nor the line
+    text = render_density(awkward_curve(), fmt)
+    assert text.count(old) == 1
+    path = tmp_path / f"latin1.{fmt}"
+    path.write_bytes(text.replace(old, new).encode("latin-1"))
+    message = f"{path}: line {line}: b'\\xff' is not UTF-8"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_density(str(path))
+
+
+@pytest.mark.parametrize(
     "stats, message",
     [
         (5, "the artifact's stats must be an object, got 5"),

@@ -48,14 +48,17 @@ def mp_cdf(t):
 
 def test_density_mp_row_nearest_two(tmp_path):
     payload = dict(MP1)
-    payload["grid"] = {"x_min": 0.02, "x_max": 4.0, "points": 200, "log_spaced": False}
+    payload["grid"] = {"x_min": 0.02, "x_max": 4.0, "points": 200}
     config = write_config(tmp_path, "mp.json", payload)
     out = tmp_path / "density.csv"
     assert cli.main(["density", "--config", config, "--out", str(out)]) == 0
     curve = read_density(str(out))
     assert curve.xs.size == 200
+    # the log grid has no row at 2; compare with the MP density at the row's own x
     row = int(np.argmin(np.abs(curve.xs - 2.0)))
-    assert abs(curve.rhos[row] - 0.159155) <= 1e-4
+    x = curve.xs[row]
+    mp = math.sqrt(x * (4.0 - x)) / (2.0 * math.pi * x)
+    assert abs(curve.rhos[row] - mp) <= 1e-4
     text = out.read_text()
     for key in ("# y:", "# total_mass:", "# atom_lower_bound:", "# newton_iterations:", "# basins:"):
         assert key in text
@@ -415,7 +418,7 @@ def test_validate_reads_neither_the_grid_nor_y(tmp_path, capsys):
     reports = []
     for extra in [
         {},
-        {"grid": {"points": 3, "x_min": 5.0, "x_max": 6.0, "log_spaced": False}, "y": 0.5},
+        {"grid": {"points": 3, "x_min": 5.0, "x_max": 6.0}, "y": 0.5},
     ]:
         payload = dict(RELU4, mc={"n0": 300, "seed": 1}, **extra)
         config = write_config(tmp_path, "relu4_mc.json", payload)
@@ -438,7 +441,7 @@ def test_validate_names_a_layer_too_wide_to_count(tmp_path, capsys):
     # not catch; the grid and y play no part in validate
     payload = {
         "network": {"layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0, "lambda": 1e-17}]},
-        "grid": {"x_min": 0.99, "x_max": 1.01, "points": 400, "log_spaced": False},
+        "grid": {"x_min": 0.99, "x_max": 1.01, "points": 400},
         "y": 1e-3,
         "mc": {"n0": 1000},
     }
@@ -635,6 +638,22 @@ def test_repeated_config_key_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(MP1)[:-1] + ', "y": 1e-6, "y": 1e-3}')
     assert cli.main(["density", "--config", str(path)]) == 2
     assert "repeated key 'y'" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    # it exited 1 with the codec's message alone
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(MP1).encode()[:-1] + b', "y": 1e-6} \xff')
+    assert cli.main(["density", "--config", str(path)]) == 2
+    message = f"error: config: parse error in {path}: 'utf-8' codec can't decode byte 0xff"
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_grid_log_spaced_is_an_unknown_field(tmp_path, capsys):
+    # every grid is log-spaced; the field that chose a linear one is gone
+    config = write_config(tmp_path, "linear.json", {**MP1, "grid": {"log_spaced": True}})
+    assert cli.main(["density", "--config", config]) == 2
+    assert capsys.readouterr().err == "error: config: grid.log_spaced: unknown field\n"
 
 
 def test_unwritable_out_path_fails_cleanly(tmp_path, capsys):

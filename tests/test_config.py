@@ -22,7 +22,7 @@ def with_section(key, value):
 
 def test_defaults_fill_in():
     cfg = parse_run_config(MINIMAL)
-    assert cfg.grid.points == 200 and cfg.grid.log_spaced is True
+    assert cfg.grid.points == 200
     assert cfg.grid.x_min is None and cfg.grid.x_max is None
     assert cfg.y == 1e-6
     assert cfg.probs == tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -208,11 +208,6 @@ ERROR_MESSAGES = [
         "grid-type-points",
         with_section("grid", {"points": 2.5}),
         "config: grid.points: expected an integer, got 2.5",
-    ),
-    (
-        "grid-type-log_spaced",
-        with_section("grid", {"log_spaced": 1}),
-        "config: grid.log_spaced: expected true or false, got 1",
     ),
     (
         "grid-value-points",
