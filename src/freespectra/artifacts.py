@@ -33,12 +33,16 @@ would strip from a field; the body is scanned for those bytes in chunks
 first.  Line breaks are "\\n" or "\\r\\n".  A header value or a JSON column
 that is missing, a header value that does not parse, a repeated header key,
 a JSON stats that is not an object and a JSON column that is not an array of
-numbers are named, and so are the file and the line of a byte that is not
-UTF-8 in a CSV header or a JSON document.
+numbers are named, and so is the line of a byte that is not UTF-8 in a CSV
+header or a JSON document.  A JSON document nested past the interpreter's
+recursion limit is refused like any other that does not parse.  Every
+refusal of read_density and read_quantiles, a ValueError, begins with the
+file's path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import errno
 import json
@@ -277,14 +281,14 @@ def _read_body(handle: BinaryIO, fields: int, first: int) -> list:
     return _parse_rows(handle.read(), fields, first)
 
 
-def _utf8(raw: bytes, path: str, number: int) -> str:
-    """raw, read from path at line `number` on, as UTF-8; a ValueError names a bad byte's line."""
+def _utf8(raw: bytes, number: int) -> str:
+    """raw, read from line `number` on, as UTF-8; a ValueError names a bad byte's line."""
     try:
         return raw.decode()
     except UnicodeDecodeError as err:
         line = number + raw.count(b"\n", 0, err.start)
         bad = raw[err.start : err.end]
-        raise ValueError(f"{path}: line {line}: {bad!r} is not UTF-8") from None
+        raise ValueError(f"line {line}: {bad!r} is not UTF-8") from None
 
 
 def _load(path: str, keys: tuple) -> tuple[dict, list]:
@@ -303,13 +307,16 @@ def _load(path: str, keys: tuple) -> tuple[dict, list]:
             stripped = line.strip()
             if stripped.startswith(b"#"):
                 key, _, value = stripped[1:].partition(b":")
-                key = _utf8(key.strip(), path, number)
+                key = _utf8(key.strip(), number)
                 if key in meta:
                     raise ValueError(f"line {number}: repeated key {key!r}")
-                meta[key] = _utf8(value.strip(), path, number)
+                meta[key] = _utf8(value.strip(), number)
             elif stripped.startswith(b"{") and not meta:
-                text = _utf8(line + handle.read(), path, number)
-                meta = json.loads(text, object_pairs_hook=_unique_keys)
+                text = _utf8(line + handle.read(), number)
+                try:
+                    meta = json.loads(text, object_pairs_hook=_unique_keys)
+                except RecursionError as err:  # nested past the interpreter's recursion limit
+                    raise ValueError(str(err)) from None
                 stats = meta.pop("stats", None)
                 if not isinstance(stats, (dict, type(None))):
                     raise ValueError(f"the artifact's stats must be an object, got {stats!r}")
@@ -341,26 +348,37 @@ def _header(meta: dict, key: str, kind: type = float):
         raise ValueError(f"{key} must parse as {kind.__name__}, got {meta[key]!r}") from None
 
 
+@contextlib.contextmanager
+def _naming(path: str) -> Iterator:
+    """Prefix the message of a ValueError raised inside with path, once."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def read_density(path: str) -> DensityCurve:
-    meta, (xs, rhos) = _load(path, ("x", "rho"))
-    # Files written before the certificate counters existed lack them; those
-    # read as 0.  A key that is not a counter is ignored, so a counter can
-    # leave SolveStats without making older files unreadable.
-    counters = {key: _header(meta, key, int) for key in _STAT_KEYS if key in meta}
-    return DensityCurve(
-        xs=xs,
-        rhos=rhos,
-        y=_header(meta, "y"),
-        atom_lower_bound=_header(meta, "atom_lower_bound"),
-        stats=SolveStats(**counters) if counters else None,
-    )
+    with _naming(path):
+        meta, (xs, rhos) = _load(path, ("x", "rho"))
+        # Files written before the certificate counters existed lack them;
+        # those read as 0.  A key that is not a counter is ignored, so a
+        # counter can leave SolveStats without making older files unreadable.
+        counters = {key: _header(meta, key, int) for key in _STAT_KEYS if key in meta}
+        return DensityCurve(
+            xs=xs,
+            rhos=rhos,
+            y=_header(meta, "y"),
+            atom_lower_bound=_header(meta, "atom_lower_bound"),
+            stats=SolveStats(**counters) if counters else None,
+        )
 
 
 def read_quantiles(path: str) -> QuantileTable:
-    meta, (probs, values, _) = _load(path, ("probs", "values", "log10_values"))
-    return QuantileTable(
-        probs=probs,
-        values=values,
-        atom_lower_bound=_header(meta, "atom_lower_bound"),
-        total_mass=_header(meta, "total_mass"),
-    )
+    with _naming(path):
+        meta, (probs, values, _) = _load(path, ("probs", "values", "log10_values"))
+        return QuantileTable(
+            probs=probs,
+            values=values,
+            atom_lower_bound=_header(meta, "atom_lower_bound"),
+            total_mass=_header(meta, "total_mass"),
+        )

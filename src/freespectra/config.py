@@ -1,9 +1,10 @@
 """Run configuration: a single JSON document describing network, grid and outputs.
 
 Parsing is strict — unknown fields are rejected with their full path, and a
-key repeated in one object and a file that is not UTF-8 are rejected by
-name, so typos surface immediately instead of silently falling back to
-defaults or to the last of two values.
+key repeated in one object, a file that is not UTF-8 and a document nested
+past the recursion limit are rejected naming the file, so typos surface
+immediately instead of silently falling back to defaults or to the last of
+two values.
 Every object is read by _read from a table of its fields, and every setting
 is checked once, where its dataclass is built.
 """
@@ -237,6 +238,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(
             f"config: parse error in {path} at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
-    except ValueError as err:  # a repeated key, or bytes that are not UTF-8
+    # a repeated key, bytes that are not UTF-8, or nesting past the recursion limit
+    except (ValueError, RecursionError) as err:
         raise ConfigError(f"config: parse error in {path}: {err}") from None
     return parse_run_config(data)

@@ -8,13 +8,13 @@ import os
 import random
 import re
 import stat
-import tracemalloc
 import warnings
 
 import numpy as np
 import orjson
 import pytest
 
+from _memory import traced_peak
 from freespectra import (
     DensityCurve,
     LayerSpec,
@@ -55,6 +55,11 @@ def awkward_curve():
             rejected_tests=3,
         ),
     )
+
+
+def refusal(path, message):
+    """The pattern of a reader's refusal of path: its path, then message, exactly."""
+    return f"^{re.escape(f'{path}: {message}')}$"
 
 
 def test_density_csv_round_trip_is_bit_exact(tmp_path):
@@ -139,7 +144,7 @@ def test_density_header_with_a_repeated_key_is_refused(tmp_path, fmt, old, new, 
     assert text.count(old) == 1
     path = tmp_path / f"repeated.{fmt}"
     path.write_text(text.replace(old, new))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_density(str(path))
 
 
@@ -158,8 +163,8 @@ def test_density_with_bytes_that_are_not_utf8_is_refused(tmp_path, fmt, old, new
     assert text.count(old) == 1
     path = tmp_path / f"latin1.{fmt}"
     path.write_bytes(text.replace(old, new).encode("latin-1"))
-    message = f"{path}: line {line}: b'\\xff' is not UTF-8"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    message = f"line {line}: b'\\xff' is not UTF-8"
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_density(str(path))
 
 
@@ -178,7 +183,7 @@ def test_density_json_with_stats_that_is_not_an_object_is_refused(tmp_path, stat
     doc["stats"] = stats
     path = tmp_path / "stats.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_density(str(path))
 
 
@@ -212,7 +217,7 @@ def test_json_column_that_is_not_an_array_of_numbers_is_refused(tmp_path, key, v
     path = tmp_path / "column.json"
     path.write_text(json.dumps(doc))
     message = f"the artifact's column {key} must be an array of numbers"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_density(str(path))
 
 
@@ -221,7 +226,7 @@ def test_density_csv_holding_nan_is_refused(tmp_path):
     text = render_density(awkward_curve(), "csv").replace("\n2.0,5e-324\n", "\n2.0,nan\n")
     assert "2.0,nan" in text
     path.write_text(text)
-    with pytest.raises(ValueError, match="rhos must be finite, got nan"):
+    with pytest.raises(ValueError, match=refusal(path, "rhos must be finite, got nan")):
         read_density(str(path))
 
 
@@ -234,8 +239,8 @@ def test_density_csv_with_a_malformed_row_is_refused(tmp_path, row, fields):
     lines[number - 1] = row
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
-    message = f"^line {number}: expected 2 comma-separated fields, got {fields}$"
-    with pytest.raises(ValueError, match=message):
+    message = f"line {number}: expected 2 comma-separated fields, got {fields}"
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_density(str(path))
 
 
@@ -245,7 +250,8 @@ def test_quantiles_csv_with_a_malformed_row_is_refused(tmp_path):
     lines[-1] = "0.5,2.0"
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"^line {len(lines)}: expected 3 comma-separated fields, got 2$"):
+    message = f"line {len(lines)}: expected 3 comma-separated fields, got 2"
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_quantiles(str(path))
 
 
@@ -268,7 +274,7 @@ def test_density_artifact_holding_a_nan_y_or_atom_is_refused(tmp_path, fmt, fiel
     start = text.index(key) + len(key)
     path = tmp_path / f"nan.{fmt}"
     path.write_text(text[:start] + nan + text[text.index(end, start):])
-    with pytest.raises(ValueError, match=f"^{field} must .*, got nan$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {field} must .*, got nan$"):
         read_density(str(path))
 
 
@@ -318,8 +324,38 @@ def test_artifact_without_a_header_key_names_it(tmp_path, fmt, kind, key):
     text, read = artifact_text(kind, fmt)
     path = tmp_path / f"{kind}.{fmt}"
     path.write_text(with_header(text, fmt, key, MISSING))
-    with pytest.raises(ValueError, match=f"^the header has no {key}$"):
+    with pytest.raises(ValueError, match=refusal(path, f"the header has no {key}")):
         read(str(path))
+
+
+@pytest.mark.parametrize("kind", ["density", "quantiles"])
+def test_each_refusal_of_a_reader_names_its_file_once(tmp_path, kind):
+    # only a byte that is not UTF-8 named the file; "line 2: repeated key 'y'" did not
+    text, read = artifact_text(kind, "csv")
+    lines = text.splitlines()
+    number = next(i for i, line in enumerate(lines) if line.startswith("# atom_lower_bound:")) + 1
+    line = lines[number - 1]
+    edits = [
+        # refused by the reader's _load
+        ([line, line], f"line {number + 1}: repeated key 'atom_lower_bound'"),
+        ([line + "\xff"], f"line {number}: b'\\xff' is not UTF-8"),
+        # refused by the curve or table it builds
+        (["# atom_lower_bound: 2.5"], "atom_lower_bound must lie in [0, 1], got 2.5"),
+    ]
+    path = tmp_path / f"{kind}.csv"
+    for replacement, message in edits:
+        edited = lines[: number - 1] + replacement + lines[number:]
+        path.write_bytes(("\n".join(edited) + "\n").encode("latin-1"))
+        with pytest.raises(ValueError, match=refusal(path, message)):
+            read(str(path))
+
+
+def test_json_artifact_nested_past_the_recursion_limit_is_refused(tmp_path):
+    # json.loads raised a bare RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        read_density(str(path))
 
 
 @pytest.mark.parametrize(
@@ -337,7 +373,7 @@ def test_json_artifact_without_a_column_names_it(tmp_path, kind, key):
     text, read = artifact_text(kind, "json")
     path = tmp_path / f"{kind}.json"
     path.write_text(with_header(text, "json", key, MISSING))
-    with pytest.raises(ValueError, match=f"^the artifact has no column {key}$"):
+    with pytest.raises(ValueError, match=refusal(path, f"the artifact has no column {key}")):
         read(str(path))
 
 
@@ -361,7 +397,7 @@ def test_artifact_with_a_header_value_that_does_not_parse_names_it(
     path = tmp_path / f"{kind}.{fmt}"
     path.write_text(with_header(text, fmt, key, value))
     message = f"{key} must parse as {parse_as}, got {value!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read(str(path))
 
 
@@ -371,7 +407,7 @@ def test_density_artifact_with_y_zero_is_refused(tmp_path, fmt):
     text, read = artifact_text("density", fmt)
     path = tmp_path / f"zero.{fmt}"
     path.write_text(with_header(text, fmt, "y", "0" if fmt == "csv" else 0.0))
-    with pytest.raises(ValueError, match="^y must be positive and finite, got 0.0$"):
+    with pytest.raises(ValueError, match=refusal(path, "y must be positive and finite, got 0.0")):
         read(str(path))
 
 
@@ -385,7 +421,8 @@ def test_csv_of_its_column_names_alone_reads_as_zero_rows(tmp_path, tail):
         warnings.simplefilter("error")
         _, columns = artifacts._load(str(path), ("x", "rho"))
         assert [column.shape for column in columns] == [(0,), (0,)]
-        with pytest.raises(ValueError, match="^a density curve needs at least two grid points$"):
+        message = "a density curve needs at least two grid points"
+        with pytest.raises(ValueError, match=refusal(path, message)):
             read_density(str(path))
 
 
@@ -649,7 +686,7 @@ def test_quantile_artifact_with_a_bad_field_is_refused(tmp_path, edits, message)
     doc.update(edits)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_quantiles(str(path))
 
 
@@ -777,16 +814,6 @@ def test_write_text_writes_through_a_symlink_into_its_target_directory(tmp_path)
     leftovers = [p for p in (*tmp_path.iterdir(), *store.iterdir()) if ".tmp-artifact-" in p.name]
     assert leftovers == []
 
-def traced_peak(call):
-    """tracemalloc's peak over one call, in bytes."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_csv_codec_holds_about_one_buffer_per_artifact(tmp_path):
     # the whole text as one str, then its lines, tokens and floats, peaked at
     # 3.4 times the file's size to write and 8.6 times to read
@@ -848,7 +875,7 @@ def test_csv_without_its_column_names_is_refused(tmp_path, kind, edit):
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join(lines) + "\n")
     message = f"line {number}: expected the column names {title!r}, got {lines[number - 1]!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read(str(path))
     # white space around the names is no other line
     lines.insert(number - 1, f"  {title}\t")
@@ -876,7 +903,7 @@ def test_csv_that_ends_before_its_column_names_is_refused(tmp_path, kind, kept):
     path = tmp_path / f"{kind}.csv"
     path.write_text(kept_text)
     message = f"expected the column names {title!r}, got the end of the file"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read(str(path))
 
 
@@ -893,7 +920,7 @@ def test_csv_with_a_field_that_is_not_a_float_names_its_line(tmp_path, field):
     path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     quoted = field.encode("latin-1").decode(errors="replace").strip()
     message = f"line {number}: could not convert string to float: {quoted!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_density(str(path))
 
 
@@ -911,7 +938,7 @@ def test_csv_with_a_field_padded_by_unicode_white_space_names_its_line(tmp_path,
     path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     quoted = field.encode("latin-1").decode(errors="replace")
     message = f"line {number}: could not convert string to float: {quoted!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=refusal(path, message)):
         read_density(str(path))
 
 

@@ -8,10 +8,13 @@ import stat
 import sys
 
 import numpy as np
+import orjson
 import pytest
 from scipy.optimize import brentq
 
+from _memory import traced_peak
 from freespectra import (
+    artifacts,
     atom_lower_bound,
     cdf,
     cli,
@@ -25,6 +28,14 @@ from freespectra.artifacts import read_density, read_quantiles
 from freespectra.solver import SolveStats, SolverError
 
 MP1 = {"network": {"layers": [{"nonlinearity": "linear", "sigma_w_sq": 1.0}]}}
+RELU_LINEAR = {
+    "network": {
+        "layers": [
+            {"nonlinearity": "relu", "sigma_w_sq": 2.0},
+            {"nonlinearity": "linear", "sigma_w_sq": 1.0},
+        ]
+    }
+}
 RELU4 = {
     "network": {
         "layers": [{"nonlinearity": "relu", "sigma_w_sq": 2.0} for _ in range(4)]
@@ -465,6 +476,41 @@ def test_validate_seed_override(tmp_path, capsys):
     assert distances[0] != distances[1]
 
 
+def layers(*specs):
+    """Layers from (nonlinearity, sigma_w_sq, lambda) triples."""
+    return [{"nonlinearity": nl, "sigma_w_sq": gain, "lambda": ratio} for nl, gain, ratio in specs]
+
+
+@pytest.mark.parametrize(
+    "network, mc",
+    [
+        (layers(("hard_sine", 1.5, 2.0), ("hard_sine", 1.5, 0.5)), {"n0": 400}),
+        (
+            layers(("hard_sine", 1.5, 0.5), ("linear", 1.0, 2.0), ("relu", 2.0, 0.5)),
+            {"n0": 400, "seed": 6},
+        ),
+        (layers(("linear", 1.0, 0.5), ("relu", 2.0, 2.0)), {"n0": 400}),
+        (layers(("linear", 1.0, 0.5)), {"n0": 400}),
+        (layers(*[("relu", 2.0, 0.5), ("relu", 2.0, 2.0)] * 2), {"n0": 600}),
+    ],
+    ids=["bottleneck", "input", "late", "tall", "relu_x4"],
+)
+def test_validate_passes_wherever_the_sampler_puts_the_bidiagonal(tmp_path, capsys, network, mc):
+    # the Monte-Carlo oracle draws the layer at the narrowest live width as a
+    # bidiagonal B.  That width is layer 1's (n0/2) in bottleneck, and n0
+    # itself in input (at seed 6 the ReLU leaves 409 of its 800 units live),
+    # so the sampler walks the layers last first and builds P J^T P, P the
+    # reversal.  In late the width is layer 2's, so B multiplies layer 1's
+    # LQ triangle; tall is the bidiagonal alone, whose Gram is tridiagonal;
+    # in relu_x4 three lower triangles meet a bidiagonal at layer 2 whose
+    # width (288 live units at seed 0) spans three of the kernels' blocks
+    payload = {"network": {"layers": network}, "grid": {"points": 100}, "mc": mc}
+    config = write_config(tmp_path, "mc.json", payload)
+    assert cli.main(["validate", "--config", config]) == 0
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert fields["result"] == "pass"
+
+
 # ---------------------------------------------------------------------- bench
 
 
@@ -586,6 +632,37 @@ def test_json_format_round_trip(tmp_path):
     assert from_json.total_mass == from_csv.total_mass
 
 
+@pytest.mark.parametrize("points", [100, 20000])
+def test_density_reads_back_alike_from_csv_and_json(tmp_path, points):
+    # 20,000 points reach the doubled walk stride and several blocks of the
+    # batched pass
+    paths = {}
+    for fmt in ("csv", "json"):
+        payload = {**RELU_LINEAR, "grid": {"points": points}, "output": {"format": fmt}}
+        config = write_config(tmp_path, f"run_{fmt}.json", payload)
+        paths[fmt] = str(tmp_path / f"density.{fmt}")
+        assert cli.main(["density", "--config", config, "--out", paths[fmt]]) == 0
+    size = os.path.getsize(paths["csv"])
+    if size > artifacts._SCAN:  # past one scan chunk, the CSV reader holds less than the file
+        assert traced_peak(lambda: read_density(paths["csv"])) < size
+    csv, doc = read_density(paths["csv"]), read_density(paths["json"])
+    assert csv.xs.size == doc.xs.size == points
+    assert np.array_equal(csv.xs, doc.xs) and np.array_equal(csv.rhos, doc.rhos)
+    assert (csv.y, csv.total_mass, csv.stats) == (doc.y, doc.total_mass, doc.stats)
+
+
+def test_quantiles_read_back_alike_from_csv_and_json(tmp_path):
+    paths = {}
+    for fmt in ("csv", "json"):
+        payload = {**RELU_LINEAR, "grid": {"points": 100}, "output": {"format": fmt}}
+        config = write_config(tmp_path, f"run_{fmt}.json", payload)
+        paths[fmt] = str(tmp_path / f"quantiles.{fmt}")
+        assert cli.main(["quantiles", "--config", config, "--out", paths[fmt]]) == 0
+    with open(paths["json"], "rb") as handle:
+        orjson.loads(handle.read())  # RFC 8259: no NaN or Infinity literals
+    assert read_quantiles(paths["csv"]) == read_quantiles(paths["json"])
+
+
 # ----------------------------------------------------------------- config errs
 
 
@@ -647,6 +724,14 @@ def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     assert cli.main(["density", "--config", str(path)]) == 2
     message = f"error: config: parse error in {path}: 'utf-8' codec can't decode byte 0xff"
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_config_nested_past_the_recursion_limit_exits_2_naming_the_file(tmp_path, capsys):
+    # it exited 1 with the interpreter's "maximum recursion depth exceeded" alone
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["density", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: parse error in {path}: ")
 
 
 def test_grid_log_spaced_is_an_unknown_field(tmp_path, capsys):

@@ -1,12 +1,12 @@
 """Finite-size sampling, the all-roots baseline, and distribution distance."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from _activations import activation_derivative
+from _memory import traced_peak
 from _s_transform import factor_coefficients
 from freespectra import (
     EmpiricalSpectrum,
@@ -560,12 +560,7 @@ def test_bartlett_factor_draws_one_row_major_stream_of_normals(r, tall):
 
 def traced_peak_doubles(spec, n0, seed):
     """tracemalloc's peak over one monte_carlo_spectrum call, in doubles."""
-    tracemalloc.start()
-    try:
-        monte_carlo_spectrum(spec, n0, seed=seed)
-        return tracemalloc.get_traced_memory()[1] / 8
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: monte_carlo_spectrum(spec, n0, seed=seed)) / 8
 
 
 # validate's "hard_sine:0.5 linear:2 relu:0.5" net: at seed 3 its ReLU
