@@ -100,15 +100,16 @@ _SCAN = 1 << 16
 def _write(chunks: Iterable, path: Optional[str]) -> None:
     """Write byte chunks to path atomically, each as it comes, or to stdout when path is None.
 
-    An OSError naming path refuses an existing path that is not a regular file.
+    An OSError naming path refuses a path whose target exists and is not a
+    regular file, as "" is the working directory.
     """
     if path is None:
         sys.stdout.write(b"".join(chunks).decode())
         return
-    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO, a device, a directory
-        raise OSError(errno.EEXIST, "not a regular file; omit --out to write to stdout", path)
     # a link is written through: its target is replaced in its own directory
     target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):  # a FIFO, a device, a directory
+        raise OSError(errno.EEXIST, "not a regular file; omit --out to write to stdout", path)
     tmp = os.path.join(os.path.dirname(target), f".tmp-artifact-{os.urandom(8).hex()}")
     # "x" is O_EXCL: a file or link already at the temp name is refused, never written through
     try:

@@ -77,6 +77,8 @@ class OutputConfig:
     def __post_init__(self) -> None:
         if self.format not in ("csv", "json"):
             raise ConfigError(f"config: output.format: must be 'csv' or 'json', got {self.format!r}")
+        if self.path == "":
+            raise ConfigError("config: output.path: must name a file, got ''")
 
 
 @dataclass(frozen=True)

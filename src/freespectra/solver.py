@@ -215,8 +215,8 @@ def basin_certificates(
     m0 = np.asarray(m0, dtype=complex)
     if np.any(z.imag == 0.0):
         raise _off_axis_error(complex(z[z.imag == 0.0][0]))
-    value, deriv = eval_phi(meq, z, m0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value, deriv = eval_phi(meq, z, m0)
         denom = _modulus(deriv)
         delta = _modulus(value) / denom
         kappa = 1.0 / denom

@@ -259,9 +259,11 @@ def branch_roots(
     solved once (see _walk_roots), so points that share Re z must be one
     point.  The walk's counters are added to stats when it is given.  A
     strictly increasing input, a grid in x order, is walked reversed with
-    no sort.  The points walked and the roots returned are contiguous
-    arrays, never reversed views, since numpy's complex loops and arctan2
-    round differently on a strided view.
+    no sort; any other is read through np.unique, which sorts the distinct
+    points by Re z and then Im z, so that two sharing Re z sit side by side.
+    The points walked and the roots returned are contiguous arrays, never
+    reversed views, since numpy's complex loops and arctan2 round
+    differently on a strided view.
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
@@ -273,44 +275,24 @@ def branch_roots(
     lower = flat.imag <= 0.0
     if lower.any():
         raise ValueError(f"branch_roots needs Im z > 0, got {complex(flat[lower][0])!r}")
-    walk, index = _walk_order(flat)
-    ms = _walk_roots(meq, walk, SolveStats() if stats is None else stats)
-    if index is None:
-        # walk is a reversed copy made for this call alone, so it takes the roots
-        np.copyto(walk, ms[::-1])
-        ms = walk
-    else:
-        ms = np.take(ms, index)
-    return ms.reshape(zs.shape)
-
-
-def _walk_order(zs: np.ndarray) -> tuple:
-    """The distinct points of zs by decreasing Re z, and where each point of zs lies among them.
-
-    The first is a contiguous array.  The second is None where zs holds two
-    or more points strictly increasing in Re z, so that the first is its
-    reversed copy, and otherwise each point's index into the first.  (One
-    point reversed is zs itself, which np.ascontiguousarray would not copy.)
-    """
-    if zs.size > 1 and (np.diff(zs.real) > 0.0).all():
-        return np.ascontiguousarray(zs[::-1]), None
-    order = np.argsort(zs.real, kind="stable")[::-1]
-    walk = np.take(zs, order)
-    tied = walk.real[1:] == walk.real[:-1]
-    clash = np.flatnonzero(tied & (walk.imag[1:] != walk.imag[:-1]))
+    stats = SolveStats() if stats is None else stats
+    # one point reversed is flat itself, which np.ascontiguousarray would not copy
+    if flat.size > 1 and (np.diff(flat.real) > 0.0).all():
+        # the walk is a reversed copy made for this call alone, so it takes the roots
+        walk = np.ascontiguousarray(flat[::-1])
+        np.copyto(walk, _walk_roots(meq, walk, stats)[::-1])
+        return walk.reshape(zs.shape)
+    distinct, index = np.unique(flat, return_inverse=True)
+    clash = np.flatnonzero(distinct.real[1:] == distinct.real[:-1])
     if clash.size:
-        a, b = complex(walk[clash[0]]), complex(walk[clash[0] + 1])
+        a, b = complex(distinct[clash[0]]), complex(distinct[clash[0] + 1])
         raise ValueError(f"branch_roots: points {a!r} and {b!r} share Re z but differ in Im z")
-    # each sorted point's place among the distinct ones, scattered back
-    rank = np.zeros(zs.size, dtype=np.intp)
-    np.cumsum(~tied, out=rank[1:])
-    index = np.empty(zs.size, dtype=np.intp)
-    index[order] = rank
-    return np.compress(np.concatenate(([True], ~tied)), walk), index
+    ms = _walk_roots(meq, np.ascontiguousarray(distinct[::-1]), stats)
+    return np.take(ms[::-1], index).reshape(zs.shape)
 
 
 def _walk_roots(meq: RationalMasterEq, zs: np.ndarray, stats: SolveStats) -> np.ndarray:
-    """Decaying-branch roots at the points zs, given distinct, in walk order.
+    """Decaying-branch roots at the points zs, distinct and contiguous, by decreasing Re z.
 
     Coarse pass: the walk tests its jump's end once, from the branch tangent
     at the head, m_head + (z_end - z_head) dm/dz, with the slope at the head

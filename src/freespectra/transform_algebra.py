@@ -95,7 +95,8 @@ def master_from_summary(layers: Sequence[LayerSummary]) -> RationalMasterEq:
     that are equal as floats form one root with their count as multiplicity,
     in the order of their first appearance.  Each log s_l is taken as
     log sigma_l^2 + log Lambda_l, so no scale is formed either.  A ValueError
-    names a Lambda, gain or root that is not a finite float.
+    names a Lambda or gain that is not a positive finite float, and a root
+    that is not a negative one.
     """
     if not layers:
         raise ValueError("need at least one layer summary")
@@ -105,10 +106,11 @@ def master_from_summary(layers: Sequence[LayerSummary]) -> RationalMasterEq:
                 f"cumulative width ratio Lambda={layer.Lambda!r} at layer {index} "
                 f"is not a positive finite float"
             )
-        if not math.isfinite(layer.c / layer.Lambda):
+        # c underflows to 0 where hard_tanh's 2q overflows, and c/Lambda where Lambda is vast
+        if not 0.0 < layer.c / layer.Lambda < math.inf:
             raise ValueError(
-                f"root -c/Lambda at layer {index} overflows "
-                f"(c={layer.c!r}, Lambda={layer.Lambda!r})"
+                f"root -c/Lambda at layer {index} is not a negative finite float "
+                f"(q={layer.q!r}, c={layer.c!r}, Lambda={layer.Lambda!r})"
             )
     counts: dict = {-1.0: 1}
     for layer in layers:
@@ -190,7 +192,9 @@ def second_derivative_bound(meq: RationalMasterEq, z, center, radius):
     float) that broadcast together, one disc per element.  Unless z is a
     Python complex, every modulus is taken with np.hypot, so each element of
     an array is bit-identical to the scalar bound of the same disc (Python's
-    abs of a complex is hypot) and the same rounding allowance holds.
+    abs of a complex is hypot) and the same rounding allowance holds.  Where
+    |z| overflows the bound is inf, never the 0 of M''/inf, which would
+    certify any start.
 
     About the centre, P(center + w) = prod_j (gain (w + a_j))^k_j with
     a_j = center - r_j, so its Taylor coefficients are gain^d times elementary
@@ -225,6 +229,10 @@ def second_derivative_bound(meq: RationalMasterEq, z, center, radius):
     if radius < 0 if scalar else np.any(radius < 0):
         raise ValueError("radius must be nonnegative")
     modulus = abs if scalar else _modulus
+    try:
+        size = modulus(z)
+    except OverflowError:  # Python's abs of a complex raises where hypot gives inf
+        return math.inf
     gain = meq.gain
     v, d1, d2 = 1.0, 0.0, 0.0
     for r in meq.first_level:
@@ -241,4 +249,5 @@ def second_derivative_bound(meq: RationalMasterEq, z, center, radius):
             d2 = d2 * t + 2.0 * d1
             d1 = d1 * t + v
             v = v * t
-    return d2 * gain * gain / modulus(z) * (1.0 + (7 * meq.degree - 4) // 2 * _EPS)
+    bound = d2 * gain * gain / size * (1.0 + (7 * meq.degree - 4) // 2 * _EPS)
+    return bound if scalar else np.where(size < np.inf, bound, np.inf)

@@ -796,6 +796,19 @@ def test_write_text_refuses_a_fifo_and_leaves_it_a_fifo(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
 
+def test_write_text_refuses_an_empty_path_and_writes_nothing(tmp_path, monkeypatch):
+    # "" resolves to the working directory; the temp file was made in its
+    # parent, and the rename's error named the temp file
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    with pytest.raises(OSError, match="omit --out to write to stdout") as info:
+        write_text("x\n", "")
+    assert info.value.filename == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert list(run.iterdir()) == []
+
+
 def test_write_text_writes_through_a_symlink_into_its_target_directory(tmp_path):
     store = tmp_path / "store"
     store.mkdir()

@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import sys
+import warnings
 
 import numpy as np
 import orjson
@@ -748,3 +750,68 @@ def test_unwritable_out_path_fails_cleanly(tmp_path, capsys):
     # the error names the path asked for, not the temp file written first
     err = capsys.readouterr().err
     assert "no/such/dir/x.csv" in err and ".tmp-artifact-" not in err
+
+
+@pytest.mark.parametrize("where", ["config", "out"])
+def test_an_empty_output_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, where):
+    # "" resolved to the working directory, so the temp file was made in its
+    # parent and the rename onto the directory failed, naming the temp file
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    payload = {**MP1, "output": {"path": ""}} if where == "config" else MP1
+    config = write_config(tmp_path, "mp.json", payload)
+    argv = ["density", "--config", config] + (["--out", ""] if where == "out" else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: config: output.path: must name a file, got ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mp.json", "run"]
+    assert list(run.iterdir()) == []
+
+
+# ------------------------------------------------------------ extreme gains
+
+
+@pytest.mark.parametrize("command", ["density", "validate"])
+def test_a_hard_tanh_layer_whose_coefficient_underflows_is_named(tmp_path, capsys, command):
+    # 2q overflows, so c = erf(1/sqrt(2q)) read 0 and the root -0.0: density
+    # died in a ZeroDivisionError and validate passed an all-atom law
+    layer = {"nonlinearity": "hard_tanh", "sigma_w_sq": 1.7e308}
+    payload = {"network": {"layers": [layer]}, "grid": {"points": 50}, "mc": {"n0": 50}}
+    config = write_config(tmp_path, "vast.json", payload)
+    assert cli.main([command, "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: root -c/Lambda at layer 1 is not a negative finite float "
+        "(q=1.7e+308, c=0.0, Lambda=1.0)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "sigma_w_sq, grid", [(2.0, {"x_max": 1.5e308}), (2e307, {})], ids=["x_max", "automatic"]
+)
+def test_a_window_whose_cold_start_modulus_overflows_exits_1(tmp_path, capsys, sigma_w_sq, grid):
+    # the cold start at z = x (1 + i) has |z| above the largest float, where
+    # Python's abs of a complex raised OverflowError; no start certifies there
+    layer = {"nonlinearity": "relu", "sigma_w_sq": sigma_w_sq}
+    config = write_config(tmp_path, "far.json", {"network": {"layers": [layer]}, "grid": grid})
+    assert cli.main(["density", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: branch solve failed at x=\S+: no certified start after 0 doublings "
+        r"of Im z \(reached z=\(\S+\)\)\n",
+        captured.err,
+    )
+
+
+def test_validate_where_phi_overflows_at_a_rejected_start_warns_nothing(tmp_path, capsys):
+    # one linear layer at sigma_w^2 = 1e300: the batched pass of ks_distance's
+    # ray walk evaluated phi at starts that overflow it before it silenced
+    # numpy's overflow warning
+    layer = {"nonlinearity": "linear", "sigma_w_sq": 1e300}
+    config = write_config(tmp_path, "loud.json", {"network": {"layers": [layer]}, "mc": {"n0": 50}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["validate", "--config", config]) == 0
+    assert "result: pass\n" in capsys.readouterr().out

@@ -175,6 +175,15 @@ def test_basin_certificates_name_the_first_real_z():
         basin_certificates(mp_meq(), z, np.zeros(3, dtype=complex))
 
 
+def test_basin_certificates_reject_a_start_whose_phi_overflows_without_a_warning():
+    # one linear layer at sigma_w^2 = 1e300 has gain 1e150, so P = (gain (m + 1))^2
+    # overflows at m = 1e10; phi was evaluated before numpy's warnings were
+    # silenced, and the suite's filter turned the overflow into an error
+    meq = master_from_spec(NetworkSpec(layers=(LayerSpec(Nonlinearity.LINEAR, 1e300),)))
+    certs = basin_certificates(meq, np.array([1 + 1j]), np.array([1e10 + 0j]))
+    assert not certs.certified[0]
+
+
 def test_newton_lockstep_names_the_first_point_with_a_zero_derivative():
     # points 1 and 2 both fail; the error names point 1, the first in array order
     z = np.array([10j, 2 + 1j, 3 + 1j])

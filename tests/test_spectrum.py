@@ -699,7 +699,7 @@ def test_density_grid_passes_on_a_memory_error_raised_inside_its_solve(monkeypat
     [
         (np, "logspace", lambda meq: default_grid(meq, points=10**11)),
         (np, "empty", lambda meq: density_grid(meq, xs=[0.5, 1.0, 2.0])),
-        (np, "argsort", lambda meq: branch_roots(meq, [2.0 + 1e-6j, 0.5 + 1e-6j])),
+        (np, "unique", lambda meq: branch_roots(meq, [2.0 + 1e-6j, 0.5 + 1e-6j])),
         (oracles_module, "_bartlett_factor", lambda meq: monte_carlo_spectrum(relu4_spec(), 64, 2)),
     ],
     ids=["default_grid", "density_grid", "branch_roots", "monte_carlo"],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,23 @@ def test_master_names_a_gain_or_root_that_is_not_a_float():
     far = LayerSummary(q=1.0, c=1.0, Lambda=1e-310, sigma_w_sq=1.0)
     with pytest.raises(ValueError, match="root"):
         master_from_summary([far])
+
+
+def test_master_names_a_layer_whose_root_rounds_to_zero():
+    # hard_tanh's c = erf(1/sqrt(2q)) read 0 where 2q overflows, and the root
+    # -0.0 gave an all-atom law whose variance divided by zero
+    fine = LayerSummary(q=1.0, c=1.0, Lambda=1.0, sigma_w_sq=1.0)
+    vast = LayerSummary(q=1.7e308, c=0.0, Lambda=1.0, sigma_w_sq=1.7e308)
+    message = (
+        "root -c/Lambda at layer 2 is not a negative finite float "
+        "(q=1.7e+308, c=0.0, Lambda=1.0)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        master_from_summary([fine, vast])
+    # c/Lambda = 1e-400 underflows with c and Lambda floats
+    lost = LayerSummary(q=1.0, c=1e-200, Lambda=1e200, sigma_w_sq=1.0)
+    with pytest.raises(ValueError, match="^root -c/Lambda at layer 1 is not a negative finite"):
+        master_from_summary([lost])
 
 
 def test_residue_recovers_first_moment():
@@ -400,6 +418,18 @@ def test_second_derivative_bound_degree_one_is_zero():
     # P = 1+m: phi'' vanishes identically
     meq = RationalMasterEq(gain=1.0, roots=(-1.0,), multiplicities=(1,))
     assert second_derivative_bound(meq, 1j, 0.5j, 3.0) == 0.0
+
+
+def test_second_derivative_bound_is_inf_where_the_modulus_of_z_overflows():
+    # Python's abs of this z raised OverflowError, and on arrays M''/|z| read
+    # 0, which would certify any start
+    meq = master_from_spec(NetworkSpec(layers=(LayerSpec(Nonlinearity.RELU, 2.0),)))
+    z = complex(1.5e308, 1.5e308)
+    assert second_derivative_bound(meq, z, 0j, 1.0) == math.inf
+    with np.errstate(over="ignore"):
+        bounds = second_derivative_bound(meq, np.array([z, 1j]), np.zeros(2, complex), np.ones(2))
+    assert bounds[0] == math.inf
+    assert bounds[1] == second_derivative_bound(meq, 1j, 0j, 1.0)
 
 
 def test_second_derivative_bound_dominates_fd_oracle():
