@@ -31,6 +31,12 @@ __all__ = [
 _HARD_SINE_SERIES_MIN_Q = 0.1
 _HARD_SINE_TERM_CUTOFF = 1e-16
 
+# hard_tanh's ramp term q [erf(t) - (2t/sqrt(pi)) e^(-t^2)], t = 1/sqrt(2q),
+# loses about 3q-fold to cancellation in that closed form, so above q = 2
+# (t < 1/2) it is summed by its alternating series, which cancels at most
+# 1.4-fold there and whose terms fall at least 4-fold a step.
+_HARD_TANH_SERIES_MAX_T = 0.5
+
 
 class Nonlinearity(Enum):
     LINEAR = "linear"
@@ -110,6 +116,8 @@ def g_moment(nl: Nonlinearity, q: float) -> float:
     if nl is Nonlinearity.HARD_TANH:
         # q E[N^2; |N| < 1/sqrt(q)] restores the ramp, erfc the saturated tails.
         t = 1.0 / math.sqrt(2.0 * q)
+        if t < _HARD_TANH_SERIES_MAX_T:
+            return _ramp_moment_series(t) + math.erfc(t)
         return q * math.erf(t) - math.sqrt(2.0 * q / math.pi) * math.exp(-0.5 / q) + math.erfc(t)
     if nl is Nonlinearity.HARD_SINE:
         if q < _HARD_SINE_SERIES_MIN_Q:
@@ -122,6 +130,22 @@ def g_moment(nl: Nonlinearity, q: float) -> float:
             if abs(term) < _HARD_SINE_TERM_CUTOFF:
                 return total
     raise ValueError(f"unhandled nonlinearity {nl}")
+
+
+def _ramp_moment_series(t: float) -> float:
+    """q E[N^2; |N| < 1/sqrt(q)] for a standard Gaussian N, at q = 1/(2 t^2) and t < 1/2.
+
+    In closed form it is q [erf(t) - (2t/sqrt(pi)) e^(-t^2)], whose bracket
+    is (4/sqrt(pi)) int_0^t s^2 e^(-s^2) ds; term by term that makes it
+    (2/sqrt(pi)) sum_n (-1)^n t^(2n+1) / (n! (2n+3)).
+    """
+    total, term = 0.0, t
+    for n in itertools.count():
+        summed = total + term / (2 * n + 3)
+        if summed == total:
+            return 2.0 / math.sqrt(math.pi) * total
+        total = summed
+        term *= -t * t / (n + 1)
 
 
 def _piece_moment(q: float, a: float) -> float:

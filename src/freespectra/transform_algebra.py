@@ -20,14 +20,13 @@ numpy arrays alike and runs the same arithmetic elementwise over arrays: there
 is one phi kernel for the scalar walk and the batched pass.  Each forms the
 powers by one binary powering of the whole product: from the top bit of the
 largest multiplicity down, square the partial product, then multiply in each
-factor whose multiplicity has that bit (RationalMasterEq.first_level and
-later_levels), carrying the derivatives along by the product rule.  For g
-distinct roots that is O(g log max_j k_j) multiplies, against O(d) for a
-product taken factor by factor, and every partial product is
-prod_j T_j^floor(k_j / 2^b), about P^(2^-b), so no power overflows where P
-itself does not.  A net whose roots
-are all distinct has one level, and its arithmetic is the factor-by-factor
-product's.
+factor whose multiplicity has that bit (RationalMasterEq.levels), carrying
+the derivatives along by the product rule.  For g distinct roots that is
+O(g log max_j k_j) multiplies, against O(d) for a product taken factor by
+factor, and every partial product is prod_j T_j^floor(k_j / 2^b), about
+P^(2^-b), so no power overflows where P itself does not.  A net whose roots
+are all distinct has one level, whose squaring of the starting product 1 is
+exact, so its arithmetic is the factor-by-factor product's.
 """
 
 from __future__ import annotations
@@ -57,12 +56,13 @@ class RationalMasterEq:
     """z = P(m)/m with P(m) = prod_j (gain (m - roots[j]))^multiplicities[j].
 
     The roots are real and distinct and each multiplicity is a positive int.
-    Two attributes derived from them list the roots by the bits of their
-    multiplicities, for the binary powering that every evaluation runs:
-    first_level holds the roots whose multiplicity has the top bit of the
-    largest one, and later_levels one tuple of roots for each lower bit, in
-    order; the powering squares before each later level.  When every root is
-    simple, first_level is roots and later_levels is empty.
+    The derived tuple levels lists the roots by the bits of their
+    multiplicities, for the binary powering that every evaluation runs: one
+    tuple of roots for each bit of the largest multiplicity, from the top bit
+    down, holding the roots whose multiplicity has that bit.  The powering
+    squares before each level, and before the first that maps the starting
+    product 1 to itself exactly.  When every root is simple, levels is
+    (roots,).
     """
 
     gain: float
@@ -78,12 +78,11 @@ class RationalMasterEq:
             if not (isinstance(k, int) and k >= 1):
                 raise ValueError(f"multiplicities must be positive ints, got {k!r}")
         bits = range(max(self.multiplicities).bit_length() - 1, -1, -1)
-        first, *later = [
+        levels = tuple(
             tuple([r for r, k in zip(self.roots, self.multiplicities) if k >> bit & 1])
             for bit in bits
-        ]
-        object.__setattr__(self, "first_level", first)
-        object.__setattr__(self, "later_levels", tuple(later))
+        )
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "degree", sum(self.multiplicities))
 
 
@@ -145,13 +144,14 @@ def eval_phi(meq: RationalMasterEq, z, m):
     phi kernel of the package.  The recurrence runs in the scaled variable
     gain * m, whose factors are gain (m - r_j); P' is its derivative times
     gain.  The powers come from one binary powering over meq's levels:
-    (p, p') -> (p^2, 2 p p') before each later level, and
-    (p, p') -> (p t, p' t + p) for each factor t of a level.  Every update is
-    an augmented assignment, so on arrays it is made in place; p and p' start
-    as scalars and become new arrays at the first factor, so z and m are
-    never written.  Scalars rebind through Python's complex arithmetic.
-    numpy's complex products may round differently from Python's, so an
-    array's values can differ from the scalar ones in the last bits.
+    (p, p') -> (p^2, 2 p p') before each level, which leaves the starting
+    (1, 0) exactly as it is, and (p, p') -> (p t, p' t + p) for each factor t
+    of a level.  Every update is an augmented assignment, so on arrays it is
+    made in place; p and p' start as scalars and become new arrays at the
+    first factor, so z and m are never written.  Scalars rebind through
+    Python's complex arithmetic.  numpy's complex products may round
+    differently from Python's, so an array's values can differ from the
+    scalar ones in the last bits.
     """
     # type(z) is complex is the cheap test for the scalar walk's calls; an
     # isinstance test of np.ndarray costs about a tenth of a small net's call
@@ -159,15 +159,7 @@ def eval_phi(meq: RationalMasterEq, z, m):
         raise ValueError("z must be nonzero")
     gain = meq.gain
     p, dp = 1.0 + 0j, 0j
-    # the first level has its own loop, without a squaring or a per-level
-    # test, so a net whose roots are all simple pays nothing for the powering
-    for r in meq.first_level:
-        t = m - r
-        t *= gain
-        dp *= t
-        dp += p
-        p *= t
-    for level in meq.later_levels:
+    for level in meq.levels:
         dp *= p + p
         p *= p
         for r in level:
@@ -204,7 +196,7 @@ def second_derivative_bound(meq: RationalMasterEq, z, center, radius):
     (the -m of phi contributes nothing to phi'').  It is attained when the
     centre is real and right of every root.  The recurrence runs on the
     factors T_j = gain (radius + |a_j|) by eval_phi's binary powering:
-    (v, v', v'') -> (v^2, 2 v v', 2 (v'^2 + v v'')) before each later level,
+    (v, v', v'') -> (v^2, 2 v v', 2 (v'^2 + v v'')) before each level,
     and (v T, v' T + v, v'' T + 2 v') for each factor T of a level;
     M'' is gain^2 times the final v''.
 
@@ -219,11 +211,13 @@ def second_derivative_bound(meq: RationalMasterEq, z, center, radius):
     an add (7).  So does a square, which doubles D: 2 (6D - 1) + 1 for v,
     (6D - 1) + (7D - 7) + 1 for v', and for v'' the larger of
     2 (7D - 7) + 1 and (6D - 1) + (7D - 12) + 1, plus one for the add; the
-    doubling is exact.  The first step multiplies 1 and 0 exactly.  With two
-    more for the final gain^2, three for the division by |z| and one for the
-    allowance, n <= 7d - 6, as for the factor-by-factor product.  The
-    allowance 1 + k 2^-52 covers that when 2k >= n + 1 (for n (n + 1) <= 2^53),
-    so k = (7d - 4) // 2.  For d = 1, M'' is 0 exactly.
+    doubling is exact.  The first squaring maps the starting (1, 0, 0) to
+    itself exactly, so it adds none, and the first factor step multiplies 1
+    and 0 exactly.  With two more for the final gain^2, three for the
+    division by |z| and one for the allowance, n <= 7d - 6, as for the
+    factor-by-factor product.  The allowance 1 + k 2^-52 covers that when
+    2k >= n + 1 (for n (n + 1) <= 2^53), so k = (7d - 4) // 2.  For d = 1,
+    M'' is 0 exactly.
     """
     scalar = type(z) is complex  # the cheap test, as in eval_phi
     if radius < 0 if scalar else np.any(radius < 0):
@@ -235,12 +229,7 @@ def second_derivative_bound(meq: RationalMasterEq, z, center, radius):
         return math.inf
     gain = meq.gain
     v, d1, d2 = 1.0, 0.0, 0.0
-    for r in meq.first_level:
-        t = (radius + modulus(center - r)) * gain
-        d2 = d2 * t + 2.0 * d1
-        d1 = d1 * t + v
-        v = v * t
-    for level in meq.later_levels:
+    for level in meq.levels:
         d2 = 2.0 * (d1 * d1 + v * d2)
         d1 = 2.0 * v * d1
         v = v * v

@@ -122,6 +122,39 @@ def test_hard_sine_moment_matches_quadrature_to_rounding(side):
         assert abs(got - oracle) <= 1e-12 * oracle, (q, got, oracle)
 
 
+def _hard_tanh_moment_mpmath(q):
+    # q E[N^2; |N| < 1/sqrt(q)] = q (2/sqrt(pi)) gamma(3/2, 1/(2q)), lower
+    # incomplete gamma, which mpmath takes without the closed form's cancellation
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        t2 = 1 / (2 * mpmath.mpf(q))
+        ramp = mpmath.mpf(q) * 2 / mpmath.sqrt(mpmath.pi) * mpmath.gammainc(1.5, 0, t2)
+        return ramp + mpmath.erfc(mpmath.sqrt(t2))
+
+
+def test_hard_tanh_moment_matches_mpmath_to_rounding_at_every_q():
+    # the closed form's q erf(t) and sqrt(2q/pi) e^(-t^2) cancel about
+    # 3q-fold, which would leave 16385 at q = 1e40 and -9.1e133 at 1e300
+    # for a moment just below 1; the scan crosses the switch to the series
+    qs = list(np.logspace(-12, 300, 313)) + [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)]
+    for q in qs:
+        got = g_moment(Nonlinearity.HARD_TANH, float(q))
+        oracle = _hard_tanh_moment_mpmath(float(q))
+        assert abs(got - oracle) <= 1e-14 * oracle, (q, got, float(oracle))
+
+
+@pytest.mark.parametrize("gain", [1e40, 1e300])
+def test_a_saturated_hard_tanh_layer_hands_on_its_true_moment(gain):
+    # layer 2's q is 1.5 g(q1), about 1.5; the cancelling closed form would
+    # give about 24,577 at gain 1e40 and a negative variance at 1e300
+    spec = NetworkSpec(
+        layers=(LayerSpec(Nonlinearity.HARD_TANH, gain), LayerSpec(Nonlinearity.HARD_TANH, 1.5))
+    )
+    layers = summarize(spec)
+    expected = 1.5 * _hard_tanh_moment_mpmath(gain)
+    assert abs(layers[1].q - expected) <= 1e-14 * expected, (layers[1].q, float(expected))
+
+
 def test_g_moment_rejects_bad_q():
     with pytest.raises(ValueError):
         g_moment(Nonlinearity.RELU, 0.0)

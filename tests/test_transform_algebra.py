@@ -114,10 +114,10 @@ def test_master_is_gain_and_roots():
     assert [f.name for f in dataclasses.fields(RationalMasterEq)] == fields
     spec = NetworkSpec(layers=tuple(LayerSpec(Nonlinearity.RELU, 2.0) for _ in range(5)))
     meq = master_from_spec(spec)
-    assert sorted(vars(meq)) == sorted([*fields, "first_level", "later_levels", "degree"])
+    assert sorted(vars(meq)) == sorted([*fields, "levels", "degree"])
     assert meq.roots == (-1.0, -0.5) and meq.multiplicities == (1, 5) and meq.degree == 6
     # 5 = 0b101: -0.5 enters at the top bit and at bit 0, -1 at bit 0 only
-    assert meq.first_level == (-0.5,) and meq.later_levels == ((), (-1.0, -0.5))
+    assert meq.levels == ((-0.5,), (), (-1.0, -0.5))
 
 
 def test_master_refuses_repeated_roots_and_bad_multiplicities():
@@ -328,7 +328,7 @@ def test_eval_phi_array_rejects_a_zero_z_and_passes_a_nan_one(zero):
 def test_eval_phi_leaves_read_only_arrays_untouched():
     # the updates are made in place, on arrays of eval_phi's own only
     meq = homogeneous(Nonlinearity.RELU, 2.0, 3)
-    assert meq.later_levels
+    assert len(meq.levels) > 1
     z = np.array([1j, 2 + 0.5j, -1 + 3j])
     m = np.array([0.1j, -0.4 + 0.2j, 0.3 - 0.1j])
     z_before, m_before = z.copy(), m.copy()
@@ -600,3 +600,50 @@ def test_second_derivative_bound_array_is_bitwise_the_scalar_bound_over_runs():
             ]
             assert bounds.tolist() == expected, depth
         assert second_derivative_bound(meq, z[:0], heads[:0], radius[:0]).size == 0
+
+
+def _factor_by_factor(meq, z, m, center, radius, modulus):
+    # phi, phi' and the bound written as plain product-rule loops over the
+    # roots, one factor at a time, with no powering
+    p, dp = 1.0 + 0j, 0j
+    v, d1, d2 = 1.0, 0.0, 0.0
+    for r in meq.roots:
+        t = (m - r) * meq.gain
+        dp = dp * t + p
+        p = p * t
+        big_t = (radius + modulus(center - r)) * meq.gain
+        d2 = d2 * big_t + 2.0 * d1
+        d1 = d1 * big_t + v
+        v = v * big_t
+    allowance = 1.0 + (7 * meq.degree - 4) // 2 * 2.0**-52
+    bound = d2 * meq.gain * meq.gain / modulus(z) * allowance
+    return p / z - m, dp * meq.gain / z - 1.0, bound
+
+
+def test_one_level_runs_the_factor_by_factor_arithmetic_bit_for_bit():
+    # where every root is simple the powering squares once, on the starting
+    # (1, 0) and (1, 0, 0), which is exact, so both kernels round as the
+    # factor-by-factor product does, for scalars and for arrays alike
+    rng = np.random.default_rng(49)
+    nets = 0
+    while nets < 40:
+        meq = master_from_spec(random_spec(rng))
+        if len(meq.levels) > 1:
+            continue
+        nets += 1
+        assert meq.levels == (meq.roots,)
+        z = rng.uniform(-3, 30, 50) + 1j * rng.choice([-1, 1], 50) * 10 ** rng.uniform(-9, 1, 50)
+        m = rng.uniform(-2.5, 2.0, 50) + 1j * rng.uniform(-1.5, 1.5, 50)
+        center = rng.uniform(-2.5, 2.0, 50) + 1j * rng.uniform(-1.5, 1.5, 50)
+        radius = 10 ** rng.uniform(-6, 0, 50)
+        value, deriv = eval_phi(meq, z, m)
+        bound = second_derivative_bound(meq, z, center, radius)
+        expected = _factor_by_factor(
+            meq, z, m, center, radius, lambda c: np.hypot(c.real, c.imag)
+        )
+        assert value.tolist() == expected[0].tolist()
+        assert deriv.tolist() == expected[1].tolist()
+        assert bound.tolist() == expected[2].tolist()
+        for zi, mi, ci, ri in zip(z.tolist(), m.tolist(), center.tolist(), radius.tolist()):
+            got = (*eval_phi(meq, zi, mi), second_derivative_bound(meq, zi, ci, ri))
+            assert got == _factor_by_factor(meq, zi, mi, ci, ri, abs)
